@@ -1,8 +1,9 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 on success, 1 when a verifier rejects (gate, certificate,
-attestation, provenance), 2 on usage or file errors. Every subcommand
-accepts --json for machine-readable output on stdout.
+attestation, provenance) or an admitted executor fails (any VMError: trap,
+fuel, limits), 2 on usage or file errors. Every subcommand accepts --json
+for machine-readable output on stdout.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ from .provenance import (
 )
 from .runtime_host import ExecutorInput, ResourceLimits, instantiate_and_plan
 from .signing import SigningError, generate_seed, load_public_key, load_seed, save_keypair
-from .wasm_inspect import MalformedBinary, parse_imports
+from .wasm_inspect import MalformedBinary, hash_bytes, parse_imports
+from .wasmvm import VMError
 from .whitelist import (
     WhitelistFormatError,
     builtin_whitelist,
@@ -212,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reason = None
     if not check.accepted:
         reason = check.reason
-    elif cert.artifact_hash != parse_imports(binary).artifact_hash:
+    elif cert.artifact_hash != hash_bytes(binary):
         reason = "artifact_hash_mismatch"
     elif cert.proof_hash != proof_hash(proof):
         reason = "proof_hash_mismatch"
@@ -255,6 +257,15 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     return 0 if decision.accepted else 1
 
 
+def _executor_failed(args: argparse.Namespace, exc: VMError) -> int:
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    if args.json:
+        print(canonical_dumps(doc))
+    else:
+        print(f"executor failed: {doc['error']}: {doc['message']}", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     binary = Path(args.wasm).read_bytes()
     cert = load_certificate(Path(args.cert))
@@ -283,9 +294,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     output = None
     for _ in range(args.repeat):
         timings: dict[str, float] = {}
-        output = instantiate_and_plan(
-            binary, decision, executor_input, limits, whitelist, timings
-        )
+        try:
+            output = instantiate_and_plan(
+                binary, decision, executor_input, limits, whitelist, timings
+            )
+        except VMError as exc:
+            return _executor_failed(args, exc)
         reports.append(timings)
     assert output is not None
     doc = {"output": output.to_json(), "timings": reports}
@@ -332,6 +346,8 @@ def _cmd_run_machine(args: argparse.Namespace) -> int:
             f"gate rejected: {exc.decision.reason} (step {exc.decision.failed_step})",
         )
         return 1
+    except VMError as exc:
+        return _executor_failed(args, exc)
 
     chain_out = Path(args.chain_out or machine_path.with_suffix(".chain.jsonl"))
     effects_out = Path(args.effects_out or machine_path.with_suffix(".effects.jsonl"))

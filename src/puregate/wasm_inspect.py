@@ -1,17 +1,19 @@
 """Read-only WebAssembly binary inspection.
 
-Parses exactly enough of the binary format (magic, version, section framing,
-type section, import section) to extract the complete import list in
-declaration order, and hashes the artifact bytes. Nothing here executes code
-or trusts the producer; a binary that cannot be parsed raises MalformedBinary
-so the caller rejects it rather than treating it as import-free.
+The single decoder of WASM bytes: the gate, the certifier and the VM all
+read a module's section framing, type section and import section through
+decode_header(), so they cannot disagree on what a module imports.
+parse_imports() is that decoder plus the artifact hash. Nothing here
+executes code or trusts the producer; a binary that cannot be parsed raises
+MalformedBinary so the caller rejects it rather than treating it as
+import-free.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 WASM_MAGIC = b"\x00asm"
 WASM_VERSION = b"\x01\x00\x00\x00"
@@ -137,7 +139,24 @@ class _Reader:
         raise MalformedBinary(f"invalid limits flag 0x{flag:02x}")
 
 
-def render_func_signature(params: list[str], results: list[str]) -> str:
+FuncType = tuple[tuple[str, ...], tuple[str, ...]]  # (params, results)
+
+
+@dataclass(frozen=True)
+class ModuleHeader:
+    """Framing, type and import sections of a module, decoded once.
+
+    func_import_types holds the type of each function-kind import, in
+    import order; sections holds (id, start, end) of every other section.
+    """
+
+    types: tuple[FuncType, ...]
+    imports: tuple[ImportRecord, ...]
+    func_import_types: tuple[FuncType, ...]
+    sections: tuple[tuple[int, int, int], ...]
+
+
+def render_func_signature(params: Sequence[str], results: Sequence[str]) -> str:
     """Canonical text form of a function type, e.g. "(i32, i32) -> ()"."""
     left = "(" + ", ".join(params) + ")"
     if len(results) == 1:
@@ -147,12 +166,12 @@ def render_func_signature(params: list[str], results: list[str]) -> str:
     return f"{left} -> {right}"
 
 
-def _parse_functype(r: _Reader) -> str:
+def _parse_functype(r: _Reader) -> FuncType:
     if r.byte() != 0x60:
         raise MalformedBinary("type section entry is not a function type")
-    params = [r.valtype() for _ in range(r.u32())]
-    results = [r.valtype() for _ in range(r.u32())]
-    return render_func_signature(params, results)
+    params = tuple([r.valtype() for _ in range(r.u32())])
+    results = tuple([r.valtype() for _ in range(r.u32())])
+    return params, results
 
 
 def _render_limits(limits: tuple[int, int | None]) -> str:
@@ -160,7 +179,9 @@ def _render_limits(limits: tuple[int, int | None]) -> str:
     return f"{lo}" if hi is None else f"{lo} {hi}"
 
 
-def _parse_import(r: _Reader, functypes: list[str]) -> ImportRecord:
+def _parse_import(
+    r: _Reader, types: tuple[FuncType, ...]
+) -> tuple[ImportRecord, FuncType | None]:
     namespace = r.name()
     name = r.name()
     if not namespace or not name:
@@ -168,34 +189,38 @@ def _parse_import(r: _Reader, functypes: list[str]) -> ImportRecord:
     desc = r.byte()
     if desc == 0x00:
         typeidx = r.u32()
-        if typeidx >= len(functypes):
+        if typeidx >= len(types):
             raise MalformedBinary(f"import references unknown type index {typeidx}")
-        return ImportRecord(namespace, name, "function", functypes[typeidx])
+        sig = render_func_signature(*types[typeidx])
+        return ImportRecord(namespace, name, "function", sig), types[typeidx]
     if desc == 0x01:
         reftype = r.valtype()
         sig = f"(table {_render_limits(r.limits())} {reftype})"
-        return ImportRecord(namespace, name, "table", sig)
+        return ImportRecord(namespace, name, "table", sig), None
     if desc == 0x02:
         sig = f"(memory {_render_limits(r.limits())})"
-        return ImportRecord(namespace, name, "memory", sig)
+        return ImportRecord(namespace, name, "memory", sig), None
     if desc == 0x03:
         vt = r.valtype()
         mut = r.byte()
         if mut not in (0x00, 0x01):
             raise MalformedBinary("invalid global mutability flag")
         sig = f"(global (mut {vt}))" if mut else f"(global {vt})"
-        return ImportRecord(namespace, name, "global", sig)
+        return ImportRecord(namespace, name, "global", sig), None
     raise MalformedBinary(f"unknown import descriptor 0x{desc:02x}")
 
 
-def iter_sections(data: bytes):
-    """Yield (section_id, start, end) over a module's section framing."""
+def decode_header(data: bytes) -> ModuleHeader:
+    """The one reader of a module's framing, type and import sections."""
     r = _Reader(data)
     if r.take(4) != WASM_MAGIC:
         raise MalformedBinary("bad magic bytes")
     if r.take(4) != WASM_VERSION:
         raise MalformedBinary("unsupported WASM version")
     seen: set[int] = set()
+    types: tuple[FuncType, ...] = ()
+    decoded: list[tuple[ImportRecord, FuncType | None]] = []
+    sections: list[tuple[int, int, int]] = []
     while r.pos < r.end:
         section_id = r.byte()
         size = r.u32()
@@ -207,7 +232,23 @@ def iter_sections(data: bytes):
             seen.add(section_id)
         start = r.pos
         r.take(size)
-        yield section_id, start, r.pos
+        if section_id not in (SECTION_TYPE, SECTION_IMPORT):
+            sections.append((section_id, start, r.pos))
+            continue
+        body = _Reader(data, start, r.pos)
+        if section_id == SECTION_TYPE:
+            types = tuple([_parse_functype(body) for _ in range(body.u32())])
+        else:
+            decoded = [_parse_import(body, types) for _ in range(body.u32())]
+        if body.pos != r.pos:
+            name = "type" if section_id == SECTION_TYPE else "import"
+            raise MalformedBinary(f"trailing bytes in {name} section")
+    return ModuleHeader(
+        types=types,
+        imports=tuple(rec for rec, _ in decoded),
+        func_import_types=tuple(ft for _, ft in decoded if ft is not None),
+        sections=tuple(sections),
+    )
 
 
 def parse_imports(binary_bytes: bytes) -> ModuleImports:
@@ -221,23 +262,8 @@ def parse_imports(binary_bytes: bytes) -> ModuleImports:
         raise MalformedBinary("empty input")
     if len(binary_bytes) > MAX_BINARY_BYTES:
         raise MalformedBinary("binary exceeds the 64 MiB acceptance limit")
-
-    functypes: list[str] = []
-    imports: list[ImportRecord] = []
-    for section_id, start, end in iter_sections(binary_bytes):
-        if section_id == SECTION_TYPE:
-            r = _Reader(binary_bytes, start, end)
-            functypes = [_parse_functype(r) for _ in range(r.u32())]
-            if r.pos != end:
-                raise MalformedBinary("trailing bytes in type section")
-        elif section_id == SECTION_IMPORT:
-            r = _Reader(binary_bytes, start, end)
-            imports = [_parse_import(r, functypes) for _ in range(r.u32())]
-            if r.pos != end:
-                raise MalformedBinary("trailing bytes in import section")
-
     return ModuleImports(
-        imports=tuple(imports),
+        imports=decode_header(binary_bytes).imports,
         artifact_hash=artifact_hash,
         byte_length=len(binary_bytes),
     )

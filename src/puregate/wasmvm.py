@@ -20,9 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .wasm_inspect import MalformedBinary, iter_sections
+from .wasm_inspect import FuncType, ImportRecord, MalformedBinary, decode_header
 from .wasm_inspect import _Reader  # shared bounded cursor
-from .wasm_inspect import render_func_signature
 
 PAGE_BYTES = 65536
 
@@ -72,76 +71,67 @@ class HostFunc:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _FuncType:
-    params: tuple[str, ...]
-    results: tuple[str, ...]
-
-    def render(self) -> str:
-        return render_func_signature(list(self.params), list(self.results))
-
-
-@dataclass(frozen=True)
-class _ImportedFunc:
-    namespace: str
-    name: str
-    type_index: int
-
-
-@dataclass(frozen=True)
 class _Code:
     locals_count: int
-    body: bytes
+    ops: tuple[tuple[int, int, int], ...]  # (opcode, imm_a, imm_b)
+    ends: Mapping[int, int]  # block/loop/if index -> its end index
+    elses: Mapping[int, int]  # if index -> else index (or end index)
 
 
 @dataclass(frozen=True)
 class ParsedModule:
-    types: tuple[_FuncType, ...]
-    imported_funcs: tuple[_ImportedFunc, ...]
-    func_type_indices: tuple[int, ...]
+    """Everything derived from the bytes; instances add only runtime state."""
+
+    imported_funcs: tuple[ImportRecord, ...]
+    func_types: tuple[FuncType, ...]  # by function index, imports first
     memory: tuple[int, int | None] | None
     exports: Mapping[str, tuple[int, int]]  # name -> (kind, index)
     codes: tuple[_Code, ...]
     data: tuple[tuple[int, bytes], ...]
 
 
-_VALTYPES = {0x7F: "i32", 0x7E: "i64", 0x7D: "f32", 0x7C: "f64"}
-
-
-def _parse_functype(r: _Reader) -> _FuncType:
-    if r.byte() != 0x60:
-        raise MalformedBinary("expected function type")
-    params = tuple(_VALTYPES[r.byte()] for _ in range(r.u32()))
-    results = tuple(_VALTYPES[r.byte()] for _ in range(r.u32()))
-    return _FuncType(params, results)
+_NUMERIC_TYPES = frozenset(["i32", "i64", "f32", "f64"])
 
 
 def parse_module(binary: bytes) -> ParsedModule:
-    """Parse the executable sections; reject anything outside the subset."""
-    types: tuple[_FuncType, ...] = ()
-    imported: list[_ImportedFunc] = []
-    func_type_indices: tuple[int, ...] = ()
+    """Decode the executable module; reject anything outside the subset.
+
+    Every structural fault, including bytes the shared decoder cannot read,
+    raises InstantiationError, so the VM fails only with VMError subclasses.
+    """
+    try:
+        return _parse_module(binary)
+    except MalformedBinary as exc:
+        raise InstantiationError(f"malformed module: {exc}") from exc
+
+
+def _parse_module(binary: bytes) -> ParsedModule:
+    header = decode_header(binary)
+    for params, results in header.types:
+        if not _NUMERIC_TYPES.issuperset(params + results):
+            raise InstantiationError("only numeric value types are supported")
+    for imp in header.imports:
+        if imp.kind != "function":
+            raise InstantiationError(
+                f"import {imp.namespace}.{imp.name}: only function imports "
+                "are instantiable"
+            )
+    func_types = list(header.func_import_types)
     memory: tuple[int, int | None] | None = None
     exports: dict[str, tuple[int, int]] = {}
     codes: list[_Code] = []
     data: list[tuple[int, bytes]] = []
 
-    for section_id, start, end in iter_sections(binary):
+    for section_id, start, end in header.sections:
+        if section_id == 0:  # custom sections are ignored
+            continue
         r = _Reader(binary, start, end)
-        if section_id == 1:
-            types = tuple(_parse_functype(r) for _ in range(r.u32()))
-        elif section_id == 2:
+        if section_id == 3:
             for _ in range(r.u32()):
-                namespace = r.name()
-                name = r.name()
-                desc = r.byte()
-                if desc != 0x00:
-                    raise InstantiationError(
-                        f"import {namespace}.{name}: only function imports "
-                        "are instantiable"
-                    )
-                imported.append(_ImportedFunc(namespace, name, r.u32()))
-        elif section_id == 3:
-            func_type_indices = tuple(r.u32() for _ in range(r.u32()))
+                type_index = r.u32()
+                if type_index >= len(header.types):
+                    raise InstantiationError(f"unknown type index {type_index}")
+                func_types.append(header.types[type_index])
         elif section_id == 5:
             count = r.u32()
             if count > 1:
@@ -154,36 +144,32 @@ def parse_module(binary: bytes) -> ParsedModule:
                 kind = r.byte()
                 exports[name] = (kind, r.u32())
         elif section_id == 10:
-            for _ in range(r.u32()):
-                size = r.u32()
-                body_end = r.pos + size
-                locals_count = 0
-                for _ in range(r.u32()):
-                    n = r.u32()
-                    if r.byte() != 0x7F:
-                        raise InstantiationError("only i32 locals are supported")
-                    locals_count += n
-                codes.append(_Code(locals_count, bytes(r.take(body_end - r.pos))))
+            codes.extend(_decode_body(r.take(r.u32())) for _ in range(r.u32()))
         elif section_id == 11:
             for _ in range(r.u32()):
                 if r.byte() != 0x00:
                     raise InstantiationError("only active data segments supported")
                 if r.byte() != 0x41:
                     raise InstantiationError("data offset must be i32.const")
-                offset = _read_sleb32(r)
+                offset = _read_sleb32(r) & 0xFFFFFFFF  # u32, as the spec reads it
                 if r.byte() != 0x0B:
                     raise InstantiationError("malformed data offset expression")
                 data.append((offset, bytes(r.take(r.u32()))))
-        elif section_id in (4, 6, 8, 9, 12):
+        else:
             raise InstantiationError(
                 f"section id {section_id} is outside the supported subset"
             )
-        # custom sections (0) are ignored
+        if r.pos != end:
+            raise InstantiationError(f"trailing bytes in section {section_id}")
 
+    if len(codes) != len(func_types) - len(header.func_import_types):
+        raise InstantiationError("function and code section counts differ")
+    for kind, index in exports.values():
+        if kind == 0 and index >= len(func_types):
+            raise InstantiationError(f"export of unknown function {index}")
     return ParsedModule(
-        types=types,
-        imported_funcs=tuple(imported),
-        func_type_indices=func_type_indices,
+        imported_funcs=header.imports,
+        func_types=tuple(func_types),
         memory=memory,
         exports=exports,
         codes=tuple(codes),
@@ -218,15 +204,14 @@ _NO_IMM = frozenset(
 _MEM_OPS = frozenset([0x28, 0x2C, 0x2D, 0x2E, 0x2F, 0x36, 0x3A, 0x3B])
 
 
-@dataclass(frozen=True)
-class _Decoded:
-    ops: tuple[tuple[int, int, int], ...]  # (opcode, imm_a, imm_b)
-    ends: Mapping[int, int]  # block/loop/if index -> its end index
-    elses: Mapping[int, int]  # if index -> else index (or end index)
-
-
-def _decode_body(body: bytes) -> _Decoded:
+def _decode_body(body: bytes) -> _Code:
     r = _Reader(body)
+    locals_count = 0
+    for _ in range(r.u32()):
+        n = r.u32()
+        if r.byte() != 0x7F:
+            raise InstantiationError("only i32 locals are supported")
+        locals_count += n
     ops: list[tuple[int, int, int]] = []
     while r.pos < r.end:
         op = r.byte()
@@ -274,7 +259,7 @@ def _decode_body(body: bytes) -> _Decoded:
             # the final end of the function body closes the implicit frame
     if stack:
         raise InstantiationError("unclosed block in function body")
-    return _Decoded(tuple(ops), ends, elses)
+    return _Code(locals_count, tuple(ops), ends, elses)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +267,7 @@ def _decode_body(body: bytes) -> _Decoded:
 # ---------------------------------------------------------------------------
 
 class Instance:
-    """One private instantiation: memory, resolved imports, decoded code."""
+    """One private instantiation: memory, resolved imports, fuel, deadline."""
 
     def __init__(
         self,
@@ -300,11 +285,10 @@ class Instance:
                 raise InstantiationError(
                     f"unresolved import {imp.namespace}.{imp.name}"
                 )
-            declared = module.types[imp.type_index].render()
-            if declared != host.signature:
+            if imp.type_signature != host.signature:
                 raise InstantiationError(
-                    f"import {imp.namespace}.{imp.name} signature {declared} "
-                    f"does not match host {host.signature}"
+                    f"import {imp.namespace}.{imp.name} signature "
+                    f"{imp.type_signature} does not match host {host.signature}"
                 )
             self.host_table.append(host)
 
@@ -326,7 +310,6 @@ class Instance:
                 raise InstantiationError("data segment outside memory bounds")
             self.memory[offset : offset + len(payload)] = payload
 
-        self.decoded = [_decode_body(code.body) for code in module.codes]
         self.fuel = 0
         self.deadline = float("inf")
         self._check_counter = 0
@@ -384,45 +367,31 @@ class Instance:
         self._check_counter = 0
         return self._call_function(entry[1], args)
 
-    def _func_type(self, func_index: int) -> _FuncType:
-        n_imported = len(self.module.imported_funcs)
-        if func_index < n_imported:
-            return self.module.types[
-                self.module.imported_funcs[func_index].type_index
-            ]
-        local_i = func_index - n_imported
-        return self.module.types[self.module.func_type_indices[local_i]]
-
     def _call_function(self, func_index: int, args: list[int]) -> list[int]:
         n_imported = len(self.module.imported_funcs)
-        ftype = self._func_type(func_index)
-        if len(args) != len(ftype.params):
-            raise Trap(
-                f"function expects {len(ftype.params)} arguments, "
-                f"got {len(args)}"
-            )
+        params, results = self.module.func_types[func_index]
+        if len(args) != len(params):
+            raise Trap(f"function expects {len(params)} arguments, got {len(args)}")
         if func_index < n_imported:
             host = self.host_table[func_index]
             self._spend()
             result = host.fn(self, *args)
-            if len(ftype.results) == 0:
+            if not results:
                 return []
             if result is None:
                 raise Trap(f"host {host.signature} returned no value")
             return [result & 0xFFFFFFFF]
 
-        local_i = func_index - n_imported
-        code = self.module.codes[local_i]
-        decoded = self.decoded[local_i]
+        code = self.module.codes[func_index - n_imported]
         locals_ = list(args) + [0] * code.locals_count
-        return self._run(decoded, locals_, len(ftype.results))
+        return self._run(code, locals_, len(results))
 
     def _run(
-        self, decoded: _Decoded, locals_: list[int], result_arity: int
+        self, code: _Code, locals_: list[int], result_arity: int
     ) -> list[int]:
-        ops = decoded.ops
-        ends = decoded.ends
-        elses = decoded.elses
+        ops = code.ops
+        ends = code.ends
+        elses = code.elses
         stack: list[int] = []
         # control entries: (kind_op, continuation_ip, stack_height, arity,
         #                   loop_start)
@@ -492,8 +461,7 @@ class Instance:
             elif op == 0x0F:  # return
                 break
             elif op == 0x10:  # call
-                callee_type = self._func_type(a)
-                n_args = len(callee_type.params)
+                n_args = len(self.module.func_types[a][0])
                 call_args = stack[len(stack) - n_args :] if n_args else []
                 del stack[len(stack) - n_args :]
                 stack.extend(self._call_function(a, call_args))

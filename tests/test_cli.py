@@ -95,6 +95,20 @@ def test_verify_rejects_tampered_binary(workspace, capsys):
     assert doc["reason"] == "artifact_hash_mismatch"
 
 
+def test_verify_rejects_bytes_that_are_not_a_module(workspace, capsys):
+    junk = workspace["root"] / "junk.wasm"
+    junk.write_bytes(b"not a module")
+    code, doc = run_json(
+        capsys,
+        "verify", str(junk),
+        "--cert", workspace["cert"],
+        "--proof", workspace["proof"],
+        "--trust", workspace["pub"],
+    )
+    assert code == 1
+    assert doc == {"verdict": "reject", "reason": "artifact_hash_mismatch"}
+
+
 def test_gate_accepts_and_reports_timing(workspace, capsys):
     code, doc = run_json(
         capsys,
@@ -177,6 +191,54 @@ def test_run_machine_writes_chain_and_effects(workspace, capsys):
     ]
     assert len(effects) == 2
     assert all(e["directive"]["kind"] == "call_machine" for e in effects)
+
+
+def test_executor_failure_exits_1_with_error_document(workspace, capsys):
+    root = workspace["root"]
+    code, _ = run_json(capsys, "fixtures", "build", "trap", "--out-dir", "bins")
+    assert code == 0
+    wasm = root / "bins" / "trap.wasm"
+    code, _ = run_json(
+        capsys, "certify", str(wasm), "--key", "certifier", "--timestamp", "1700000000"
+    )
+    assert code == 0
+    trapped = {"error": "Trap", "message": "unreachable executed"}
+
+    code, doc = run_json(
+        capsys,
+        "run", str(wasm),
+        "--cert", f"{wasm}.cert",
+        "--proof", f"{wasm}.proof",
+        "--input", str(root / "input.json"),
+        "--trust", workspace["pub"],
+    )
+    assert code == 1
+    assert doc == trapped
+
+    code = main([
+        "run", str(wasm),
+        "--cert", f"{wasm}.cert",
+        "--proof", f"{wasm}.proof",
+        "--input", str(root / "input.json"),
+        "--trust", workspace["pub"],
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "executor failed: Trap: unreachable executed\n"
+
+    machine = root / "trap_machine.json"
+    machine.write_text(json.dumps({
+        "machine": "demo",
+        "input": None,
+        "steps": [{"executor_ref": "t"}],
+        "executors": {
+            "t": {"wasm": str(wasm), "cert": f"{wasm}.cert", "proof": f"{wasm}.proof"}
+        },
+    }))
+    code, doc = run_json(capsys, "run-machine", str(machine), "--trust", workspace["pub"])
+    assert code == 1
+    assert doc == trapped
 
 
 def test_provenance_verify_rejects_tampered_chain(workspace, capsys):

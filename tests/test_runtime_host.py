@@ -26,7 +26,9 @@ from puregate.runtime_host import (
     determinism_check,
     instantiate_and_plan,
 )
-from puregate.certificate import keypair_from_seed
+from puregate.certificate import keypair_from_seed, sign_certificate
+from puregate.proof import build_proof
+from puregate.wasm_inspect import parse_imports
 from puregate.wasmvm import (
     FuelExhausted,
     MemoryExceeded,
@@ -87,6 +89,25 @@ def test_emitters_produce_expected_directives(accepted):
         out = instantiate_and_plan(binary, decision, INPUT)
         assert [d.kind for d in out.directives] == expected_kinds[name], name
         assert out.result is not None
+
+
+# custom section "name" (id 0) with a 4-byte payload, as toolchains append
+NAME_SECTION = b"\x00\x09\x04name\x01\x02\x03\x04"
+
+
+@pytest.mark.parametrize("name", ["echo", *EMITTERS])
+def test_custom_section_is_ignored_end_to_end(accepted, certifier_key, wl_v1, name):
+    binary, decision = accepted(name)
+    expected = instantiate_and_plan(binary, decision, INPUT).to_json()
+    tagged = binary + NAME_SECTION
+    proof = build_proof(parse_imports(tagged), wl_v1)
+    cert = sign_certificate(tagged, proof, certifier_key, 1_700_000_000)
+    tagged_decision = gate_verify(
+        tagged, cert, proof, wl_v1, frozenset([certifier_key.public_key]),
+        cache=GateCache(), log=DecisionLog(),
+    )
+    assert tagged_decision.accepted, tagged_decision.reason
+    assert instantiate_and_plan(tagged, tagged_decision, INPUT).to_json() == expected
 
 
 def test_memory_sentinel_sees_fresh_memory_each_run(accepted):

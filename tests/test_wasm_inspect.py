@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary
+from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary, list_fixtures
+from puregate.runtime_host import _HostState, build_host_functions
 from puregate.wasm_inspect import (
     MAX_BINARY_BYTES,
     WASM_MAGIC,
@@ -15,6 +16,8 @@ from puregate.wasm_inspect import (
     parse_imports,
     render_func_signature,
 )
+from puregate.wasmvm import VMError, instantiate
+from puregate.whitelist import builtin_whitelist
 
 # FIPS 180-4 reference digests anchor the artifact-hash implementation
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -122,8 +125,36 @@ def test_import_record_round_trip():
     assert ImportRecord.from_json(record.to_json()) == record
 
 
-@given(st.binary(max_size=64))
+V2_HOSTS = build_host_functions(builtin_whitelist(2), _HostState(input_bytes=b""))
+
+
+@st.composite
+def flipped_fixtures(draw):
+    """A fixture binary with one to three bytes XOR-flipped."""
+    data = bytearray(fixture_binary(draw(st.sampled_from(list_fixtures()))))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+def _check_vm_decode(data: bytes) -> None:
+    """The VM fails only with VMError, and imports what the gate reads."""
+    try:
+        imports = parse_imports(data).imports
+    except MalformedBinary:
+        imports = None
+    try:
+        instance = instantiate(data, V2_HOSTS, 1024 * 1024)
+    except VMError:
+        return
+    if imports is not None:
+        functions = tuple(i for i in imports if i.kind == "function")
+        assert instance.module.imported_funcs == functions
+
+
+@given(st.one_of(st.binary(max_size=64), flipped_fixtures()))
 def test_arbitrary_bytes_never_crash(data):
+    _check_vm_decode(data)
     try:
         module = parse_imports(data)
     except MalformedBinary:
@@ -131,11 +162,13 @@ def test_arbitrary_bytes_never_crash(data):
     assert module.artifact_hash == hashlib.sha256(data).digest()
 
 
-@given(st.integers(min_value=8, max_value=100))
-def test_truncations_never_crash(cut):
+@given(st.integers(min_value=8, max_value=100), flipped_fixtures(), st.integers(0))
+def test_truncations_never_crash(cut, flipped, flipped_cut):
     binary = fixture_binary("emit_call")
     prefix = binary[: min(cut, len(binary) - 1)]
-    try:
-        parse_imports(prefix)
-    except MalformedBinary:
-        pass
+    for data in (prefix, flipped[: flipped_cut % len(flipped)]):
+        try:
+            parse_imports(data)
+        except MalformedBinary:
+            pass
+        _check_vm_decode(data)

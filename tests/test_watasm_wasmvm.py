@@ -231,3 +231,47 @@ def test_folded_instructions_rejected():
 def test_assembly_is_deterministic():
     source = '(module (memory 1) (data (i32.const 0) "abc") (func $f (export "f") (result i32) i32.const 7))'
     assert assemble(source) == assemble(source)
+
+
+HEADER = b"\x00asm\x01\x00\x00\x00"
+TYPE_VOID = b"\x01\x04\x01\x60\x00\x00"  # (type (func))
+FUNC_0 = b"\x03\x02\x01\x00"  # one function of type 0
+EXPORT_F0 = b"\x07\x05\x01\x01f\x00\x00"  # (export "f" (func 0))
+CODE_END = b"\x0a\x04\x01\x02\x00\x0b"  # one body: no locals, end
+MEMORY_1 = b"\x05\x03\x01\x00\x01"  # (memory 1)
+
+
+@pytest.mark.parametrize(
+    "binary",
+    [
+        # (type (func (param v128)))
+        HEADER + b"\x01\x05\x01\x60\x01\x7b\x00",
+        # (type (func (result externref)))
+        HEADER + b"\x01\x05\x01\x60\x00\x01\x6f",
+        # function section names type 5 of 1
+        HEADER + TYPE_VOID + b"\x03\x02\x01\x05" + EXPORT_F0 + CODE_END,
+        # (export "f" (func 3)) with one function
+        HEADER + TYPE_VOID + FUNC_0 + b"\x07\x05\x01\x01f\x00\x03" + CODE_END,
+        # one function declared, no code section
+        HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0,
+        # a 10-byte body in a code section that holds 2
+        HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + b"\x0a\x04\x01\x0a\x00\x0b",
+        # function section with a trailing 0xff
+        HEADER + TYPE_VOID + b"\x03\x03\x01\x00\xff" + EXPORT_F0 + CODE_END,
+        # (data (i32.const -2) "ABCD") in one page: offset 0xfffffffe as u32
+        HEADER + MEMORY_1 + b"\x0b\x0a\x01\x00\x41\x7e\x0b\x04ABCD",
+    ],
+    ids=[
+        "v128_param",
+        "externref_result",
+        "func_type_index_out_of_range",
+        "export_func_index_out_of_range",
+        "func_and_code_counts_differ",
+        "truncated_code_section",
+        "func_section_trailing_bytes",
+        "negative_data_offset",
+    ],
+)
+def test_structural_faults_are_instantiation_errors(binary):
+    with pytest.raises(InstantiationError):
+        instantiate(binary, {}, 64 * MIB).invoke("f", [], 1000, 1000)
