@@ -8,6 +8,13 @@ it is an interpreter for gate-accepted modules, not a general engine:
 floats, i64, tables, globals, and element/start sections are rejected at
 instantiation.
 
+The subset is defined once, by INSTRUCTIONS; the assembler encodes from it
+and the decoder rejects every opcode outside it. Each function body is
+decoded in one pass that resolves every block's end (and an if's else) and
+rejects out-of-range local, function and branch indices and more than
+MAX_LOCALS locals, so execution needs no lookups for them. Calls nest at
+most MAX_CALL_DEPTH deep; deeper recursion traps.
+
 Isolation properties the host relies on: each Instance owns a private linear
 memory created at instantiation (no state survives between instances), and
 the only way a module touches the outside world is through the host-function
@@ -16,14 +23,18 @@ table passed in by the embedder.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 from .wasm_inspect import FuncType, ImportRecord, MalformedBinary, decode_header
 from .wasm_inspect import _Reader  # shared bounded cursor
 
 PAGE_BYTES = 65536
+# each wasm call takes two interpreter frames; this stays well below
+# Python's default recursion limit of 1000
+MAX_CALL_DEPTH = 256
 
 
 class VMError(Exception):
@@ -73,9 +84,9 @@ class HostFunc:
 @dataclass(frozen=True)
 class _Code:
     locals_count: int
-    ops: tuple[tuple[int, int, int], ...]  # (opcode, imm_a, imm_b)
-    ends: Mapping[int, int]  # block/loop/if index -> its end index
-    elses: Mapping[int, int]  # if index -> else index (or end index)
+    # (opcode, immediate, end index, else index); block/loop/if carry their
+    # arity as the immediate, and an if without else has else == end
+    ops: tuple[tuple[int, int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,7 @@ def _parse_module(binary: bytes) -> ParsedModule:
     func_types = list(header.func_import_types)
     memory: tuple[int, int | None] | None = None
     exports: dict[str, tuple[int, int]] = {}
-    codes: list[_Code] = []
+    bodies: list[bytes] = []
     data: list[tuple[int, bytes]] = []
 
     for section_id, start, end in header.sections:
@@ -144,7 +155,7 @@ def _parse_module(binary: bytes) -> ParsedModule:
                 kind = r.byte()
                 exports[name] = (kind, r.u32())
         elif section_id == 10:
-            codes.extend(_decode_body(r.take(r.u32())) for _ in range(r.u32()))
+            bodies.extend(r.take(r.u32()) for _ in range(r.u32()))
         elif section_id == 11:
             for _ in range(r.u32()):
                 if r.byte() != 0x00:
@@ -162,8 +173,13 @@ def _parse_module(binary: bytes) -> ParsedModule:
         if r.pos != end:
             raise InstantiationError(f"trailing bytes in section {section_id}")
 
-    if len(codes) != len(func_types) - len(header.func_import_types):
+    n_imported = len(header.func_import_types)
+    if len(bodies) != len(func_types) - n_imported:
         raise InstantiationError("function and code section counts differ")
+    codes = [
+        _decode_body(body, len(func_types[n_imported + i][0]), len(func_types))
+        for i, body in enumerate(bodies)
+    ]
     for kind, index in exports.values():
         if kind == 0 and index >= len(func_types):
             raise InstantiationError(f"export of unknown function {index}")
@@ -193,73 +209,132 @@ def _read_sleb32(r: _Reader) -> int:
 
 
 # ---------------------------------------------------------------------------
-# decoded instructions
+# the instruction subset
 # ---------------------------------------------------------------------------
 
-_NO_IMM = frozenset(
-    [0x00, 0x01, 0x05, 0x0B, 0x0F, 0x1A, 0x1B]
-    + list(range(0x45, 0x50))
-    + list(range(0x6A, 0x79))
-)
-_MEM_OPS = frozenset([0x28, 0x2C, 0x2D, 0x2E, 0x2F, 0x36, 0x3A, 0x3B])
+# mnemonic -> (opcode, immediate kind). Every instruction outside this table
+# is absent from the compilation target: the assembler cannot emit it and the
+# decoder rejects it. Immediate kinds: "none"; "blocktype" (one byte: 0x40 or
+# a value type); "label", "local" and "func" (u32 indices); "i32" (signed
+# LEB128 constant); "memargN" (u32 alignment, default N for natural 2^N
+# bytes, then u32 offset); "zero" (the reserved memory index byte).
+INSTRUCTIONS: dict[str, tuple[int, str]] = {
+    "unreachable": (0x00, "none"),
+    "nop": (0x01, "none"),
+    "block": (0x02, "blocktype"),
+    "loop": (0x03, "blocktype"),
+    "if": (0x04, "blocktype"),
+    "else": (0x05, "none"),
+    "end": (0x0B, "none"),
+    "br": (0x0C, "label"),
+    "br_if": (0x0D, "label"),
+    "return": (0x0F, "none"),
+    "call": (0x10, "func"),
+    "drop": (0x1A, "none"),
+    "select": (0x1B, "none"),
+    "local.get": (0x20, "local"),
+    "local.set": (0x21, "local"),
+    "local.tee": (0x22, "local"),
+    "i32.load": (0x28, "memarg2"),
+    "i32.load8_s": (0x2C, "memarg0"),
+    "i32.load8_u": (0x2D, "memarg0"),
+    "i32.load16_s": (0x2E, "memarg1"),
+    "i32.load16_u": (0x2F, "memarg1"),
+    "i32.store": (0x36, "memarg2"),
+    "i32.store8": (0x3A, "memarg0"),
+    "i32.store16": (0x3B, "memarg1"),
+    "memory.size": (0x3F, "zero"),
+    "memory.grow": (0x40, "zero"),
+    "i32.const": (0x41, "i32"),
+    "i32.eqz": (0x45, "none"),
+    "i32.eq": (0x46, "none"),
+    "i32.ne": (0x47, "none"),
+    "i32.lt_s": (0x48, "none"),
+    "i32.lt_u": (0x49, "none"),
+    "i32.gt_s": (0x4A, "none"),
+    "i32.gt_u": (0x4B, "none"),
+    "i32.le_s": (0x4C, "none"),
+    "i32.le_u": (0x4D, "none"),
+    "i32.ge_s": (0x4E, "none"),
+    "i32.ge_u": (0x4F, "none"),
+    "i32.add": (0x6A, "none"),
+    "i32.sub": (0x6B, "none"),
+    "i32.mul": (0x6C, "none"),
+    "i32.div_s": (0x6D, "none"),
+    "i32.div_u": (0x6E, "none"),
+    "i32.rem_s": (0x6F, "none"),
+    "i32.rem_u": (0x70, "none"),
+    "i32.and": (0x71, "none"),
+    "i32.or": (0x72, "none"),
+    "i32.xor": (0x73, "none"),
+    "i32.shl": (0x74, "none"),
+    "i32.shr_s": (0x75, "none"),
+    "i32.shr_u": (0x76, "none"),
+    "i32.rotl": (0x77, "none"),
+    "i32.rotr": (0x78, "none"),
+}
+_IMMEDIATE = {opcode: kind for opcode, kind in INSTRUCTIONS.values()}
+
+# declared locals plus params per function, as in wasmparser; each call
+# allocates them all
+MAX_LOCALS = 50_000
 
 
-def _decode_body(body: bytes) -> _Code:
+def _decode_body(body: bytes, n_params: int, n_funcs: int) -> _Code:
+    """Decode one body in one pass, resolving each block's end and else."""
     r = _Reader(body)
     locals_count = 0
     for _ in range(r.u32()):
-        n = r.u32()
+        locals_count += r.u32()
         if r.byte() != 0x7F:
             raise InstantiationError("only i32 locals are supported")
-        locals_count += n
-    ops: list[tuple[int, int, int]] = []
+        if n_params + locals_count > MAX_LOCALS:
+            raise InstantiationError(f"more than {MAX_LOCALS} locals")
+    n_locals = n_params + locals_count
+    ops: list[tuple[int, int, int, int]] = []
+    blocks: list[int] = []  # indices of the open block/loop/if ops
     while r.pos < r.end:
         op = r.byte()
-        if op in _NO_IMM:
-            ops.append((op, 0, 0))
-        elif op in (0x02, 0x03, 0x04):  # block/loop/if
-            bt = r.byte()
-            arity = 0 if bt == 0x40 else 1
-            ops.append((op, arity, 0))
-        elif op in (0x0C, 0x0D):  # br/br_if
-            ops.append((op, r.u32(), 0))
-        elif op in (0x20, 0x21, 0x22):  # local.*
-            ops.append((op, r.u32(), 0))
-        elif op == 0x10:  # call
-            ops.append((op, r.u32(), 0))
-        elif op == 0x41:  # i32.const
-            ops.append((op, _read_sleb32(r) & 0xFFFFFFFF, 0))
-        elif op in _MEM_OPS:
-            _align = r.u32()
-            offset = r.u32()
-            ops.append((op, offset, 0))
-        elif op in (0x3F, 0x40):  # memory.size/grow
+        kind = _IMMEDIATE.get(op)
+        a = 0
+        if kind == "none":
+            if op == 0x05:  # else
+                if not blocks or ops[blocks[-1]][0] != 0x04:
+                    raise InstantiationError("else without matching if")
+                ops[blocks[-1]] = (0x04, ops[blocks[-1]][1], 0, len(ops))
+            elif op == 0x0B and blocks:  # end; the body's own end has no block
+                start = blocks.pop()
+                opener, arity, _, else_index = ops[start]
+                ops[start] = (opener, arity, len(ops), else_index or len(ops))
+        elif kind == "blocktype":
+            a = 0 if r.byte() == 0x40 else 1
+            blocks.append(len(ops))
+        elif kind == "i32":
+            a = _read_sleb32(r) & 0xFFFFFFFF
+        elif kind == "local":
+            a = r.u32()
+            if a >= n_locals:
+                raise InstantiationError(f"unknown local {a}")
+        elif kind == "label":
+            a = r.u32()
+            if a > len(blocks):  # the function's own label is depth len(blocks)
+                raise InstantiationError(f"branch depth {a} exceeds nesting")
+        elif kind == "func":
+            a = r.u32()
+            if a >= n_funcs:
+                raise InstantiationError(f"call to unknown function {a}")
+        elif kind == "zero":
             if r.byte() != 0x00:
                 raise InstantiationError("multi-memory instructions unsupported")
-            ops.append((op, 0, 0))
+        elif kind is not None:  # memarg: alignment is not checked
+            r.u32()
+            a = r.u32()
         else:
             raise InstantiationError(f"unsupported opcode 0x{op:02x}")
-
-    ends: dict[int, int] = {}
-    elses: dict[int, int] = {}
-    stack: list[int] = []
-    for i, (op, _, _) in enumerate(ops):
-        if op in (0x02, 0x03, 0x04):
-            stack.append(i)
-        elif op == 0x05:
-            if not stack or ops[stack[-1]][0] != 0x04:
-                raise InstantiationError("else without matching if")
-            elses[stack[-1]] = i
-        elif op == 0x0B:
-            if stack:
-                start = stack.pop()
-                ends[start] = i
-                if ops[start][0] == 0x04 and start not in elses:
-                    elses[start] = i
-            # the final end of the function body closes the implicit frame
-    if stack:
+        ops.append((op, a, 0, 0))
+    if blocks:
         raise InstantiationError("unclosed block in function body")
-    return _Code(locals_count, tuple(ops), ends, elses)
+    return _Code(locals_count, tuple(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +440,11 @@ class Instance:
         self.fuel = fuel
         self.deadline = time.monotonic() + wall_clock_ms / 1000.0
         self._check_counter = 0
-        return self._call_function(entry[1], args)
+        return self._call_function(entry[1], args, 1)
 
-    def _call_function(self, func_index: int, args: list[int]) -> list[int]:
+    def _call_function(
+        self, func_index: int, args: list[int], depth: int
+    ) -> list[int]:
         n_imported = len(self.module.imported_funcs)
         params, results = self.module.func_types[func_index]
         if len(args) != len(params):
@@ -382,41 +459,36 @@ class Instance:
                 raise Trap(f"host {host.signature} returned no value")
             return [result & 0xFFFFFFFF]
 
+        if depth > MAX_CALL_DEPTH:
+            raise Trap(f"call depth exceeds {MAX_CALL_DEPTH}")
         code = self.module.codes[func_index - n_imported]
         locals_ = list(args) + [0] * code.locals_count
-        return self._run(code, locals_, len(results))
+        return self._run(code, locals_, len(results), depth)
 
     def _run(
-        self, code: _Code, locals_: list[int], result_arity: int
+        self, code: _Code, locals_: list[int], result_arity: int, depth: int
     ) -> list[int]:
         ops = code.ops
-        ends = code.ends
-        elses = code.elses
+        binary = _BINARY
         stack: list[int] = []
-        # control entries: (kind_op, continuation_ip, stack_height, arity,
-        #                   loop_start)
-        control: list[tuple[int, int, int, int, int]] = []
+        # labels: (branch target, stack height, arity carried by a branch,
+        #          control height after a branch to it)
+        control: list[tuple[int, int, int, int]] = []
         ip = 0
         n_ops = len(ops)
 
-        def branch(depth: int) -> int:
-            if depth >= len(control):
-                # branching out of the function body: return
+        def branch(label: int) -> int:
+            if label >= len(control):  # the function's own label: return
                 return n_ops
-            target = control[len(control) - 1 - depth]
-            kind, cont, height, arity, loop_start = target
-            if kind == 0x03:  # loop: jump back, keep the label
-                del control[len(control) - depth :]
-                del stack[height:]
-                return loop_start + 1
+            target, height, arity, keep = control[len(control) - 1 - label]
             carried = stack[len(stack) - arity :] if arity else []
-            del control[len(control) - 1 - depth :]
+            del control[keep:]
             del stack[height:]
             stack.extend(carried)
-            return cont
+            return target
 
         while ip < n_ops:
-            op, a, _b = ops[ip]
+            op, a, end, else_ = ops[ip]
             self._spend()
             if op == 0x41:  # i32.const
                 stack.append(a)
@@ -427,26 +499,18 @@ class Instance:
             elif op == 0x22:  # local.tee
                 locals_[a] = stack[-1]
             elif op == 0x02:  # block
-                control.append((op, ends[ip] + 1, len(stack), a, ip))
-            elif op == 0x03:  # loop
-                control.append((op, ends[ip] + 1, len(stack), a, ip))
-            elif op == 0x04:  # if
+                control.append((end + 1, len(stack), a, len(control)))
+            elif op == 0x03:  # loop: a branch re-enters the body, label kept
+                control.append((ip + 1, len(stack), 0, len(control) + 1))
+            elif op == 0x04:  # if; false without an else skips past end
                 cond = stack.pop()
-                control.append((op, ends[ip] + 1, len(stack), a, ip))
+                if cond or else_ != end:
+                    control.append((end + 1, len(stack), a, len(control)))
                 if not cond:
-                    else_ip = elses.get(ip, ends[ip])
-                    if else_ip == ends[ip]:
-                        control.pop()
-                        ip = ends[ip] + 1
-                        continue
-                    ip = else_ip + 1
+                    ip = else_ + 1
                     continue
-            elif op == 0x05:  # else reached by fallthrough: skip to end
-                kind, cont, height, arity, _ls = control.pop()
-                carried = stack[len(stack) - arity :] if arity else []
-                del stack[height:]
-                stack.extend(carried)
-                ip = cont
+            elif op == 0x05:  # else reached by fallthrough
+                ip = branch(0)
                 continue
             elif op == 0x0B:  # end
                 if control:
@@ -464,7 +528,7 @@ class Instance:
                 n_args = len(self.module.func_types[a][0])
                 call_args = stack[len(stack) - n_args :] if n_args else []
                 del stack[len(stack) - n_args :]
-                stack.extend(self._call_function(a, call_args))
+                stack.extend(self._call_function(a, call_args, depth + 1))
             elif op == 0x00:  # unreachable
                 raise Trap("unreachable executed")
             elif op == 0x01:  # nop
@@ -509,12 +573,11 @@ class Instance:
                 stack.append(self.mem_pages())
             elif op == 0x40:  # memory.grow
                 stack.append(self.mem_grow(stack.pop()))
-            elif 0x45 <= op <= 0x4F:
-                stack.append(_compare(op, stack))
-            elif 0x6A <= op <= 0x78:
-                stack.append(_arith(op, stack))
-            else:
-                raise Trap(f"unhandled opcode 0x{op:02x}")
+            elif op == 0x45:  # i32.eqz
+                stack.append(0 if stack.pop() else 1)
+            else:  # the decoder admits only binary operators beyond this
+                b = stack.pop()
+                stack.append(binary[op](stack.pop(), b) & 0xFFFFFFFF)
             ip += 1
 
         if len(stack) < result_arity:
@@ -526,70 +589,58 @@ def _signed(x: int) -> int:
     return x - 0x100000000 if x >= 0x80000000 else x
 
 
-def _compare(op: int, stack: list[int]) -> int:
-    if op == 0x45:  # eqz
-        return 1 if stack.pop() == 0 else 0
-    b = stack.pop()
-    a = stack.pop()
-    sa, sb = _signed(a), _signed(b)
-    table = {
-        0x46: a == b,
-        0x47: a != b,
-        0x48: sa < sb,
-        0x49: a < b,
-        0x4A: sa > sb,
-        0x4B: a > b,
-        0x4C: sa <= sb,
-        0x4D: a <= b,
-        0x4E: sa >= sb,
-        0x4F: a >= b,
-    }
-    return 1 if table[op] else 0
+def _divisor(b: int) -> int:
+    if b == 0:
+        raise Trap("integer divide by zero")
+    return b
 
 
-def _arith(op: int, stack: list[int]) -> int:
-    b = stack.pop()
-    a = stack.pop()
-    mask = 0xFFFFFFFF
-    if op == 0x6A:
-        return (a + b) & mask
-    if op == 0x6B:
-        return (a - b) & mask
-    if op == 0x6C:
-        return (a * b) & mask
-    if op in (0x6D, 0x6F):  # div_s / rem_s
-        if b == 0:
-            raise Trap("integer divide by zero")
-        sa, sb = _signed(a), _signed(b)
-        if op == 0x6D:
-            q = int(sa / sb)  # truncation toward zero
-            if q > 0x7FFFFFFF or q < -0x80000000:
-                raise Trap("integer overflow in division")
-            return q & mask
-        return (sa - sb * int(sa / sb)) & mask
-    if op in (0x6E, 0x70):  # div_u / rem_u
-        if b == 0:
-            raise Trap("integer divide by zero")
-        return (a // b if op == 0x6E else a % b) & mask
-    if op == 0x71:
-        return a & b
-    if op == 0x72:
-        return a | b
-    if op == 0x73:
-        return a ^ b
-    if op == 0x74:
-        return (a << (b % 32)) & mask
-    if op == 0x75:
-        return (_signed(a) >> (b % 32)) & mask
-    if op == 0x76:
-        return a >> (b % 32)
-    if op == 0x77:  # rotl
-        n = b % 32
-        return ((a << n) | (a >> (32 - n))) & mask if n else a
-    if op == 0x78:  # rotr
-        n = b % 32
-        return ((a >> n) | (a << (32 - n))) & mask if n else a
-    raise Trap(f"unhandled arithmetic opcode 0x{op:02x}")
+def _div_s(a: int, b: int) -> int:
+    q = int(_signed(a) / _signed(_divisor(b)))  # truncation toward zero
+    if q > 0x7FFFFFFF:
+        raise Trap("integer overflow in division")
+    return q
+
+
+def _rem_s(a: int, b: int) -> int:
+    sa, sb = _signed(a), _signed(_divisor(b))
+    return sa - sb * int(sa / sb)
+
+
+def _rotl(a: int, b: int) -> int:
+    n = b % 32
+    return (a << n) | (a >> (32 - n))
+
+
+# binary operator opcode -> function of the two u32 operands; the interpreter
+# masks the result to u32 (a comparison's bool masks to 0 or 1)
+_BINARY: dict[int, Callable[[int, int], int]] = {
+    0x46: operator.eq,
+    0x47: operator.ne,
+    0x48: lambda a, b: _signed(a) < _signed(b),
+    0x49: operator.lt,
+    0x4A: lambda a, b: _signed(a) > _signed(b),
+    0x4B: operator.gt,
+    0x4C: lambda a, b: _signed(a) <= _signed(b),
+    0x4D: operator.le,
+    0x4E: lambda a, b: _signed(a) >= _signed(b),
+    0x4F: operator.ge,
+    0x6A: operator.add,
+    0x6B: operator.sub,
+    0x6C: operator.mul,
+    0x6D: _div_s,
+    0x6E: lambda a, b: a // _divisor(b),
+    0x6F: _rem_s,
+    0x70: lambda a, b: a % _divisor(b),
+    0x71: operator.and_,
+    0x72: operator.or_,
+    0x73: operator.xor,
+    0x74: lambda a, b: a << (b % 32),
+    0x75: lambda a, b: _signed(a) >> (b % 32),
+    0x76: lambda a, b: a >> (b % 32),
+    0x77: _rotl,
+    0x78: lambda a, b: _rotl(a, 32 - b % 32),
+}
 
 
 def instantiate(

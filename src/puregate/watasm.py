@@ -4,8 +4,10 @@ Turns the fixture corpus (.wat files) into binary modules deterministically,
 so binaries never need to be committed. Supported surface: imports of all
 four kinds, one optional local memory, active data segments, flat-form
 function bodies over the i32 instruction set, inline and standalone exports.
-This is an assembler, not a validator: it resolves names and emits sections;
-dynamic checks happen in the executing VM.
+Instructions are encoded from wasmvm.INSTRUCTIONS, the one definition of the
+subset, so the assembler emits exactly what the VM decodes. This is an
+assembler, not a validator: it resolves names and emits sections; index
+bounds and block structure are checked when the VM decodes the module.
 
 Folded expression bodies are out of scope on purpose; fixture sources are
 written flat (plain instruction sequences with block/loop/if ... end).
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .wasm_inspect import WASM_MAGIC, WASM_VERSION
+from .wasmvm import INSTRUCTIONS
 
 
 class AssembleError(ValueError):
@@ -266,57 +269,6 @@ def _encode_limits(limits: tuple[int, int | None]) -> bytes:
 # instruction encoding
 # ---------------------------------------------------------------------------
 
-_SIMPLE_OPS = {
-    "unreachable": 0x00,
-    "nop": 0x01,
-    "else": 0x05,
-    "end": 0x0B,
-    "return": 0x0F,
-    "drop": 0x1A,
-    "select": 0x1B,
-    "i32.eqz": 0x45,
-    "i32.eq": 0x46,
-    "i32.ne": 0x47,
-    "i32.lt_s": 0x48,
-    "i32.lt_u": 0x49,
-    "i32.gt_s": 0x4A,
-    "i32.gt_u": 0x4B,
-    "i32.le_s": 0x4C,
-    "i32.le_u": 0x4D,
-    "i32.ge_s": 0x4E,
-    "i32.ge_u": 0x4F,
-    "i32.add": 0x6A,
-    "i32.sub": 0x6B,
-    "i32.mul": 0x6C,
-    "i32.div_s": 0x6D,
-    "i32.div_u": 0x6E,
-    "i32.rem_s": 0x6F,
-    "i32.rem_u": 0x70,
-    "i32.and": 0x71,
-    "i32.or": 0x72,
-    "i32.xor": 0x73,
-    "i32.shl": 0x74,
-    "i32.shr_s": 0x75,
-    "i32.shr_u": 0x76,
-    "i32.rotl": 0x77,
-    "i32.rotr": 0x78,
-}
-
-_BLOCK_OPS = {"block": 0x02, "loop": 0x03, "if": 0x04}
-_MEM_OPS = {
-    "i32.load": (0x28, 2),
-    "i32.load8_s": (0x2C, 0),
-    "i32.load8_u": (0x2D, 0),
-    "i32.load16_s": (0x2E, 1),
-    "i32.load16_u": (0x2F, 1),
-    "i32.store": (0x36, 2),
-    "i32.store8": (0x3A, 0),
-    "i32.store16": (0x3B, 1),
-}
-_LOCAL_OPS = {"local.get": 0x20, "local.set": 0x21, "local.tee": 0x22}
-_BRANCH_OPS = {"br": 0x0C, "br_if": 0x0D}
-
-
 def _int_atom(tok: str) -> int:
     return int(tok, 0)
 
@@ -344,10 +296,11 @@ def _encode_body(
             raise AssembleError(
                 f"folded expression {tok[:1]}... not supported; write flat bodies"
             )
-        if tok in _SIMPLE_OPS:
-            out.append(_SIMPLE_OPS[tok])
-        elif tok in _BLOCK_OPS:
-            out.append(_BLOCK_OPS[tok])
+        if tok not in INSTRUCTIONS:
+            raise AssembleError(f"unsupported instruction {tok!r}")
+        opcode, kind = INSTRUCTIONS[tok]
+        out.append(opcode)
+        if kind == "blocktype":
             # optional (result t) annotation immediately after
             if (
                 pos < len(items)
@@ -362,25 +315,21 @@ def _encode_body(
                 out.append(_VALTYPE_CODE[clause[1]])
             else:
                 out.append(0x40)  # empty block type
-        elif tok in _BRANCH_OPS:
-            out.append(_BRANCH_OPS[tok])
-            out.extend(uleb(_int_atom(items[pos])))
+        elif kind in ("label", "local", "func", "i32"):
+            operand = items[pos]
             pos += 1
-        elif tok in _LOCAL_OPS:
-            out.append(_LOCAL_OPS[tok])
-            out.extend(uleb(resolve(local_index, items[pos], "local")))
-            pos += 1
-        elif tok == "call":
-            out.append(0x10)
-            out.extend(uleb(resolve(func_index, items[pos], "function")))
-            pos += 1
-        elif tok == "i32.const":
-            out.append(0x41)
-            out.extend(sleb(_int_atom(items[pos])))
-            pos += 1
-        elif tok in _MEM_OPS:
-            opcode, natural_align = _MEM_OPS[tok]
-            align = natural_align
+            if kind == "i32":
+                out.extend(sleb(_int_atom(operand)))
+            elif kind == "local":
+                out.extend(uleb(resolve(local_index, operand, "local")))
+            elif kind == "func":
+                out.extend(uleb(resolve(func_index, operand, "function")))
+            else:
+                out.extend(uleb(_int_atom(operand)))
+        elif kind == "zero":
+            out.append(0x00)
+        elif kind.startswith("memarg"):
+            align = int(kind[len("memarg") :])
             offset = 0
             while pos < len(items) and isinstance(items[pos], str):
                 if items[pos].startswith("offset="):
@@ -391,15 +340,8 @@ def _encode_body(
                     pos += 1
                 else:
                     break
-            out.append(opcode)
             out.extend(uleb(align))
             out.extend(uleb(offset))
-        elif tok == "memory.size":
-            out.extend(b"\x3f\x00")
-        elif tok == "memory.grow":
-            out.extend(b"\x40\x00")
-        else:
-            raise AssembleError(f"unsupported instruction {tok!r}")
     return bytes(out)
 
 

@@ -1,16 +1,30 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from puregate.watasm import AssembleError, assemble
+from puregate.fixtures import PURE_V1, fixture_binary
+from puregate.runtime_host import (
+    DEFAULT_MEMORY_MAX,
+    ExecutorInput,
+    _HostState,
+    build_host_functions,
+)
+from puregate.watasm import AssembleError, assemble, uleb
 from puregate.wasmvm import (
     FuelExhausted,
     HostFunc,
+    INSTRUCTIONS,
     InstantiationError,
+    MAX_CALL_DEPTH,
+    MAX_LOCALS,
     MemoryExceeded,
     MissingExport,
     Timeout,
     Trap,
+    VMError,
     instantiate,
 )
+from puregate.whitelist import builtin_whitelist
 
 MIB = 1024 * 1024
 
@@ -260,6 +274,18 @@ MEMORY_1 = b"\x05\x03\x01\x00\x01"  # (memory 1)
         HEADER + TYPE_VOID + b"\x03\x03\x01\x00\xff" + EXPORT_F0 + CODE_END,
         # (data (i32.const -2) "ABCD") in one page: offset 0xfffffffe as u32
         HEADER + MEMORY_1 + b"\x0b\x0a\x01\x00\x41\x7e\x0b\x04ABCD",
+        # body: call 7, with one function
+        HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + b"\x0a\x06\x01\x04\x00\x10\x07\x0b",
+        # body: local.get 5, with no params or locals
+        HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + b"\x0a\x06\x01\x04\x00\x20\x05\x0b",
+        # body: br 1, with only the function label
+        HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + b"\x0a\x06\x01\x04\x00\x0c\x01\x0b",
+        # body: block br 2 end, one label short
+        HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0
+        + b"\x0a\x09\x01\x07\x00\x02\x40\x0c\x02\x0b\x0b",
+        # body: i32.const 1 br_if 1, with only the function label
+        HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0
+        + b"\x0a\x08\x01\x06\x00\x41\x01\x0d\x01\x0b",
     ],
     ids=[
         "v128_param",
@@ -270,8 +296,233 @@ MEMORY_1 = b"\x05\x03\x01\x00\x01"  # (memory 1)
         "truncated_code_section",
         "func_section_trailing_bytes",
         "negative_data_offset",
+        "call_func_index_out_of_range",
+        "local_index_out_of_range",
+        "br_past_function_label",
+        "br_past_block_labels",
+        "br_if_past_function_label",
     ],
 )
 def test_structural_faults_are_instantiation_errors(binary):
     with pytest.raises(InstantiationError):
         instantiate(binary, {}, 64 * MIB).invoke("f", [], 1000, 1000)
+
+
+def test_decoder_rejects_every_opcode_outside_the_instruction_table():
+    admitted = {opcode for opcode, _ in INSTRUCTIONS.values()}
+    assert len(admitted) == len(INSTRUCTIONS)
+    for opcode in sorted(set(range(256)) - admitted):
+        code = b"\x0a\x06\x01\x04\x00" + bytes([opcode]) + b"\x00\x0b"
+        with pytest.raises(InstantiationError, match="unsupported opcode"):
+            instantiate(HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + code, {}, 0)
+
+
+def _locals_body(*runs):
+    """One function body declaring (count, i32) local runs, then end."""
+    body = uleb(len(runs)) + b"".join(uleb(n) + b"\x7f" for n in runs) + b"\x0b"
+    code = b"\x01" + uleb(len(body)) + body
+    return HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + b"\x0a" + uleb(len(code)) + code
+
+
+def test_declared_locals_are_bounded():
+    # only instantiate: invoking a body with 2**31 locals would allocate them
+    instantiate(_locals_body(MAX_LOCALS), {}, 64 * MIB)
+    instantiate(_locals_body(MAX_LOCALS - 1, 1), {}, 64 * MIB)
+    for runs in [(MAX_LOCALS + 1,), (MAX_LOCALS, 1), (2**31,), (2**31, 2**31)]:
+        with pytest.raises(InstantiationError):
+            instantiate(_locals_body(*runs), {}, 64 * MIB)
+
+
+def test_call_depth_is_bounded_by_a_trap():
+    source = """
+    (module
+      (func $f (export "f") (param $n i32) (result i32)
+        local.get $n
+        if (result i32)
+          local.get $n
+          i32.const 1
+          i32.sub
+          call $f
+        else
+          i32.const 7
+        end))
+    """
+    instance = instantiate(assemble(source), {}, 0)
+    assert instance.invoke("f", [MAX_CALL_DEPTH - 1], 10**6, 10_000) == [7]
+    with pytest.raises(Trap):
+        instance.invoke("f", [MAX_CALL_DEPTH], 10**6, 10_000)
+    looping = '(module (func $f (export "f") call $f))'
+    with pytest.raises(Trap):
+        instantiate(assemble(looping), {}, 0).invoke("f", [], 10**6, 10_000)
+
+
+# ---------------------------------------------------------------------------
+# fuel goldens: the exact fuel each executor spends, so that no interpreter
+# change can move the instruction at which FuelExhausted fires
+# ---------------------------------------------------------------------------
+
+GOLDEN_INPUT = ExecutorInput(step_config={"target": "child"}, context={"k": 1})
+GOLDEN_BUDGET = 100_000
+
+# executor -> (plan result or error class, fuel used from GOLDEN_BUDGET);
+# None where no instruction ran. FuelExhausted is raised by the instruction
+# that takes the budget below zero, so fuel_burn reads one past the budget.
+FUEL_GOLDENS = {
+    "emit_call": ([0], 1784),
+    "emit_reason": ([0], 1927),
+    "emit_poc": ([0], 6),
+    "emit_event": ([0], 1583),
+    "echo": ([0], 195),
+    "memory_sentinel": ([0], 21),
+    "no_output": ([0], 6),
+    "trap": ("Trap", 1),
+    "plan_error": ([42], 2),
+    "fuel_burn": ("FuelExhausted", GOLDEN_BUDGET + 1),
+    "no_plan": ("MissingExport", None),
+    "bypass_memory_hog": ("MemoryExceeded", None),
+}
+
+
+def _plan_fuel(name, budget):
+    state = _HostState(input_bytes=GOLDEN_INPUT.serialize())
+    host = build_host_functions(builtin_whitelist(1), state)
+    try:
+        instance = instantiate(fixture_binary(name), host, DEFAULT_MEMORY_MAX)
+    except VMError as exc:
+        return type(exc).__name__, None
+    try:
+        outcome = instance.invoke("plan", [], budget, 60_000)
+    except MissingExport as exc:  # refused before any instruction ran
+        return type(exc).__name__, None
+    except VMError as exc:
+        outcome = type(exc).__name__
+    return outcome, budget - instance.fuel
+
+
+@pytest.mark.parametrize("name", PURE_V1)
+def test_fuel_golden(name):
+    assert _plan_fuel(name, GOLDEN_BUDGET) == FUEL_GOLDENS[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n, (_, used) in FUEL_GOLDENS.items() if used not in (None, GOLDEN_BUDGET + 1)],
+)
+def test_exact_budget_passes_and_one_less_exhausts(name):
+    outcome, used = FUEL_GOLDENS[name]
+    assert _plan_fuel(name, used) == (outcome, used)
+    assert _plan_fuel(name, used - 1) == ("FuelExhausted", used)
+
+
+# ---------------------------------------------------------------------------
+# operators against an independent reference
+# ---------------------------------------------------------------------------
+
+U32 = 0xFFFFFFFF
+INT_MIN = 0x80000000
+INT_MAX = 0x7FFFFFFF
+EDGE_VALUES = [0, 1, U32, INT_MIN, INT_MAX, 31, 32, 33]
+
+
+TRAP = object()
+
+
+def _s32(x):
+    return x - (1 << 32) if x & INT_MIN else x
+
+
+def _ref_div_s(a, b):
+    if b == 0 or (a == INT_MIN and b == U32):
+        return TRAP
+    q = abs(_s32(a)) // abs(_s32(b))
+    return -q if (_s32(a) < 0) != (_s32(b) < 0) else q
+
+
+def _ref_rem_s(a, b):
+    if b == 0:
+        return TRAP
+    r = abs(_s32(a)) % abs(_s32(b))
+    return -r if _s32(a) < 0 else r
+
+
+def _ref_rotl(a, b):
+    k = b % 32
+    return (a << k) | (a >> (32 - k))
+
+
+REFERENCE = {
+    "i32.eq": lambda a, b: a == b,
+    "i32.ne": lambda a, b: a != b,
+    "i32.lt_s": lambda a, b: _s32(a) < _s32(b),
+    "i32.lt_u": lambda a, b: a < b,
+    "i32.gt_s": lambda a, b: _s32(a) > _s32(b),
+    "i32.gt_u": lambda a, b: a > b,
+    "i32.le_s": lambda a, b: _s32(a) <= _s32(b),
+    "i32.le_u": lambda a, b: a <= b,
+    "i32.ge_s": lambda a, b: _s32(a) >= _s32(b),
+    "i32.ge_u": lambda a, b: a >= b,
+    "i32.add": lambda a, b: a + b,
+    "i32.sub": lambda a, b: a - b,
+    "i32.mul": lambda a, b: a * b,
+    "i32.div_s": _ref_div_s,
+    "i32.div_u": lambda a, b: TRAP if b == 0 else a // b,
+    "i32.rem_s": _ref_rem_s,
+    "i32.rem_u": lambda a, b: TRAP if b == 0 else a % b,
+    "i32.and": lambda a, b: a & b,
+    "i32.or": lambda a, b: a | b,
+    "i32.xor": lambda a, b: a ^ b,
+    "i32.shl": lambda a, b: a << (b % 32),
+    "i32.shr_s": lambda a, b: _s32(a) >> (b % 32),
+    "i32.shr_u": lambda a, b: a >> (b % 32),
+    "i32.rotl": _ref_rotl,
+    "i32.rotr": lambda a, b: _ref_rotl(a, 32 - b % 32),
+}
+_OP_INSTANCES = {}
+
+
+def _apply(op, *operands):
+    if op not in _OP_INSTANCES:
+        params = " ".join("(param i32)" for _ in operands)
+        gets = "\n".join(f"local.get {i}" for i in range(len(operands)))
+        source = f'(module (func (export "f") {params} (result i32) {gets}\n {op}))'
+        _OP_INSTANCES[op] = instantiate(assemble(source), {}, 0)
+    return _OP_INSTANCES[op].invoke("f", list(operands), 100, 1000)
+
+
+def _check_binary(op, a, b):
+    expected = REFERENCE[op](a, b)
+    if expected is TRAP:
+        with pytest.raises(Trap):
+            _apply(op, a, b)
+    else:
+        assert _apply(op, a, b) == [int(expected) & U32], (op, a, b)
+
+
+def test_reference_covers_every_operator_in_the_table():
+    operators = {
+        name
+        for name, (_, kind) in INSTRUCTIONS.items()
+        if name.startswith("i32.") and kind == "none"
+    }
+    assert operators == set(REFERENCE) | {"i32.eqz"}
+    assert len(REFERENCE) == 25
+
+
+def test_eqz_against_reference():
+    for a in EDGE_VALUES:
+        assert _apply("i32.eqz", a) == [int(a == 0)]
+
+
+@pytest.mark.parametrize("op", sorted(REFERENCE))
+def test_binary_operator_edges_against_reference(op):
+    for a in EDGE_VALUES:
+        for b in EDGE_VALUES:
+            _check_binary(op, a, b)
+
+
+@pytest.mark.parametrize("op", sorted(REFERENCE))
+@given(a=st.integers(0, U32), b=st.integers(0, U32))
+@settings(max_examples=60)
+def test_binary_operator_against_reference(op, a, b):
+    _check_binary(op, a, b)
+
