@@ -99,7 +99,11 @@ class _Reader:
         return chunk
 
     def byte(self) -> int:
-        return self.take(1)[0]
+        if self.pos >= self.end:
+            raise MalformedBinary("truncated binary")
+        b = self.data[self.pos]
+        self.pos += 1
+        return b
 
     def u32(self) -> int:
         # unsigned LEB128, at most 5 bytes, must fit in 32 bits

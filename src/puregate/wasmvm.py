@@ -8,12 +8,16 @@ it is an interpreter for gate-accepted modules, not a general engine:
 floats, i64, tables, globals, and element/start sections are rejected at
 instantiation.
 
-The subset is defined once, by INSTRUCTIONS; the assembler encodes from it
-and the decoder rejects every opcode outside it. Each function body is
-decoded in one pass that resolves every block's end (and an if's else) and
-rejects out-of-range local, function and branch indices and more than
-MAX_LOCALS locals, so execution needs no lookups for them. Calls nest at
-most MAX_CALL_DEPTH deep; deeper recursion traps.
+The subset is defined once, by INSTRUCTIONS, with each instruction's
+operand-stack pops and pushes; the assembler encodes from it and the
+decoder rejects every opcode outside it. Each function body is decoded and
+validated in one pass: it tracks the operand-stack height, checks every
+block's result count, block types and memarg alignments, rejects
+out-of-range local, function and branch indices and more than MAX_LOCALS
+locals, and resolves every branch to its target, the stack height to cut
+back to and the count of values kept. Execution therefore keeps no label
+stack and checks no stack heights. Calls nest at most MAX_CALL_DEPTH deep;
+deeper recursion traps.
 
 Isolation properties the host relies on: each Instance owns a private linear
 memory created at instantiation (no state survives between instances), and
@@ -26,7 +30,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .wasm_inspect import FuncType, ImportRecord, MalformedBinary, decode_header
 from .wasm_inspect import _Reader  # shared bounded cursor
@@ -84,8 +88,11 @@ class HostFunc:
 @dataclass(frozen=True)
 class _Code:
     locals_count: int
-    # (opcode, immediate, end index, else index); block/loop/if carry their
-    # arity as the immediate, and an if without else has else == end
+    # (opcode, a, b, c), a being the immediate, with every jump resolved: an
+    # if's a is its false-jump target (past its else, or past its end), an
+    # else's a is its end + 1; br and br_if hold (target, the stack height
+    # to cut back to, the count of values kept), and return is decoded as a
+    # br to past the body's end; a call's b is its argument count
     ops: tuple[tuple[int, int, int, int], ...]
 
 
@@ -177,7 +184,7 @@ def _parse_module(binary: bytes) -> ParsedModule:
     if len(bodies) != len(func_types) - n_imported:
         raise InstantiationError("function and code section counts differ")
     codes = [
-        _decode_body(body, len(func_types[n_imported + i][0]), len(func_types))
+        _decode_body(body, func_types[n_imported + i], func_types)
         for i, body in enumerate(bodies)
     ]
     for kind, index in exports.values():
@@ -212,103 +219,120 @@ def _read_sleb32(r: _Reader) -> int:
 # the instruction subset
 # ---------------------------------------------------------------------------
 
-# mnemonic -> (opcode, immediate kind). Every instruction outside this table
-# is absent from the compilation target: the assembler cannot emit it and the
-# decoder rejects it. Immediate kinds: "none"; "blocktype" (one byte: 0x40 or
-# a value type); "label", "local" and "func" (u32 indices); "i32" (signed
-# LEB128 constant); "memargN" (u32 alignment, default N for natural 2^N
-# bytes, then u32 offset); "zero" (the reserved memory index byte).
-INSTRUCTIONS: dict[str, tuple[int, str]] = {
-    "unreachable": (0x00, "none"),
-    "nop": (0x01, "none"),
-    "block": (0x02, "blocktype"),
-    "loop": (0x03, "blocktype"),
-    "if": (0x04, "blocktype"),
-    "else": (0x05, "none"),
-    "end": (0x0B, "none"),
-    "br": (0x0C, "label"),
-    "br_if": (0x0D, "label"),
-    "return": (0x0F, "none"),
-    "call": (0x10, "func"),
-    "drop": (0x1A, "none"),
-    "select": (0x1B, "none"),
-    "local.get": (0x20, "local"),
-    "local.set": (0x21, "local"),
-    "local.tee": (0x22, "local"),
-    "i32.load": (0x28, "memarg2"),
-    "i32.load8_s": (0x2C, "memarg0"),
-    "i32.load8_u": (0x2D, "memarg0"),
-    "i32.load16_s": (0x2E, "memarg1"),
-    "i32.load16_u": (0x2F, "memarg1"),
-    "i32.store": (0x36, "memarg2"),
-    "i32.store8": (0x3A, "memarg0"),
-    "i32.store16": (0x3B, "memarg1"),
-    "memory.size": (0x3F, "zero"),
-    "memory.grow": (0x40, "zero"),
-    "i32.const": (0x41, "i32"),
-    "i32.eqz": (0x45, "none"),
-    "i32.eq": (0x46, "none"),
-    "i32.ne": (0x47, "none"),
-    "i32.lt_s": (0x48, "none"),
-    "i32.lt_u": (0x49, "none"),
-    "i32.gt_s": (0x4A, "none"),
-    "i32.gt_u": (0x4B, "none"),
-    "i32.le_s": (0x4C, "none"),
-    "i32.le_u": (0x4D, "none"),
-    "i32.ge_s": (0x4E, "none"),
-    "i32.ge_u": (0x4F, "none"),
-    "i32.add": (0x6A, "none"),
-    "i32.sub": (0x6B, "none"),
-    "i32.mul": (0x6C, "none"),
-    "i32.div_s": (0x6D, "none"),
-    "i32.div_u": (0x6E, "none"),
-    "i32.rem_s": (0x6F, "none"),
-    "i32.rem_u": (0x70, "none"),
-    "i32.and": (0x71, "none"),
-    "i32.or": (0x72, "none"),
-    "i32.xor": (0x73, "none"),
-    "i32.shl": (0x74, "none"),
-    "i32.shr_s": (0x75, "none"),
-    "i32.shr_u": (0x76, "none"),
-    "i32.rotl": (0x77, "none"),
-    "i32.rotr": (0x78, "none"),
+# mnemonic -> (opcode, immediate kind, pops, pushes). Every instruction
+# outside this table is absent from the compilation target: the assembler
+# cannot emit it and the decoder rejects it. Immediate kinds: "none";
+# "blocktype" (one byte: 0x40 or a numeric value type); "label", "local" and
+# "func" (u32 indices); "i32" (signed LEB128 constant); "memargN" (u32
+# alignment exponent, at most N for natural 2^N bytes, then u32 offset);
+# "zero" (the reserved memory index byte). Pops and pushes count the i32
+# operands an instruction takes and leaves; a call's come from the callee's
+# type, and branches and block ends also carry their label's results.
+INSTRUCTIONS: dict[str, tuple[int, str, int, int]] = {
+    "unreachable": (0x00, "none", 0, 0),
+    "nop": (0x01, "none", 0, 0),
+    "block": (0x02, "blocktype", 0, 0),
+    "loop": (0x03, "blocktype", 0, 0),
+    "if": (0x04, "blocktype", 1, 0),
+    "else": (0x05, "none", 0, 0),
+    "end": (0x0B, "none", 0, 0),
+    "br": (0x0C, "label", 0, 0),
+    "br_if": (0x0D, "label", 1, 0),
+    "return": (0x0F, "none", 0, 0),
+    "call": (0x10, "func", 0, 0),
+    "drop": (0x1A, "none", 1, 0),
+    "select": (0x1B, "none", 3, 1),
+    "local.get": (0x20, "local", 0, 1),
+    "local.set": (0x21, "local", 1, 0),
+    "local.tee": (0x22, "local", 1, 1),
+    "i32.load": (0x28, "memarg2", 1, 1),
+    "i32.load8_s": (0x2C, "memarg0", 1, 1),
+    "i32.load8_u": (0x2D, "memarg0", 1, 1),
+    "i32.load16_s": (0x2E, "memarg1", 1, 1),
+    "i32.load16_u": (0x2F, "memarg1", 1, 1),
+    "i32.store": (0x36, "memarg2", 2, 0),
+    "i32.store8": (0x3A, "memarg0", 2, 0),
+    "i32.store16": (0x3B, "memarg1", 2, 0),
+    "memory.size": (0x3F, "zero", 0, 1),
+    "memory.grow": (0x40, "zero", 1, 1),
+    "i32.const": (0x41, "i32", 0, 1),
+    "i32.eqz": (0x45, "none", 1, 1),
+    "i32.eq": (0x46, "none", 2, 1),
+    "i32.ne": (0x47, "none", 2, 1),
+    "i32.lt_s": (0x48, "none", 2, 1),
+    "i32.lt_u": (0x49, "none", 2, 1),
+    "i32.gt_s": (0x4A, "none", 2, 1),
+    "i32.gt_u": (0x4B, "none", 2, 1),
+    "i32.le_s": (0x4C, "none", 2, 1),
+    "i32.le_u": (0x4D, "none", 2, 1),
+    "i32.ge_s": (0x4E, "none", 2, 1),
+    "i32.ge_u": (0x4F, "none", 2, 1),
+    "i32.add": (0x6A, "none", 2, 1),
+    "i32.sub": (0x6B, "none", 2, 1),
+    "i32.mul": (0x6C, "none", 2, 1),
+    "i32.div_s": (0x6D, "none", 2, 1),
+    "i32.div_u": (0x6E, "none", 2, 1),
+    "i32.rem_s": (0x6F, "none", 2, 1),
+    "i32.rem_u": (0x70, "none", 2, 1),
+    "i32.and": (0x71, "none", 2, 1),
+    "i32.or": (0x72, "none", 2, 1),
+    "i32.xor": (0x73, "none", 2, 1),
+    "i32.shl": (0x74, "none", 2, 1),
+    "i32.shr_s": (0x75, "none", 2, 1),
+    "i32.shr_u": (0x76, "none", 2, 1),
+    "i32.rotl": (0x77, "none", 2, 1),
+    "i32.rotr": (0x78, "none", 2, 1),
 }
-_IMMEDIATE = {opcode: kind for opcode, kind in INSTRUCTIONS.values()}
+# opcode -> (immediate kind, pops, pushes, largest alignment exponent)
+_DECODE = {
+    opcode: (kind, pops, pushes, int(kind[6:]) if kind.startswith("memarg") else 0)
+    for opcode, kind, pops, pushes in INSTRUCTIONS.values()
+}
 
 # declared locals plus params per function, as in wasmparser; each call
 # allocates them all
 MAX_LOCALS = 50_000
 
 
-def _decode_body(body: bytes, n_params: int, n_funcs: int) -> _Code:
-    """Decode one body in one pass, resolving each block's end and else."""
+def _decode_body(
+    body: bytes, func_type: FuncType, func_types: Sequence[FuncType]
+) -> _Code:
+    """Decode and validate one body in one pass; every op comes out final.
+
+    The pass tracks the operand-stack height (every value is an i32, so the
+    height is the whole stack type) and checks each block's result count at
+    its else and end. Code after br, return or unreachable follows the
+    spec's polymorphic-stack rule: it may pop values below its block's
+    entry height. Forward branches are patched when their block ends.
+    """
     r = _Reader(body)
+    params, results = func_type
     locals_count = 0
     for _ in range(r.u32()):
         locals_count += r.u32()
         if r.byte() != 0x7F:
             raise InstantiationError("only i32 locals are supported")
-        if n_params + locals_count > MAX_LOCALS:
+        if len(params) + locals_count > MAX_LOCALS:
             raise InstantiationError(f"more than {MAX_LOCALS} locals")
-    n_locals = n_params + locals_count
+    n_locals = len(params) + locals_count
+    n_funcs = len(func_types)
     ops: list[tuple[int, int, int, int]] = []
-    blocks: list[int] = []  # indices of the open block/loop/if ops
-    while r.pos < r.end:
-        op = r.byte()
-        kind = _IMMEDIATE.get(op)
-        a = 0
+    # open blocks, the function's own first: [opener opcode, opener index,
+    # entry height, result count, the enclosing code's unreachable flag,
+    # indices of the ops whose target becomes this block's end + 1]. An if's
+    # own false jump is the first of those until its else takes its place.
+    frames = [[0x02, -1, 0, len(results), False, []]]
+    base = height = 0
+    unreachable = False
+    byte = r.byte
+    while True:
+        op = byte()
+        if op not in _DECODE:
+            raise InstantiationError(f"unsupported opcode 0x{op:02x}")
+        kind, pops, pushes, align = _DECODE[op]
+        a = b = c = 0
         if kind == "none":
-            if op == 0x05:  # else
-                if not blocks or ops[blocks[-1]][0] != 0x04:
-                    raise InstantiationError("else without matching if")
-                ops[blocks[-1]] = (0x04, ops[blocks[-1]][1], 0, len(ops))
-            elif op == 0x0B and blocks:  # end; the body's own end has no block
-                start = blocks.pop()
-                opener, arity, _, else_index = ops[start]
-                ops[start] = (opener, arity, len(ops), else_index or len(ops))
-        elif kind == "blocktype":
-            a = 0 if r.byte() == 0x40 else 1
-            blocks.append(len(ops))
+            pass
         elif kind == "i32":
             a = _read_sleb32(r) & 0xFFFFFFFF
         elif kind == "local":
@@ -317,23 +341,85 @@ def _decode_body(body: bytes, n_params: int, n_funcs: int) -> _Code:
                 raise InstantiationError(f"unknown local {a}")
         elif kind == "label":
             a = r.u32()
-            if a > len(blocks):  # the function's own label is depth len(blocks)
+            if a >= len(frames):  # the function's own label is the outermost
                 raise InstantiationError(f"branch depth {a} exceeds nesting")
         elif kind == "func":
             a = r.u32()
             if a >= n_funcs:
                 raise InstantiationError(f"call to unknown function {a}")
+            pops = b = len(func_types[a][0])
+            pushes = len(func_types[a][1])
+        elif kind == "blocktype":
+            t = byte()
+            if t != 0x40 and not 0x7C <= t <= 0x7F:  # empty or a numeric type
+                raise InstantiationError(f"unsupported block type 0x{t:02x}")
+            arity = int(t != 0x40)
         elif kind == "zero":
-            if r.byte() != 0x00:
+            if byte() != 0x00:
                 raise InstantiationError("multi-memory instructions unsupported")
-        elif kind is not None:  # memarg: alignment is not checked
-            r.u32()
+        else:  # memarg
+            if r.u32() > align:
+                raise InstantiationError("alignment exceeds the natural one")
             a = r.u32()
-        else:
-            raise InstantiationError(f"unsupported opcode 0x{op:02x}")
-        ops.append((op, a, 0, 0))
-    if blocks:
-        raise InstantiationError("unclosed block in function body")
+        if pops:
+            height -= pops
+            if height < base:
+                if not unreachable:
+                    raise InstantiationError("operand stack underflow")
+                height = base
+        height += pushes
+
+        if op < 0x10:  # control
+            if op == 0x0F:  # return: a br to the function's own label
+                op, a = 0x0C, len(frames) - 1
+            if 0x02 <= op <= 0x04:  # block, loop, if
+                fixups = [len(ops)] if op == 0x04 else []
+                frames.append([op, len(ops), height, arity, unreachable, fixups])
+                base = height
+                unreachable = False
+            elif op == 0x05 or op == 0x0B:  # else, end
+                opener, start, _, arity, outer, fixups = frames[-1]
+                extra = height - base
+                if extra != arity and (extra > arity or not unreachable):
+                    raise InstantiationError(
+                        f"block leaves {extra} values where it yields {arity}"
+                    )
+                if op == 0x05:
+                    if opener != 0x04:
+                        raise InstantiationError("else without matching if")
+                    ops[start] = (0x04, len(ops) + 1, 0, 0)
+                    fixups[0] = len(ops)
+                    frames[-1][0] = 0x05
+                    height = base
+                    unreachable = False
+                else:
+                    if opener == 0x04 and arity:
+                        raise InstantiationError("if with a result needs an else")
+                    for i in fixups:
+                        o = ops[i]
+                        ops[i] = (o[0], len(ops) + 1, o[2], o[3])
+                    frames.pop()
+                    if not frames:  # the body's own end
+                        ops.append((op, 0, 0, 0))
+                        break
+                    height = base + arity
+                    base = frames[-1][2]
+                    unreachable = outer
+            elif op == 0x0C or op == 0x0D:  # br, br_if
+                opener, start, b, c, _, fixups = frames[-1 - a]
+                if opener == 0x03:  # a loop's label re-enters it and keeps none
+                    a = start + 1
+                    c = 0
+                else:
+                    fixups.append(len(ops))
+                if height - c < base and not unreachable:
+                    raise InstantiationError("operand stack underflow")
+            if op == 0x00 or op == 0x0C:  # unreachable, br (and return)
+                height = base
+                unreachable = True
+        ops.append((op, a, b, c))
+    if r.pos != r.end:
+        raise InstantiationError("bytes after the end of a function body")
     return _Code(locals_count, tuple(ops))
 
 
@@ -440,20 +526,21 @@ class Instance:
         self.fuel = fuel
         self.deadline = time.monotonic() + wall_clock_ms / 1000.0
         self._check_counter = 0
+        # the only unvalidated call: decoded code passes what callees take
+        n_params = len(self.module.func_types[entry[1]][0])
+        if len(args) != n_params:
+            raise Trap(f"function expects {n_params} arguments, got {len(args)}")
         return self._call_function(entry[1], args, 1)
 
     def _call_function(
         self, func_index: int, args: list[int], depth: int
     ) -> list[int]:
         n_imported = len(self.module.imported_funcs)
-        params, results = self.module.func_types[func_index]
-        if len(args) != len(params):
-            raise Trap(f"function expects {len(params)} arguments, got {len(args)}")
         if func_index < n_imported:
             host = self.host_table[func_index]
             self._spend()
             result = host.fn(self, *args)
-            if not results:
+            if not self.module.func_types[func_index][1]:
                 return []
             if result is None:
                 raise Trap(f"host {host.signature} returned no value")
@@ -463,32 +550,19 @@ class Instance:
             raise Trap(f"call depth exceeds {MAX_CALL_DEPTH}")
         code = self.module.codes[func_index - n_imported]
         locals_ = list(args) + [0] * code.locals_count
-        return self._run(code, locals_, len(results), depth)
+        return self._run(code, locals_, depth)
 
-    def _run(
-        self, code: _Code, locals_: list[int], result_arity: int, depth: int
-    ) -> list[int]:
+    def _run(self, code: _Code, locals_: list[int], depth: int) -> list[int]:
+        # decoding validated every stack height, so no op checks for
+        # underflow, a branch needs no label stack, and the stack left at
+        # the end holds exactly the results
         ops = code.ops
         binary = _BINARY
         stack: list[int] = []
-        # labels: (branch target, stack height, arity carried by a branch,
-        #          control height after a branch to it)
-        control: list[tuple[int, int, int, int]] = []
         ip = 0
         n_ops = len(ops)
-
-        def branch(label: int) -> int:
-            if label >= len(control):  # the function's own label: return
-                return n_ops
-            target, height, arity, keep = control[len(control) - 1 - label]
-            carried = stack[len(stack) - arity :] if arity else []
-            del control[keep:]
-            del stack[height:]
-            stack.extend(carried)
-            return target
-
         while ip < n_ops:
-            op, a, end, else_ = ops[ip]
+            op, a, b, c = ops[ip]
             self._spend()
             if op == 0x41:  # i32.const
                 stack.append(a)
@@ -498,36 +572,27 @@ class Instance:
                 locals_[a] = stack.pop()
             elif op == 0x22:  # local.tee
                 locals_[a] = stack[-1]
-            elif op == 0x02:  # block
-                control.append((end + 1, len(stack), a, len(control)))
-            elif op == 0x03:  # loop: a branch re-enters the body, label kept
-                control.append((ip + 1, len(stack), 0, len(control) + 1))
-            elif op == 0x04:  # if; false without an else skips past end
-                cond = stack.pop()
-                if cond or else_ != end:
-                    control.append((end + 1, len(stack), a, len(control)))
-                if not cond:
-                    ip = else_ + 1
+            elif op in (0x01, 0x02, 0x03, 0x0B):  # nop, block, loop, end
+                pass
+            elif op == 0x04:  # if
+                if not stack.pop():
+                    ip = a
                     continue
-            elif op == 0x05:  # else reached by fallthrough
-                ip = branch(0)
+            elif op == 0x05:  # else, reached from the then-arm
+                ip = a
                 continue
-            elif op == 0x0B:  # end
-                if control:
-                    control.pop()
             elif op == 0x0C:  # br
-                ip = branch(a)
+                del stack[b : len(stack) - c]
+                ip = a
                 continue
             elif op == 0x0D:  # br_if
                 if stack.pop():
-                    ip = branch(a)
+                    del stack[b : len(stack) - c]
+                    ip = a
                     continue
-            elif op == 0x0F:  # return
-                break
             elif op == 0x10:  # call
-                n_args = len(self.module.func_types[a][0])
-                call_args = stack[len(stack) - n_args :] if n_args else []
-                del stack[len(stack) - n_args :]
+                call_args = stack[len(stack) - b :]
+                del stack[len(stack) - b :]
                 stack.extend(self._call_function(a, call_args, depth + 1))
             elif op == 0x00:  # unreachable
                 raise Trap("unreachable executed")
@@ -579,10 +644,7 @@ class Instance:
                 b = stack.pop()
                 stack.append(binary[op](stack.pop(), b) & 0xFFFFFFFF)
             ip += 1
-
-        if len(stack) < result_arity:
-            raise Trap("function returned too few values")
-        return stack[len(stack) - result_arity :] if result_arity else []
+        return stack
 
 
 def _signed(x: int) -> int:

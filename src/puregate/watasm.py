@@ -7,7 +7,8 @@ function bodies over the i32 instruction set, inline and standalone exports.
 Instructions are encoded from wasmvm.INSTRUCTIONS, the one definition of the
 subset, so the assembler emits exactly what the VM decodes. This is an
 assembler, not a validator: it resolves names and emits sections; index
-bounds and block structure are checked when the VM decodes the module.
+bounds, block structure, stack heights and branch targets are checked and
+resolved when the VM decodes the module.
 
 Folded expression bodies are out of scope on purpose; fixture sources are
 written flat (plain instruction sequences with block/loop/if ... end).
@@ -298,7 +299,7 @@ def _encode_body(
             )
         if tok not in INSTRUCTIONS:
             raise AssembleError(f"unsupported instruction {tok!r}")
-        opcode, kind = INSTRUCTIONS[tok]
+        opcode, kind, _, _ = INSTRUCTIONS[tok]
         out.append(opcode)
         if kind == "blocktype":
             # optional (result t) annotation immediately after

@@ -125,7 +125,7 @@ def test_import_record_round_trip():
     assert ImportRecord.from_json(record.to_json()) == record
 
 
-V2_HOSTS = build_host_functions(builtin_whitelist(2), _HostState(input_bytes=b""))
+V2 = builtin_whitelist(2)
 
 
 @st.composite
@@ -143,13 +143,19 @@ def _check_vm_decode(data: bytes) -> None:
         imports = parse_imports(data).imports
     except MalformedBinary:
         imports = None
+    hosts = build_host_functions(V2, _HostState(input_bytes=b""))
     try:
-        instance = instantiate(data, V2_HOSTS, 1024 * 1024)
+        instance = instantiate(data, hosts, 1024 * 1024)
     except VMError:
         return
     if imports is not None:
         functions = tuple(i for i in imports if i.kind == "function")
         assert instance.module.imported_funcs == functions
+    if "plan" in instance.module.exports:
+        try:
+            instance.invoke("plan", [], 10_000, 1000)
+        except VMError:
+            pass
 
 
 @given(st.one_of(st.binary(max_size=64), flipped_fixtures()))

@@ -253,6 +253,17 @@ FUNC_0 = b"\x03\x02\x01\x00"  # one function of type 0
 EXPORT_F0 = b"\x07\x05\x01\x01f\x00\x00"  # (export "f" (func 0))
 CODE_END = b"\x0a\x04\x01\x02\x00\x0b"  # one body: no locals, end
 MEMORY_1 = b"\x05\x03\x01\x00\x01"  # (memory 1)
+TYPE_I32 = b"\x01\x05\x01\x60\x00\x01\x7f"  # (type (func (result i32)))
+
+
+def _one_func(code, type_section=TYPE_VOID, memory=b""):
+    """Module with one exported function "f": no locals, then code."""
+    body = b"\x00" + code
+    section = b"\x01" + uleb(len(body)) + body
+    return (
+        HEADER + type_section + FUNC_0 + memory + EXPORT_F0
+        + b"\x0a" + uleb(len(section)) + section
+    )
 
 
 @pytest.mark.parametrize(
@@ -286,6 +297,18 @@ MEMORY_1 = b"\x05\x03\x01\x00\x01"  # (memory 1)
         # body: i32.const 1 br_if 1, with only the function label
         HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0
         + b"\x0a\x08\x01\x06\x00\x41\x01\x0d\x01\x0b",
+        # block type 0x00: block 0x00 i32.const 5 end
+        _one_func(b"\x02\x00\x41\x05\x0b\x0b", TYPE_I32),
+        # i32.const 0 i32.load with alignment 2^9 > 4 bytes, drop
+        _one_func(b"\x41\x00\x28\x09\x00\x1a\x0b", memory=MEMORY_1),
+        # i32.add on an empty stack
+        _one_func(b"\x6a\x0b"),
+        # i32.const 0 if (result i32) i32.const 2 end: no else arm
+        _one_func(b"\x41\x00\x04\x7f\x41\x02\x0b\x0b", TYPE_I32),
+        # block (result i32) i32.const 1 i32.const 2 end: one value too many
+        _one_func(b"\x02\x7f\x41\x01\x41\x02\x0b\x0b", TYPE_I32),
+        # i32.const 5 end i32.const 6 end: bytes after the body's end
+        _one_func(b"\x41\x05\x0b\x41\x06\x0b", TYPE_I32),
     ],
     ids=[
         "v128_param",
@@ -301,6 +324,12 @@ MEMORY_1 = b"\x05\x03\x01\x00\x01"  # (memory 1)
         "br_past_function_label",
         "br_past_block_labels",
         "br_if_past_function_label",
+        "block_type_not_empty_or_value_type",
+        "alignment_above_natural",
+        "add_on_empty_stack",
+        "if_with_result_without_else",
+        "block_leaves_extra_value",
+        "bytes_after_final_end",
     ],
 )
 def test_structural_faults_are_instantiation_errors(binary):
@@ -308,8 +337,54 @@ def test_structural_faults_are_instantiation_errors(binary):
         instantiate(binary, {}, 64 * MIB).invoke("f", [], 1000, 1000)
 
 
+def test_branches_cut_the_stack_to_their_label():
+    # br 1 keeps the top value and drops 2 and 1 above the outer block's
+    # entry, but not the 100 beneath it
+    body = """
+        i32.const 100
+        block (result i32)
+          i32.const 1
+          block
+            i32.const 2
+            i32.const 3
+            br 1
+          end
+          unreachable
+        end
+        i32.add
+    """
+    assert _run(body) == [103]
+    assert _run("i32.const 1\n i32.const 2\n return") == [2]
+    loop = """
+        i32.const 9
+        loop
+          local.get $n
+          i32.const 1
+          i32.add
+          local.tee $n
+          i32.const 3
+          i32.lt_u
+          br_if 0
+        end
+    """
+    assert _run(loop, locals_decl="(local $n i32)") == [9]
+
+
+def test_unreachable_code_follows_the_polymorphic_stack_rule():
+    with pytest.raises(Trap, match="unreachable"):
+        _run("unreachable\n i32.add")
+    assert _run("block (result i32)\n i32.const 7\n br 0\n i32.add\n end") == [7]
+    assert _run("i32.const 4\n return\n drop\n drop") == [4]
+    for body in [
+        "unreachable\n i32.const 1\n i32.const 2",
+        "block\n br 0\n i32.const 1\n end\n i32.const 0",
+    ]:
+        with pytest.raises(InstantiationError):
+            _run(body)
+
+
 def test_decoder_rejects_every_opcode_outside_the_instruction_table():
-    admitted = {opcode for opcode, _ in INSTRUCTIONS.values()}
+    admitted = {opcode for opcode, _, _, _ in INSTRUCTIONS.values()}
     assert len(admitted) == len(INSTRUCTIONS)
     for opcode in sorted(set(range(256)) - admitted):
         code = b"\x0a\x06\x01\x04\x00" + bytes([opcode]) + b"\x00\x0b"
@@ -501,7 +576,7 @@ def _check_binary(op, a, b):
 def test_reference_covers_every_operator_in_the_table():
     operators = {
         name
-        for name, (_, kind) in INSTRUCTIONS.items()
+        for name, (_, kind, _, _) in INSTRUCTIONS.items()
         if name.startswith("i32.") and kind == "none"
     }
     assert operators == set(REFERENCE) | {"i32.eqz"}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import puregate
 from puregate.signing import generate_seed
 from puregate.wasm_inspect import ImportRecord
 from puregate.whitelist import (
@@ -176,3 +177,9 @@ def test_classification_is_monotone_under_growth(base, extra, picks):
         imp = _func(f"cap_{pick}")
         if classify_import(imp, small).verdict != DISALLOWED:
             assert classify_import(imp, large).verdict != DISALLOWED
+
+
+@pytest.mark.parametrize("version, filename", [(1, "v1.json"), (2, "v2-extended.json")])
+def test_shipped_whitelist_files_match_the_builtin_tables(version, filename):
+    path = Path(puregate.__file__).parent / "whitelists" / filename
+    assert load_whitelist(path) == builtin_whitelist(version)
