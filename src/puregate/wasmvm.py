@@ -14,10 +14,25 @@ decoder rejects every opcode outside it. Each function body is decoded and
 validated in one pass: it tracks the operand-stack height, checks every
 block's result count, block types and memarg alignments, rejects
 out-of-range local, function and branch indices and more than MAX_LOCALS
-locals, and resolves every branch to its target, the stack height to cut
-back to and the count of values kept. Execution therefore keeps no label
-stack and checks no stack heights. Calls nest at most MAX_CALL_DEPTH deep;
-deeper recursion traps.
+locals and memory instructions in a module without a memory, and resolves
+every branch to its target, the stack height to cut back to and the count
+of values kept. Execution therefore keeps no label stack and checks no
+stack heights. Calls nest at most MAX_CALL_DEPTH deep; deeper recursion
+traps.
+
+Each decoded body is split into basic blocks: straight-line runs that start
+at a branch target or after an if, else, br, br_if or call. Every op costs
+one unit of fuel and entering a host function one more, as if fuel were
+charged per op, but a block is charged once, up front, and only its ops
+that do work are dispatched (block, loop, end and nop cost fuel and are
+skipped). The count stays exact:
+- exhaustion: when the fuel left is below a block's cost, only the ops a
+  per-op budget would have paid for run, then FuelExhausted leaves fuel at
+  -1;
+- traps: when an op traps, the units of the block's ops after it are
+  refunded, so fuel at a trap counts exactly the ops that ran;
+- the wall-clock deadline is checked each time fuel crosses a multiple of
+  4096.
 
 Isolation properties the host relies on: each Instance owns a private linear
 memory created at instantiation (no state survives between instances), and
@@ -85,15 +100,14 @@ class HostFunc:
 # module structure
 # ---------------------------------------------------------------------------
 
+# (fuel cost, work ops, terminator opcode or None, a, b, c); see _basic_blocks
+_Block = tuple[int, tuple[tuple[int, object, int], ...], int | None, int, int, int]
+
+
 @dataclass(frozen=True)
 class _Code:
     locals_count: int
-    # (opcode, a, b, c), a being the immediate, with every jump resolved: an
-    # if's a is its false-jump target (past its else, or past its end), an
-    # else's a is its end + 1; br and br_if hold (target, the stack height
-    # to cut back to, the count of values kept), and return is decoded as a
-    # br to past the body's end; a call's b is its argument count
-    ops: tuple[tuple[int, int, int, int], ...]
+    blocks: tuple[_Block, ...]  # in body order
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,10 @@ def _parse_module(binary: bytes) -> ParsedModule:
     if len(bodies) != len(func_types) - n_imported:
         raise InstantiationError("function and code section counts differ")
     codes = [
-        _decode_body(body, func_types[n_imported + i], func_types)
+        _decode_body(
+            body, func_types[n_imported + i], func_types, n_imported,
+            memory is not None,
+        )
         for i, body in enumerate(bodies)
     ]
     for kind, index in exports.values():
@@ -295,15 +312,21 @@ MAX_LOCALS = 50_000
 
 
 def _decode_body(
-    body: bytes, func_type: FuncType, func_types: Sequence[FuncType]
+    body: bytes,
+    func_type: FuncType,
+    func_types: Sequence[FuncType],
+    n_imported: int,
+    has_memory: bool,
 ) -> _Code:
-    """Decode and validate one body in one pass; every op comes out final.
+    """Decode and validate one body in one pass, then split it into blocks.
 
     The pass tracks the operand-stack height (every value is an i32, so the
     height is the whole stack type) and checks each block's result count at
     its else and end. Code after br, return or unreachable follows the
     spec's polymorphic-stack rule: it may pop values below its block's
-    entry height. Forward branches are patched when their block ends.
+    entry height. Forward branches are patched when their block ends, so
+    every op is final when the pass is over. Memory instructions in a
+    module that declares no memory are rejected.
     """
     r = _Reader(body)
     params, results = func_type
@@ -316,6 +339,11 @@ def _decode_body(
             raise InstantiationError(f"more than {MAX_LOCALS} locals")
     n_locals = len(params) + locals_count
     n_funcs = len(func_types)
+    # (opcode, a, b, c), a being the immediate, with every jump resolved: an
+    # if's a is its false-jump target (past its else, or past its end), an
+    # else's a is its end + 1; br and br_if hold (target, the stack height
+    # to cut back to, the count of values kept), and return is decoded as a
+    # br to past the body's end; a call's b is its argument count
     ops: list[tuple[int, int, int, int]] = []
     # open blocks, the function's own first: [opener opcode, opener index,
     # entry height, result count, the enclosing code's unreachable flag,
@@ -355,9 +383,13 @@ def _decode_body(
                 raise InstantiationError(f"unsupported block type 0x{t:02x}")
             arity = int(t != 0x40)
         elif kind == "zero":
+            if not has_memory:
+                raise InstantiationError("memory instruction without a memory")
             if byte() != 0x00:
                 raise InstantiationError("multi-memory instructions unsupported")
         else:  # memarg
+            if not has_memory:
+                raise InstantiationError("memory instruction without a memory")
             if r.u32() > align:
                 raise InstantiationError("alignment exceeds the natural one")
             a = r.u32()
@@ -420,7 +452,59 @@ def _decode_body(
         ops.append((op, a, b, c))
     if r.pos != r.end:
         raise InstantiationError("bytes after the end of a function body")
-    return _Code(locals_count, tuple(ops))
+    return _Code(locals_count, _basic_blocks(ops, n_imported))
+
+
+# ops that only mark structure: they cost fuel but are never dispatched
+_NO_WORK = frozenset([0x01, 0x02, 0x03, 0x0B])  # nop, block, loop, end
+# ops that end a basic block: if, else, br, br_if, call
+_TERMINATORS = frozenset([0x04, 0x05, 0x0C, 0x0D, 0x10])
+
+
+def _basic_blocks(
+    ops: list[tuple[int, int, int, int]], n_imported: int
+) -> tuple[_Block, ...]:
+    """Split final ops into basic blocks, each run with one fuel charge.
+
+    A block starts at op 0, at every branch target and after every
+    terminator. Each is (cost, work, terminator, a, b, c):
+    - cost is its op count, plus the unit entering a host function costs
+      when it ends in a call to an import;
+    - work holds (opcode, immediate, units after it) for the ops that do
+      work, a binary operator's immediate being its function; the units
+      after an op are what a trap in it leaves unspent;
+    - the terminator is the last op's opcode, or None when the block falls
+      through, with its (a, b, c) and any branch target as a block index.
+      The index one past the last block returns from the function.
+    """
+    n = len(ops)
+    starts = {0, n}
+    for i, (op, a, _, _) in enumerate(ops):
+        if op in _TERMINATORS:
+            starts.add(i + 1)
+            if op != 0x10:
+                starts.add(a)
+    order = sorted(starts)
+    block_of = {start: k for k, start in enumerate(order)}
+    blocks = []
+    for start, stop in zip(order, order[1:]):
+        term, a, b, c = ops[stop - 1]
+        if term in _TERMINATORS:
+            stop -= 1
+            if term != 0x10:
+                a = block_of[a]
+            cost = stop - start + 1 + (term == 0x10 and a < n_imported)
+        else:
+            term, a, b, c = None, 0, 0, 0
+            cost = stop - start
+        work = []
+        rest = cost
+        for op, x, _, _ in ops[start:stop]:
+            rest -= 1
+            if op not in _NO_WORK:
+                work.append((op, _BINARY.get(op, x), rest))
+        blocks.append((cost, tuple(work), term, a, b, c))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +557,6 @@ class Instance:
 
         self.fuel = 0
         self.deadline = float("inf")
-        self._check_counter = 0
 
     # -- memory access -----------------------------------------------------
 
@@ -503,16 +586,6 @@ class Instance:
 
     # -- execution ---------------------------------------------------------
 
-    def _spend(self, amount: int = 1) -> None:
-        self.fuel -= amount
-        if self.fuel < 0:
-            raise FuelExhausted("instruction budget exhausted")
-        self._check_counter += 1
-        if self._check_counter >= 4096:
-            self._check_counter = 0
-            if time.monotonic() > self.deadline:
-                raise Timeout("wall-clock deadline exceeded")
-
     def invoke(
         self,
         export_name: str,
@@ -525,12 +598,17 @@ class Instance:
             raise MissingExport(f"no exported function {export_name!r}")
         self.fuel = fuel
         self.deadline = time.monotonic() + wall_clock_ms / 1000.0
-        self._check_counter = 0
         # the only unvalidated call: decoded code passes what callees take
         n_params = len(self.module.func_types[entry[1]][0])
         if len(args) != n_params:
             raise Trap(f"function expects {n_params} arguments, got {len(args)}")
-        return self._call_function(entry[1], args, 1)
+        if entry[1] < len(self.module.imported_funcs):
+            # an exported import: no block charges the unit of entering it
+            self.fuel -= 1
+            if self.fuel < 0:
+                raise FuelExhausted("instruction budget exhausted")
+        # i32 arguments are taken mod 2**32, so every value is a u32
+        return self._call_function(entry[1], [v & 0xFFFFFFFF for v in args], 1)
 
     def _call_function(
         self, func_index: int, args: list[int], depth: int
@@ -538,7 +616,6 @@ class Instance:
         n_imported = len(self.module.imported_funcs)
         if func_index < n_imported:
             host = self.host_table[func_index]
-            self._spend()
             result = host.fn(self, *args)
             if not self.module.func_types[func_index][1]:
                 return []
@@ -553,97 +630,131 @@ class Instance:
         return self._run(code, locals_, depth)
 
     def _run(self, code: _Code, locals_: list[int], depth: int) -> list[int]:
-        # decoding validated every stack height, so no op checks for
-        # underflow, a branch needs no label stack, and the stack left at
-        # the end holds exactly the results
-        ops = code.ops
-        binary = _BINARY
+        # decoding validated every stack height and every memory op's memory,
+        # so no op checks for underflow, a branch needs no label stack, and
+        # the stack left at the end holds exactly the results
+        blocks = code.blocks
+        n_blocks = len(blocks)
+        memory = self.memory  # grown in place, never replaced
         stack: list[int] = []
-        ip = 0
-        n_ops = len(ops)
-        while ip < n_ops:
-            op, a, b, c = ops[ip]
-            self._spend()
-            if op == 0x41:  # i32.const
-                stack.append(a)
-            elif op == 0x20:  # local.get
-                stack.append(locals_[a])
-            elif op == 0x21:  # local.set
-                locals_[a] = stack.pop()
-            elif op == 0x22:  # local.tee
-                locals_[a] = stack[-1]
-            elif op in (0x01, 0x02, 0x03, 0x0B):  # nop, block, loop, end
-                pass
-            elif op == 0x04:  # if
-                if not stack.pop():
-                    ip = a
-                    continue
-            elif op == 0x05:  # else, reached from the then-arm
-                ip = a
-                continue
-            elif op == 0x0C:  # br
-                del stack[b : len(stack) - c]
-                ip = a
-                continue
-            elif op == 0x0D:  # br_if
-                if stack.pop():
+        push = stack.append
+        pop = stack.pop
+        k = 0
+        while k < n_blocks:
+            cost, work, term, a, b, c = blocks[k]
+            fuel = self.fuel - cost
+            self.fuel = fuel
+            if fuel < 0:
+                # run what a per-op budget would have run: the ops whose own
+                # unit fits, never the terminator or a host call's unit
+                work = [w for w in work if w[2] + fuel >= 0]
+            elif (fuel ^ (fuel + cost)) > 4095:  # crossed a 4096 boundary
+                if time.monotonic() > self.deadline:
+                    raise Timeout("wall-clock deadline exceeded")
+            try:
+                for op, x, rest in work:
+                    if op == 0x20:  # local.get
+                        push(locals_[x])
+                    elif op == 0x41:  # i32.const
+                        push(x)
+                    elif op >= 0x46:  # binary operators, x being the function
+                        v = pop()
+                        push(x(pop(), v) & 0xFFFFFFFF)
+                    elif op == 0x21:  # local.set
+                        locals_[x] = pop()
+                    elif op == 0x2D:  # i32.load8_u
+                        ptr = pop() + x
+                        if ptr >= len(memory):
+                            raise Trap(
+                                f"memory read out of bounds: [{ptr}, {ptr + 1})"
+                            )
+                        push(memory[ptr])
+                    elif op == 0x45:  # i32.eqz
+                        push(0 if pop() else 1)
+                    elif op == 0x22:  # local.tee
+                        locals_[x] = stack[-1]
+                    elif op == 0x3A:  # i32.store8
+                        v = pop()
+                        ptr = pop() + x
+                        if ptr >= len(memory):
+                            raise Trap(f"memory write out of bounds at {ptr}")
+                        memory[ptr] = v & 0xFF
+                    elif op == 0x28:  # i32.load
+                        ptr = pop() + x
+                        if ptr + 4 > len(memory):
+                            raise Trap(
+                                f"memory read out of bounds: [{ptr}, {ptr + 4})"
+                            )
+                        push(int.from_bytes(memory[ptr : ptr + 4], "little"))
+                    elif op == 0x36:  # i32.store
+                        v = pop()
+                        ptr = pop() + x
+                        if ptr + 4 > len(memory):
+                            raise Trap(f"memory write out of bounds at {ptr}")
+                        memory[ptr : ptr + 4] = v.to_bytes(4, "little")
+                    elif op == 0x1A:  # drop
+                        pop()
+                    elif op == 0x1B:  # select
+                        v = pop()
+                        v2 = pop()
+                        if not v:
+                            stack[-1] = v2
+                    elif op == 0x2C:  # i32.load8_s
+                        ptr = pop() + x
+                        if ptr >= len(memory):
+                            raise Trap(
+                                f"memory read out of bounds: [{ptr}, {ptr + 1})"
+                            )
+                        v = memory[ptr]
+                        push((v - 256 if v >= 128 else v) & 0xFFFFFFFF)
+                    elif op == 0x2E or op == 0x2F:  # i32.load16_s, i32.load16_u
+                        ptr = pop() + x
+                        if ptr + 2 > len(memory):
+                            raise Trap(
+                                f"memory read out of bounds: [{ptr}, {ptr + 2})"
+                            )
+                        v = int.from_bytes(memory[ptr : ptr + 2], "little")
+                        if op == 0x2E and v >= 32768:
+                            v = (v - 65536) & 0xFFFFFFFF
+                        push(v)
+                    elif op == 0x3B:  # i32.store16
+                        v = pop()
+                        ptr = pop() + x
+                        if ptr + 2 > len(memory):
+                            raise Trap(f"memory write out of bounds at {ptr}")
+                        memory[ptr : ptr + 2] = (v & 0xFFFF).to_bytes(2, "little")
+                    elif op == 0x3F:  # memory.size
+                        push(len(memory) // PAGE_BYTES)
+                    elif op == 0x40:  # memory.grow
+                        push(self.mem_grow(pop()))
+                    else:  # the decoder admits only unreachable beyond this
+                        raise Trap("unreachable executed")
+            except VMError:
+                self.fuel += rest  # the ops after the one that trapped
+                raise
+            if fuel < 0:
+                self.fuel = -1
+                raise FuelExhausted("instruction budget exhausted")
+            if term is None:
+                k += 1
+            elif term == 0x0D:  # br_if
+                if pop():
                     del stack[b : len(stack) - c]
-                    ip = a
-                    continue
-            elif op == 0x10:  # call
+                    k = a
+                else:
+                    k += 1
+            elif term == 0x10:  # call
                 call_args = stack[len(stack) - b :]
                 del stack[len(stack) - b :]
                 stack.extend(self._call_function(a, call_args, depth + 1))
-            elif op == 0x00:  # unreachable
-                raise Trap("unreachable executed")
-            elif op == 0x01:  # nop
-                pass
-            elif op == 0x1A:  # drop
-                stack.pop()
-            elif op == 0x1B:  # select
-                c = stack.pop()
-                v2 = stack.pop()
-                v1 = stack.pop()
-                stack.append(v1 if c else v2)
-            elif op == 0x28:  # i32.load
-                ptr = stack.pop() + a
-                stack.append(int.from_bytes(self.read_mem(ptr, 4), "little"))
-            elif op == 0x2C:  # i32.load8_s
-                ptr = stack.pop() + a
-                v = self.read_mem(ptr, 1)[0]
-                stack.append((v - 256 if v >= 128 else v) & 0xFFFFFFFF)
-            elif op == 0x2D:  # i32.load8_u
-                ptr = stack.pop() + a
-                stack.append(self.read_mem(ptr, 1)[0])
-            elif op == 0x2E:  # i32.load16_s
-                ptr = stack.pop() + a
-                v = int.from_bytes(self.read_mem(ptr, 2), "little")
-                stack.append((v - 65536 if v >= 32768 else v) & 0xFFFFFFFF)
-            elif op == 0x2F:  # i32.load16_u
-                ptr = stack.pop() + a
-                stack.append(int.from_bytes(self.read_mem(ptr, 2), "little"))
-            elif op == 0x36:  # i32.store
-                val = stack.pop()
-                ptr = stack.pop() + a
-                self.write_mem(ptr, (val & 0xFFFFFFFF).to_bytes(4, "little"))
-            elif op == 0x3A:  # i32.store8
-                val = stack.pop()
-                ptr = stack.pop() + a
-                self.write_mem(ptr, bytes([val & 0xFF]))
-            elif op == 0x3B:  # i32.store16
-                val = stack.pop()
-                ptr = stack.pop() + a
-                self.write_mem(ptr, (val & 0xFFFF).to_bytes(2, "little"))
-            elif op == 0x3F:  # memory.size
-                stack.append(self.mem_pages())
-            elif op == 0x40:  # memory.grow
-                stack.append(self.mem_grow(stack.pop()))
-            elif op == 0x45:  # i32.eqz
-                stack.append(0 if stack.pop() else 1)
-            else:  # the decoder admits only binary operators beyond this
-                b = stack.pop()
-                stack.append(binary[op](stack.pop(), b) & 0xFFFFFFFF)
-            ip += 1
+                k += 1
+            elif term == 0x04:  # if
+                k = k + 1 if pop() else a
+            elif term == 0x0C:  # br
+                del stack[b : len(stack) - c]
+                k = a
+            else:  # else, reached from the then-arm
+                k = a
         return stack
 
 

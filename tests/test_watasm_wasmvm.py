@@ -231,6 +231,21 @@ def test_host_function_call_and_memory_access():
     assert instance.invoke("f", [], 1000, 1000) == [42]
 
 
+def test_invoking_an_exported_import_costs_its_host_unit():
+    source = """
+    (module
+      (import "host" "inc" (func $inc (param i32) (result i32)))
+      (export "f" (func $inc)))
+    """
+    host = {("host", "inc"): HostFunc("(i32) -> i32", lambda inst, x: x + 1)}
+    instance = instantiate(assemble(source), host, 0)
+    assert instance.invoke("f", [41], 1, 1000) == [42]
+    assert instance.fuel == 0
+    with pytest.raises(FuelExhausted):
+        instance.invoke("f", [41], 0, 1000)
+    assert instance.fuel == -1
+
+
 def test_folded_instructions_rejected():
     source = """
     (module
@@ -309,6 +324,13 @@ def _one_func(code, type_section=TYPE_VOID, memory=b""):
         _one_func(b"\x02\x7f\x41\x01\x41\x02\x0b\x0b", TYPE_I32),
         # i32.const 5 end i32.const 6 end: bytes after the body's end
         _one_func(b"\x41\x05\x0b\x41\x06\x0b", TYPE_I32),
+        # no memory: i32.const 1 memory.grow drop i32.const 8 i32.const 7
+        # i32.store i32.const 8 i32.load
+        _one_func(
+            b"\x41\x01\x40\x00\x1a\x41\x08\x41\x07\x36\x02\x00"
+            b"\x41\x08\x28\x02\x00\x0b",
+            TYPE_I32,
+        ),
     ],
     ids=[
         "v128_param",
@@ -330,6 +352,7 @@ def _one_func(code, type_section=TYPE_VOID, memory=b""):
         "if_with_result_without_else",
         "block_leaves_extra_value",
         "bytes_after_final_end",
+        "memory_ops_without_memory",
     ],
 )
 def test_structural_faults_are_instantiation_errors(binary):
@@ -459,19 +482,10 @@ FUEL_GOLDENS = {
 
 
 def _plan_fuel(name, budget):
-    state = _HostState(input_bytes=GOLDEN_INPUT.serialize())
-    host = build_host_functions(builtin_whitelist(1), state)
-    try:
-        instance = instantiate(fixture_binary(name), host, DEFAULT_MEMORY_MAX)
-    except VMError as exc:
-        return type(exc).__name__, None
-    try:
-        outcome = instance.invoke("plan", [], budget, 60_000)
-    except MissingExport as exc:  # refused before any instruction ran
-        return type(exc).__name__, None
-    except VMError as exc:
-        outcome = type(exc).__name__
-    return outcome, budget - instance.fuel
+    _, outcome, left, _ = _plan_host_calls(name, budget)
+    if left is None or outcome == "MissingExport":  # no instruction ran
+        return outcome, None
+    return outcome, budget - left
 
 
 @pytest.mark.parametrize("name", PURE_V1)
@@ -487,6 +501,231 @@ def test_exact_budget_passes_and_one_less_exhausts(name):
     outcome, used = FUEL_GOLDENS[name]
     assert _plan_fuel(name, used) == (outcome, used)
     assert _plan_fuel(name, used - 1) == ("FuelExhausted", used)
+
+
+# executor -> (host function, fuel used from GOLDEN_BUDGET on entering it)
+# for every host call plan makes; entering a host function costs one unit
+# on top of the call instruction
+HOST_CALL_GOLDENS = {
+    "emit_call": (("get_input_len", 2), ("log", 315), ("set_output", 1782)),
+    "emit_reason": (("get_input_len", 2), ("log", 326), ("set_output", 1925)),
+    "emit_poc": (("set_output", 4),),
+    "emit_event": (("log", 290), ("set_output", 1581)),
+    "echo": (("get_input_len", 2), ("get_input", 182), ("set_output", 193)),
+    "memory_sentinel": (("set_output", 19),),
+    "no_output": (("log", 4),),
+    "trap": (),
+    "plan_error": (),
+    "fuel_burn": (),
+    "no_plan": (),
+    "bypass_memory_hog": (),
+}
+
+
+def _plan_host_calls(name, budget):
+    """(host calls with the fuel used on entry, outcome, fuel left, state)."""
+    state = _HostState(input_bytes=GOLDEN_INPUT.serialize())
+    host = build_host_functions(builtin_whitelist(1), state)
+    try:
+        instance = instantiate(fixture_binary(name), host, DEFAULT_MEMORY_MAX)
+    except VMError as exc:
+        return (), type(exc).__name__, None, state
+    calls = []
+
+    def recording(imp, host_func):
+        def fn(inst, *args):
+            calls.append((imp.name, budget - inst.fuel))
+            return host_func.fn(inst, *args)
+
+        return HostFunc(host_func.signature, fn)
+
+    instance.host_table = [
+        recording(imp, h)
+        for imp, h in zip(instance.module.imported_funcs, instance.host_table)
+    ]
+    try:
+        outcome = instance.invoke("plan", [], budget, 60_000)
+    except VMError as exc:
+        outcome = type(exc).__name__
+    return tuple(calls), outcome, instance.fuel, state
+
+
+@pytest.mark.parametrize("name", PURE_V1)
+def test_host_call_golden(name):
+    assert _plan_host_calls(name, GOLDEN_BUDGET)[0] == HOST_CALL_GOLDENS[name]
+
+
+@pytest.mark.parametrize("name", ["emit_call", "echo"])
+def test_budget_sweep_reaches_exactly_the_host_calls_within_budget(name):
+    _, used = FUEL_GOLDENS[name]
+    _, _, _, full = _plan_host_calls(name, used)
+    for budget in range(used):
+        calls, outcome, left, state = _plan_host_calls(name, budget)
+        assert (outcome, left) == ("FuelExhausted", -1), budget
+        reached = [
+            call for call in HOST_CALL_GOLDENS[name] if call[1] <= budget
+        ]
+        assert list(calls) == reached, budget
+        n_log = sum(1 for host, _ in reached if host == "log")
+        n_out = sum(1 for host, _ in reached if host == "set_output")
+        assert state.log_lines == full.log_lines[:n_log], budget
+        assert state.output_docs == full.output_docs[:n_out], budget
+
+
+# modules that trap with ops both before and after the trapping op in the
+# same straight-line run of code; most trap on a later pass through a loop
+MID_BLOCK_TRAPS = {
+    "load_oob": """
+    (module
+      (memory 1)
+      (func (export "f") (result i32) (local $i i32)
+        loop
+          local.get $i
+          i32.const 1
+          i32.add
+          local.set $i
+          i32.const 65528
+          local.get $i
+          i32.const 4
+          i32.mul
+          i32.add
+          i32.load
+          drop
+          nop
+          local.get $i
+          i32.const 9
+          i32.lt_u
+          br_if 0
+        end
+        i32.const 0))
+    """,
+    "store8_oob": """
+    (module
+      (memory 1)
+      (func (export "f") (result i32) (local $p i32)
+        i32.const 65534
+        local.set $p
+        block
+          loop
+            local.get $p
+            i32.const 7
+            i32.store8
+            local.get $p
+            i32.const 1
+            i32.add
+            local.set $p
+            br 0
+          end
+        end
+        i32.const 1))
+    """,
+    "div_u_by_zero": """
+    (module
+      (func (export "f") (result i32) (local $d i32)
+        i32.const 3
+        local.set $d
+        block
+          loop
+            local.get $d
+            i32.const 1
+            i32.sub
+            local.set $d
+            i32.const 100
+            local.get $d
+            i32.div_u
+            drop
+            local.get $d
+            br_if 0
+          end
+        end
+        i32.const 2))
+    """,
+    "unreachable": """
+    (module
+      (func (export "f") (result i32)
+        i32.const 1
+        i32.const 2
+        i32.add
+        drop
+        unreachable
+        i32.const 3
+        drop
+        i32.const 4))
+    """,
+    # the first call ends its run of code in a host call that succeeds; the
+    # second enters a whitelisted import this host profile does not provide
+    "trapping_host_call": """
+    (module
+      (import "mashin" "get_input_len" (func $len (result i32)))
+      (import "mashin" "ctx_get_input" (func $unprovided (result i32)))
+      (func (export "f") (result i32) (local $n i32)
+        call $len
+        local.set $n
+        local.get $n
+        i32.const 1
+        i32.add
+        drop
+        call $unprovided
+        local.set $n
+        local.get $n))
+    """,
+    "trap_in_callee": """
+    (module
+      (import "mashin" "get_input_len" (func $len (result i32)))
+      (memory 1)
+      (func $g (param $x i32) (result i32)
+        local.get $x
+        i32.const 1
+        i32.add
+        i32.load8_u
+        local.get $x
+        i32.add)
+      (func (export "f") (result i32)
+        call $len
+        i32.const 65530
+        i32.add
+        call $g
+        i32.const 1
+        i32.add))
+    """,
+}
+
+# module -> (trap message, fuel used): the fuel of every op up to and
+# including the trapping one, and none of the ops after it
+MID_BLOCK_TRAP_GOLDENS = {
+    "load_oob": ("memory read out of bounds: [65536, 65540)", 27),
+    "store8_oob": ("memory write out of bounds at 65536", 23),
+    "div_u_by_zero": ("integer divide by zero", 31),
+    "unreachable": ("unreachable executed", 5),
+    "trapping_host_call": (
+        "host function ctx_get_input is not provided by this profile", 9
+    ),
+    "trap_in_callee": ("memory read out of bounds: [65541, 65542)", 9),
+}
+
+
+def _run_trapping(name, budget):
+    state = _HostState(input_bytes=b"0123456789")
+    host = build_host_functions(builtin_whitelist(2), state)
+    instance = instantiate(assemble(MID_BLOCK_TRAPS[name]), host, 64 * MIB)
+    with pytest.raises(VMError) as info:
+        instance.invoke("f", [], budget, 60_000)
+    return info.value, budget - instance.fuel, instance
+
+
+@pytest.mark.parametrize("name", sorted(MID_BLOCK_TRAPS))
+def test_mid_block_trap_golden(name):
+    message, used = MID_BLOCK_TRAP_GOLDENS[name]
+    for budget in range(used + 3):
+        exc, spent, instance = _run_trapping(name, budget)
+        if budget < used:
+            assert (type(exc), spent, instance.fuel) == (
+                FuelExhausted, budget + 1, -1
+            ), budget
+        else:
+            assert (type(exc), str(exc), spent) == (Trap, message, used), budget
+    if name == "store8_oob":  # the two in-bounds stores landed, nothing else
+        assert instance.memory[65532:] == b"\x00\x00\x07\x07"
 
 
 # ---------------------------------------------------------------------------
