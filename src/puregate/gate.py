@@ -11,6 +11,11 @@ runtime whitelist snapshot it was decided under, and a hit requires snapshot
 equality, so whitelist changes invalidate implicitly even if the explicit
 invalidation call is missed. Every decision (accept and reject) is appended
 to a decision log for audit.
+
+An acceptance carries the artifact's compile handle, a wasmvm.ModuleCell
+over the header step 4 decoded; the cache entry keeps the same handle, so
+the module is compiled lazily once per artifact and dropped together with
+the acceptance. Rejections carry none.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .certificate import (
 )
 from .proof import PURE, PurityProof, proof_hash
 from .wasm_inspect import MalformedBinary, parse_imports
+from .wasmvm import ModuleCell
 from .whitelist import (
     DISALLOWED,
     Whitelist,
@@ -75,6 +81,9 @@ class GateDecision:
     # it before instantiation so a decision cannot be replayed onto other
     # bytes.
     artifact_hash: bytes | None = None
+    # An acceptance's compile handle for those bytes; not part of the
+    # decision's identity or its log record.
+    compiled: ModuleCell | None = field(default=None, compare=False, repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -98,6 +107,7 @@ class CacheEntry:
     whitelist_version: int
     whitelist_hash: bytes
     decided_at: float
+    compiled: ModuleCell
 
 
 @dataclass
@@ -115,11 +125,18 @@ class GateCache:
             return None
         return entry
 
-    def insert(self, artifact_hash: bytes, runtime: Whitelist, now: float) -> None:
+    def insert(
+        self,
+        artifact_hash: bytes,
+        runtime: Whitelist,
+        now: float,
+        compiled: ModuleCell,
+    ) -> None:
         self.accepted[artifact_hash] = CacheEntry(
             whitelist_version=runtime.version,
             whitelist_hash=runtime.content_hash,
             decided_at=now,
+            compiled=compiled,
         )
 
 
@@ -192,9 +209,13 @@ def gate_verify(
         now = time.time()
     artifact_hash = hashlib.sha256(binary_bytes).digest()
 
-    if cache is not None and cache.lookup(artifact_hash, runtime_whitelist):
+    entry = None if cache is None else cache.lookup(artifact_hash, runtime_whitelist)
+    if entry is not None:
         decision = GateDecision(
-            verdict=ACCEPT, from_cache=True, artifact_hash=artifact_hash
+            verdict=ACCEPT,
+            from_cache=True,
+            artifact_hash=artifact_hash,
+            compiled=entry.compiled,
         )
         if log is not None:
             log.record_decision(decision, now, runtime_whitelist)
@@ -211,7 +232,7 @@ def gate_verify(
         known_hashes,
     )
     if decision.accepted and cache is not None:
-        cache.insert(artifact_hash, runtime_whitelist, now)
+        cache.insert(artifact_hash, runtime_whitelist, now, decision.compiled)
     if log is not None:
         log.record_decision(decision, now, runtime_whitelist)
     return decision
@@ -288,7 +309,11 @@ def _run_checks(
     if proof.conclusion != PURE:
         return _reject(R_CONCLUSION_NOT_PURE, 6, artifact_hash)
 
-    return GateDecision(verdict=ACCEPT, artifact_hash=artifact_hash)
+    return GateDecision(
+        verdict=ACCEPT,
+        artifact_hash=artifact_hash,
+        compiled=ModuleCell(module.header),
+    )
 
 
 def invalidate_cache(

@@ -12,7 +12,10 @@ an executor-declared error code (surfaced as PlanFailed, a deterministic
 abnormal termination).
 
 Every invocation gets a fresh instance and private memory; nothing survives
-between calls.
+between calls. What invocations of one artifact share is its compiled
+module, which the gate's acceptance carries: it is decoded on the first
+plan and is immutable, so later plans only build the instance (fresh
+memory, data segments copied in, host table bound to that call's buffers).
 """
 
 from __future__ import annotations
@@ -244,14 +247,20 @@ def instantiate_and_plan(
     """Run one gated invocation: fresh instance, plan call, output collection.
 
     The gate decision is re-bound to the exact bytes given here; a decision
-    for different bytes (or a rejection) refuses instantiation.
+    for different bytes (or a rejection, or one without a compile handle)
+    refuses instantiation. The module is compiled through the decision's
+    handle, so only the first plan of an artifact decodes it.
     """
     t_total = time.perf_counter()
     if runtime_whitelist is None:
         runtime_whitelist = builtin_whitelist(1)
 
     artifact_hash = hashlib.sha256(binary_bytes).digest()
-    if not decision.accepted or decision.artifact_hash != artifact_hash:
+    if (
+        not decision.accepted
+        or decision.artifact_hash != artifact_hash
+        or decision.compiled is None
+    ):
         raise GateNotPassed(
             "no accepting gate decision for these bytes; refusing to run"
         )
@@ -264,7 +273,9 @@ def instantiate_and_plan(
     host_funcs = build_host_functions(runtime_whitelist, state)
 
     t0 = time.perf_counter()
-    instance = instantiate(binary_bytes, host_funcs, limits.memory_max)
+    instance = instantiate(
+        decision.compiled.module(binary_bytes), host_funcs, limits.memory_max
+    )
     instantiate_us = (time.perf_counter() - t0) * 1e6
 
     t0 = time.perf_counter()

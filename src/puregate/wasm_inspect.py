@@ -74,15 +74,6 @@ class ImportRecord:
         return rec
 
 
-@dataclass(frozen=True)
-class ModuleImports:
-    """Parsed import section plus the artifact hash of the full binary."""
-
-    imports: tuple[ImportRecord, ...]
-    artifact_hash: bytes
-    byte_length: int
-
-
 class _Reader:
     """Bounded cursor over the binary; every read failure is MalformedBinary."""
 
@@ -158,6 +149,23 @@ class ModuleHeader:
     imports: tuple[ImportRecord, ...]
     func_import_types: tuple[FuncType, ...]
     sections: tuple[tuple[int, int, int], ...]
+
+
+@dataclass(frozen=True)
+class ModuleImports:
+    """A module's decoded header plus the artifact hash of the full binary.
+
+    The gate hands the header on with its acceptance, so the VM decodes
+    only the sections after it.
+    """
+
+    header: ModuleHeader
+    artifact_hash: bytes
+    byte_length: int
+
+    @property
+    def imports(self) -> tuple[ImportRecord, ...]:
+        return self.header.imports
 
 
 def render_func_signature(params: Sequence[str], results: Sequence[str]) -> str:
@@ -267,7 +275,7 @@ def parse_imports(binary_bytes: bytes) -> ModuleImports:
     if len(binary_bytes) > MAX_BINARY_BYTES:
         raise MalformedBinary("binary exceeds the 64 MiB acceptance limit")
     return ModuleImports(
-        imports=decode_header(binary_bytes).imports,
+        header=decode_header(binary_bytes),
         artifact_hash=artifact_hash,
         byte_length=len(binary_bytes),
     )

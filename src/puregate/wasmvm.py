@@ -6,7 +6,9 @@ metered execution (instruction fuel, memory ceiling, wall-clock deadline).
 No package index here ships a WASM runtime, so this repo carries its own;
 it is an interpreter for gate-accepted modules, not a general engine:
 floats, i64, tables, globals, and element/start sections are rejected at
-instantiation.
+decode. Every defined function, block type and call is i32-only; an
+imported function may declare another numeric type (the host signature
+check resolves it) but no code may call it.
 
 The subset is defined once, by INSTRUCTIONS, with each instruction's
 operand-stack pops and pushes; the assembler encodes from it and the
@@ -34,10 +36,17 @@ skipped). The count stays exact:
 - the wall-clock deadline is checked each time fuel crosses a multiple of
   4096.
 
+Compile once, instantiate many times: parse_module turns the bytes into a
+ParsedModule, which is immutable (tuples, bytes and a read-only export map)
+and so may be shared by any number of instances. A ModuleCell is one
+artifact's compile handle; it parses on first use and keeps the module, so
+the gate's acceptance can carry it and a warm plan only builds an Instance.
+
 Isolation properties the host relies on: each Instance owns a private linear
-memory created at instantiation (no state survives between instances), and
-the only way a module touches the outside world is through the host-function
-table passed in by the embedder.
+memory created at instantiation, with the data segments copied into it (no
+state survives between instances, and nothing an instance does reaches the
+shared module), and the only way a module touches the outside world is
+through the host-function table passed in by the embedder.
 """
 
 from __future__ import annotations
@@ -45,9 +54,16 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .wasm_inspect import FuncType, ImportRecord, MalformedBinary, decode_header
+from .wasm_inspect import (
+    FuncType,
+    ImportRecord,
+    MalformedBinary,
+    ModuleHeader,
+    decode_header,
+)
 from .wasm_inspect import _Reader  # shared bounded cursor
 
 PAGE_BYTES = 65536
@@ -112,36 +128,66 @@ class _Code:
 
 @dataclass(frozen=True)
 class ParsedModule:
-    """Everything derived from the bytes; instances add only runtime state."""
+    """Everything derived from the bytes; instances add only runtime state.
+
+    Immutable all the way down, so one module may back many instances.
+    """
 
     imported_funcs: tuple[ImportRecord, ...]
     func_types: tuple[FuncType, ...]  # by function index, imports first
     memory: tuple[int, int | None] | None
-    exports: Mapping[str, tuple[int, int]]  # name -> (kind, index)
+    exports: Mapping[str, tuple[int, int]]  # name -> (kind, index), read-only
     codes: tuple[_Code, ...]
     data: tuple[tuple[int, bytes], ...]
 
 
-_NUMERIC_TYPES = frozenset(["i32", "i64", "f32", "f64"])
+class ModuleCell:
+    """One artifact's compile handle: parses on first use, then memoises.
+
+    The header must be the one decoded from the bytes later passed to
+    module(). A module the VM rejects is not memoised, so every use raises
+    the same InstantiationError.
+    """
+
+    __slots__ = ("header", "_module")
+
+    def __init__(self, header: ModuleHeader):
+        self.header = header
+        self._module: ParsedModule | None = None
+
+    def module(self, binary: bytes) -> ParsedModule:
+        if self._module is None:
+            self._module = parse_module(binary, self.header)
+        return self._module
 
 
-def parse_module(binary: bytes) -> ParsedModule:
+def _i32_only(func_type: FuncType) -> bool:
+    params, results = func_type
+    return all(t == "i32" for t in params + results)
+
+
+def parse_module(binary: bytes, header: ModuleHeader | None = None) -> ParsedModule:
     """Decode the executable module; reject anything outside the subset.
 
-    Every structural fault, including bytes the shared decoder cannot read,
-    raises InstantiationError, so the VM fails only with VMError subclasses.
+    header, when given, is binary's already decoded header, and only the
+    sections after it are read. Every structural fault, including bytes the
+    shared decoder cannot read, raises InstantiationError, so the VM fails
+    only with VMError subclasses.
     """
     try:
-        return _parse_module(binary)
+        if header is None:
+            header = decode_header(binary)
+        return _parse_module(binary, header)
     except MalformedBinary as exc:
         raise InstantiationError(f"malformed module: {exc}") from exc
 
 
-def _parse_module(binary: bytes) -> ParsedModule:
-    header = decode_header(binary)
-    for params, results in header.types:
-        if not _NUMERIC_TYPES.issuperset(params + results):
-            raise InstantiationError("only numeric value types are supported")
+def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
+    # a type no defined function can have is admitted only for imports,
+    # whose signatures the host check compares as text
+    for func_type in header.types:
+        if not _i32_only(func_type) and func_type not in header.func_import_types:
+            raise InstantiationError("only i32 value types are supported")
     for imp in header.imports:
         if imp.kind != "function":
             raise InstantiationError(
@@ -163,6 +209,8 @@ def _parse_module(binary: bytes) -> ParsedModule:
                 type_index = r.u32()
                 if type_index >= len(header.types):
                     raise InstantiationError(f"unknown type index {type_index}")
+                if not _i32_only(header.types[type_index]):
+                    raise InstantiationError("only i32 functions are supported")
                 func_types.append(header.types[type_index])
         elif section_id == 5:
             count = r.u32()
@@ -211,7 +259,7 @@ def _parse_module(binary: bytes) -> ParsedModule:
         imported_funcs=header.imports,
         func_types=tuple(func_types),
         memory=memory,
-        exports=exports,
+        exports=MappingProxyType(exports),
         codes=tuple(codes),
         data=tuple(data),
     )
@@ -239,7 +287,7 @@ def _read_sleb32(r: _Reader) -> int:
 # mnemonic -> (opcode, immediate kind, pops, pushes). Every instruction
 # outside this table is absent from the compilation target: the assembler
 # cannot emit it and the decoder rejects it. Immediate kinds: "none";
-# "blocktype" (one byte: 0x40 or a numeric value type); "label", "local" and
+# "blocktype" (one byte: 0x40, empty, or 0x7F, i32); "label", "local" and
 # "func" (u32 indices); "i32" (signed LEB128 constant); "memargN" (u32
 # alignment exponent, at most N for natural 2^N bytes, then u32 offset);
 # "zero" (the reserved memory index byte). Pops and pushes count the i32
@@ -375,13 +423,15 @@ def _decode_body(
             a = r.u32()
             if a >= n_funcs:
                 raise InstantiationError(f"call to unknown function {a}")
+            if not _i32_only(func_types[a]):
+                raise InstantiationError(f"call to function {a} of a non-i32 type")
             pops = b = len(func_types[a][0])
             pushes = len(func_types[a][1])
         elif kind == "blocktype":
             t = byte()
-            if t != 0x40 and not 0x7C <= t <= 0x7F:  # empty or a numeric type
+            if t != 0x40 and t != 0x7F:  # empty or i32
                 raise InstantiationError(f"unsupported block type 0x{t:02x}")
-            arity = int(t != 0x40)
+            arity = int(t == 0x7F)
         elif kind == "zero":
             if not has_memory:
                 raise InstantiationError("memory instruction without a memory")
@@ -817,10 +867,9 @@ _BINARY: dict[int, Callable[[int, int], int]] = {
 
 
 def instantiate(
-    binary: bytes,
+    module: ParsedModule,
     host_funcs: Mapping[tuple[str, str], HostFunc],
     max_memory_bytes: int,
 ) -> Instance:
-    """Fresh instance over a private store; nothing is shared or reused."""
-    module = parse_module(binary)
+    """Fresh instance over a private store; only the immutable module is shared."""
     return Instance(module, host_funcs, max_memory_bytes)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from puregate import signing
+from puregate.canonical import canonical_bytes
 from puregate.certificate import (
     certificate_from_json,
     certificate_to_json,
@@ -12,9 +13,11 @@ from puregate.certificate import (
 )
 from puregate.fixtures import certified_bundle, fixture_binary
 from puregate.gate import (
+    ACCEPT,
     CACHE_INVALIDATION_CAUSES,
     DecisionLog,
     GateCache,
+    GateDecision,
     R_ARTIFACT_HASH_MISMATCH,
     R_CONCLUSION_NOT_PURE,
     R_DISALLOWED_IMPORT,
@@ -314,6 +317,91 @@ def test_explicit_invalidation(bundles, wl_v1, certifier_key):
     }
     decision = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
     assert decision.accepted and not decision.from_cache
+
+
+def test_cache_hit_hands_back_the_acceptance_compile_handle(
+    bundles, wl_v1, certifier_key
+):
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    cold = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    warm = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    assert cold.compiled is not None
+    assert warm.compiled is cold.compiled
+    assert cache.accepted[cold.artifact_hash].compiled is cold.compiled
+
+
+def test_invalidation_drops_the_compile_handle(bundles, wl_v1, certifier_key):
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    old = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    invalidate_cache(cache, "manual")
+    fresh = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    assert fresh.accepted and not fresh.from_cache
+    assert fresh.compiled is not None and fresh.compiled is not old.compiled
+    assert cache.accepted[fresh.artifact_hash].compiled is fresh.compiled
+
+
+def test_whitelist_change_drops_the_compile_handle(
+    bundles, wl_v1, wl_v2, certifier_key
+):
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    # the v1 certificate stays current under v2 when v1's hash is on record
+    known = {wl_v1.version: wl_v1.content_hash}
+    old = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    fresh = _gate(bundles["emit_call"], wl_v2, keys, cache=cache, known_hashes=known)
+    assert fresh.accepted and not fresh.from_cache
+    assert fresh.compiled is not None and fresh.compiled is not old.compiled
+    # back under the first snapshot, the entry now holds the second handle
+    again = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    assert again.accepted and not again.from_cache
+    assert again.compiled is not fresh.compiled
+
+
+def test_rejections_carry_no_compile_handle(
+    bundles, wl_v1, certifier_key, rogue_key
+):
+    binary, proof, cert = bundles["emit_call"]
+    keys = [certifier_key.public_key]
+    rejections = [
+        gate_verify(binary, cert, proof, wl_v1, [rogue_key.public_key]),
+        gate_verify(binary + b"\x00", cert, proof, wl_v1, keys),
+        _gate(bundles["emit_call"], wl_v1, keys, minimum_version=2),
+    ]
+    assert [d.failed_step for d in rejections] == [1, 2, 5]
+    assert all(d.compiled is None for d in rejections)
+
+
+def test_compile_handle_is_not_part_of_the_decision_record(
+    bundles, wl_v1, certifier_key, tmp_path
+):
+    log = DecisionLog(tmp_path / "decisions.jsonl")
+    decision = _gate(
+        bundles["emit_call"], wl_v1, [certifier_key.public_key], log=log, now=1.0
+    )
+    record = {
+        "verdict": "accept",
+        "reason": None,
+        "detail": None,
+        "failed_step": None,
+        "from_cache": False,
+        "artifact_hash": decision.artifact_hash.hex(),
+    }
+    assert decision.to_json() == record
+    bare = GateDecision(verdict=ACCEPT, artifact_hash=decision.artifact_hash)
+    assert bare.compiled is None and decision == bare
+    assert hash(decision) == hash(bare) and repr(decision) == repr(bare)
+    event = {
+        "event": "gate_decision",
+        "timestamp": 1.0,
+        **record,
+        "whitelist_version": wl_v1.version,
+        "whitelist_hash": wl_v1.content_hash.hex(),
+    }
+    assert (tmp_path / "decisions.jsonl").read_bytes() == (
+        canonical_bytes(event) + b"\n"
+    )
 
 
 def test_unknown_invalidation_cause_rejected():

@@ -12,8 +12,10 @@ from puregate.fixtures import (
     fixture_source,
 )
 from puregate.gate import DecisionLog, GateCache, gate_verify
+from puregate import wasmvm
 from puregate.runtime_host import (
     CONSTRUCTOR_KINDS,
+    DEFAULT_MEMORY_MAX,
     DIRECTIVE_KINDS,
     Directive,
     ExecutorInput,
@@ -22,6 +24,7 @@ from puregate.runtime_host import (
     MalformedOutput,
     PlanFailed,
     ResourceLimits,
+    _HostState,
     build_host_functions,
     determinism_check,
     instantiate_and_plan,
@@ -31,11 +34,13 @@ from puregate.proof import build_proof
 from puregate.wasm_inspect import parse_imports
 from puregate.wasmvm import (
     FuelExhausted,
+    InstantiationError,
     MemoryExceeded,
     MissingExport,
     Timeout,
     Trap,
 )
+from puregate.watasm import assemble
 from puregate.whitelist import builtin_whitelist
 
 INPUT = ExecutorInput(step_config={"target": "child"}, context={"k": 1})
@@ -116,6 +121,135 @@ def test_memory_sentinel_sees_fresh_memory_each_run(accepted):
     second = instantiate_and_plan(binary, decision, INPUT)
     assert first.to_json() == second.to_json()
     assert first.result == {"sentinel": 0}
+
+
+def _gated(binary, wl, certifier_key, cache=None):
+    proof = build_proof(parse_imports(binary), wl)
+    cert = sign_certificate(binary, proof, certifier_key, 1_700_000_000)
+    decision = gate_verify(
+        binary, cert, proof, wl, frozenset([certifier_key.public_key]),
+        cache=cache,
+    )
+    assert decision.accepted, decision.reason
+    return decision
+
+
+def _count_parses(monkeypatch):
+    calls = []
+    parse = wasmvm.parse_module
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(wasmvm, "parse_module", counted)
+    return calls
+
+
+def test_only_the_first_plan_of_an_artifact_compiles(
+    certifier_key, wl_v1, monkeypatch
+):
+    binary = fixture_binary("echo")
+    cache = GateCache()
+    calls = _count_parses(monkeypatch)
+    cold = _gated(binary, wl_v1, certifier_key, cache)
+    assert calls == []  # the gate leaves the compile to the first plan
+    first = instantiate_and_plan(binary, cold, INPUT)
+    warm = _gated(binary, wl_v1, certifier_key, cache)
+    second = instantiate_and_plan(binary, warm, INPUT)
+    assert warm.from_cache and warm.compiled is cold.compiled
+    assert len(calls) == 1
+    assert first.to_json() == second.to_json()
+
+
+def test_plans_from_one_cached_module_share_no_state(accepted, wl_v1):
+    binary, decision = accepted("emit_call")
+    module = decision.compiled.module(binary)
+    assert decision.compiled.module(binary) is module
+    data = [(offset, bytes(payload)) for offset, payload in module.data]
+    states = [_HostState(input_bytes=b"first"), _HostState(input_bytes=b"second")]
+    first, second = (
+        wasmvm.instantiate(
+            module, build_host_functions(wl_v1, state), DEFAULT_MEMORY_MAX
+        )
+        for state in states
+    )
+    assert first.module is second.module is module
+    assert first.memory is not second.memory
+
+    # writing over a data segment in one instance reaches neither the other
+    # instance nor the module's segment bytes
+    offset, payload = module.data[-1]
+    first.write_mem(offset, b"\xff" * len(payload))
+    assert second.read_mem(offset, len(payload)) == payload
+    assert [(o, bytes(p)) for o, p in module.data] == data
+    third = wasmvm.instantiate(
+        module, build_host_functions(wl_v1, _HostState(b"")), DEFAULT_MEMORY_MAX
+    )
+    assert third.read_mem(offset, len(payload)) == payload
+
+    # each instance's host table writes into its own invocation's buffers
+    names = [imp.name for imp in module.imported_funcs]
+    set_output = names.index("set_output")
+    first.host_table[set_output].fn(first, offset, 4)
+    assert states[0].output_docs == [b"\xff" * 4]
+    assert states[1].output_docs == []
+    with pytest.raises(TypeError):
+        module.exports["plan"] = (0, 0)
+
+    # whole plans through the one decision: no log line or input carries over
+    again = instantiate_and_plan(binary, decision, INPUT)
+    assert instantiate_and_plan(binary, decision, INPUT).to_json() == again.to_json()
+    echo_binary, echo_decision = accepted("echo")
+    other = ExecutorInput(step_config={"target": "other"}, context=[])
+    for executor_input in (INPUT, other, INPUT):
+        out = instantiate_and_plan(echo_binary, echo_decision, executor_input)
+        assert out.result == json.loads(executor_input.serialize())
+
+
+def test_a_module_the_vm_rejects_fails_every_plan(
+    certifier_key, wl_v1, monkeypatch
+):
+    # pure and gate-accepted, but the function's type is not i32-only
+    binary = assemble(
+        '(module (func (export "plan") (param i64) (result f64)'
+        " local.get 0 i32.const 1 i32.add))"
+    )
+    decision = _gated(binary, wl_v1, certifier_key)
+    calls = _count_parses(monkeypatch)
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(InstantiationError) as excinfo:
+            instantiate_and_plan(binary, decision, INPUT)
+        messages.add(str(excinfo.value))
+    assert len(calls) == 3 and len(messages) == 1
+
+
+def test_accepting_decision_without_compile_handle_refused(accepted):
+    binary, decision = accepted("echo")
+    with pytest.raises(GateNotPassed):
+        bare = dataclasses.replace(decision, compiled=None)
+        instantiate_and_plan(binary, bare, INPUT)
+
+
+def test_declared_but_uncalled_i64_import_still_plans(certifier_key, wl_v2):
+    source = """
+    (module
+      (import "mashin" "int_add" (func $add (param i64 i64) (result i64)))
+      (import "mashin" "float_mul" (func $mul (param f64 f64) (result f64)))
+      (import "mashin" "set_output" (func $so (param i32 i32)))
+      (memory 1)
+      (data (i32.const 0) "{\\"result\\":1}")
+      (func $plan (export "plan") (result i32)
+        i32.const 0
+        i32.const 12
+        call $so
+        i32.const 0))
+    """
+    binary = assemble_pure(source, wl_v2)
+    decision = _gated(binary, wl_v2, certifier_key)
+    out = instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v2)
+    assert out.result == 1
 
 
 def test_timings_dict_is_populated(accepted):

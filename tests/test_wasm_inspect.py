@@ -16,7 +16,7 @@ from puregate.wasm_inspect import (
     parse_imports,
     render_func_signature,
 )
-from puregate.wasmvm import VMError, instantiate
+from puregate.wasmvm import VMError, instantiate, parse_module
 from puregate.whitelist import builtin_whitelist
 
 # FIPS 180-4 reference digests anchor the artifact-hash implementation
@@ -145,7 +145,7 @@ def _check_vm_decode(data: bytes) -> None:
         imports = None
     hosts = build_host_functions(V2, _HostState(input_bytes=b""))
     try:
-        instance = instantiate(data, hosts, 1024 * 1024)
+        instance = instantiate(parse_module(data), hosts, 1024 * 1024)
     except VMError:
         return
     if imports is not None:

@@ -23,6 +23,7 @@ from puregate.wasmvm import (
     Trap,
     VMError,
     instantiate,
+    parse_module,
 )
 from puregate.whitelist import builtin_whitelist
 
@@ -36,7 +37,7 @@ def _run(body: str, args=(), fuel=100_000, locals_decl="", result="(result i32)"
       (func $f (export "f") {result} {locals_decl}
         {body}))
     """
-    instance = instantiate(assemble(source), {}, 64 * MIB)
+    instance = instantiate(parse_module(assemble(source)), {}, 64 * MIB)
     return instance.invoke("f", list(args), fuel, 1000)
 
 
@@ -82,7 +83,7 @@ def test_locals_params_and_branching():
           i32.mul
         end))
     """
-    instance = instantiate(assemble(source), {}, 64 * MIB)
+    instance = instantiate(parse_module(assemble(source)), {}, 64 * MIB)
     assert instance.invoke("f", [4], 1000, 1000) == [8]
     assert instance.invoke("f", [5], 1000, 1000) == [5]
 
@@ -141,20 +142,20 @@ def test_memory_grow_refused_beyond_limit():
         i32.const 5
         memory.grow))
     """
-    instance = instantiate(assemble(source), {}, 64 * MIB)
+    instance = instantiate(parse_module(assemble(source)), {}, 64 * MIB)
     assert instance.invoke("f", [], 1000, 1000) == [0xFFFFFFFF]
 
 
 def test_declared_memory_beyond_host_limit_rejected():
     source = "(module (memory 2) (func $f (export \"f\") (result i32) i32.const 0))"
     with pytest.raises(MemoryExceeded):
-        instantiate(assemble(source), {}, 65536)
+        instantiate(parse_module(assemble(source)), {}, 65536)
 
 
 def test_data_segment_out_of_bounds_rejected():
     source = '(module (memory 1) (data (i32.const 65530) "0123456789"))'
     with pytest.raises(InstantiationError):
-        instantiate(assemble(source), {}, 64 * MIB)
+        instantiate(parse_module(assemble(source)), {}, 64 * MIB)
 
 
 def test_fuel_exhaustion():
@@ -172,7 +173,7 @@ def test_wall_clock_timeout():
         end
         i32.const 0))
     """
-    instance = instantiate(assemble(source), {}, 64 * MIB)
+    instance = instantiate(parse_module(assemble(source)), {}, 64 * MIB)
     with pytest.raises(Timeout):
         instance.invoke("f", [], 10**12, 20)
 
@@ -184,7 +185,7 @@ def test_unreachable_traps():
 
 def test_missing_export():
     source = "(module (memory 1) (func $g (export \"g\") (result i32) i32.const 1))"
-    instance = instantiate(assemble(source), {}, 64 * MIB)
+    instance = instantiate(parse_module(assemble(source)), {}, 64 * MIB)
     with pytest.raises(MissingExport):
         instance.invoke("f", [], 1000, 1000)
 
@@ -197,7 +198,7 @@ def test_unresolved_import_rejected():
       (func $f (export "f") (result i32) call $m))
     """
     with pytest.raises(InstantiationError):
-        instantiate(assemble(source), {}, 64 * MIB)
+        instantiate(parse_module(assemble(source)), {}, 64 * MIB)
 
 
 def test_import_signature_mismatch_rejected():
@@ -209,7 +210,7 @@ def test_import_signature_mismatch_rejected():
     """
     host = {("mashin", "cap"): HostFunc("(i32) -> ()", lambda inst, x: None)}
     with pytest.raises(InstantiationError):
-        instantiate(assemble(source), host, 64 * MIB)
+        instantiate(parse_module(assemble(source)), host, 64 * MIB)
 
 
 def test_host_function_call_and_memory_access():
@@ -227,7 +228,7 @@ def test_host_function_call_and_memory_access():
             "(i32) -> i32", lambda inst, addr: inst.read_mem(addr, 1)[0]
         )
     }
-    instance = instantiate(assemble(source), host, 64 * MIB)
+    instance = instantiate(parse_module(assemble(source)), host, 64 * MIB)
     assert instance.invoke("f", [], 1000, 1000) == [42]
 
 
@@ -238,7 +239,7 @@ def test_invoking_an_exported_import_costs_its_host_unit():
       (export "f" (func $inc)))
     """
     host = {("host", "inc"): HostFunc("(i32) -> i32", lambda inst, x: x + 1)}
-    instance = instantiate(assemble(source), host, 0)
+    instance = instantiate(parse_module(assemble(source)), host, 0)
     assert instance.invoke("f", [41], 1, 1000) == [42]
     assert instance.fuel == 0
     with pytest.raises(FuelExhausted):
@@ -269,6 +270,8 @@ EXPORT_F0 = b"\x07\x05\x01\x01f\x00\x00"  # (export "f" (func 0))
 CODE_END = b"\x0a\x04\x01\x02\x00\x0b"  # one body: no locals, end
 MEMORY_1 = b"\x05\x03\x01\x00\x01"  # (memory 1)
 TYPE_I32 = b"\x01\x05\x01\x60\x00\x01\x7f"  # (type (func (result i32)))
+# (type (func (param i64) (result f64)))
+TYPE_I64_F64 = b"\x01\x06\x01\x60\x01\x7e\x01\x7c"
 
 
 def _one_func(code, type_section=TYPE_VOID, memory=b""):
@@ -331,6 +334,8 @@ def _one_func(code, type_section=TYPE_VOID, memory=b""):
             b"\x41\x08\x28\x02\x00\x0b",
             TYPE_I32,
         ),
+        # (param i64) (result f64): local.get 0 i32.const 1 i32.add
+        _one_func(b"\x20\x00\x41\x01\x6a\x0b", TYPE_I64_F64),
     ],
     ids=[
         "v128_param",
@@ -353,11 +358,47 @@ def _one_func(code, type_section=TYPE_VOID, memory=b""):
         "block_leaves_extra_value",
         "bytes_after_final_end",
         "memory_ops_without_memory",
+        "i64_param_f64_result_function",
     ],
 )
 def test_structural_faults_are_instantiation_errors(binary):
     with pytest.raises(InstantiationError):
-        instantiate(binary, {}, 64 * MIB).invoke("f", [], 1000, 1000)
+        module = parse_module(binary)
+        instantiate(module, {}, 64 * MIB).invoke("f", [], 1000, 1000)
+
+
+INT_ADD = '(import "mashin" "int_add" (func $add (param i64 i64) (result i64)))'
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        f'(module {INT_ADD} (func (export "f") i32.const 1 i32.const 2'
+        " call $add drop))",
+        f'(module {INT_ADD} (func (export "f") (param i64 i64) (result i64)'
+        " i32.const 1))",
+        '(module (func (export "f") (param f32)))',
+        '(module (func (export "f") (result i64) i32.const 1))',
+        *(
+            f'(module (func (export "f") block (result {t}) i32.const 1 end drop))'
+            for t in ("i64", "f32", "f64")
+        ),
+    ],
+    ids=["call_to_i64_import", "shares_an_import_type", "f32_param", "i64_result",
+         "i64_block", "f32_block", "f64_block"],
+)
+def test_code_is_i32_only(source):
+    with pytest.raises(InstantiationError):
+        parse_module(assemble(source))
+
+
+def test_imports_may_declare_other_numeric_types():
+    module = parse_module(
+        assemble(f'(module {INT_ADD} (func (export "f") (result i32) i32.const 7))')
+    )
+    assert module.func_types[0] == (("i64", "i64"), ("i64",))
+    host = {("mashin", "int_add"): HostFunc("(i64, i64) -> i64", lambda inst, a, b: 0)}
+    assert instantiate(module, host, 0).invoke("f", [], 100, 1000) == [7]
 
 
 def test_branches_cut_the_stack_to_their_label():
@@ -411,8 +452,9 @@ def test_decoder_rejects_every_opcode_outside_the_instruction_table():
     assert len(admitted) == len(INSTRUCTIONS)
     for opcode in sorted(set(range(256)) - admitted):
         code = b"\x0a\x06\x01\x04\x00" + bytes([opcode]) + b"\x00\x0b"
+        binary = HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + code
         with pytest.raises(InstantiationError, match="unsupported opcode"):
-            instantiate(HEADER + TYPE_VOID + FUNC_0 + EXPORT_F0 + code, {}, 0)
+            instantiate(parse_module(binary), {}, 0)
 
 
 def _locals_body(*runs):
@@ -424,11 +466,11 @@ def _locals_body(*runs):
 
 def test_declared_locals_are_bounded():
     # only instantiate: invoking a body with 2**31 locals would allocate them
-    instantiate(_locals_body(MAX_LOCALS), {}, 64 * MIB)
-    instantiate(_locals_body(MAX_LOCALS - 1, 1), {}, 64 * MIB)
+    instantiate(parse_module(_locals_body(MAX_LOCALS)), {}, 64 * MIB)
+    instantiate(parse_module(_locals_body(MAX_LOCALS - 1, 1)), {}, 64 * MIB)
     for runs in [(MAX_LOCALS + 1,), (MAX_LOCALS, 1), (2**31,), (2**31, 2**31)]:
         with pytest.raises(InstantiationError):
-            instantiate(_locals_body(*runs), {}, 64 * MIB)
+            instantiate(parse_module(_locals_body(*runs)), {}, 64 * MIB)
 
 
 def test_call_depth_is_bounded_by_a_trap():
@@ -445,13 +487,14 @@ def test_call_depth_is_bounded_by_a_trap():
           i32.const 7
         end))
     """
-    instance = instantiate(assemble(source), {}, 0)
+    instance = instantiate(parse_module(assemble(source)), {}, 0)
     assert instance.invoke("f", [MAX_CALL_DEPTH - 1], 10**6, 10_000) == [7]
     with pytest.raises(Trap):
         instance.invoke("f", [MAX_CALL_DEPTH], 10**6, 10_000)
     looping = '(module (func $f (export "f") call $f))'
+    instance = instantiate(parse_module(assemble(looping)), {}, 0)
     with pytest.raises(Trap):
-        instantiate(assemble(looping), {}, 0).invoke("f", [], 10**6, 10_000)
+        instance.invoke("f", [], 10**6, 10_000)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +570,8 @@ def _plan_host_calls(name, budget):
     state = _HostState(input_bytes=GOLDEN_INPUT.serialize())
     host = build_host_functions(builtin_whitelist(1), state)
     try:
-        instance = instantiate(fixture_binary(name), host, DEFAULT_MEMORY_MAX)
+        module = parse_module(fixture_binary(name))
+        instance = instantiate(module, host, DEFAULT_MEMORY_MAX)
     except VMError as exc:
         return (), type(exc).__name__, None, state
     calls = []
@@ -707,7 +751,8 @@ MID_BLOCK_TRAP_GOLDENS = {
 def _run_trapping(name, budget):
     state = _HostState(input_bytes=b"0123456789")
     host = build_host_functions(builtin_whitelist(2), state)
-    instance = instantiate(assemble(MID_BLOCK_TRAPS[name]), host, 64 * MIB)
+    module = parse_module(assemble(MID_BLOCK_TRAPS[name]))
+    instance = instantiate(module, host, 64 * MIB)
     with pytest.raises(VMError) as info:
         instance.invoke("f", [], budget, 60_000)
     return info.value, budget - instance.fuel, instance
@@ -799,7 +844,7 @@ def _apply(op, *operands):
         params = " ".join("(param i32)" for _ in operands)
         gets = "\n".join(f"local.get {i}" for i in range(len(operands)))
         source = f'(module (func (export "f") {params} (result i32) {gets}\n {op}))'
-        _OP_INSTANCES[op] = instantiate(assemble(source), {}, 0)
+        _OP_INSTANCES[op] = instantiate(parse_module(assemble(source)), {}, 0)
     return _OP_INSTANCES[op].invoke("f", list(operands), 100, 1000)
 
 
