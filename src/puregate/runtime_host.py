@@ -16,6 +16,9 @@ between calls. What invocations of one artifact share is its compiled
 module, which the gate's acceptance carries: it is decoded on the first
 plan and is immutable, so later plans only build the instance (fresh
 memory, data segments copied in, host table bound to that call's buffers).
+Each plan adds the fuel it spent to the artifact's compile handle, which
+tiers the module up to generated code once it has run enough to repay the
+compile (wasmvm.ModuleCell).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .canonical import CanonicalError, canonical_bytes, canonical_loads
 from .gate import GateDecision
@@ -40,7 +43,11 @@ from .wasmvm import (
 )
 from .whitelist import Whitelist, builtin_whitelist
 
-DEFAULT_FUEL = 10**8
+# fuel, not the clock, stops a runaway plan: tier 1, the slower tier, spent
+# 0.24-0.27 us per unit on fuel_burn, so a quarter of the default deadline
+# covers at most about 930 000 units; this leaves room for a host at half
+# that speed
+DEFAULT_FUEL = 500_000
 DEFAULT_MEMORY_MAX = 64 * 1024 * 1024
 DEFAULT_WALL_CLOCK_MS = 1000
 
@@ -148,9 +155,34 @@ class _HostState:
     log_lines: list[str] = field(default_factory=list)
 
 
+class _HostTable(Mapping[tuple[str, str], HostFunc]):
+    """Import resolution over a whitelist: one key per entry, built on lookup.
+
+    A module binds only the few imports it names, so each closure is made
+    when the instance looks its key up, over the whitelist's own index.
+    """
+
+    def __init__(self, whitelist: Whitelist, state: _HostState):
+        self._whitelist = whitelist
+        self._state = state
+
+    def __getitem__(self, key: tuple[str, str]) -> HostFunc:
+        entry = self._whitelist.index[key]
+        return HostFunc(entry.type_signature, _implementation_for(entry.name, self._state))
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._whitelist.index
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self._whitelist.index)
+
+    def __len__(self) -> int:
+        return len(self._whitelist.index)
+
+
 def build_host_functions(
     whitelist: Whitelist, state: _HostState
-) -> dict[tuple[str, str], HostFunc]:
+) -> Mapping[tuple[str, str], HostFunc]:
     """The import-resolution table: exactly one entry per whitelist entry.
 
     Capability closure depends on this being a bijection with the whitelist:
@@ -158,11 +190,7 @@ def build_host_functions(
     Entries without a real implementation in this host profile resolve to a
     deterministic trap, which grants no effect capability.
     """
-    table: dict[tuple[str, str], HostFunc] = {}
-    for entry in whitelist.entries:
-        impl = _implementation_for(entry.name, state)
-        table[(entry.namespace, entry.name)] = HostFunc(entry.type_signature, impl)
-    return table
+    return _HostTable(whitelist, state)
 
 
 def _implementation_for(name: str, state: _HostState):
@@ -272,14 +300,18 @@ def instantiate_and_plan(
     state = _HostState(input_bytes=input_bytes)
     host_funcs = build_host_functions(runtime_whitelist, state)
 
+    cell = decision.compiled
     t0 = time.perf_counter()
     instance = instantiate(
-        decision.compiled.module(binary_bytes), host_funcs, limits.memory_max
+        cell.module(binary_bytes), host_funcs, limits.memory_max, cell.tier2()
     )
     instantiate_us = (time.perf_counter() - t0) * 1e6
 
     t0 = time.perf_counter()
-    results = instance.invoke("plan", [], limits.fuel, limits.wall_clock_ms)
+    try:
+        results = instance.invoke("plan", [], limits.fuel, limits.wall_clock_ms)
+    finally:
+        cell.add_fuel(limits.fuel - instance.fuel)
     call_us = (time.perf_counter() - t0) * 1e6
 
     code = results[0] if results else 0

@@ -4,11 +4,11 @@ Executes the i32 subset the fixture corpus uses: structured control flow,
 locals, linear memory with active data segments, host-function imports, and
 metered execution (instruction fuel, memory ceiling, wall-clock deadline).
 No package index here ships a WASM runtime, so this repo carries its own;
-it is an interpreter for gate-accepted modules, not a general engine:
-floats, i64, tables, globals, and element/start sections are rejected at
-decode. Every defined function, block type and call is i32-only; an
-imported function may declare another numeric type (the host signature
-check resolves it) but no code may call it.
+it runs gate-accepted modules, not a general engine: floats, i64, tables,
+globals, and element/start sections are rejected at decode. Every defined
+function, block type and call is i32-only with at most one result; an
+imported function may declare another type (the host signature check
+resolves it) but no code may call it.
 
 The subset is defined once, by INSTRUCTIONS, with each instruction's
 operand-stack pops and pushes; the assembler encodes from it and the
@@ -25,9 +25,8 @@ traps.
 Each decoded body is split into basic blocks: straight-line runs that start
 at a branch target or after an if, else, br, br_if or call. Every op costs
 one unit of fuel and entering a host function one more, as if fuel were
-charged per op, but a block is charged once, up front, and only its ops
-that do work are dispatched (block, loop, end and nop cost fuel and are
-skipped). The count stays exact:
+charged per op, but a block is charged once, up front. The count stays
+exact:
 - exhaustion: when the fuel left is below a block's cost, only the ops a
   per-op budget would have paid for run, then FuelExhausted leaves fuel at
   -1;
@@ -36,26 +35,47 @@ skipped). The count stays exact:
 - the wall-clock deadline is checked each time fuel crosses a multiple of
   4096.
 
+Two tiers run the blocks, with the same fuel, traps and messages:
+- tier 1 interprets them, dispatching only the ops that do work (block,
+  loop, end and nop cost fuel and are skipped);
+- tier 2 (compile_tier2) translates each validated body into one Python
+  function: wasm local i is the Python local l<i>, operand-stack entries
+  are folded into expressions, and a loop picks blocks by index. Each block
+  charges its cost once; a block fuel cannot cover is handed, with its
+  locals and stack, to tier 1, which stops it where a per-op budget would;
+  each trap site refunds a constant. Only per-opcode templates and integers
+  the validator has bounded reach the generated source; no name, byte
+  string or type text from the module does, and trap messages that need
+  such text are built at run time.
+
 Compile once, instantiate many times: parse_module turns the bytes into a
 ParsedModule, which is immutable (tuples, bytes and a read-only export map)
 and so may be shared by any number of instances. A ModuleCell is one
 artifact's compile handle; it parses on first use and keeps the module, so
 the gate's acceptance can carry it and a warm plan only builds an Instance.
+It tiers up once the module's runs have spent TIER_UP_FUEL_PER_OP units per
+op, and the generated source grows linearly with the ops, so compile time
+stays of the order of the time already spent interpreting. The
+translation of a body is memoised, keyed by the body and its function
+types, so a cell built again for the same artifact does not recompile.
 
 Isolation properties the host relies on: each Instance owns a private linear
 memory created at instantiation, with the data segments copied into it (no
 state survives between instances, and nothing an instance does reaches the
 shared module), and the only way a module touches the outside world is
-through the host-function table passed in by the embedder.
+through the host-function table passed in by the embedder, which both tiers
+read at each call.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+import struct
 import time
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from types import CodeType, MappingProxyType
+from typing import Any, Callable, Mapping, MutableMapping, Sequence
 
 from .wasm_inspect import (
     FuncType,
@@ -67,8 +87,8 @@ from .wasm_inspect import (
 from .wasm_inspect import _Reader  # shared bounded cursor
 
 PAGE_BYTES = 65536
-# each wasm call takes two interpreter frames; this stays well below
-# Python's default recursion limit of 1000
+# each wasm call takes two interpreter frames in tier 1 and one in tier 2;
+# this stays well below Python's default recursion limit of 1000
 MAX_CALL_DEPTH = 256
 
 
@@ -147,18 +167,40 @@ class ModuleCell:
     The header must be the one decoded from the bytes later passed to
     module(). A module the VM rejects is not memoised, so every use raises
     the same InstantiationError.
+
+    The cell also tiers the module up: add_fuel() counts the fuel its runs
+    spend, and once that reaches TIER_UP_FUEL_PER_OP times the module's op
+    count, tier2() translates it (compile_tier2) and keeps the functions.
+    A module run once below that never compiles.
     """
 
-    __slots__ = ("header", "_module")
+    __slots__ = ("header", "_module", "_threshold", "_fuel", "_tier2")
 
     def __init__(self, header: ModuleHeader):
         self.header = header
         self._module: ParsedModule | None = None
+        self._threshold = 0
+        self._fuel = 0
+        self._tier2: Tier2 | None = None
 
     def module(self, binary: bytes) -> ParsedModule:
         if self._module is None:
             self._module = parse_module(binary, self.header)
+            self._threshold = TIER_UP_FUEL_PER_OP * module_size(self._module)
         return self._module
+
+    def add_fuel(self, used: int) -> None:
+        self._fuel += used
+
+    def tier2(self) -> Tier2 | None:
+        """The tier-2 functions once the module is hot, else None."""
+        if (
+            self._tier2 is None
+            and self._module is not None
+            and self._fuel >= self._threshold
+        ):
+            self._tier2 = compile_tier2(self._module)
+        return self._tier2
 
 
 def _i32_only(func_type: FuncType) -> bool:
@@ -211,6 +253,8 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
                     raise InstantiationError(f"unknown type index {type_index}")
                 if not _i32_only(header.types[type_index]):
                     raise InstantiationError("only i32 functions are supported")
+                if len(header.types[type_index][1]) > 1:
+                    raise InstantiationError("functions return at most one value")
                 func_types.append(header.types[type_index])
         elif section_id == 5:
             count = r.u32()
@@ -425,6 +469,8 @@ def _decode_body(
                 raise InstantiationError(f"call to unknown function {a}")
             if not _i32_only(func_types[a]):
                 raise InstantiationError(f"call to function {a} of a non-i32 type")
+            if len(func_types[a][1]) > 1:  # only an import's type can have
+                raise InstantiationError(f"call to import {a} with several results")
             pops = b = len(func_types[a][0])
             pushes = len(func_types[a][1])
         elif kind == "blocktype":
@@ -569,8 +615,10 @@ class Instance:
         module: ParsedModule,
         host_funcs: Mapping[tuple[str, str], HostFunc],
         max_memory_bytes: int,
+        tier2: Tier2 | None = None,
     ):
         self.module = module
+        self.tier2 = tier2  # compile_tier2(module), or None to interpret
         self.max_pages = max_memory_bytes // PAGE_BYTES
 
         self.host_table: list[HostFunc] = []
@@ -643,22 +691,30 @@ class Instance:
         fuel: int,
         wall_clock_ms: int,
     ) -> list[int]:
+        # fuel is set first, so that fuel - self.fuel is the fuel spent
+        # whatever the outcome
+        self.fuel = fuel
         entry = self.module.exports.get(export_name)
         if entry is None or entry[0] != 0:
             raise MissingExport(f"no exported function {export_name!r}")
-        self.fuel = fuel
         self.deadline = time.monotonic() + wall_clock_ms / 1000.0
         # the only unvalidated call: decoded code passes what callees take
-        n_params = len(self.module.func_types[entry[1]][0])
-        if len(args) != n_params:
-            raise Trap(f"function expects {n_params} arguments, got {len(args)}")
-        if entry[1] < len(self.module.imported_funcs):
+        index = entry[1]
+        params, results = self.module.func_types[index]
+        if len(args) != len(params):
+            raise Trap(f"function expects {len(params)} arguments, got {len(args)}")
+        # i32 arguments are taken mod 2**32, so every value is a u32
+        args = [v & 0xFFFFFFFF for v in args]
+        n_imported = len(self.module.imported_funcs)
+        if index < n_imported:
             # an exported import: no block charges the unit of entering it
             self.fuel -= 1
             if self.fuel < 0:
                 raise FuelExhausted("instruction budget exhausted")
-        # i32 arguments are taken mod 2**32, so every value is a u32
-        return self._call_function(entry[1], [v & 0xFFFFFFFF for v in args], 1)
+        elif self.tier2 is not None:
+            out = self.tier2[index - n_imported](self, 1, *args)
+            return [out] if results else []
+        return self._call_function(index, args, 1)
 
     def _call_function(
         self, func_index: int, args: list[int], depth: int
@@ -679,17 +735,26 @@ class Instance:
         locals_ = list(args) + [0] * code.locals_count
         return self._run(code, locals_, depth)
 
-    def _run(self, code: _Code, locals_: list[int], depth: int) -> list[int]:
+    def _run(
+        self,
+        code: _Code,
+        locals_: MutableMapping[int, int],
+        depth: int,
+        k: int = 0,
+        stack: list[int] | None = None,
+    ) -> list[int]:
         # decoding validated every stack height and every memory op's memory,
         # so no op checks for underflow, a branch needs no label stack, and
-        # the stack left at the end holds exactly the results
+        # the stack left at the end holds exactly the results. Tier 2 enters
+        # at block k with its stack, and with its locals as a mapping that
+        # holds every index the code reads.
         blocks = code.blocks
         n_blocks = len(blocks)
         memory = self.memory  # grown in place, never replaced
-        stack: list[int] = []
+        if stack is None:
+            stack = []
         push = stack.append
         pop = stack.pop
-        k = 0
         while k < n_blocks:
             cost, work, term, a, b, c = blocks[k]
             fuel = self.fuel - cost
@@ -866,10 +931,567 @@ _BINARY: dict[int, Callable[[int, int], int]] = {
 }
 
 
+# ---------------------------------------------------------------------------
+# tier 2: each validated body translated into one Python function
+# ---------------------------------------------------------------------------
+
+# a cell tiers up once its runs have spent this much fuel per op of the
+# module: compile() takes about 25 us per op, an interpreted unit 0.15 us
+TIER_UP_FUEL_PER_OP = 170
+
+# one generated function per defined function, in code-section order
+Tier2 = tuple[Callable[..., Any], ...]
+
+
+def module_size(module: ParsedModule) -> int:
+    """The op count tier-up scales with: every op, and every parameter."""
+    n_imported = len(module.imported_funcs)
+    return sum(
+        sum(block[0] for block in code.blocks) + len(module.func_types[i][0])
+        for i, code in enumerate(module.codes, n_imported)
+    )
+
+
+def compile_tier2(module: ParsedModule) -> Tier2:
+    """Tier-2 functions for module, in a namespace of their own.
+
+    Function i is called as f(instance, depth, *args) and returns its result,
+    or None when it has none.
+    """
+    n_imported = len(module.imported_funcs)
+    namespace = dict(_TIER2_NAMES)
+    for i, code in enumerate(module.codes, n_imported):
+        exec(_translate(code, i, module.func_types, n_imported), namespace)
+    return tuple(namespace[f"f{i}"] for i in range(n_imported, len(module.func_types)))
+
+
+@functools.lru_cache(maxsize=512)
+def _translate(
+    code: _Code, index: int, func_types: tuple[FuncType, ...], n_imported: int
+) -> CodeType:
+    # a pure function of validated code, so sessions that decode the same
+    # artifact again share one compile
+    source = _Translator(code, index, func_types, n_imported).source()
+    return compile(source, f"<tier2 f{index}>", "exec")
+
+
+def _tier1(inst, fuel, index, k, frame, height, depth):
+    """Hand block k, which fuel cannot cover, to the block interpreter.
+
+    frame is the generated function's locals(): its l<i> are the wasm locals
+    the code reads and s0..s<height-1> the operand stack. The interpreter
+    runs what fuel pays for and raises.
+    """
+    inst.fuel = fuel
+    locals_ = {int(name[1:]): v for name, v in frame.items() if name[0] == "l"}
+    stack = [frame[f"s{p}"] for p in range(height)]
+    code = inst.module.codes[index - len(inst.module.imported_funcs)]
+    return inst._run(code, locals_, depth, k, stack)
+
+
+def _tick(inst, fuel):
+    """Fuel crossed a multiple of 4096: check the deadline, return the next."""
+    if time.monotonic() > inst.deadline:
+        inst.fuel = fuel
+        raise Timeout("wall-clock deadline exceeded")
+    return fuel & -4096
+
+
+# trap builders: each sets the fuel left at the trap, and any text the
+# message needs is read at run time
+def _trap(inst, fuel, message):
+    inst.fuel = fuel
+    return Trap(message)
+
+
+def _oob_read(inst, fuel, ptr, width):
+    inst.fuel = fuel
+    return Trap(f"memory read out of bounds: [{ptr}, {ptr + width})")
+
+
+def _oob_write(inst, fuel, ptr):
+    inst.fuel = fuel
+    return Trap(f"memory write out of bounds at {ptr}")
+
+
+def _no_value(host):
+    return Trap(f"host {host.signature} returned no value")
+
+
+def _too_deep():
+    return Trap(f"call depth exceeds {MAX_CALL_DEPTH}")
+
+
+# everything generated code can name besides its own functions
+_TIER2_NAMES: dict[str, Any] = {
+    "__builtins__": {"len": len, "locals": locals},
+    "_tier1": _tier1,
+    "_tick": _tick,
+    "_trap": _trap,
+    "_oob_read": _oob_read,
+    "_oob_write": _oob_write,
+    "_no_value": _no_value,
+    "_too_deep": _too_deep,
+    "_u32": struct.Struct("<I").unpack_from,
+    "_u16": struct.Struct("<H").unpack_from,
+    "_p32": struct.Struct("<I").pack_into,
+    "_p16": struct.Struct("<H").pack_into,
+    "_div_s": _div_s,
+    "_rem_s": _rem_s,
+    "_rotl": _rotl,
+}
+
+# operators that cannot trap -> (template over the u32 operands, whether
+# the result is a Python bool that becomes 1 or 0 where used as a value)
+_PURE_BINARY: dict[int, tuple[str, bool]] = {
+    0x46: ("({a} == {b})", True),
+    0x47: ("({a} != {b})", True),
+    0x48: ("(({a} ^ 2147483648) < ({b} ^ 2147483648))", True),
+    0x49: ("({a} < {b})", True),
+    0x4A: ("(({a} ^ 2147483648) > ({b} ^ 2147483648))", True),
+    0x4B: ("({a} > {b})", True),
+    0x4C: ("(({a} ^ 2147483648) <= ({b} ^ 2147483648))", True),
+    0x4D: ("({a} <= {b})", True),
+    0x4E: ("(({a} ^ 2147483648) >= ({b} ^ 2147483648))", True),
+    0x4F: ("({a} >= {b})", True),
+    0x6A: ("(({a} + {b}) & 4294967295)", False),
+    0x6B: ("(({a} - {b}) & 4294967295)", False),
+    0x6C: ("(({a} * {b}) & 4294967295)", False),
+    0x71: ("({a} & {b})", False),
+    0x72: ("({a} | {b})", False),
+    0x73: ("({a} ^ {b})", False),
+    0x74: ("(({a} << ({b} & 31)) & 4294967295)", False),
+    0x75: ("(((({a} ^ 2147483648) - 2147483648) >> ({b} & 31)) & 4294967295)", False),
+    0x76: ("({a} >> ({b} & 31))", False),
+    0x77: ("(_rotl({a}, {b}) & 4294967295)", False),
+    0x78: ("(_rotl({a}, 32 - {b} % 32) & 4294967295)", False),
+}
+# div_s, div_u, rem_s, rem_u, once the divisor is known to be nonzero (and
+# div_s not to overflow)
+_DIVISION = {
+    0x6D: "(_div_s({a}, {b}) & 4294967295)",
+    0x6E: "({a} // {b})",
+    0x6F: "(_rem_s({a}, {b}) & 4294967295)",
+    0x70: "({a} % {b})",
+}
+# loads -> (width, template over the in-bounds address)
+_LOADS = {
+    0x28: (4, "_u32(mem, {p})[0]"),
+    0x2C: (1, "((mem[{p}] ^ 128) - 128) & 4294967295"),
+    0x2D: (1, "mem[{p}]"),
+    0x2E: (2, "((_u16(mem, {p})[0] ^ 32768) - 32768) & 4294967295"),
+    0x2F: (2, "_u16(mem, {p})[0]"),
+}
+# stores -> (width, template over the in-bounds address and the value)
+_STORES = {
+    0x36: (4, "_p32(mem, {p}, {v})"),
+    0x3A: (1, "mem[{p}] = {v} & 255"),
+    0x3B: (2, "_p16(mem, {p}, {v} & 65535)"),
+}
+# bounds that keep the source linear in the ops: an expression folding more
+# ops is bound to a temporary, and when more entries than this wait above
+# the slots they are written to them
+_MAX_FOLDED = 16
+_MAX_PENDING = 16
+
+
+class _Value:
+    """An operand-stack entry as a pure expression over locals and temps.
+
+    test marks a Python bool (a comparison) that reads as 1 or 0 where it
+    is used as a value; locals are the wasm locals it reads, so that a
+    write to one of them binds it to a temporary first; folded counts the
+    ops it holds.
+    """
+
+    __slots__ = ("expr", "locals", "folded", "test")
+
+    def __init__(self, expr, locals_=frozenset(), folded=0, test=False):
+        self.expr = expr
+        self.locals = locals_
+        self.folded = folded
+        self.test = test
+
+    @property
+    def int(self) -> str:
+        return f"(1 if {self.expr} else 0)" if self.test else self.expr
+
+
+class _Stack:
+    """A region's operand stack: slots s0..s<base-1> hold their own values,
+    and the entries above them wait as expressions.
+
+    An entry at height h reads only slots at h or above, so writing the
+    waiting entries to their slots from the bottom up is safe.
+    """
+
+    __slots__ = ("base", "top")
+
+    def __init__(self, base: int):
+        self.base = base
+        self.top: list[_Value] = []
+
+    def __len__(self) -> int:
+        return self.base + len(self.top)
+
+    def append(self, value: _Value) -> None:
+        self.top.append(value)
+
+    def pop(self) -> _Value:
+        if self.top:
+            return self.top.pop()
+        self.base -= 1
+        return _Value(f"s{self.base:d}")
+
+    def values(self, lo: int) -> list[_Value]:
+        """The entries from height lo up, slots included."""
+        slots = [_Value(f"s{p:d}") for p in range(lo, self.base)]
+        return slots + self.top[max(lo - self.base, 0) :]
+
+
+class _Translator:
+    """Source of one function: basic blocks in regions, picked by a loop.
+
+    Wasm local i is the Python local l<i> and the operand-stack slot at
+    height h is s<h>. Inside a region the entries above the slots are pure
+    expressions (_Stack); ops that read memory, may trap or have effects
+    become statements, and the slots are written only where control leaves
+    the region or too many entries wait. A region is a block that a branch
+    enters, or that more than one edge enters, plus every block after it
+    that only its predecessor falls into. A loop picks regions by index:
+    loop headers are tested first, the rest by binary search, so a jump
+    costs tests logarithmic in the number of regions. Every block charges
+    its cost once; when fuel falls below the multiple of 4096 under the
+    block's starting fuel, a slow path either hands a block fuel cannot
+    cover to _tier1 or checks the deadline.
+
+    Only per-opcode templates and integers reach the source: immediates,
+    indices and costs, all formatted with :d.
+    """
+
+    def __init__(self, code, index, func_types, n_imported):
+        self.blocks = code.blocks
+        self.index = index
+        self.func_types = func_types
+        self.n_imported = n_imported
+        self.returns = bool(func_types[index][1])
+        self.lines: list[str] = []
+        self.temps = 0
+        ops = [op for block in self.blocks for op, _, _ in block[1]]
+        self.memory = any(0x28 <= op <= 0x40 for op in ops)
+        self.heights, preds = self._flow()
+        # the blocks only their predecessor falls into, and the loop headers
+        self.inlined = {
+            j for j, edges in preds.items() if edges == [(j - 1, False)]
+        }
+        self.loops = {
+            j for j, edges in preds.items() if any(jump and src >= j for src, jump in edges)
+        }
+        self.first: list[int] = []  # the entries tested before the search
+
+    def _flow(self):
+        """Stack height entering each reachable block, and each one's edges."""
+        blocks = self.blocks
+        heights = {0: 0}
+        preds: dict[int, list[tuple[int, bool]]] = {}
+        todo = [0]
+        while todo:
+            k = todo.pop()
+            h = heights[k]
+            _, work, term, a, b, c = blocks[k]
+            for op, _, _ in work:
+                if op == 0x00:  # unreachable: nothing after it runs
+                    break
+                _, pops, pushes, _ = _DECODE[op]
+                h += pushes - pops
+            else:
+                if term is None:
+                    edges = [(k + 1, h, False)]
+                elif term == 0x0D:
+                    edges = [(a, b + c, True), (k + 1, h - 1, False)]
+                elif term == 0x0C:
+                    edges = [(a, b + c, True)]
+                elif term == 0x04:
+                    edges = [(k + 1, h - 1, False), (a, h - 1, True)]
+                elif term == 0x05:
+                    edges = [(a, h, True)]
+                else:
+                    edges = [(k + 1, h - b + len(self.func_types[a][1]), False)]
+                for target, height, jump in edges:
+                    if target == len(blocks):  # returns
+                        continue
+                    preds.setdefault(target, []).append((k, jump))
+                    if target not in heights:
+                        heights[target] = height
+                        todo.append(target)
+        return heights, preds
+
+    def emit(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def temp(self, indent: int, expr: str, test: bool = False) -> _Value:
+        name = f"t{self.temps:d}"
+        self.temps += 1
+        self.emit(indent, f"{name} = {expr}")
+        return _Value(name, test=test)
+
+    def pure(self, indent, expr, operands, test=False) -> _Value:
+        folded = 1 + sum(v.folded for v in operands)
+        if folded > _MAX_FOLDED:
+            return self.temp(indent, expr, test)
+        return _Value(expr, frozenset().union(*(v.locals for v in operands)), folded, test)
+
+    def atom(self, indent: int, value: _Value) -> _Value:
+        """value, or a temporary holding it, to be read more than once."""
+        if value.folded == 0 and not value.test:
+            return value
+        return self.temp(indent, value.int)
+
+    def write_slots(self, stack: _Stack, ind: int) -> None:
+        """Write the waiting entries to their slots, bottom up."""
+        for p, v in enumerate(stack.top, stack.base):
+            self.emit(ind, f"s{p:d} = {v.int}")
+
+    def source(self) -> str:
+        emit = self.emit
+        params = len(self.func_types[self.index][0])
+        read = sorted({
+            x for block in self.blocks for op, x, _ in block[1] if 0x20 <= op <= 0x22
+        })
+        emit(0, f"def f{self.index:d}(inst, depth{''.join(f', l{i:d}' for i in range(params))}):")
+        emit(1, f"if depth > {MAX_CALL_DEPTH:d}:")
+        emit(2, "raise _too_deep()")
+        declared = [f"l{i:d}" for i in read if i >= params]
+        if declared:
+            emit(1, " = ".join(declared) + " = 0")
+        if self.memory:
+            emit(1, "mem = inst.memory")
+            emit(1, "size = len(mem)")
+        emit(1, "fuel = inst.fuel")
+        emit(1, "mark = fuel & -4096 if fuel > 0 else 0")
+        emit(1, "k = 0")
+        emit(1, "while True:")
+        entries = sorted(set(self.heights) - self.inlined)
+        # loop headers, inner ones first, are tested one by one before the
+        # search while that costs no more tests than the search itself
+        if len(self.loops) <= len(entries).bit_length():
+            self.first = sorted(self.loops, reverse=True)
+        for k in self.first:
+            self.region(k, 2)
+        self.search([k for k in entries if k not in self.first], 2)
+        return "\n".join(self.lines) + "\n"
+
+    def search(self, entries: list[int], ind: int) -> None:
+        """Dispatch on k by binary search down to runs of a few tests."""
+        if len(entries) <= 4:
+            for k in entries:
+                self.region(k, ind)
+            return
+        mid = len(entries) // 2
+        self.emit(ind, f"if k < {entries[mid]:d}:")
+        self.search(entries[:mid], ind + 1)
+        self.emit(ind, "else:")
+        self.search(entries[mid:], ind + 1)
+
+    def region(self, k: int, ind: int) -> None:
+        self.emit(ind, f"if k == {k:d}:")
+        self.temps = 0
+        stack = _Stack(self.heights[k])
+        next_k: int | None = k
+        while next_k is not None:
+            next_k = self.block(next_k, stack, ind + 1)
+
+    def block(self, k: int, stack: _Stack, ind: int) -> int | None:
+        """Emit block k; return the block its region goes on with, if any."""
+        emit = self.emit
+        cost, work, term, a, b, c = self.blocks[k]
+        emit(ind, f"fuel -= {cost:d}")
+        emit(ind, "if fuel < mark:")
+        emit(ind + 1, "if fuel < 0:")
+        self.write_slots(stack, ind + 2)
+        emit(
+            ind + 2,
+            f"return _tier1(inst, fuel + {cost:d}, {self.index:d}, {k:d}, locals(), "
+            f"{len(stack):d}, depth)",
+        )
+        emit(ind + 1, "mark = _tick(inst, fuel)")
+        for op, x, rest in work:
+            if not self.op(op, x, rest, stack, ind):
+                return None
+            if len(stack.top) > _MAX_PENDING:
+                self.write_slots(stack, ind)
+                stack.base = len(stack)
+                stack.top.clear()
+        if term is None:
+            return self.fall(k + 1, stack, ind)
+        if term == 0x0D:  # br_if
+            cond = stack.pop()
+            emit(ind, f"if {cond.expr}:")
+            self.goto(a, stack, ind + 1, False, (b, c))
+            return self.fall(k + 1, stack, ind)
+        if term == 0x0C:  # br
+            self.goto(a, stack, ind, True, (b, c))
+            return None
+        if term == 0x04:  # if
+            cond = stack.pop()
+            emit(ind, f"if not {cond.expr}:")
+            self.goto(a, stack, ind + 1, False)
+            return self.fall(k + 1, stack, ind)
+        if term == 0x05:  # else, reached from the then-arm
+            self.goto(a, stack, ind, True)
+            return None
+        self.call(a, b, stack, ind)
+        return self.fall(k + 1, stack, ind)
+
+    def fall(self, j: int, stack: _Stack, ind: int) -> int | None:
+        if j in self.inlined:
+            return j
+        self.goto(j, stack, ind, True)
+        return None
+
+    def goto(
+        self,
+        target: int,
+        stack: _Stack,
+        ind: int,
+        tail: bool,
+        cut: tuple[int, int] | None = None,
+    ) -> None:
+        """Leave the region for block target, with the stack or, for a
+        branch, the entries below height b and the c on top."""
+        emit = self.emit
+        if target == len(self.blocks):  # return
+            emit(ind, "inst.fuel = fuel")
+            if self.returns:
+                emit(ind, f"return {stack.values(len(stack) - 1)[0].int}")
+            else:
+                emit(ind, "return")
+            return
+        if cut is None:
+            self.write_slots(stack, ind)
+        else:
+            b, c = cut
+            for p, v in enumerate(stack.top[: max(b - stack.base, 0)], stack.base):
+                emit(ind, f"s{p:d} = {v.int}")
+            for p, v in enumerate(stack.values(len(stack) - c), b):
+                if v.expr != f"s{p:d}":
+                    emit(ind, f"s{p:d} = {v.int}")
+        emit(ind, f"k = {target:d}")
+        # a jump at a region's end falls into the later tests, and the loop
+        # goes round when none matches; a target tested first goes round now
+        if not tail or target in self.first:
+            emit(ind, "continue")
+
+    def call(self, func: int, n_args: int, stack: _Stack, ind: int) -> None:
+        emit = self.emit
+        args = "".join(f", {v.int}" for v in reversed([stack.pop() for _ in range(n_args)]))
+        n_results = len(self.func_types[func][1])
+        emit(ind, "inst.fuel = fuel")
+        if func < self.n_imported:  # read the table now: embedders may swap it
+            if n_results:
+                emit(ind, f"h = inst.host_table[{func:d}]")
+                result = self.temp(ind, f"h.fn(inst{args})")
+                emit(ind, f"if {result.expr} is None:")
+                emit(ind + 1, "raise _no_value(h)")
+                emit(ind, f"{result.expr} &= 4294967295")
+                stack.append(result)
+            else:
+                emit(ind, f"inst.host_table[{func:d}].fn(inst{args})")
+        else:
+            call = f"f{func:d}(inst, depth + 1{args})"
+            if n_results:
+                stack.append(self.temp(ind, call))
+            else:
+                emit(ind, call)
+            emit(ind, "fuel = inst.fuel")
+            emit(ind, "mark = fuel & -4096")
+        if self.memory:
+            emit(ind, "size = len(mem)")
+
+    def op(self, op: int, x: Any, rest: int, stack: _Stack, ind: int) -> bool:
+        """Emit one op that does work; False when it always traps."""
+        emit = self.emit
+        if op == 0x20:  # local.get
+            stack.append(_Value(f"l{x:d}", frozenset([x])))
+        elif op == 0x41:  # i32.const
+            stack.append(_Value(f"{x:d}"))
+        elif op in _PURE_BINARY:
+            template, test = _PURE_BINARY[op]
+            rhs = stack.pop()
+            lhs = stack.pop()
+            expr = template.format(a=lhs.int, b=rhs.int)
+            stack.append(self.pure(ind, expr, (lhs, rhs), test))
+        elif op == 0x21 or op == 0x22:  # local.set, local.tee
+            value = stack.pop()
+            for i, v in enumerate(stack.top):  # entries that read the old value
+                if x in v.locals:
+                    stack.top[i] = self.temp(ind, v.expr, v.test)
+            emit(ind, f"l{x:d} = {value.int}")
+            if op == 0x22:
+                stack.append(_Value(f"l{x:d}", frozenset([x])))
+        elif op == 0x45:  # i32.eqz
+            value = stack.pop()
+            stack.append(self.pure(ind, f"(not {value.expr})", (value,), True))
+        elif op == 0x1A:  # drop
+            stack.pop()
+        elif op == 0x1B:  # select
+            cond = stack.pop()
+            other = stack.pop()
+            first = stack.pop()
+            expr = f"({first.int} if {cond.expr} else {other.int})"
+            stack.append(self.pure(ind, expr, (first, other, cond)))
+        elif op in _LOADS:
+            width, template = _LOADS[op]
+            ptr = self.address(stack.pop(), x, ind)
+            emit(ind, f"if {ptr} + {width:d} > size:")
+            emit(ind + 1, f"raise _oob_read(inst, fuel + {rest:d}, {ptr}, {width:d})")
+            stack.append(self.temp(ind, template.format(p=ptr)))
+        elif op in _STORES:
+            width, template = _STORES[op]
+            value = stack.pop()
+            ptr = self.address(stack.pop(), x, ind)
+            emit(ind, f"if {ptr} + {width:d} > size:")
+            emit(ind + 1, f"raise _oob_write(inst, fuel + {rest:d}, {ptr})")
+            emit(ind, template.format(p=ptr, v=value.int))
+        elif op in _DIVISION:
+            divisor = self.atom(ind, stack.pop())
+            dividend = stack.pop()
+            emit(ind, f"if not {divisor.expr}:")
+            emit(ind + 1, f"raise _trap(inst, fuel + {rest:d}, 'integer divide by zero')")
+            if op == 0x6D:
+                dividend = self.atom(ind, dividend)
+                emit(ind, f"if {divisor.expr} == 4294967295 and {dividend.expr} == 2147483648:")
+                emit(
+                    ind + 1,
+                    f"raise _trap(inst, fuel + {rest:d}, 'integer overflow in division')",
+                )
+            expr = _DIVISION[op].format(a=dividend.int, b=divisor.expr)
+            stack.append(self.pure(ind, expr, (dividend, divisor)))
+        elif op == 0x3F:  # memory.size
+            stack.append(self.temp(ind, "size >> 16"))
+        elif op == 0x40:  # memory.grow
+            stack.append(self.temp(ind, f"inst.mem_grow({stack.pop().int})"))
+            emit(ind, "size = len(mem)")
+        else:  # unreachable, the only other op the decoder admits
+            emit(ind, f"raise _trap(inst, fuel + {rest:d}, 'unreachable executed')")
+            return False
+        return True
+
+    def address(self, base: _Value, offset: int, ind: int) -> str:
+        if offset:
+            return self.temp(ind, f"{base.int} + {offset:d}").expr
+        return self.atom(ind, base).expr
+
+
 def instantiate(
     module: ParsedModule,
     host_funcs: Mapping[tuple[str, str], HostFunc],
     max_memory_bytes: int,
+    tier2: Tier2 | None = None,
 ) -> Instance:
-    """Fresh instance over a private store; only the immutable module is shared."""
-    return Instance(module, host_funcs, max_memory_bytes)
+    """Fresh instance over a private store; only the immutable module is shared.
+
+    tier2, from compile_tier2(module), runs the module's functions as
+    generated code; without it they are interpreted.
+    """
+    return Instance(module, host_funcs, max_memory_bytes, tier2)

@@ -10,9 +10,11 @@ SHA-256 of the canonical serialization, optionally signed by an authority.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from . import signing
@@ -76,12 +78,19 @@ class Whitelist:
     content_hash: bytes
     authority_key: bytes | None = None
     authority_signature: bytes | None = None
+    # (namespace, name) -> the first entry with that key
+    index: Mapping[tuple[str, str], WhitelistEntry] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        index: dict[tuple[str, str], WhitelistEntry] = {}
+        for entry in self.entries:
+            index.setdefault((entry.namespace, entry.name), entry)
+        object.__setattr__(self, "index", MappingProxyType(index))
 
     def lookup(self, namespace: str, name: str) -> WhitelistEntry | None:
-        for entry in self.entries:
-            if entry.namespace == namespace and entry.name == name:
-                return entry
-        return None
+        return self.index.get((namespace, name))
 
 
 @dataclass(frozen=True)
@@ -333,8 +342,12 @@ V2_EXTENDED_ENTRIES = DEFAULT_V1_ENTRIES + tuple(
 )
 
 
+@functools.cache
 def builtin_whitelist(version: int) -> Whitelist:
-    """The whitelists this distribution ships: v1 (default) and v2-extended."""
+    """The whitelists this distribution ships: v1 (default) and v2-extended.
+
+    Each version is built and hashed once; every call returns that object.
+    """
     if version == 1:
         return make_whitelist(1, DEFAULT_V1_ENTRIES)
     if version == 2:

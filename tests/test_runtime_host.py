@@ -341,6 +341,56 @@ def test_host_table_matches_whitelist_exactly():
             assert host.signature == entry.type_signature
 
 
+# (module source, error message) as the eagerly built host table gave them
+IMPORT_ERRORS = [
+    (
+        '(module (import "mashin" "mystery" (func $m (result i32)))'
+        ' (func (export "plan") (result i32) i32.const 0))',
+        "unresolved import mashin.mystery",
+    ),
+    (
+        '(module (import "mashin" "get_input_len" (func $m (param i32) (result i32)))'
+        ' (func (export "plan") (result i32) i32.const 0))',
+        "import mashin.get_input_len signature (i32) -> i32 does not match host () -> i32",
+    ),
+    (
+        '(module (import "env" "set_output" (func $m (param i32 i32)))'
+        ' (func (export "plan") (result i32) i32.const 0))',
+        "unresolved import env.set_output",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, message", IMPORT_ERRORS)
+def test_import_resolution_errors_are_unchanged(source, message):
+    module = wasmvm.parse_module(assemble(source))
+    for version in (1, 2):
+        table = build_host_functions(builtin_whitelist(version), _HostState(b""))
+        with pytest.raises(InstantiationError) as excinfo:
+            wasmvm.instantiate(module, table, DEFAULT_MEMORY_MAX)
+        assert str(excinfo.value) == message
+
+
+def test_host_table_builds_only_the_closures_a_module_binds(monkeypatch):
+    import puregate.runtime_host as runtime_host
+
+    built = []
+    real = runtime_host._implementation_for
+    monkeypatch.setattr(
+        runtime_host,
+        "_implementation_for",
+        lambda name, state: built.append(name) or real(name, state),
+    )
+    wl = builtin_whitelist(2)
+    table = build_host_functions(wl, _HostState(input_bytes=b""))
+    assert built == [] and len(table) == len(wl.entries)
+    assert ("mashin", "log") in table and ("mashin", "nope") not in table
+    assert built == []
+    module = wasmvm.parse_module(fixture_binary("echo"))
+    wasmvm.instantiate(module, table, DEFAULT_MEMORY_MAX)
+    assert built == [imp.name for imp in module.imported_funcs]
+
+
 def test_constructor_import_emits_directive(certifier_key, wl_v2):
     source = fixture_source("v2_constructor")
     binary = assemble_pure(source, wl_v2)
@@ -445,7 +495,7 @@ def test_resource_limits_validate():
     with pytest.raises(ValueError):
         ResourceLimits(memory_max=-1)
     defaults = ResourceLimits()
-    assert defaults.fuel == 10**8
+    assert defaults.fuel == 500_000
     assert defaults.memory_max == 64 * 1024 * 1024
     assert defaults.wall_clock_ms == 1000
 

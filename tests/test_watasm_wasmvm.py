@@ -22,12 +22,27 @@ from puregate.wasmvm import (
     Timeout,
     Trap,
     VMError,
+    compile_tier2,
     instantiate,
     parse_module,
 )
 from puregate.whitelist import builtin_whitelist
 
 MIB = 1024 * 1024
+# tier 1 interprets basic blocks; tier 2 runs them as generated functions
+TIERS = (1, 2)
+
+
+def _instantiate(module, host_funcs, max_memory_bytes, tier=1):
+    tier2 = compile_tier2(module) if tier == 2 else None
+    return instantiate(module, host_funcs, max_memory_bytes, tier2)
+
+
+def over_tiers(names):
+    """(name, tier) cases: each name in tier 1, then again in tier 2."""
+    return [pytest.param(name, 1, id=name) for name in names] + [
+        pytest.param(name, 2, id=f"{name}-tier2") for name in names
+    ]
 
 
 def _run(body: str, args=(), fuel=100_000, locals_decl="", result="(result i32)"):
@@ -173,9 +188,11 @@ def test_wall_clock_timeout():
         end
         i32.const 0))
     """
-    instance = instantiate(parse_module(assemble(source)), {}, 64 * MIB)
-    with pytest.raises(Timeout):
-        instance.invoke("f", [], 10**12, 20)
+    for tier in TIERS:
+        instance = _instantiate(parse_module(assemble(source)), {}, 64 * MIB, tier)
+        with pytest.raises(Timeout):
+            instance.invoke("f", [], 10**12, 20)
+        assert 0 < instance.fuel < 10**12, tier
 
 
 def test_unreachable_traps():
@@ -487,14 +504,21 @@ def test_call_depth_is_bounded_by_a_trap():
           i32.const 7
         end))
     """
-    instance = instantiate(parse_module(assemble(source)), {}, 0)
-    assert instance.invoke("f", [MAX_CALL_DEPTH - 1], 10**6, 10_000) == [7]
-    with pytest.raises(Trap):
-        instance.invoke("f", [MAX_CALL_DEPTH], 10**6, 10_000)
-    looping = '(module (func $f (export "f") call $f))'
-    instance = instantiate(parse_module(assemble(looping)), {}, 0)
-    with pytest.raises(Trap):
-        instance.invoke("f", [], 10**6, 10_000)
+    for tier in TIERS:
+        instance = _instantiate(parse_module(assemble(source)), {}, 0, tier)
+        assert instance.invoke("f", [MAX_CALL_DEPTH - 1], 10**6, 10_000) == [7]
+        with pytest.raises(Trap, match=f"call depth exceeds {MAX_CALL_DEPTH}"):
+            instance.invoke("f", [MAX_CALL_DEPTH], 10**6, 10_000)
+        deep = instance.fuel
+        looping = '(module (func $f (export "f") call $f))'
+        instance = _instantiate(parse_module(assemble(looping)), {}, 0, tier)
+        with pytest.raises(Trap):
+            instance.invoke("f", [], 10**6, 10_000)
+        # the call at depth MAX_CALL_DEPTH traps on entry: every frame below
+        # paid its six ops, or its one call, and no more
+        assert (deep, instance.fuel) == (
+            10**6 - 6 * MAX_CALL_DEPTH, 10**6 - MAX_CALL_DEPTH
+        ), tier
 
 
 # ---------------------------------------------------------------------------
@@ -524,26 +548,28 @@ FUEL_GOLDENS = {
 }
 
 
-def _plan_fuel(name, budget):
-    _, outcome, left, _ = _plan_host_calls(name, budget)
+def _plan_fuel(name, budget, tier=1):
+    _, outcome, left, _ = _plan_host_calls(name, budget, tier)
     if left is None or outcome == "MissingExport":  # no instruction ran
         return outcome, None
     return outcome, budget - left
 
 
-@pytest.mark.parametrize("name", PURE_V1)
-def test_fuel_golden(name):
-    assert _plan_fuel(name, GOLDEN_BUDGET) == FUEL_GOLDENS[name]
+@pytest.mark.parametrize("name, tier", over_tiers(PURE_V1))
+def test_fuel_golden(name, tier):
+    assert _plan_fuel(name, GOLDEN_BUDGET, tier) == FUEL_GOLDENS[name]
 
 
 @pytest.mark.parametrize(
-    "name",
-    [n for n, (_, used) in FUEL_GOLDENS.items() if used not in (None, GOLDEN_BUDGET + 1)],
+    "name, tier",
+    over_tiers(
+        [n for n, (_, used) in FUEL_GOLDENS.items() if used not in (None, GOLDEN_BUDGET + 1)]
+    ),
 )
-def test_exact_budget_passes_and_one_less_exhausts(name):
+def test_exact_budget_passes_and_one_less_exhausts(name, tier):
     outcome, used = FUEL_GOLDENS[name]
-    assert _plan_fuel(name, used) == (outcome, used)
-    assert _plan_fuel(name, used - 1) == ("FuelExhausted", used)
+    assert _plan_fuel(name, used, tier) == (outcome, used)
+    assert _plan_fuel(name, used - 1, tier) == ("FuelExhausted", used)
 
 
 # executor -> (host function, fuel used from GOLDEN_BUDGET on entering it)
@@ -565,13 +591,13 @@ HOST_CALL_GOLDENS = {
 }
 
 
-def _plan_host_calls(name, budget):
+def _plan_host_calls(name, budget, tier=1):
     """(host calls with the fuel used on entry, outcome, fuel left, state)."""
     state = _HostState(input_bytes=GOLDEN_INPUT.serialize())
     host = build_host_functions(builtin_whitelist(1), state)
     try:
         module = parse_module(fixture_binary(name))
-        instance = instantiate(module, host, DEFAULT_MEMORY_MAX)
+        instance = _instantiate(module, host, DEFAULT_MEMORY_MAX, tier)
     except VMError as exc:
         return (), type(exc).__name__, None, state
     calls = []
@@ -594,17 +620,17 @@ def _plan_host_calls(name, budget):
     return tuple(calls), outcome, instance.fuel, state
 
 
-@pytest.mark.parametrize("name", PURE_V1)
-def test_host_call_golden(name):
-    assert _plan_host_calls(name, GOLDEN_BUDGET)[0] == HOST_CALL_GOLDENS[name]
+@pytest.mark.parametrize("name, tier", over_tiers(PURE_V1))
+def test_host_call_golden(name, tier):
+    assert _plan_host_calls(name, GOLDEN_BUDGET, tier)[0] == HOST_CALL_GOLDENS[name]
 
 
-@pytest.mark.parametrize("name", ["emit_call", "echo"])
-def test_budget_sweep_reaches_exactly_the_host_calls_within_budget(name):
+@pytest.mark.parametrize("name, tier", over_tiers(["emit_call", "echo"]))
+def test_budget_sweep_reaches_exactly_the_host_calls_within_budget(name, tier):
     _, used = FUEL_GOLDENS[name]
-    _, _, _, full = _plan_host_calls(name, used)
+    _, _, _, full = _plan_host_calls(name, used, tier)
     for budget in range(used):
-        calls, outcome, left, state = _plan_host_calls(name, budget)
+        calls, outcome, left, state = _plan_host_calls(name, budget, tier)
         assert (outcome, left) == ("FuelExhausted", -1), budget
         reached = [
             call for call in HOST_CALL_GOLDENS[name] if call[1] <= budget
@@ -748,21 +774,21 @@ MID_BLOCK_TRAP_GOLDENS = {
 }
 
 
-def _run_trapping(name, budget):
+def _run_trapping(name, budget, tier=1):
     state = _HostState(input_bytes=b"0123456789")
     host = build_host_functions(builtin_whitelist(2), state)
     module = parse_module(assemble(MID_BLOCK_TRAPS[name]))
-    instance = instantiate(module, host, 64 * MIB)
+    instance = _instantiate(module, host, 64 * MIB, tier)
     with pytest.raises(VMError) as info:
         instance.invoke("f", [], budget, 60_000)
     return info.value, budget - instance.fuel, instance
 
 
-@pytest.mark.parametrize("name", sorted(MID_BLOCK_TRAPS))
-def test_mid_block_trap_golden(name):
+@pytest.mark.parametrize("name, tier", over_tiers(sorted(MID_BLOCK_TRAPS)))
+def test_mid_block_trap_golden(name, tier):
     message, used = MID_BLOCK_TRAP_GOLDENS[name]
     for budget in range(used + 3):
-        exc, spent, instance = _run_trapping(name, budget)
+        exc, spent, instance = _run_trapping(name, budget, tier)
         if budget < used:
             assert (type(exc), spent, instance.fuel) == (
                 FuelExhausted, budget + 1, -1
@@ -839,22 +865,22 @@ REFERENCE = {
 _OP_INSTANCES = {}
 
 
-def _apply(op, *operands):
-    if op not in _OP_INSTANCES:
+def _apply(op, *operands, tier=1):
+    if (op, tier) not in _OP_INSTANCES:
         params = " ".join("(param i32)" for _ in operands)
         gets = "\n".join(f"local.get {i}" for i in range(len(operands)))
         source = f'(module (func (export "f") {params} (result i32) {gets}\n {op}))'
-        _OP_INSTANCES[op] = instantiate(parse_module(assemble(source)), {}, 0)
-    return _OP_INSTANCES[op].invoke("f", list(operands), 100, 1000)
+        _OP_INSTANCES[op, tier] = _instantiate(parse_module(assemble(source)), {}, 0, tier)
+    return _OP_INSTANCES[op, tier].invoke("f", list(operands), 100, 1000)
 
 
-def _check_binary(op, a, b):
+def _check_binary(op, a, b, tier=1):
     expected = REFERENCE[op](a, b)
     if expected is TRAP:
         with pytest.raises(Trap):
-            _apply(op, a, b)
+            _apply(op, a, b, tier=tier)
     else:
-        assert _apply(op, a, b) == [int(expected) & U32], (op, a, b)
+        assert _apply(op, a, b, tier=tier) == [int(expected) & U32], (op, a, b)
 
 
 def test_reference_covers_every_operator_in_the_table():
@@ -868,20 +894,21 @@ def test_reference_covers_every_operator_in_the_table():
 
 
 def test_eqz_against_reference():
-    for a in EDGE_VALUES:
-        assert _apply("i32.eqz", a) == [int(a == 0)]
+    for tier in TIERS:
+        for a in EDGE_VALUES:
+            assert _apply("i32.eqz", a, tier=tier) == [int(a == 0)]
 
 
-@pytest.mark.parametrize("op", sorted(REFERENCE))
-def test_binary_operator_edges_against_reference(op):
+@pytest.mark.parametrize("op, tier", over_tiers(sorted(REFERENCE)))
+def test_binary_operator_edges_against_reference(op, tier):
     for a in EDGE_VALUES:
         for b in EDGE_VALUES:
-            _check_binary(op, a, b)
+            _check_binary(op, a, b, tier)
 
 
-@pytest.mark.parametrize("op", sorted(REFERENCE))
+@pytest.mark.parametrize("op, tier", over_tiers(sorted(REFERENCE)))
 @given(a=st.integers(0, U32), b=st.integers(0, U32))
 @settings(max_examples=60)
-def test_binary_operator_against_reference(op, a, b):
-    _check_binary(op, a, b)
+def test_binary_operator_against_reference(op, tier, a, b):
+    _check_binary(op, a, b, tier)
 

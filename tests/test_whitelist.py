@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from puregate.whitelist import (
     builtin_whitelist,
     canonicalize,
     check_version_range,
+    content_hash,
     classify_import,
     load_whitelist,
     make_whitelist,
@@ -183,3 +185,13 @@ def test_classification_is_monotone_under_growth(base, extra, picks):
 def test_shipped_whitelist_files_match_the_builtin_tables(version, filename):
     path = Path(puregate.__file__).parent / "whitelists" / filename
     assert load_whitelist(path) == builtin_whitelist(version)
+
+
+def test_builtin_whitelists_are_built_once():
+    for version in (1, 2):
+        first = builtin_whitelist(version)
+        digest = first.content_hash
+        assert builtin_whitelist(version) is first
+        assert first.content_hash == digest == content_hash(version, first.entries)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.version = 3
