@@ -17,16 +17,19 @@ class CanonicalError(ValueError):
     """The value cannot be represented in the canonical form."""
 
 
+# built once: json.dumps builds an encoder on every call with these flags
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    ensure_ascii=False,
+    allow_nan=False,
+)
+
+
 def canonical_dumps(value: Any) -> str:
     """Render a JSON-compatible value in canonical text form."""
     try:
-        return json.dumps(
-            value,
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=False,
-            allow_nan=False,
-        )
+        return _ENCODER.encode(value)
     except (TypeError, ValueError) as exc:
         raise CanonicalError(str(exc)) from exc
 

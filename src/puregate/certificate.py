@@ -9,7 +9,7 @@ refused outright; the certificate only ever attests to purity.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
@@ -38,8 +38,12 @@ class CertificateFormatError(ValueError):
 
 @dataclass(frozen=True)
 class KeyPair:
+    """An Ed25519 key pair. private_key is the key parsed from seed, kept so
+    that every signature reuses it; identity is the public key and seed."""
+
     public_key: bytes
-    private_key: bytes
+    seed: bytes
+    private_key: signing.Ed25519PrivateKey = field(compare=False, repr=False)
 
 
 def keygen() -> KeyPair:
@@ -48,8 +52,12 @@ def keygen() -> KeyPair:
 
 
 def keypair_from_seed(seed: bytes) -> KeyPair:
-    public = signing.public_key_bytes(signing.private_key_from_seed(seed))
-    return KeyPair(public_key=public, private_key=seed)
+    private_key = signing.private_key_from_seed(seed)
+    return KeyPair(
+        public_key=signing.public_key_bytes(private_key),
+        seed=seed,
+        private_key=private_key,
+    )
 
 
 @dataclass(frozen=True)

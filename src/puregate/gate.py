@@ -266,9 +266,9 @@ def _run_checks(
     if proof_hash(proof) != cert.proof_hash:
         return _reject(R_PROOF_HASH_MISMATCH, 3, artifact_hash)
 
-    # step 4: independent import extraction
+    # step 4: independent import extraction, under the hash taken at entry
     try:
-        module = parse_imports(binary_bytes)
+        module = parse_imports(binary_bytes, artifact_hash=artifact_hash)
     except MalformedBinary:
         return _reject(R_MALFORMED_BINARY, 4, artifact_hash)
     if module.imports != proof.imports:

@@ -45,8 +45,10 @@ def public_key_bytes(private_key: Ed25519PrivateKey) -> bytes:
     return private_key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
-def sign(seed: bytes, message: bytes) -> bytes:
-    return private_key_from_seed(seed).sign(message)
+def sign(private_key: Ed25519PrivateKey, message: bytes) -> bytes:
+    """Sign with a key parsed once (private_key_from_seed): deriving the
+    key from its seed costs about as much as the signature itself."""
+    return private_key.sign(message)
 
 
 # Count of verify() calls since process start or the last reset. Lets tests

@@ -74,6 +74,44 @@ class ImportRecord:
         return rec
 
 
+def _leb_u32(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """Unsigned LEB128 at pos, at most 5 bytes, fitting 32 bits: (value, next pos)."""
+    result = 0
+    shift = 0
+    for _ in range(5):
+        if pos >= end:
+            raise MalformedBinary("truncated binary")
+        b = data[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if not (b & 0x80):
+            if result >= 1 << 32:
+                raise MalformedBinary("LEB128 value exceeds u32")
+            return result, pos
+        shift += 7
+    raise MalformedBinary("overlong LEB128 encoding")
+
+
+def _u32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """_leb_u32 with the one-byte case read directly, as almost every
+    integer of a small module is."""
+    if pos < end and data[pos] < 0x80:
+        return data[pos], pos + 1
+    return _leb_u32(data, pos, end)
+
+
+def _name_at(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    """A length-prefixed UTF-8 name at pos: (name, next pos)."""
+    n, pos = _u32_at(data, pos, end)
+    stop = pos + n
+    if stop > end:
+        raise MalformedBinary("truncated binary")
+    try:
+        return data[pos:stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise MalformedBinary("import name is not valid UTF-8") from exc
+
+
 class _Reader:
     """Bounded cursor over the binary; every read failure is MalformedBinary."""
 
@@ -97,25 +135,19 @@ class _Reader:
         return b
 
     def u32(self) -> int:
-        # unsigned LEB128, at most 5 bytes, must fit in 32 bits
-        result = 0
-        shift = 0
-        for _ in range(5):
-            b = self.byte()
-            result |= (b & 0x7F) << shift
-            if not (b & 0x80):
-                if result >= 1 << 32:
-                    raise MalformedBinary("LEB128 value exceeds u32")
-                return result
-            shift += 7
-        raise MalformedBinary("overlong LEB128 encoding")
+        # nearly every integer of a small module fits in one byte
+        pos = self.pos
+        if pos < self.end:
+            b = self.data[pos]
+            if b < 0x80:
+                self.pos = pos + 1
+                return b
+        value, self.pos = _leb_u32(self.data, pos, self.end)
+        return value
 
     def name(self) -> str:
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedBinary("import name is not valid UTF-8") from exc
+        value, self.pos = _name_at(self.data, self.pos, self.end)
+        return value
 
     def valtype(self) -> str:
         b = self.byte()
@@ -178,12 +210,34 @@ def render_func_signature(params: Sequence[str], results: Sequence[str]) -> str:
     return f"{left} -> {right}"
 
 
-def _parse_functype(r: _Reader) -> FuncType:
-    if r.byte() != 0x60:
-        raise MalformedBinary("type section entry is not a function type")
-    params = tuple([r.valtype() for _ in range(r.u32())])
-    results = tuple([r.valtype() for _ in range(r.u32())])
-    return params, results
+def _valtypes(data: bytes, pos: int, end: int) -> tuple[tuple[str, ...], int]:
+    """A vector of value types at pos: (types, next pos)."""
+    n, pos = _u32_at(data, pos, end)
+    stop = pos + n
+    chunk = data[pos : stop if stop <= end else end]
+    try:
+        types = tuple([_VALTYPE[b] for b in chunk])
+    except KeyError:
+        b = next(b for b in chunk if b not in _VALTYPE)
+        raise MalformedBinary(f"unknown value type 0x{b:02x}") from None
+    if stop > end:
+        raise MalformedBinary("truncated binary")
+    return types, stop
+
+
+def _read_types(data: bytes, pos: int, end: int) -> tuple[tuple[FuncType, ...], int]:
+    """The type section's entries at pos: (types, next pos)."""
+    count, pos = _u32_at(data, pos, end)
+    types = []
+    for _ in range(count):
+        if pos >= end:
+            raise MalformedBinary("truncated binary")
+        if data[pos] != 0x60:
+            raise MalformedBinary("type section entry is not a function type")
+        params, pos = _valtypes(data, pos + 1, end)
+        results, pos = _valtypes(data, pos, end)
+        types.append((params, results))
+    return tuple(types), pos
 
 
 def _render_limits(limits: tuple[int, int | None]) -> str:
@@ -191,68 +245,91 @@ def _render_limits(limits: tuple[int, int | None]) -> str:
     return f"{lo}" if hi is None else f"{lo} {hi}"
 
 
-def _parse_import(
-    r: _Reader, types: tuple[FuncType, ...]
-) -> tuple[ImportRecord, FuncType | None]:
-    namespace = r.name()
-    name = r.name()
-    if not namespace or not name:
-        raise MalformedBinary("empty import namespace or name")
-    desc = r.byte()
-    if desc == 0x00:
-        typeidx = r.u32()
-        if typeidx >= len(types):
-            raise MalformedBinary(f"import references unknown type index {typeidx}")
-        sig = render_func_signature(*types[typeidx])
-        return ImportRecord(namespace, name, "function", sig), types[typeidx]
+def _other_import(r: _Reader, namespace: str, name: str, desc: int) -> ImportRecord:
+    """A table, memory or global import, its descriptor byte already read."""
     if desc == 0x01:
         reftype = r.valtype()
         sig = f"(table {_render_limits(r.limits())} {reftype})"
-        return ImportRecord(namespace, name, "table", sig), None
+        return ImportRecord(namespace, name, "table", sig)
     if desc == 0x02:
         sig = f"(memory {_render_limits(r.limits())})"
-        return ImportRecord(namespace, name, "memory", sig), None
+        return ImportRecord(namespace, name, "memory", sig)
     if desc == 0x03:
         vt = r.valtype()
         mut = r.byte()
         if mut not in (0x00, 0x01):
             raise MalformedBinary("invalid global mutability flag")
         sig = f"(global (mut {vt}))" if mut else f"(global {vt})"
-        return ImportRecord(namespace, name, "global", sig), None
+        return ImportRecord(namespace, name, "global", sig)
     raise MalformedBinary(f"unknown import descriptor 0x{desc:02x}")
+
+
+def _read_imports(
+    data: bytes, pos: int, end: int, types: tuple[FuncType, ...]
+) -> tuple[list[tuple[ImportRecord, FuncType | None]], int]:
+    """The import section's entries at pos: ((record, function type), next pos)."""
+    count, pos = _u32_at(data, pos, end)
+    signatures: list[str | None] = [None] * len(types)  # rendered on first use
+    decoded: list[tuple[ImportRecord, FuncType | None]] = []
+    for _ in range(count):
+        namespace, pos = _name_at(data, pos, end)
+        name, pos = _name_at(data, pos, end)
+        if not namespace or not name:
+            raise MalformedBinary("empty import namespace or name")
+        if pos >= end:
+            raise MalformedBinary("truncated binary")
+        desc = data[pos]
+        if desc != 0x00:
+            r = _Reader(data, pos + 1, end)
+            decoded.append((_other_import(r, namespace, name, desc), None))
+            pos = r.pos
+            continue
+        typeidx, pos = _u32_at(data, pos + 1, end)
+        if typeidx >= len(types):
+            raise MalformedBinary(f"import references unknown type index {typeidx}")
+        sig = signatures[typeidx]
+        if sig is None:
+            sig = signatures[typeidx] = render_func_signature(*types[typeidx])
+        decoded.append((ImportRecord(namespace, name, "function", sig), types[typeidx]))
+    return decoded, pos
 
 
 def decode_header(data: bytes) -> ModuleHeader:
     """The one reader of a module's framing, type and import sections."""
-    r = _Reader(data)
-    if r.take(4) != WASM_MAGIC:
+    end = len(data)
+    if end < 4:
+        raise MalformedBinary("truncated binary")
+    if data[:4] != WASM_MAGIC:
         raise MalformedBinary("bad magic bytes")
-    if r.take(4) != WASM_VERSION:
+    if end < 8:
+        raise MalformedBinary("truncated binary")
+    if data[4:8] != WASM_VERSION:
         raise MalformedBinary("unsupported WASM version")
+    pos = 8
     seen: set[int] = set()
     types: tuple[FuncType, ...] = ()
     decoded: list[tuple[ImportRecord, FuncType | None]] = []
     sections: list[tuple[int, int, int]] = []
-    while r.pos < r.end:
-        section_id = r.byte()
-        size = r.u32()
+    while pos < end:
+        section_id = data[pos]
+        size, start = _u32_at(data, pos + 1, end)
         if section_id > 12:
             raise MalformedBinary(f"unknown section id {section_id}")
         if section_id != 0:
             if section_id in seen:
                 raise MalformedBinary(f"duplicate section id {section_id}")
             seen.add(section_id)
-        start = r.pos
-        r.take(size)
-        if section_id not in (SECTION_TYPE, SECTION_IMPORT):
-            sections.append((section_id, start, r.pos))
-            continue
-        body = _Reader(data, start, r.pos)
+        pos = start + size
+        if pos > end:
+            raise MalformedBinary("truncated binary")
         if section_id == SECTION_TYPE:
-            types = tuple([_parse_functype(body) for _ in range(body.u32())])
+            types, stop = _read_types(data, start, pos)
+        elif section_id == SECTION_IMPORT:
+            decoded, stop = _read_imports(data, start, pos, types)
         else:
-            decoded = [_parse_import(body, types) for _ in range(body.u32())]
-        if body.pos != r.pos:
+            sections.append((section_id, start, pos))
+            continue
+        if stop != pos:
             name = "type" if section_id == SECTION_TYPE else "import"
             raise MalformedBinary(f"trailing bytes in {name} section")
     return ModuleHeader(
@@ -263,13 +340,18 @@ def decode_header(data: bytes) -> ModuleHeader:
     )
 
 
-def parse_imports(binary_bytes: bytes) -> ModuleImports:
+def parse_imports(
+    binary_bytes: bytes, *, artifact_hash: bytes | None = None
+) -> ModuleImports:
     """Extract the complete import section of a WASM binary, in order.
 
     The artifact hash is computed over the exact input bytes before any
     parsing decision, so a malformed binary still has a well-defined hash.
+    A caller that has already hashed these bytes (the gate) passes the
+    digest instead.
     """
-    artifact_hash = hash_bytes(binary_bytes)
+    if artifact_hash is None:
+        artifact_hash = hash_bytes(binary_bytes)
     if not binary_bytes:
         raise MalformedBinary("empty input")
     if len(binary_bytes) > MAX_BINARY_BYTES:

@@ -310,6 +310,12 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
 
 
 def _read_sleb32(r: _Reader) -> int:
+    pos = r.pos
+    if pos < r.end:
+        b = r.data[pos]
+        if b < 0x80:  # one byte, its sign in bit 6
+            r.pos = pos + 1
+            return b - 0x80 if b & 0x40 else b
     result = 0
     shift = 0
     while True:

@@ -203,8 +203,9 @@ def check_version_range(
 # ---------------------------------------------------------------------------
 
 def sign_whitelist(whitelist: Whitelist, seed: bytes) -> Whitelist:
-    signature = signing.sign(seed, whitelist.content_hash)
-    key = signing.public_key_bytes(signing.private_key_from_seed(seed))
+    private_key = signing.private_key_from_seed(seed)
+    signature = signing.sign(private_key, whitelist.content_hash)
+    key = signing.public_key_bytes(private_key)
     return replace(whitelist, authority_key=key, authority_signature=signature)
 
 

@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from puregate import signing
 from puregate.certificate import (
@@ -20,6 +23,8 @@ from puregate.certificate import (
 from puregate.fixtures import fixture_binary
 from puregate.proof import build_proof, proof_hash
 from puregate.wasm_inspect import parse_imports
+from puregate.whitelist import sign_whitelist
+from tests.conftest import CERTIFIER_SEED, ENV_SEED
 
 # RFC 8032 section 7.1, test 1
 RFC8032_SEED = bytes.fromhex(
@@ -35,7 +40,7 @@ RFC8032_SIG_EMPTY = (
 def test_ed25519_matches_rfc8032_vector_1():
     pair = keypair_from_seed(RFC8032_SEED)
     assert pair.public_key.hex() == RFC8032_PUBLIC
-    assert signing.sign(RFC8032_SEED, b"").hex() == RFC8032_SIG_EMPTY
+    assert signing.sign(pair.private_key, b"").hex() == RFC8032_SIG_EMPTY
     assert signing.verify(pair.public_key, bytes.fromhex(RFC8032_SIG_EMPTY), b"")
 
 
@@ -131,3 +136,45 @@ def test_malformed_documents_rejected(bundles, field, value):
 def test_every_certificate_within_size_budget(bundles):
     for name, (_, _, cert) in bundles.items():
         assert len(certificate_bytes(cert)) <= MAX_CERT_BYTES, name
+
+
+# A KeyPair keeps the key parsed from its seed; signing through it must give
+# exactly what deriving the key from the seed for every signature gave.
+# Values recorded with per-signature derivation: the emit_call certificate
+# under CERTIFIER_SEED at FIXED_NOW, the v1 whitelist signed with ENV_SEED.
+EMIT_CALL_CERT_SHA256 = "42c84d8c59f8f656013491f8a32c54df672e5a4019a9cfd4771c0f2a635c6944"
+V1_AUTHORITY_SIGNATURE = (
+    "a8b296f1dbc5d7e433ae546d38036b6c30a0bf51086fcd7cf9b346e0b800709a"
+    "aafecccfa1a2435ce628929a5627dc6ee547a8e61937cfa1be761ad551175b0a"
+)
+
+
+@pytest.mark.parametrize("message", [b"", b"\x00" * 64, bytes(range(256))])
+def test_keypair_signs_like_a_key_derived_per_signature(message):
+    pair = keypair_from_seed(RFC8032_SEED)
+    expected = Ed25519PrivateKey.from_private_bytes(RFC8032_SEED).sign(message)
+    assert signing.sign(pair.private_key, message) == expected
+
+
+def test_certificate_and_whitelist_signatures_unchanged(bundles, wl_v1):
+    cert_bytes = certificate_bytes(bundles["emit_call"][2])
+    assert len(cert_bytes) == 551
+    assert hashlib.sha256(cert_bytes).hexdigest() == EMIT_CALL_CERT_SHA256
+    signed = sign_whitelist(wl_v1, ENV_SEED)
+    assert signed.authority_signature.hex() == V1_AUTHORITY_SIGNATURE
+
+
+def test_keypair_repr_shows_no_key_object(certifier_key):
+    text = repr(certifier_key)
+    assert "private_key" not in text
+    assert "Ed25519PrivateKey" not in text
+    assert repr(certifier_key.private_key) not in text
+
+
+def test_keypair_identity_is_public_key_and_seed(certifier_key):
+    again = keypair_from_seed(CERTIFIER_SEED)
+    assert again.private_key is not certifier_key.private_key
+    assert again == certifier_key
+    # a frozen dataclass hashes the tuple of its compared fields
+    assert hash(again) == hash((again.public_key, CERTIFIER_SEED))
+    assert keypair_from_seed(ENV_SEED) != certifier_key

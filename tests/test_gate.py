@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -63,6 +64,22 @@ def test_accepts_well_formed_bundle(bundles, wl_v1, certifier_key):
     assert decision.accepted
     assert decision.reason is None and decision.failed_step is None
     assert decision.artifact_hash == bundles["emit_call"][2].artifact_hash
+
+
+def test_cold_gate_hashes_the_binary_once(bundles, wl_v1, certifier_key, monkeypatch):
+    binary = bundles["emit_call"][0]
+    sha256 = hashlib.sha256
+    hashed = []
+
+    def counting(data=b""):
+        hashed.append(data == binary)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    decision = _gate(bundles["emit_call"], wl_v1, [certifier_key.public_key])
+    assert decision.accepted
+    assert hashed.count(True) == 1  # at entry; step 4 reuses the digest
+    assert decision.artifact_hash == sha256(binary).digest()
 
 
 def test_step1_untrusted_certifier(bundles, wl_v1, rogue_key):

@@ -12,11 +12,20 @@ from puregate.wasm_inspect import (
     WASM_VERSION,
     ImportRecord,
     MalformedBinary,
+    _Reader,
+    _u32_at,
+    decode_header,
     hash_bytes,
     parse_imports,
     render_func_signature,
 )
-from puregate.wasmvm import VMError, instantiate, parse_module
+from puregate.wasmvm import (
+    InstantiationError,
+    VMError,
+    _read_sleb32,
+    instantiate,
+    parse_module,
+)
 from puregate.whitelist import builtin_whitelist
 
 # FIPS 180-4 reference digests anchor the artifact-hash implementation
@@ -178,3 +187,93 @@ def test_truncations_never_crash(cut, flipped, flipped_cut):
         except MalformedBinary:
             pass
         _check_vm_decode(data)
+
+
+# exact LEB128 boundaries, through both readers of the one decoder: the
+# cursor the VM uses and the local-variable reads of decode_header
+def _cursor_u32(data: bytes, end: int) -> tuple[int, int]:
+    r = _Reader(data, 0, end)
+    return r.u32(), r.pos
+
+
+U32_READERS = [_cursor_u32, lambda data, end: _u32_at(data, 0, end)]
+
+
+@pytest.mark.parametrize("read", U32_READERS)
+@pytest.mark.parametrize(
+    "data, value",
+    [
+        (b"\x00", 0),
+        (b"\x7f", 0x7F),
+        (b"\x80\x01", 0x80),
+        (b"\xff\x7f", 0x3FFF),
+        (b"\x85\x80\x80\x80\x00", 5),  # non-minimal, still 5 bytes
+        (b"\xff\xff\xff\xff\x0f", 0xFFFFFFFF),
+    ],
+)
+def test_u32_boundaries(read, data, value):
+    assert read(data + b"\x55", len(data)) == (value, len(data))
+
+
+@pytest.mark.parametrize("read", U32_READERS)
+@pytest.mark.parametrize(
+    "data, end, message",
+    [
+        (b"\x80\x80\x80\x80\x10", 5, "LEB128 value exceeds u32"),  # 2**32
+        (b"\xff\xff\xff\xff\x7f", 5, "LEB128 value exceeds u32"),
+        (b"\x80\x80\x80\x80\x80\x00", 6, "overlong LEB128 encoding"),
+        (b"\xff\xff\xff\xff\xff\x01", 6, "overlong LEB128 encoding"),
+        (b"", 0, "truncated binary"),
+        (b"\x80\x01", 1, "truncated binary"),  # cut at the section end
+        (b"\xff\xff\xff\xff\x0f", 4, "truncated binary"),
+    ],
+)
+def test_u32_rejections(read, data, end, message):
+    with pytest.raises(MalformedBinary) as info:
+        read(data, end)
+    assert str(info.value) == message
+
+
+def test_u32_cut_at_the_section_end_is_truncated():
+    # a one-byte type section whose count continues into the next section
+    binary = MINIMAL_MODULE + b"\x01\x01\x81" + b"\x00\x00"
+    with pytest.raises(MalformedBinary, match="^truncated binary$"):
+        decode_header(binary)
+    with pytest.raises(InstantiationError, match="^malformed module: truncated binary$"):
+        parse_module(binary)
+
+
+@pytest.mark.parametrize(
+    "data, value",
+    [
+        (b"\x00", 0),
+        (b"\x3f", 63),
+        (b"\x40", -64),
+        (b"\x7f", -1),
+        (b"\xc0\x00", 64),
+        (b"\xff\x7e", -129),
+        (b"\x80\x80\x80\x80\x78", -(2**31)),
+        (b"\xff\xff\xff\xff\x07", 2**31 - 1),
+        (b"\xff\xff\xff\xff\x7f", -1),  # five bytes, negative
+        (b"\xfe\xff\xff\xff\x7f", -2),
+    ],
+)
+def test_sleb32_boundaries(data, value):
+    # every caller keeps the low 32 bits, the i32 the immediate denotes
+    r = _Reader(data + b"\x55", 0, len(data))
+    assert _read_sleb32(r) & 0xFFFFFFFF == value & 0xFFFFFFFF
+    assert r.pos == len(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\x80\x80\x80\x80\x80\x00", "overlong signed LEB128"),
+        (b"\xff", "truncated binary"),
+        (b"", "truncated binary"),
+    ],
+)
+def test_sleb32_rejections(data, message):
+    with pytest.raises(MalformedBinary) as info:
+        _read_sleb32(_Reader(data))
+    assert str(info.value) == message
