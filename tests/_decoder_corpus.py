@@ -15,15 +15,21 @@ the decoder that alters any result or any error message fails the test.
 
 Re-freeze (only when a change of outcome is intended):
     PYTHONPATH=src python3 tests/_decoder_corpus.py
+
+List the cases whose outcome now differs from the golden, writing nothing
+(exit status 1 when any does):
+    PYTHONPATH=src python3 tests/_decoder_corpus.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from puregate.fixtures import fixture_binary, list_fixtures
 from puregate.wasm_inspect import decode_header
@@ -237,6 +243,29 @@ def recipes() -> list[dict[str, Any]]:
     return cases
 
 
+def differences(golden: dict[str, Any]) -> Iterator[tuple[dict[str, Any], str, Any, Any]]:
+    """(recipe, "header" or "module", golden outcome, current outcome) of
+    each outcome that no longer matches the golden."""
+    outcomes = golden["outcomes"]
+    for case in golden["cases"]:
+        data = build(case)
+        recipe = {k: v for k, v in case.items() if k not in ("header", "module")}
+        for key, outcome in (("header", header_outcome), ("module", module_outcome)):
+            got = outcome(data)
+            if got != outcomes[case[key]]:
+                yield recipe, key, outcomes[case[key]], got
+
+
+def diff() -> int:
+    """Print each outcome that differs from the golden; 1 if any does."""
+    found = 0
+    for recipe, key, old, new in differences(json.loads(GOLDEN.read_text("utf-8"))):
+        found += 1
+        print(json.dumps({"recipe": recipe, "of": key, "old": old, "new": new}, sort_keys=True))
+    print(f"{found} outcomes differ from {GOLDEN.name}", file=sys.stderr)
+    return 1 if found else 0
+
+
 def freeze() -> None:
     outcomes: list[dict[str, Any]] = []
     index: dict[str, int] = {}
@@ -270,4 +299,10 @@ def freeze() -> None:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff", action="store_true", help="compare with the golden instead of freezing"
+    )
+    if parser.parse_args().diff:
+        sys.exit(diff())
     freeze()

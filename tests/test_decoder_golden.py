@@ -8,7 +8,7 @@ tests/golden/decoder_corpus.json (see _decoder_corpus.py).
 import hashlib
 import json
 
-from _decoder_corpus import GOLDEN, build, header_outcome, module_outcome, recipes
+from _decoder_corpus import GOLDEN, differences, recipes
 
 from puregate.fixtures import fixture_binary
 
@@ -34,13 +34,6 @@ def test_corpus_recipes_regenerate():
 
 def test_every_outcome_matches_the_golden():
     golden = _golden()
-    outcomes = golden["outcomes"]
-    mismatches = []
-    for case in golden["cases"]:
-        data = build(case)
-        for key, outcome in (("header", header_outcome), ("module", module_outcome)):
-            got = outcome(data)
-            if got != outcomes[case[key]]:
-                mismatches.append((case, key, got, outcomes[case[key]]))
+    mismatches = list(differences(golden))
     assert not mismatches, f"{len(mismatches)} differ, first: {mismatches[0]}"
     assert len(golden["cases"]) > 2500
