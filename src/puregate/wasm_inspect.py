@@ -7,6 +7,11 @@ parse_imports() is that decoder plus the artifact hash. Nothing here
 executes code or trusts the producer; a binary that cannot be parsed raises
 MalformedBinary so the caller rejects it rather than treating it as
 import-free.
+
+Every byte is read by one set of positional functions (_u32_at, _s32_at,
+_name_at, _limits_at, ...): each takes (data, pos, section end) and returns
+the value and the next position, or raises MalformedBinary. The VM reads
+the sections after the header through the same functions.
 """
 
 from __future__ import annotations
@@ -74,8 +79,10 @@ class ImportRecord:
         return rec
 
 
-def _leb_u32(data: bytes, pos: int, end: int) -> tuple[int, int]:
+def _u32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
     """Unsigned LEB128 at pos, at most 5 bytes, fitting 32 bits: (value, next pos)."""
+    if pos < end and data[pos] < 0x80:  # almost every integer of a small module
+        return data[pos], pos + 1
     result = 0
     shift = 0
     for _ in range(5):
@@ -92,16 +99,42 @@ def _leb_u32(data: bytes, pos: int, end: int) -> tuple[int, int]:
     raise MalformedBinary("overlong LEB128 encoding")
 
 
-def _u32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
-    """_leb_u32 with the one-byte case read directly, as almost every
-    integer of a small module is."""
-    if pos < end and data[pos] < 0x80:
-        return data[pos], pos + 1
-    return _leb_u32(data, pos, end)
+def _s32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """Signed LEB128 at pos, at most 5 bytes: (value, next pos).
+
+    Every caller keeps the value's low 32 bits, the i32 it denotes.
+    """
+    if pos < end and data[pos] < 0x80:  # one byte, its sign in bit 6
+        b = data[pos]
+        return (b - 0x80 if b & 0x40 else b), pos + 1
+    result = 0
+    shift = 0
+    for _ in range(5):
+        if pos >= end:
+            raise MalformedBinary("truncated binary")
+        b = data[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        shift += 7
+        if not (b & 0x80):
+            if b & 0x40:
+                result -= 1 << shift
+            return result, pos
+    raise MalformedBinary("overlong signed LEB128")
+
+
+def _vec_at(data: bytes, pos: int, end: int) -> tuple[bytes, int]:
+    """A length-prefixed byte vector at pos: (bytes, next pos)."""
+    n, pos = _u32_at(data, pos, end)
+    stop = pos + n
+    if stop > end:
+        raise MalformedBinary("truncated binary")
+    return data[pos:stop], stop
 
 
 def _name_at(data: bytes, pos: int, end: int) -> tuple[str, int]:
     """A length-prefixed UTF-8 name at pos: (name, next pos)."""
+    # _vec_at inlined: names are most of the reads of an import section
     n, pos = _u32_at(data, pos, end)
     stop = pos + n
     if stop > end:
@@ -112,58 +145,32 @@ def _name_at(data: bytes, pos: int, end: int) -> tuple[str, int]:
         raise MalformedBinary("import name is not valid UTF-8") from exc
 
 
-class _Reader:
-    """Bounded cursor over the binary; every read failure is MalformedBinary."""
+def _byte_at(data: bytes, pos: int, end: int) -> int:
+    """The byte at pos, which must lie before end."""
+    if pos >= end:
+        raise MalformedBinary("truncated binary")
+    return data[pos]
 
-    def __init__(self, data: bytes, pos: int = 0, end: int | None = None):
-        self.data = data
-        self.pos = pos
-        self.end = len(data) if end is None else end
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
-            raise MalformedBinary("truncated binary")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+def _valtype_at(data: bytes, pos: int, end: int) -> str:
+    """The value type whose one-byte code is at pos."""
+    b = _byte_at(data, pos, end)
+    if b not in _VALTYPE:
+        raise MalformedBinary(f"unknown value type 0x{b:02x}")
+    return _VALTYPE[b]
 
-    def byte(self) -> int:
-        if self.pos >= self.end:
-            raise MalformedBinary("truncated binary")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
 
-    def u32(self) -> int:
-        # nearly every integer of a small module fits in one byte
-        pos = self.pos
-        if pos < self.end:
-            b = self.data[pos]
-            if b < 0x80:
-                self.pos = pos + 1
-                return b
-        value, self.pos = _leb_u32(self.data, pos, self.end)
-        return value
-
-    def name(self) -> str:
-        value, self.pos = _name_at(self.data, self.pos, self.end)
-        return value
-
-    def valtype(self) -> str:
-        b = self.byte()
-        if b not in _VALTYPE:
-            raise MalformedBinary(f"unknown value type 0x{b:02x}")
-        return _VALTYPE[b]
-
-    def limits(self) -> tuple[int, int | None]:
-        flag = self.byte()
-        if flag == 0x00:
-            return self.u32(), None
-        if flag == 0x01:
-            lo = self.u32()
-            hi = self.u32()
-            return lo, hi
-        raise MalformedBinary(f"invalid limits flag 0x{flag:02x}")
+def _limits_at(data: bytes, pos: int, end: int) -> tuple[tuple[int, int | None], int]:
+    """Memory or table limits at pos: ((min, max or None), next pos)."""
+    flag = _byte_at(data, pos, end)
+    if flag == 0x00:
+        lo, pos = _u32_at(data, pos + 1, end)
+        return (lo, None), pos
+    if flag == 0x01:
+        lo, pos = _u32_at(data, pos + 1, end)
+        hi, pos = _u32_at(data, pos, end)
+        return (lo, hi), pos
+    raise MalformedBinary(f"invalid limits flag 0x{flag:02x}")
 
 
 FuncType = tuple[tuple[str, ...], tuple[str, ...]]  # (params, results)
@@ -245,22 +252,27 @@ def _render_limits(limits: tuple[int, int | None]) -> str:
     return f"{lo}" if hi is None else f"{lo} {hi}"
 
 
-def _other_import(r: _Reader, namespace: str, name: str, desc: int) -> ImportRecord:
-    """A table, memory or global import, its descriptor byte already read."""
+def _other_import(
+    data: bytes, pos: int, end: int, namespace: str, name: str, desc: int
+) -> tuple[ImportRecord, int]:
+    """A table, memory or global import whose descriptor byte precedes pos:
+    (record, next pos)."""
     if desc == 0x01:
-        reftype = r.valtype()
-        sig = f"(table {_render_limits(r.limits())} {reftype})"
-        return ImportRecord(namespace, name, "table", sig)
+        reftype = _valtype_at(data, pos, end)
+        limits, pos = _limits_at(data, pos + 1, end)
+        sig = f"(table {_render_limits(limits)} {reftype})"
+        return ImportRecord(namespace, name, "table", sig), pos
     if desc == 0x02:
-        sig = f"(memory {_render_limits(r.limits())})"
-        return ImportRecord(namespace, name, "memory", sig)
+        limits, pos = _limits_at(data, pos, end)
+        sig = f"(memory {_render_limits(limits)})"
+        return ImportRecord(namespace, name, "memory", sig), pos
     if desc == 0x03:
-        vt = r.valtype()
-        mut = r.byte()
+        vt = _valtype_at(data, pos, end)
+        mut = _byte_at(data, pos + 1, end)
         if mut not in (0x00, 0x01):
             raise MalformedBinary("invalid global mutability flag")
         sig = f"(global (mut {vt}))" if mut else f"(global {vt})"
-        return ImportRecord(namespace, name, "global", sig)
+        return ImportRecord(namespace, name, "global", sig), pos + 2
     raise MalformedBinary(f"unknown import descriptor 0x{desc:02x}")
 
 
@@ -280,9 +292,8 @@ def _read_imports(
             raise MalformedBinary("truncated binary")
         desc = data[pos]
         if desc != 0x00:
-            r = _Reader(data, pos + 1, end)
-            decoded.append((_other_import(r, namespace, name, desc), None))
-            pos = r.pos
+            record, pos = _other_import(data, pos + 1, end, namespace, name, desc)
+            decoded.append((record, None))
             continue
         typeidx, pos = _u32_at(data, pos + 1, end)
         if typeidx >= len(types):

@@ -84,7 +84,8 @@ from .wasm_inspect import (
     ModuleHeader,
     decode_header,
 )
-from .wasm_inspect import _Reader  # shared bounded cursor
+# the decoder's one reader: (data, pos, end) -> (value, next pos)
+from .wasm_inspect import _byte_at, _limits_at, _name_at, _s32_at, _u32_at, _vec_at
 
 PAGE_BYTES = 65536
 # each wasm call takes two interpreter frames in tier 1 and one in tier 2;
@@ -245,10 +246,14 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
     for section_id, start, end in header.sections:
         if section_id == 0:  # custom sections are ignored
             continue
-        r = _Reader(binary, start, end)
+        if section_id not in (3, 5, 7, 10, 11):
+            raise InstantiationError(
+                f"section id {section_id} is outside the supported subset"
+            )
+        count, pos = _u32_at(binary, start, end)
         if section_id == 3:
-            for _ in range(r.u32()):
-                type_index = r.u32()
+            for _ in range(count):
+                type_index, pos = _u32_at(binary, pos, end)
                 if type_index >= len(header.types):
                     raise InstantiationError(f"unknown type index {type_index}")
                 if not _i32_only(header.types[type_index]):
@@ -257,33 +262,33 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
                     raise InstantiationError("functions return at most one value")
                 func_types.append(header.types[type_index])
         elif section_id == 5:
-            count = r.u32()
             if count > 1:
                 raise InstantiationError("multiple memories are not supported")
             if count == 1:
-                memory = r.limits()
+                memory, pos = _limits_at(binary, pos, end)
         elif section_id == 7:
-            for _ in range(r.u32()):
-                name = r.name()
-                kind = r.byte()
-                exports[name] = (kind, r.u32())
+            for _ in range(count):
+                name, pos = _name_at(binary, pos, end)
+                kind = _byte_at(binary, pos, end)
+                index, pos = _u32_at(binary, pos + 1, end)
+                exports[name] = (kind, index)
         elif section_id == 10:
-            bodies.extend(r.take(r.u32()) for _ in range(r.u32()))
+            for _ in range(count):
+                body, pos = _vec_at(binary, pos, end)
+                bodies.append(body)
         elif section_id == 11:
-            for _ in range(r.u32()):
-                if r.byte() != 0x00:
+            for _ in range(count):
+                if _byte_at(binary, pos, end) != 0x00:
                     raise InstantiationError("only active data segments supported")
-                if r.byte() != 0x41:
+                if _byte_at(binary, pos + 1, end) != 0x41:
                     raise InstantiationError("data offset must be i32.const")
-                offset = _read_sleb32(r) & 0xFFFFFFFF  # u32, as the spec reads it
-                if r.byte() != 0x0B:
+                offset, pos = _s32_at(binary, pos + 2, end)
+                if _byte_at(binary, pos, end) != 0x0B:
                     raise InstantiationError("malformed data offset expression")
-                data.append((offset, bytes(r.take(r.u32()))))
-        else:
-            raise InstantiationError(
-                f"section id {section_id} is outside the supported subset"
-            )
-        if r.pos != end:
+                init, pos = _vec_at(binary, pos + 1, end)
+                # the offset is a u32, as the spec reads it
+                data.append((offset & 0xFFFFFFFF, bytes(init)))
+        if pos != end:
             raise InstantiationError(f"trailing bytes in section {section_id}")
 
     n_imported = len(header.func_import_types)
@@ -307,27 +312,6 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
         codes=tuple(codes),
         data=tuple(data),
     )
-
-
-def _read_sleb32(r: _Reader) -> int:
-    pos = r.pos
-    if pos < r.end:
-        b = r.data[pos]
-        if b < 0x80:  # one byte, its sign in bit 6
-            r.pos = pos + 1
-            return b - 0x80 if b & 0x40 else b
-    result = 0
-    shift = 0
-    while True:
-        b = r.byte()
-        result |= (b & 0x7F) << shift
-        shift += 7
-        if not (b & 0x80):
-            if shift < 32 and (b & 0x40):
-                result -= 1 << shift
-            return result
-        if shift >= 35:
-            raise MalformedBinary("overlong signed LEB128")
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +410,16 @@ def _decode_body(
     every op is final when the pass is over. Memory instructions in a
     module that declares no memory are rejected.
     """
-    r = _Reader(body)
+    end = len(body)
     params, results = func_type
     locals_count = 0
-    for _ in range(r.u32()):
-        locals_count += r.u32()
-        if r.byte() != 0x7F:
+    groups, pos = _u32_at(body, 0, end)
+    for _ in range(groups):
+        n, pos = _u32_at(body, pos, end)
+        locals_count += n
+        if _byte_at(body, pos, end) != 0x7F:
             raise InstantiationError("only i32 locals are supported")
+        pos += 1
         if len(params) + locals_count > MAX_LOCALS:
             raise InstantiationError(f"more than {MAX_LOCALS} locals")
     n_locals = len(params) + locals_count
@@ -450,9 +437,11 @@ def _decode_body(
     frames = [[0x02, -1, 0, len(results), False, []]]
     base = height = 0
     unreachable = False
-    byte = r.byte
     while True:
-        op = byte()
+        if pos >= end:  # _byte_at inlined: the opcode is the commonest read
+            raise MalformedBinary("truncated binary")
+        op = body[pos]
+        pos += 1
         if op not in _DECODE:
             raise InstantiationError(f"unsupported opcode 0x{op:02x}")
         kind, pops, pushes, align = _DECODE[op]
@@ -460,17 +449,18 @@ def _decode_body(
         if kind == "none":
             pass
         elif kind == "i32":
-            a = _read_sleb32(r) & 0xFFFFFFFF
+            a, pos = _s32_at(body, pos, end)
+            a &= 0xFFFFFFFF
         elif kind == "local":
-            a = r.u32()
+            a, pos = _u32_at(body, pos, end)
             if a >= n_locals:
                 raise InstantiationError(f"unknown local {a}")
         elif kind == "label":
-            a = r.u32()
+            a, pos = _u32_at(body, pos, end)
             if a >= len(frames):  # the function's own label is the outermost
                 raise InstantiationError(f"branch depth {a} exceeds nesting")
         elif kind == "func":
-            a = r.u32()
+            a, pos = _u32_at(body, pos, end)
             if a >= n_funcs:
                 raise InstantiationError(f"call to unknown function {a}")
             if not _i32_only(func_types[a]):
@@ -480,21 +470,24 @@ def _decode_body(
             pops = b = len(func_types[a][0])
             pushes = len(func_types[a][1])
         elif kind == "blocktype":
-            t = byte()
+            t = _byte_at(body, pos, end)
+            pos += 1
             if t != 0x40 and t != 0x7F:  # empty or i32
                 raise InstantiationError(f"unsupported block type 0x{t:02x}")
             arity = int(t == 0x7F)
         elif kind == "zero":
             if not has_memory:
                 raise InstantiationError("memory instruction without a memory")
-            if byte() != 0x00:
+            if _byte_at(body, pos, end) != 0x00:
                 raise InstantiationError("multi-memory instructions unsupported")
+            pos += 1
         else:  # memarg
             if not has_memory:
                 raise InstantiationError("memory instruction without a memory")
-            if r.u32() > align:
+            exponent, pos = _u32_at(body, pos, end)
+            if exponent > align:
                 raise InstantiationError("alignment exceeds the natural one")
-            a = r.u32()
+            a, pos = _u32_at(body, pos, end)
         if pops:
             height -= pops
             if height < base:
@@ -552,7 +545,7 @@ def _decode_body(
                 height = base
                 unreachable = True
         ops.append((op, a, b, c))
-    if r.pos != r.end:
+    if pos != end:
         raise InstantiationError("bytes after the end of a function body")
     return _Code(locals_count, _basic_blocks(ops, n_imported))
 

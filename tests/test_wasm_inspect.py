@@ -12,7 +12,7 @@ from puregate.wasm_inspect import (
     WASM_VERSION,
     ImportRecord,
     MalformedBinary,
-    _Reader,
+    _s32_at,
     _u32_at,
     decode_header,
     hash_bytes,
@@ -22,7 +22,6 @@ from puregate.wasm_inspect import (
 from puregate.wasmvm import (
     InstantiationError,
     VMError,
-    _read_sleb32,
     instantiate,
     parse_module,
 )
@@ -189,14 +188,9 @@ def test_truncations_never_crash(cut, flipped, flipped_cut):
         _check_vm_decode(data)
 
 
-# exact LEB128 boundaries, through both readers of the one decoder: the
-# cursor the VM uses and the local-variable reads of decode_header
-def _cursor_u32(data: bytes, end: int) -> tuple[int, int]:
-    r = _Reader(data, 0, end)
-    return r.u32(), r.pos
-
-
-U32_READERS = [_cursor_u32, lambda data, end: _u32_at(data, 0, end)]
+# exact LEB128 boundaries of the decoder's one reader, which decode_header
+# and the VM share
+U32_READERS = [lambda data, end: _u32_at(data, 0, end)]
 
 
 @pytest.mark.parametrize("read", U32_READERS)
@@ -260,9 +254,9 @@ def test_u32_cut_at_the_section_end_is_truncated():
 )
 def test_sleb32_boundaries(data, value):
     # every caller keeps the low 32 bits, the i32 the immediate denotes
-    r = _Reader(data + b"\x55", 0, len(data))
-    assert _read_sleb32(r) & 0xFFFFFFFF == value & 0xFFFFFFFF
-    assert r.pos == len(data)
+    got, pos = _s32_at(data + b"\x55", 0, len(data))
+    assert got & 0xFFFFFFFF == value & 0xFFFFFFFF
+    assert pos == len(data)
 
 
 @pytest.mark.parametrize(
@@ -275,5 +269,5 @@ def test_sleb32_boundaries(data, value):
 )
 def test_sleb32_rejections(data, message):
     with pytest.raises(MalformedBinary) as info:
-        _read_sleb32(_Reader(data))
+        _s32_at(data, 0, len(data))
     assert str(info.value) == message
