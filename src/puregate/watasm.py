@@ -274,6 +274,15 @@ def _int_atom(tok: str) -> int:
     return int(tok, 0)
 
 
+def _i32_atom(tok: str) -> int:
+    """An i32 literal as the signed value its s32 immediate encodes: the text
+    format reads -2**31 .. 2**32 - 1 and wraps the upper half."""
+    value = _int_atom(tok)
+    if not -(2**31) <= value < 2**32:
+        raise AssembleError(f"i32 constant {tok} out of range")
+    return value - 2**32 if value >= 2**31 else value
+
+
 def _encode_body(
     body: list[Any],
     func_index: dict[str, int],
@@ -320,7 +329,7 @@ def _encode_body(
             operand = items[pos]
             pos += 1
             if kind == "i32":
-                out.extend(sleb(_int_atom(operand)))
+                out.extend(sleb(_i32_atom(operand)))
             elif kind == "local":
                 out.extend(uleb(resolve(local_index, operand, "local")))
             elif kind == "func":
@@ -369,7 +378,7 @@ def _build(module_form: list[Any]) -> _ModuleBuilder:
                 or offset_form[0] != "i32.const"
             ):
                 raise AssembleError("data offset must be (i32.const N)")
-            offset = _int_atom(offset_form[1])
+            offset = _i32_atom(offset_form[1])
             payload = b"".join(_string_bytes(tok) for tok in form[2:])
             mb.data.append((offset, payload))
         elif head == "func":

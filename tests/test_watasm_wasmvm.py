@@ -9,7 +9,7 @@ from puregate.runtime_host import (
     _HostState,
     build_host_functions,
 )
-from puregate.watasm import AssembleError, assemble, uleb
+from puregate.watasm import AssembleError, assemble, sleb, uleb
 from puregate.wasmvm import (
     FuelExhausted,
     HostFunc,
@@ -64,6 +64,23 @@ def test_constants_and_arithmetic():
 
 def test_wraparound_is_modular():
     assert _run("i32.const 2147483647\n i32.const 1\n i32.add") == [0x80000000]
+
+
+def test_i32_literals_above_2_31_wrap_to_their_s32_encoding():
+    # the text format takes an i32 literal signed or unsigned; the binary
+    # immediate is the signed value, which a spec decoder requires canonical
+    assert _run("i32.const 0x9E3779B1") == [0x9E3779B1]
+    source = '(module (memory 1) (data (i32.const {0}) "") (func (result i32) i32.const {0}))'
+    for literal, value, encoded in (
+        ("0x9E3779B1", 0x9E3779B1, sleb(-1640531535)),
+        ("4294967295", 0xFFFFFFFF, b"\x7f"),
+    ):
+        binary = assemble(source.format(literal))
+        assert binary.count(b"\x41" + encoded + b"\x0b") == 2  # code and data
+        assert parse_module(binary).data == ((value, b""),)
+    for literal in ("4294967296", "-2147483649"):
+        with pytest.raises(AssembleError, match="out of range"):
+            assemble(source.format(literal))
 
 
 def test_division_by_zero_traps():
