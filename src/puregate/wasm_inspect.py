@@ -100,10 +100,7 @@ def _u32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
 
 
 def _s32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
-    """Signed LEB128 at pos, at most 5 bytes: (value, next pos).
-
-    Every caller keeps the value's low 32 bits, the i32 it denotes.
-    """
+    """Signed LEB128 at pos, at most 5 bytes, fitting 32 bits: (value, next pos)."""
     if pos < end and data[pos] < 0x80:  # one byte, its sign in bit 6
         b = data[pos]
         return (b - 0x80 if b & 0x40 else b), pos + 1
@@ -117,6 +114,9 @@ def _s32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
         result |= (b & 0x7F) << shift
         shift += 7
         if not (b & 0x80):
+            # a fifth byte's bits 4-6 must copy bit 3, the sign of an i32
+            if shift == 35 and (b & 0x78) not in (0x00, 0x78):
+                raise MalformedBinary("signed LEB128 value exceeds s32")
             if b & 0x40:
                 result -= 1 << shift
             return result, pos

@@ -19,6 +19,7 @@ from puregate.wasm_inspect import (
     parse_imports,
     render_func_signature,
 )
+from puregate.watasm import uleb
 from puregate.wasmvm import (
     InstantiationError,
     VMError,
@@ -253,16 +254,17 @@ def test_u32_cut_at_the_section_end_is_truncated():
     ],
 )
 def test_sleb32_boundaries(data, value):
-    # every caller keeps the low 32 bits, the i32 the immediate denotes
-    got, pos = _s32_at(data + b"\x55", 0, len(data))
-    assert got & 0xFFFFFFFF == value & 0xFFFFFFFF
-    assert pos == len(data)
+    assert _s32_at(data + b"\x55", 0, len(data)) == (value, len(data))
 
 
 @pytest.mark.parametrize(
     "data, message",
     [
         (b"\x80\x80\x80\x80\x80\x00", "overlong signed LEB128"),
+        # a fifth byte whose bits 4-6 are not copies of bit 3
+        (b"\xff\xff\xff\xff\x4f", "signed LEB128 value exceeds s32"),
+        (b"\xff\xff\xff\xff\x0f", "signed LEB128 value exceeds s32"),
+        (b"\x80\x80\x80\x80\x08", "signed LEB128 value exceeds s32"),
         (b"\xff", "truncated binary"),
         (b"", "truncated binary"),
     ],
@@ -271,3 +273,34 @@ def test_sleb32_rejections(data, message):
     with pytest.raises(MalformedBinary) as info:
         _s32_at(data, 0, len(data))
     assert str(info.value) == message
+
+
+def _s32_module(const: bytes, offset: bytes) -> bytes:
+    """A module whose one body returns i32.const const and whose one data
+    segment sits at i32.const offset."""
+
+    def section(section_id: int, body: bytes) -> bytes:
+        return bytes([section_id]) + uleb(len(body)) + body
+
+    code = b"\x00\x41" + const + b"\x0b"
+    return (
+        MINIMAL_MODULE
+        + section(1, b"\x01\x60\x00\x01\x7f")
+        + section(3, b"\x01\x00")
+        + section(5, b"\x01\x00\x01")
+        + section(10, b"\x01" + uleb(len(code)) + code)
+        + section(11, b"\x01\x00\x41" + offset + b"\x0b\x00")
+    )
+
+
+@pytest.mark.parametrize(
+    "bad", [b"\xff\xff\xff\xff\x4f", b"\xff\xff\xff\xff\x0f", b"\x80\x80\x80\x80\x08"]
+)
+def test_non_canonical_s32_is_malformed_in_code_and_data(bad):
+    good = b"\xff\xff\xff\xff\x7f"  # -1 in five bytes
+    assert parse_module(_s32_module(good, good)).data == ((0xFFFFFFFF, b""),)
+    for data in (_s32_module(bad, good), _s32_module(good, bad)):
+        with pytest.raises(
+            InstantiationError, match="^malformed module: signed LEB128 value exceeds s32$"
+        ):
+            parse_module(data)
