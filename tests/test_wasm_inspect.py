@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary, list_fixtures
@@ -19,7 +19,7 @@ from puregate.wasm_inspect import (
     parse_imports,
     render_func_signature,
 )
-from puregate.watasm import uleb
+from puregate.watasm import sleb, uleb
 from puregate.wasmvm import (
     InstantiationError,
     VMError,
@@ -273,6 +273,61 @@ def test_sleb32_rejections(data, message):
     with pytest.raises(MalformedBinary) as info:
         _s32_at(data, 0, len(data))
     assert str(info.value) == message
+
+
+# the binary format's integer grammar (core spec 5.2.2), read literally:
+# (value, next pos), or None where the grammar derives nothing
+def _spec_u(data, pos, end, n):
+    if pos >= end:
+        return None
+    b = data[pos]
+    if b < 2**7:
+        return (b, pos + 1) if b < 2**n else None
+    rest = _spec_u(data, pos + 1, end, n - 7) if n > 7 else None
+    return None if rest is None else (2**7 * rest[0] + (b - 2**7), rest[1])
+
+
+def _spec_s(data, pos, end, n):
+    if pos >= end:
+        return None
+    b = data[pos]
+    if b < 2**6:
+        return (b, pos + 1) if b < 2 ** (n - 1) else None
+    if b < 2**7:
+        return (b - 2**7, pos + 1) if b >= 2**7 - 2 ** (n - 1) else None
+    rest = _spec_s(data, pos + 1, end, n - 7) if n > 7 else None
+    return None if rest is None else (2**7 * rest[0] + (b - 2**7), rest[1])
+
+
+@given(st.integers(-(2**31), 2**31 - 1))
+def test_every_i32_survives_the_s32_reader(v):
+    encoded = sleb(v)
+    assert _s32_at(encoded, 0, len(encoded)) == (v, len(encoded))
+
+
+# 0-5 continuation bytes, then any byte, biased to the sign and range
+# boundaries of a final byte: 1-6 bytes in all
+LEB_INPUTS = st.builds(
+    lambda more, last: bytes(more) + bytes([last]),
+    st.integers(0, 5).flatmap(
+        lambda k: st.lists(st.integers(0x80, 0xFF), min_size=k, max_size=k)
+    ),
+    st.one_of(
+        st.integers(0, 0xFF), st.sampled_from([0x07, 0x08, 0x0F, 0x10, 0x77, 0x78])
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(LEB_INPUTS, st.data())
+def test_leb_readers_match_the_spec_grammar(data, draw):
+    end = draw.draw(st.one_of(st.just(len(data)), st.integers(0, len(data))))
+    for read, spec in ((_u32_at, _spec_u), (_s32_at, _spec_s)):
+        try:
+            got = read(data, 0, end)
+        except MalformedBinary:
+            got = None
+        assert got == spec(data, 0, end, 32), (read.__name__, data.hex(), end)
 
 
 def _s32_module(const: bytes, offset: bytes) -> bytes:
