@@ -39,10 +39,11 @@ class CertificateFormatError(ValueError):
 @dataclass(frozen=True)
 class KeyPair:
     """An Ed25519 key pair. private_key is the key parsed from seed, kept so
-    that every signature reuses it; identity is the public key and seed."""
+    that every signature reuses it; identity is the public key and seed.
+    repr shows only the public key, so printing a pair leaks no secret."""
 
     public_key: bytes
-    seed: bytes
+    seed: bytes = field(repr=False)
     private_key: signing.Ed25519PrivateKey = field(compare=False, repr=False)
 
 

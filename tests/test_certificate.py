@@ -169,6 +169,8 @@ def test_keypair_repr_shows_no_key_object(certifier_key):
     assert "private_key" not in text
     assert "Ed25519PrivateKey" not in text
     assert repr(certifier_key.private_key) not in text
+    assert repr(certifier_key.seed) not in text
+    assert certifier_key.seed.hex() not in text
 
 
 def test_keypair_identity_is_public_key_and_seed(certifier_key):
