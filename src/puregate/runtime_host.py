@@ -41,7 +41,7 @@ from .wasmvm import (
     VMError,
     instantiate,
 )
-from .whitelist import Whitelist, builtin_whitelist
+from .whitelist import CONSTRUCTOR_KINDS, Whitelist, builtin_whitelist
 
 # fuel, not the clock, stops a runaway plan: tier 1, the slower tier, spent
 # 0.24-0.27 us per unit on fuel_burn, so a quarter of the default deadline
@@ -60,20 +60,6 @@ DIRECTIVE_KINDS = (
     "code_eval",
     "emit_event",
 )
-
-# Directive-constructor host functions and the directive kind each one emits.
-CONSTRUCTOR_KINDS = {
-    "directive_llm_call": "llm_call",
-    "directive_llm_call_stream": "llm_call",
-    "directive_http_request": "http_request",
-    "directive_file_op": "file_op",
-    "directive_call_machine": "call_machine",
-    "directive_memory_op": "memory_op",
-    "directive_db_op": "memory_op",
-    "directive_exec_op": "code_eval",
-    "directive_emit_event": "emit_event",
-    "directive_broadcast": "emit_event",
-}
 
 
 class GateNotPassed(Exception):

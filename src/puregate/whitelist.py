@@ -318,18 +318,19 @@ _V2_DATA_NAMES = {
     "ctx_get_input": "() -> i32",
 }
 
-_V2_DIRECTIVE_NAMES = (
-    "directive_llm_call",
-    "directive_llm_call_stream",
-    "directive_http_request",
-    "directive_file_op",
-    "directive_call_machine",
-    "directive_memory_op",
-    "directive_db_op",
-    "directive_exec_op",
-    "directive_emit_event",
-    "directive_broadcast",
-)
+# Directive-constructor host functions and the directive kind each one emits.
+CONSTRUCTOR_KINDS = {
+    "directive_llm_call": "llm_call",
+    "directive_llm_call_stream": "llm_call",
+    "directive_http_request": "http_request",
+    "directive_file_op": "file_op",
+    "directive_call_machine": "call_machine",
+    "directive_memory_op": "memory_op",
+    "directive_db_op": "memory_op",
+    "directive_exec_op": "code_eval",
+    "directive_emit_event": "emit_event",
+    "directive_broadcast": "emit_event",
+}
 
 # v2-extended: the v1 profile plus the full design-envelope surface. Directive
 # constructors share one ABI: a (ptr, len) JSON payload appended to the output
@@ -339,7 +340,7 @@ V2_EXTENDED_ENTRIES = DEFAULT_V1_ENTRIES + tuple(
     for name, sig in _V2_DATA_NAMES.items()
 ) + tuple(
     WhitelistEntry(HOST_NAMESPACE, name, PURE_DIRECTIVE, "(i32, i32) -> ()")
-    for name in _V2_DIRECTIVE_NAMES
+    for name in CONSTRUCTOR_KINDS
 )
 
 

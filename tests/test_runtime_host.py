@@ -12,7 +12,7 @@ from puregate.fixtures import (
     fixture_source,
 )
 from puregate.gate import DecisionLog, GateCache, gate_verify
-from puregate import wasmvm
+from puregate import wasmvm, whitelist
 from puregate.runtime_host import (
     CONSTRUCTOR_KINDS,
     DEFAULT_MEMORY_MAX,
@@ -451,7 +451,10 @@ def test_unprovided_whitelist_entry_traps_deterministically(
     assert "ctx_get" in messages.pop()
 
 
-def test_constructor_kind_map_covers_directive_kinds():
+def test_constructor_kind_map_covers_directive_kinds(wl_v2):
+    assert CONSTRUCTOR_KINDS is whitelist.CONSTRUCTOR_KINDS
+    constructors = {e.name for e in wl_v2.entries if e.name.startswith("directive_")}
+    assert constructors == set(CONSTRUCTOR_KINDS)
     assert set(CONSTRUCTOR_KINDS.values()) <= set(DIRECTIVE_KINDS)
     assert len(CONSTRUCTOR_KINDS) == 10
     for name in CONSTRUCTOR_KINDS:
