@@ -47,7 +47,8 @@ from .fixtures import (
     fixture_binary,
     list_fixtures,
 )
-from .gate import DecisionLog, GateCache, gate_verify
+from .gate import DecisionLog, GateCache, GateDecision, gate_verify
+from .gate import R_ARTIFACT_HASH_MISMATCH, R_PROOF_HASH_MISMATCH
 from .interpreter import (
     ExecutorRejected,
     RuntimeServices,
@@ -215,9 +216,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not check.accepted:
         reason = check.reason
     elif cert.artifact_hash != hash_bytes(binary):
-        reason = "artifact_hash_mismatch"
+        reason = R_ARTIFACT_HASH_MISMATCH
     elif cert.proof_hash != proof_hash(proof):
-        reason = "proof_hash_mismatch"
+        reason = R_PROOF_HASH_MISMATCH
 
     ok = reason is None
     _emit(
@@ -257,6 +258,15 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     return 0 if decision.accepted else 1
 
 
+def _gate_rejected(args: argparse.Namespace, decision: GateDecision) -> int:
+    _emit(
+        args,
+        decision.to_json(),
+        f"gate rejected: {decision.reason} (step {decision.failed_step})",
+    )
+    return 1
+
+
 def _executor_failed(args: argparse.Namespace, exc: VMError) -> int:
     doc = {"error": type(exc).__name__, "message": str(exc)}
     if args.json:
@@ -276,12 +286,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     decision = gate_verify(binary, cert, proof, whitelist, trusted)
     if not decision.accepted:
-        _emit(
-            args,
-            decision.to_json(),
-            f"gate rejected: {decision.reason} (step {decision.failed_step})",
-        )
-        return 1
+        return _gate_rejected(args, decision)
 
     limits = ResourceLimits(
         fuel=args.fuel, memory_max=args.mem_max, wall_clock_ms=args.timeout
@@ -340,12 +345,7 @@ def _cmd_run_machine(args: argparse.Namespace) -> int:
             machine_bytes=machine_bytes,
         )
     except ExecutorRejected as exc:
-        _emit(
-            args,
-            exc.decision.to_json(),
-            f"gate rejected: {exc.decision.reason} (step {exc.decision.failed_step})",
-        )
-        return 1
+        return _gate_rejected(args, exc.decision)
     except VMError as exc:
         return _executor_failed(args, exc)
 
@@ -386,12 +386,7 @@ def _cmd_attest(args: argparse.Namespace) -> int:
     log = DecisionLog()
     decision = gate_verify(binary, cert, proof, whitelist, trusted, log=log)
     if not decision.accepted:
-        _emit(
-            args,
-            decision.to_json(),
-            f"gate rejected: {decision.reason} (step {decision.failed_step})",
-        )
-        return 1
+        return _gate_rejected(args, decision)
 
     record = build_attestation(cert, proof, env, env_key, log)
     out = Path(args.out or f"{args.wasm}.attest")

@@ -135,6 +135,41 @@ def test_gate_rejects_untrusted_certifier(workspace, capsys):
     assert doc["failed_step"] == 1
 
 
+def test_gate_rejection_reads_alike_from_run_run_machine_and_attest(workspace, capsys):
+    root = workspace["root"]
+    executor = ["--cert", workspace["cert"], "--proof", workspace["proof"]]
+    machine = root / "machine.json"
+    machine.write_text(json.dumps({
+        "machine": "demo",
+        "input": None,
+        "steps": [{"executor_ref": "e"}],
+        "executors": {"e": {"wasm": str(workspace["wasm"]), "cert": workspace["cert"],
+                            "proof": workspace["proof"]}},
+    }))
+    (root / "env.json").write_text(json.dumps({
+        "runtime_identity": RUNTIME_ID,
+        "runtime_version": "1.0",
+        "whitelist_version": 1,
+        "whitelist_hash": builtin_whitelist(1).content_hash.hex(),
+        "accepted_certifier_keys": [workspace["pub"]],
+    }))
+    untrusted = ["--trust", "ab" * 32]
+    for argv in (
+        ["run", str(workspace["wasm"]), *executor, "--input", str(root / "input.json")],
+        ["run-machine", str(machine)],
+        ["attest", str(workspace["wasm"]), *executor, "--env", str(root / "env.json"),
+         "--env-key", "certifier"],
+    ):
+        assert run_cli(capsys, *argv, *untrusted) == (
+            1, "gate rejected: untrusted_certifier (step 1)\n"
+        )
+        code, doc = run_json(capsys, *argv, *untrusted)
+        assert code == 1
+        assert (doc["verdict"], doc["reason"], doc["failed_step"]) == (
+            "reject", "untrusted_certifier", 1
+        )
+
+
 def test_run_executes_and_reports_output(workspace, capsys):
     code, doc = run_json(
         capsys,
