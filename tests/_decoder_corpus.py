@@ -11,7 +11,9 @@ Every case is a recipe over one fixture binary:
 The outcome of decode_header and of parse_module on each input is either the
 decoded value or the exception class and message. The golden file holds the
 recipes with the outcomes the decoder gave when it was frozen, so a change to
-the decoder that alters any result or any error message fails the test.
+the decoder that alters any result or any error message fails the test. Each
+distinct outcome is stored once, keyed by a short digest of its JSON, and a
+case names its two outcomes by those keys.
 
 Re-freeze (only when a change of outcome is intended):
     PYTHONPATH=src python3 tests/_decoder_corpus.py
@@ -41,6 +43,7 @@ TRUNCATED = ("emit_call", "v2_constructor")  # cut at every offset
 FLIPS_PER_FIXTURE = 40
 BODY_EDITS_PER_FIXTURE = 15
 SLEB_EDITS_PER_FIXTURE = 3
+OUTCOME_ID_HEX = 12  # hex digits of an outcome's digest that name it
 # i32.const immediates: -1 and 63 in five bytes, -2**31, 2**31 - 1, a
 # five-byte value with bits past 35, six bytes, and a value cut short
 SLEB_VALUES = (
@@ -267,15 +270,16 @@ def diff() -> int:
 
 
 def freeze() -> None:
-    outcomes: list[dict[str, Any]] = []
-    index: dict[str, int] = {}
+    # each outcome is keyed by a digest of its own JSON, so a re-freeze that
+    # adds or drops one outcome leaves every other key and line as it was
+    outcomes: dict[str, dict[str, Any]] = {}
 
-    def intern(outcome: dict[str, Any]) -> int:
-        key = json.dumps(outcome, sort_keys=True)
-        if key not in index:
-            index[key] = len(outcomes)
-            outcomes.append(outcome)
-        return index[key]
+    def intern(outcome: dict[str, Any]) -> str:
+        text = json.dumps(outcome, sort_keys=True)
+        key = hashlib.sha256(text.encode()).hexdigest()[:OUTCOME_ID_HEX]
+        if outcomes.setdefault(key, outcome) != outcome:
+            raise SystemExit(f"outcome id {key} names two outcomes")
+        return key
 
     lines = []
     for case in recipes():
@@ -289,9 +293,12 @@ def freeze() -> None:
     text = (
         '{"fixtures": '
         + json.dumps(fixtures, sort_keys=True)
-        + ',\n"outcomes": [\n'
-        + ",\n".join(json.dumps(o, sort_keys=True) for o in outcomes)
-        + '\n],\n"cases": [\n'
+        + ',\n"outcomes": {\n'
+        + ",\n".join(
+            f"{json.dumps(key)}: {json.dumps(outcomes[key], sort_keys=True)}"
+            for key in sorted(outcomes)
+        )
+        + '\n},\n"cases": [\n'
         + ",\n".join(lines)
         + "\n]}\n"
     )
