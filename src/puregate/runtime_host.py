@@ -7,6 +7,14 @@ via get_input_len/get_input, the output document leaves via set_output (at
 most once), log lines via log, and, under the extended whitelist, directive
 constructors append effect descriptions to a host-side accumulator.
 
+The input is serialized to canonical JSON at most once per plan, when the
+instance binds get_input_len or get_input, which is during instantiation,
+before any instruction runs. A module reaches only the host functions it
+imports, so one that imports neither can never observe the input, and its
+input is never serialized: a non-canonical input (a NaN, a set) raises
+CanonicalError before the plan starts for an executor that reads the input,
+and is no error at all for one that does not.
+
 plan's ABI: exported as `plan() -> i32`, 0 meaning ok and any nonzero value
 an executor-declared error code (surfaced as PlanFailed, a deterministic
 abnormal termination).
@@ -133,12 +141,25 @@ class ExecutorOutput:
 
 @dataclass
 class _HostState:
-    """Per-invocation mutable buffers the host functions write into."""
+    """Per-invocation mutable buffers the host functions write into.
 
-    input_bytes: bytes
+    input_bytes is executor_input serialized: bound_input() makes it when
+    the first input import is bound, and both input imports share it.
+    """
+
+    input_bytes: bytes | None = None
+    executor_input: ExecutorInput | None = None
+    serialize_us: float = 0.0
     output_docs: list[bytes] = field(default_factory=list)
     directives: list[Directive] = field(default_factory=list)
     log_lines: list[str] = field(default_factory=list)
+
+    def bound_input(self) -> bytes:
+        if self.input_bytes is None:
+            t0 = time.perf_counter()
+            self.input_bytes = self.executor_input.serialize()
+            self.serialize_us = (time.perf_counter() - t0) * 1e6
+        return self.input_bytes
 
 
 class _HostTable(Mapping[tuple[str, str], HostFunc]):
@@ -181,13 +202,17 @@ def build_host_functions(
 
 def _implementation_for(name: str, state: _HostState):
     if name == "get_input_len":
+        size = len(state.bound_input())
+
         def get_input_len(inst: Instance) -> int:
-            return len(state.input_bytes)
+            return size
 
         return get_input_len
     if name == "get_input":
+        input_bytes = state.bound_input()
+
         def get_input(inst: Instance, ptr: int) -> None:
-            inst.write_mem(ptr, state.input_bytes)
+            inst.write_mem(ptr, input_bytes)
 
         return get_input
     if name == "set_output":
@@ -264,6 +289,13 @@ def instantiate_and_plan(
     for different bytes (or a rejection, or one without a compile handle)
     refuses instantiation. The module is compiled through the decision's
     handle, so only the first plan of an artifact decodes it.
+
+    The input is serialized only if the module imports get_input_len or
+    get_input, when instantiation binds them: for such a module a
+    non-canonical input raises CanonicalError before any instruction runs;
+    for any other module the input never crosses the boundary and is not
+    checked. timings["serialize_us"] is 0.0 when nothing was serialized, and
+    instantiate_us leaves the serialization out.
     """
     t_total = time.perf_counter()
     if runtime_whitelist is None:
@@ -279,11 +311,7 @@ def instantiate_and_plan(
             "no accepting gate decision for these bytes; refusing to run"
         )
 
-    t0 = time.perf_counter()
-    input_bytes = executor_input.serialize()
-    serialize_us = (time.perf_counter() - t0) * 1e6
-
-    state = _HostState(input_bytes=input_bytes)
+    state = _HostState(executor_input=executor_input)
     host_funcs = build_host_functions(runtime_whitelist, state)
 
     cell = decision.compiled
@@ -291,7 +319,7 @@ def instantiate_and_plan(
     instance = instantiate(
         cell.module(binary_bytes), host_funcs, limits.memory_max, cell.tier2()
     )
-    instantiate_us = (time.perf_counter() - t0) * 1e6
+    instantiate_us = (time.perf_counter() - t0) * 1e6 - state.serialize_us
 
     t0 = time.perf_counter()
     try:
@@ -310,7 +338,7 @@ def instantiate_and_plan(
     if timings is not None:
         timings.update(
             {
-                "serialize_us": serialize_us,
+                "serialize_us": state.serialize_us,
                 "instantiate_us": instantiate_us,
                 "call_us": call_us,
                 "total_us": (time.perf_counter() - t_total) * 1e6,

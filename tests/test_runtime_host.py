@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from puregate.canonical import CanonicalError
 from puregate.fixtures import (
     EMITTERS,
+    PURE_V1,
     ImpureFixture,
     assemble_pure,
     certified_bundle,
@@ -12,7 +14,7 @@ from puregate.fixtures import (
     fixture_source,
 )
 from puregate.gate import DecisionLog, GateCache, gate_verify
-from puregate import wasmvm, whitelist
+from puregate import runtime_host, wasmvm, whitelist
 from puregate.runtime_host import (
     CONSTRUCTOR_KINDS,
     DEFAULT_MEMORY_MAX,
@@ -263,6 +265,87 @@ def test_timings_dict_is_populated(accepted):
     assert timings["total_us"] >= timings["call_us"]
 
 
+def _count_serializations(monkeypatch):
+    calls = []
+    serialize = ExecutorInput.serialize
+
+    def counted(self):
+        calls.append(self)
+        return serialize(self)
+
+    monkeypatch.setattr(ExecutorInput, "serialize", counted)
+    return calls
+
+
+def test_input_is_serialized_once_and_only_when_bound(accepted, monkeypatch):
+    calls = _count_serializations(monkeypatch)
+    binary, decision = accepted("echo")
+    names = {imp.name for imp in decision.compiled.module(binary).imported_funcs}
+    assert {"get_input_len", "get_input"} <= names
+    timings: dict[str, float] = {}
+    instantiate_and_plan(binary, decision, INPUT, timings=timings)
+    assert calls == [INPUT] and timings["serialize_us"] > 0
+
+    calls.clear()
+    binary, decision = accepted("emit_poc")
+    timings.clear()
+    instantiate_and_plan(binary, decision, INPUT, timings=timings)
+    assert calls == [] and timings["serialize_us"] == 0.0
+
+
+def _plan_or_error(run):
+    try:
+        return run().to_json()
+    except wasmvm.VMError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", PURE_V1)
+def test_plan_output_matches_an_input_serialized_up_front(accepted, wl_v1, name):
+    binary, decision = accepted(name)
+    limits = ResourceLimits(fuel=50_000)
+
+    def up_front():
+        state = _HostState(input_bytes=INPUT.serialize())
+        instance = wasmvm.instantiate(
+            wasmvm.parse_module(binary),
+            build_host_functions(wl_v1, state),
+            limits.memory_max,
+        )
+        (code,) = instance.invoke("plan", [], limits.fuel, limits.wall_clock_ms)
+        if code:
+            raise PlanFailed(code)
+        if not state.output_docs:
+            raise MalformedOutput("plan returned without calling set_output")
+        return runtime_host._parse_output_doc(state.output_docs[0], state)
+
+    hosted = _plan_or_error(lambda: instantiate_and_plan(binary, decision, INPUT, limits))
+    assert hosted == _plan_or_error(up_front)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ExecutorInput(step_config={"x": float("nan")}, context={}),
+        ExecutorInput(step_config={}, context={"tags": {"a", "b"}}),
+    ],
+    ids=["nan", "set"],
+)
+def test_non_canonical_input_fails_only_executors_that_read_it(accepted, bad):
+    binary, decision = accepted("emit_poc")
+    expected = instantiate_and_plan(binary, decision, INPUT).to_json()
+    timings: dict[str, float] = {}
+    out = instantiate_and_plan(binary, decision, bad, timings=timings)
+    assert out.to_json() == expected and timings["serialize_us"] == 0.0
+
+    binary, decision = accepted("echo")
+    cell = decision.compiled
+    fuel = cell._fuel
+    with pytest.raises(CanonicalError):
+        instantiate_and_plan(binary, decision, bad)
+    assert cell._fuel == fuel  # raised at bind: no instruction ran
+
+
 def test_no_output_is_malformed(accepted):
     binary, decision = accepted("no_output")
     with pytest.raises(MalformedOutput):
@@ -372,8 +455,6 @@ def test_import_resolution_errors_are_unchanged(source, message):
 
 
 def test_host_table_builds_only_the_closures_a_module_binds(monkeypatch):
-    import puregate.runtime_host as runtime_host
-
     built = []
     real = runtime_host._implementation_for
     monkeypatch.setattr(
