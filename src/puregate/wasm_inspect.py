@@ -259,6 +259,8 @@ def _other_import(
     (record, next pos)."""
     if desc == 0x01:
         reftype = _valtype_at(data, pos, end)
+        if reftype not in ("funcref", "externref"):
+            raise MalformedBinary(f"table element type {reftype} is not a reftype")
         limits, pos = _limits_at(data, pos + 1, end)
         sig = f"(table {_render_limits(limits)} {reftype})"
         return ImportRecord(namespace, name, "table", sig), pos

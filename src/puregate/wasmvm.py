@@ -270,6 +270,10 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
             for _ in range(count):
                 name, pos = _name_at(binary, pos, end)
                 kind = _byte_at(binary, pos, end)
+                if kind > 0x03:
+                    raise InstantiationError(f"unknown export kind 0x{kind:02x}")
+                if name in exports:
+                    raise InstantiationError(f"duplicate export name {name!r}")
                 index, pos = _u32_at(binary, pos + 1, end)
                 exports[name] = (kind, index)
         elif section_id == 10:

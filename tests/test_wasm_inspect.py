@@ -129,6 +129,30 @@ def test_non_function_imports_render_descriptively():
     assert [i.kind for i in module.imports] == ["table", "memory", "global", "global"]
 
 
+def _table_import(element_type: int) -> bytes:
+    """Module importing env.t as a table of one element of the type given."""
+    body = b"\x01\x03env\x01t\x01" + bytes([element_type]) + b"\x00\x01"
+    return MINIMAL_MODULE + b"\x02" + uleb(len(body)) + body
+
+
+@pytest.mark.parametrize(
+    "element_type, signature",
+    [(0x70, "(table 1 funcref)"), (0x6F, "(table 1 externref)")],
+)
+def test_table_import_of_a_reftype_decodes(element_type, signature):
+    (record,) = decode_header(_table_import(element_type)).imports
+    assert (record.kind, record.type_signature) == ("table", signature)
+
+
+@pytest.mark.parametrize(
+    "element_type, name", [(0x7F, "i32"), (0x7C, "f64"), (0x7B, "v128")]
+)
+def test_table_import_of_a_value_type_is_malformed(element_type, name):
+    with pytest.raises(MalformedBinary) as excinfo:
+        decode_header(_table_import(element_type))
+    assert str(excinfo.value) == f"table element type {name} is not a reftype"
+
+
 def test_import_record_round_trip():
     record = ImportRecord("mashin", "log", "function", "(i32, i32) -> ()")
     assert ImportRecord.from_json(record.to_json()) == record

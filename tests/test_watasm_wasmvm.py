@@ -401,6 +401,32 @@ def test_structural_faults_are_instantiation_errors(binary):
         instantiate(module, {}, 64 * MIB).invoke("f", [], 1000, 1000)
 
 
+def _exports_module(exports: bytes) -> bytes:
+    """Module with one function and the export section body given."""
+    return HEADER + TYPE_VOID + FUNC_0 + b"\x07" + uleb(len(exports)) + exports + CODE_END
+
+
+@pytest.mark.parametrize(
+    "exports, message",
+    [
+        # (export "f" (func 0)) twice
+        (b"\x02\x01f\x00\x00\x01f\x00\x00", "duplicate export name 'f'"),
+        # "f" as function 0, then "g" as kind 0x09 index 5
+        (b"\x02\x01f\x00\x00\x01g\x09\x05", "unknown export kind 0x09"),
+        # "f" as function 0, then again as kind 0x09 index 5
+        (b"\x02\x01f\x00\x00\x01f\x09\x05", "unknown export kind 0x09"),
+    ],
+    ids=["duplicate", "unknown_kind", "duplicate_of_unknown_kind"],
+)
+def test_export_names_are_distinct_and_kinds_known(exports, message):
+    with pytest.raises(InstantiationError) as excinfo:
+        parse_module(_exports_module(exports))
+    assert str(excinfo.value) == message
+    # kind 0x03, a global, is the last the spec defines
+    module = parse_module(_exports_module(b"\x02\x01f\x00\x00\x01g\x03\x00"))
+    assert dict(module.exports) == {"f": (0, 0), "g": (3, 0)}
+
+
 INT_ADD = '(import "mashin" "int_add" (func $add (param i64 i64) (result i64)))'
 
 
