@@ -20,8 +20,8 @@ from .proof import PURE, PurityProof, proof_hash, validate_proof_against_binary
 FORMAT_VERSION = 1
 MAX_CERT_BYTES = 4096
 
-UNTRUSTED_CERTIFIER = "UntrustedCertifier"
-INVALID_SIGNATURE = "InvalidSignature"
+UNTRUSTED_CERTIFIER = "untrusted_certifier"
+INVALID_SIGNATURE = "invalid_signature"
 
 
 class RefuseImpure(ValueError):

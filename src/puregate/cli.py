@@ -43,11 +43,10 @@ from .certificate import (
 from .fixtures import (
     ImpureFixture,
     UnknownFixture,
-    certified_bundle,
     fixture_binary,
     list_fixtures,
 )
-from .gate import DecisionLog, GateCache, GateDecision, gate_verify
+from .gate import DecisionLog, GateDecision, gate_verify
 from .gate import R_ARTIFACT_HASH_MISMATCH, R_PROOF_HASH_MISMATCH
 from .interpreter import (
     ExecutorRejected,
@@ -153,8 +152,11 @@ def _emit(args: argparse.Namespace, doc: dict[str, Any], human: str) -> None:
         print(human)
 
 
-def _read_json(path: str) -> Any:
-    return canonical_loads(Path(path).read_bytes())
+def _json_object(data: bytes, source: str) -> dict[str, Any]:
+    doc = canonical_loads(data)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     proof = load_proof(Path(args.proof))
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
-    input_doc = _read_json(args.input)
+    input_doc = _json_object(Path(args.input).read_bytes(), args.input)
 
     decision = gate_verify(binary, cert, proof, whitelist, trusted)
     if not decision.accepted:
@@ -321,7 +323,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_machine(args: argparse.Namespace) -> int:
     machine_path = Path(args.machine)
     machine_bytes = machine_path.read_bytes()
-    machine_doc = canonical_loads(machine_bytes)
+    machine_doc = _json_object(machine_bytes, args.machine)
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
 
@@ -376,7 +378,8 @@ def _cmd_attest(args: argparse.Namespace) -> int:
     binary = Path(args.wasm).read_bytes()
     cert = load_certificate(Path(args.cert))
     proof = load_proof(Path(args.proof))
-    env = EnvironmentDescriptor.from_json(_read_json(args.env))
+    env_doc = _json_object(Path(args.env).read_bytes(), args.env)
+    env = EnvironmentDescriptor.from_json(env_doc)
     env_key = _load_keypair(args.env_key)
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust) if args.trust else list(

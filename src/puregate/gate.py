@@ -6,30 +6,32 @@ re-extraction and equality, (5) re-classification against the runtime
 whitelist plus version-range currency, (6) conclusion check. The first
 failure wins; rejections are decisions, never exceptions.
 
-Acceptance decisions are cached by artifact hash. A cache entry records the
-runtime whitelist snapshot it was decided under, and a hit requires snapshot
-equality, so whitelist changes invalidate implicitly even if the explicit
-invalidation call is missed. Every decision (accept and reject) is appended
-to a decision log for audit.
-
-An acceptance carries the artifact's compile handle, a wasmvm.ModuleCell
-over the header step 4 decoded; the cache entry keeps the same handle, so
-the module is compiled lazily once per artifact and dropped together with
-the acceptance. Rejections carry none.
+An acceptance carries what it admitted (the runtime whitelist, certificate
+and proof it verified) and a compile handle, a wasmvm.ModuleCell over the
+header step 4 decoded. The cache keeps the accepting decision itself, by
+artifact hash, and a hit requires the whitelist snapshot, certificate and
+proof that acceptance admitted; anything else runs the six checks. So a
+whitelist change invalidates implicitly, a hit never serves a certificate
+the gate did not verify, and the chain's purity_cert_hash is the admitting
+certificate's hash, taken at most once per acceptance. Every decision
+(accept and reject) is appended to a decision log for audit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
 from .canonical import canonical_bytes, canonical_loads
 from .certificate import (
     INVALID_SIGNATURE,
+    UNTRUSTED_CERTIFIER,
     PurityCertificate,
+    certificate_bytes,
     verify_certificate_signature,
 )
 from .proof import PURE, PurityProof, proof_hash
@@ -45,8 +47,8 @@ from .whitelist import (
 ACCEPT = "accept"
 REJECT = "reject"
 
-R_INVALID_SIGNATURE = "invalid_signature"
-R_UNTRUSTED_CERTIFIER = "untrusted_certifier"
+R_INVALID_SIGNATURE = INVALID_SIGNATURE
+R_UNTRUSTED_CERTIFIER = UNTRUSTED_CERTIFIER
 R_ARTIFACT_HASH_MISMATCH = "artifact_hash_mismatch"
 R_PROOF_HASH_MISMATCH = "proof_hash_mismatch"
 R_IMPORT_MISMATCH = "import_mismatch"
@@ -71,6 +73,20 @@ CACHE_INVALIDATION_CAUSES = ("whitelist_changed", "keys_rotated", "manual")
 
 
 @dataclass(frozen=True)
+class Admission:
+    """What an acceptance verified; a cache hit must present equal ones."""
+
+    whitelist: Whitelist
+    cert: PurityCertificate
+    proof: PurityProof
+
+    @cached_property
+    def cert_hash(self) -> bytes:
+        """The admitting certificate's hash, pinned in the provenance chain."""
+        return hashlib.sha256(certificate_bytes(self.cert)).digest()
+
+
+@dataclass(frozen=True)
 class GateDecision:
     verdict: str
     reason: str | None = None
@@ -81,9 +97,10 @@ class GateDecision:
     # it before instantiation so a decision cannot be replayed onto other
     # bytes.
     artifact_hash: bytes | None = None
-    # An acceptance's compile handle for those bytes; not part of the
-    # decision's identity or its log record.
+    # An acceptance's compile handle for those bytes and what it admitted;
+    # neither is part of the decision's identity or its log record.
     compiled: ModuleCell | None = field(default=None, compare=False, repr=False)
+    admitted: Admission | None = field(default=None, compare=False, repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -102,42 +119,30 @@ class GateDecision:
         }
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    whitelist_version: int
-    whitelist_hash: bytes
-    decided_at: float
-    compiled: ModuleCell
-
-
 @dataclass
 class GateCache:
-    accepted: dict[bytes, CacheEntry] = field(default_factory=dict)
+    # artifact hash -> the acceptance a hit serves, with from_cache set
+    accepted: dict[bytes, GateDecision] = field(default_factory=dict)
 
-    def lookup(self, artifact_hash: bytes, runtime: Whitelist) -> CacheEntry | None:
-        entry = self.accepted.get(artifact_hash)
-        if entry is None:
-            return None
-        if (
-            entry.whitelist_version != runtime.version
-            or entry.whitelist_hash != runtime.content_hash
-        ):
-            return None
-        return entry
-
-    def insert(
+    def lookup(
         self,
         artifact_hash: bytes,
         runtime: Whitelist,
-        now: float,
-        compiled: ModuleCell,
-    ) -> None:
-        self.accepted[artifact_hash] = CacheEntry(
-            whitelist_version=runtime.version,
-            whitelist_hash=runtime.content_hash,
-            decided_at=now,
-            compiled=compiled,
-        )
+        cert: PurityCertificate,
+        proof: PurityProof,
+    ) -> GateDecision | None:
+        hit = self.accepted.get(artifact_hash)
+        if hit is None:
+            return None
+        admitted = hit.admitted
+        if (
+            admitted.whitelist.version != runtime.version
+            or admitted.whitelist.content_hash != runtime.content_hash
+            or admitted.cert != cert
+            or admitted.proof != proof
+        ):
+            return None
+        return hit
 
 
 class DecisionLog:
@@ -157,15 +162,11 @@ class DecisionLog:
                 fh.write(canonical_bytes(event).decode("utf-8") + "\n")
 
     def record_decision(
-        self,
-        decision: GateDecision,
-        now: float,
-        runtime_whitelist: "Whitelist | None" = None,
+        self, decision: GateDecision, now: float, runtime_whitelist: Whitelist
     ) -> None:
         event = {"event": "gate_decision", "timestamp": now, **decision.to_json()}
-        if runtime_whitelist is not None:
-            event["whitelist_version"] = runtime_whitelist.version
-            event["whitelist_hash"] = runtime_whitelist.content_hash.hex()
+        event["whitelist_version"] = runtime_whitelist.version
+        event["whitelist_hash"] = runtime_whitelist.content_hash.hex()
         self.append(event)
 
     def record_invalidation(self, cause: str, now: float) -> None:
@@ -205,36 +206,30 @@ def gate_verify(
     now: float | None = None,
 ) -> GateDecision:
     """Run the six checks (or serve a cached acceptance) and log the outcome."""
-    if now is None:
-        now = time.time()
     artifact_hash = hashlib.sha256(binary_bytes).digest()
 
-    entry = None if cache is None else cache.lookup(artifact_hash, runtime_whitelist)
-    if entry is not None:
-        decision = GateDecision(
-            verdict=ACCEPT,
-            from_cache=True,
-            artifact_hash=artifact_hash,
-            compiled=entry.compiled,
-        )
-        if log is not None:
-            log.record_decision(decision, now, runtime_whitelist)
-        return decision
-
-    decision = _run_checks(
-        binary_bytes,
-        artifact_hash,
-        cert,
-        proof,
-        runtime_whitelist,
-        trusted_keys,
-        minimum_version,
-        known_hashes,
+    decision = (
+        None
+        if cache is None
+        else cache.lookup(artifact_hash, runtime_whitelist, cert, proof)
     )
-    if decision.accepted and cache is not None:
-        cache.insert(artifact_hash, runtime_whitelist, now, decision.compiled)
+    if decision is None:
+        decision = _run_checks(
+            binary_bytes,
+            artifact_hash,
+            cert,
+            proof,
+            runtime_whitelist,
+            trusted_keys,
+            minimum_version,
+            known_hashes,
+        )
+        if decision.accepted and cache is not None:
+            cache.accepted[artifact_hash] = replace(decision, from_cache=True)
     if log is not None:
-        log.record_decision(decision, now, runtime_whitelist)
+        log.record_decision(
+            decision, time.time() if now is None else now, runtime_whitelist
+        )
     return decision
 
 
@@ -251,12 +246,7 @@ def _run_checks(
     # step 1: trust establishment, then signature verification
     sig = verify_certificate_signature(cert, trusted_keys)
     if not sig.accepted:
-        reason = (
-            R_INVALID_SIGNATURE
-            if sig.reason == INVALID_SIGNATURE
-            else R_UNTRUSTED_CERTIFIER
-        )
-        return _reject(reason, 1, artifact_hash)
+        return _reject(sig.reason, 1, artifact_hash)
 
     # step 2: artifact binding
     if artifact_hash != cert.artifact_hash:
@@ -313,6 +303,7 @@ def _run_checks(
         verdict=ACCEPT,
         artifact_hash=artifact_hash,
         compiled=ModuleCell(module.header),
+        admitted=Admission(runtime_whitelist, cert, proof),
     )
 
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping
 from urllib.parse import urlparse
 
 from .canonical import canonical_bytes
-from .certificate import PurityCertificate, certificate_bytes
+from .certificate import PurityCertificate
 from .gate import DecisionLog, GateCache, GateDecision, gate_verify
 from .proof import PurityProof
 from .provenance import (
@@ -280,6 +280,11 @@ class TierPolicy:
     minimum_tier: str = TIER1_WASM_CERTIFIED
     overrides: Mapping[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for tier in (self.minimum_tier, *self.overrides.values()):
+            if tier not in _TIER_RANK:
+                raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+
     def minimum_for(self, executor_ref: str) -> str:
         return self.overrides.get(executor_ref, self.minimum_tier)
 
@@ -349,9 +354,7 @@ def execute_step(
         )
         if not gate_decision.accepted:
             raise ExecutorRejected(gate_decision)
-        purity_cert_hash = hashlib.sha256(
-            certificate_bytes(executor.cert)
-        ).digest()
+        purity_cert_hash = gate_decision.admitted.cert_hash
         output = instantiate_and_plan(
             executor.binary,
             gate_decision,

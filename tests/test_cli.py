@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,26 @@ def test_verify_rejects_bytes_that_are_not_a_module(workspace, capsys):
     )
     assert code == 1
     assert doc == {"verdict": "reject", "reason": "artifact_hash_mismatch"}
+
+
+def test_verify_and_gate_name_signature_rejections_alike(workspace, capsys):
+    cert = json.loads(Path(workspace["cert"]).read_text())
+    cert["signature"] = "00" * 64
+    zeroed = workspace["root"] / "zero_signature.cert"
+    zeroed.write_text(json.dumps(cert))
+    for cert_file, trusted, reason in (
+        (workspace["cert"], "ab" * 32, "untrusted_certifier"),
+        (str(zeroed), workspace["pub"], "invalid_signature"),
+    ):
+        for command in ("verify", "gate"):
+            code, doc = run_json(
+                capsys,
+                command, str(workspace["wasm"]),
+                "--cert", cert_file,
+                "--proof", workspace["proof"],
+                "--trust", trusted,
+            )
+            assert (code, doc["verdict"], doc["reason"]) == (1, "reject", reason)
 
 
 def test_gate_accepts_and_reports_timing(workspace, capsys):
@@ -421,6 +442,26 @@ def test_missing_file_is_usage_error(workspace, capsys):
         "--cert", "x.cert", "--proof", "x.proof", "--trust", "ab" * 32,
     ])
     assert code == 2
+
+
+def test_run_refuses_an_input_that_is_not_an_object(workspace, capsys):
+    listed = workspace["root"] / "list_input.json"
+    listed.write_text("[1, 2]")
+    code = main([
+        "run", str(workspace["wasm"]),
+        "--cert", workspace["cert"], "--proof", workspace["proof"],
+        "--input", str(listed), "--trust", workspace["pub"],
+    ])
+    assert code == 2
+    assert "must hold a JSON object, not list" in capsys.readouterr().err
+
+
+def test_run_machine_refuses_a_document_that_is_not_an_object(workspace, capsys):
+    machine = workspace["root"] / "list_machine.json"
+    machine.write_text('[{"executor_ref": "e"}]')
+    code = main(["run-machine", str(machine), "--trust", workspace["pub"]])
+    assert code == 2
+    assert "must hold a JSON object, not list" in capsys.readouterr().err
 
 
 def test_unknown_fixture_is_usage_error(workspace, capsys):

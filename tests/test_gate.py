@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from puregate import signing
+from puregate import gate, signing
 from puregate.canonical import canonical_bytes
 from puregate.certificate import (
     certificate_from_json,
@@ -296,17 +296,75 @@ def test_rejections_are_never_cached(bundles, wl_v1, rogue_key):
 
 def test_cache_entry_records_whitelist_snapshot(bundles, wl_v1, certifier_key):
     cache = GateCache()
+    log = DecisionLog()
     decision = _gate(
         bundles["emit_call"],
         wl_v1,
         [certifier_key.public_key],
         cache=cache,
+        log=log,
         now=1234.5,
     )
-    entry = cache.accepted[decision.artifact_hash]
-    assert entry.whitelist_version == wl_v1.version
-    assert entry.whitelist_hash == wl_v1.content_hash
-    assert entry.decided_at == 1234.5
+    admitted = cache.accepted[decision.artifact_hash].admitted
+    assert admitted.whitelist.version == wl_v1.version
+    assert admitted.whitelist.content_hash == wl_v1.content_hash
+    assert log.events[-1]["timestamp"] == 1234.5
+
+
+def test_cache_hit_requires_the_certificate_and_proof_it_admitted(
+    bundles, wl_v1, certifier_key
+):
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    binary, proof, cert = bundles["emit_call"]
+    assert _gate(bundles["emit_call"], wl_v1, keys, cache=cache).accepted
+
+    zero_signature = dataclasses.replace(cert, signature=bytes(64))
+    swapped_proof = bundles["echo"][1]
+    for presented_cert, presented_proof, step, reason in (
+        (zero_signature, proof, 1, R_INVALID_SIGNATURE),
+        (cert, swapped_proof, 3, R_PROOF_HASH_MISMATCH),
+    ):
+        decision = gate_verify(
+            binary, presented_cert, presented_proof, wl_v1, keys, cache=cache
+        )
+        assert not decision.from_cache
+        assert (decision.reason, decision.failed_step) == (reason, step)
+
+    # the rejections left the original acceptance in place
+    signing.reset_verify_call_count()
+    warm = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    assert warm.accepted and warm.from_cache
+    assert warm.admitted.cert is cert and signing.verify_call_count == 0
+
+    # a valid certificate other than the admitted one is checked cold, and
+    # its acceptance is the one later hits serve
+    resigned = sign_certificate(binary, proof, certifier_key, FIXED_NOW + 1)
+    decision = gate_verify(binary, resigned, proof, wl_v1, keys, cache=cache)
+    assert decision.accepted and not decision.from_cache
+    assert signing.verify_call_count == 1
+    again = gate_verify(binary, resigned, proof, wl_v1, keys, cache=cache)
+    assert again.from_cache and again.admitted.cert is resigned
+
+
+def test_cache_hit_is_the_stored_acceptance(bundles, wl_v1, certifier_key):
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    cold = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    stored = cache.accepted[cold.artifact_hash]
+    assert stored.from_cache and stored.admitted is cold.admitted
+    assert _gate(bundles["emit_call"], wl_v1, keys, cache=cache) is stored
+
+
+def test_cold_gate_does_not_hash_the_certificate(
+    bundles, wl_v1, certifier_key, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(gate, "certificate_bytes", lambda cert: calls.append(cert))
+    decision = _gate(
+        bundles["emit_call"], wl_v1, [certifier_key.public_key], cache=GateCache()
+    )
+    assert decision.accepted and calls == []
 
 
 def test_whitelist_change_misses_cache(bundles, wl_v1, wl_v2, certifier_key):

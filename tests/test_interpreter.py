@@ -1,8 +1,11 @@
+import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
+from puregate import gate
+from puregate.certificate import certificate_bytes
 from puregate.interpreter import (
     PRE_EXECUTE_STAGES,
     STAGES,
@@ -303,6 +306,41 @@ def test_wasm_step_end_to_end(bundles, certifier_key, wl_v1):
     assert [d.kind for d in step.output.directives] == ["call_machine"]
     assert step.results[0]["machine"] == "child-machine"
     assert len(governance.sink.log) == 1
+
+
+def test_steps_pin_the_admitting_certificate_hashed_once(
+    bundles, certifier_key, wl_v1, monkeypatch
+):
+    binary, proof, cert = bundles["emit_call"]
+    expected = hashlib.sha256(certificate_bytes(cert)).digest()
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return certificate_bytes(c)
+
+    monkeypatch.setattr(gate, "certificate_bytes", counting)
+    registry = {"emit": WasmExecutor(binary=binary, cert=cert, proof=proof)}
+    record, results = run_machine(
+        _machine([{"executor_ref": "emit", "config": {"n": n}} for n in range(4)]),
+        default_governance(),
+        TierPolicy(),
+        registry,
+        _services(certifier_key, wl_v1),
+    )
+    assert [r.gate_decision.from_cache for r in results] == [False, True, True, True]
+    assert [r.step_record.purity_cert_hash for r in results] == [expected] * 4
+    assert calls == [cert]
+    assert verify_chain(record).valid
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [{"minimum_tier": "tier1"}, {"overrides": {"loose": "tier3_uncheked"}}],
+)
+def test_tier_policy_refuses_unknown_tier_names(policy):
+    with pytest.raises(ValueError, match="unknown tier"):
+        TierPolicy(**policy)
 
 
 def test_context_carries_input_and_prior_results(certifier_key, wl_v1):
