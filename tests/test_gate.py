@@ -352,7 +352,10 @@ def test_cache_hit_is_the_stored_acceptance(bundles, wl_v1, certifier_key):
     keys = [certifier_key.public_key]
     cold = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
     stored = cache.accepted[cold.artifact_hash]
-    assert stored.from_cache and stored.admitted is cold.admitted
+    assert stored == GateDecision(
+        verdict=ACCEPT, from_cache=True, artifact_hash=cold.artifact_hash
+    )
+    assert stored.admitted is cold.admitted
     assert _gate(bundles["emit_call"], wl_v1, keys, cache=cache) is stored
 
 
