@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import signing
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import canonical_bytes, load_object
 from .certificate import (
     KeyPair,
     PurityCertificate,
@@ -86,15 +86,18 @@ class EnvironmentDescriptor:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "EnvironmentDescriptor":
-        return cls(
-            runtime_identity=obj["runtime_identity"],
-            runtime_version=obj["runtime_version"],
-            whitelist_version=int(obj["whitelist_version"]),
-            whitelist_hash=bytes.fromhex(obj["whitelist_hash"]),
-            accepted_certifier_keys=tuple(
-                bytes.fromhex(k) for k in obj["accepted_certifier_keys"]
-            ),
-        )
+        try:
+            return cls(
+                runtime_identity=obj["runtime_identity"],
+                runtime_version=obj["runtime_version"],
+                whitelist_version=int(obj["whitelist_version"]),
+                whitelist_hash=bytes.fromhex(obj["whitelist_hash"]),
+                accepted_certifier_keys=tuple(
+                    bytes.fromhex(k) for k in obj["accepted_certifier_keys"]
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise AttestationFormatError(f"bad environment document: {exc}") from exc
 
 
 def environment_bytes(env: EnvironmentDescriptor) -> bytes:
@@ -321,15 +324,9 @@ def save_attestation(record: AttestationRecord, path: Path) -> None:
 
 
 def load_attestation(path: Path) -> AttestationRecord:
-    try:
-        doc = canonical_loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:
-        raise AttestationFormatError(
-            f"cannot read attestation {path}: {exc}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise AttestationFormatError("attestation file must hold a JSON object")
-    return attestation_from_json(doc)
+    return attestation_from_json(
+        load_object(path, AttestationFormatError, "attestation")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +367,4 @@ def save_policy(policy: OrgPolicy, path: Path) -> None:
 
 
 def load_policy(path: Path) -> OrgPolicy:
-    try:
-        doc = canonical_loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:
-        raise AttestationFormatError(f"cannot read policy {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise AttestationFormatError("policy file must hold a JSON object")
-    return policy_from_json(doc)
+    return policy_from_json(load_object(path, AttestationFormatError, "policy"))

@@ -5,11 +5,16 @@ attestations, provenance records, and the WASM boundary documents all hash
 and round-trip through this module. The canonical form is JSON with sorted
 keys, no insignificant whitespace, UTF-8 bytes, and digests rendered as
 lowercase hex. Identical values produce identical bytes on every platform.
+
+Every document that comes from outside, file or line, is read here too:
+`load_object` and `loads_object` accept one JSON object and turn any other
+input (unreadable, not JSON, not an object) into the caller's format error.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any
 
 
@@ -47,6 +52,28 @@ def canonical_loads(data: bytes | str) -> Any:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise CanonicalError(f"invalid document: {exc}") from exc
+
+
+def loads_object(
+    data: bytes | str, error: type[ValueError], what: str
+) -> dict[str, Any]:
+    """Parse a document that must be a JSON object; any failure raises error."""
+    try:
+        doc = canonical_loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def load_object(path: Path, error: type[ValueError], what: str) -> dict[str, Any]:
+    """Read and parse a document file that must hold one JSON object."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    return loads_object(data, error, f"{what} {path}")
 
 
 def is_hex_digest(value: Any, *, nbytes: int = 32) -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Collection, Mapping
 
 from . import signing
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import canonical_bytes, load_object
 from .proof import PURE, PurityProof, proof_hash, validate_proof_against_binary
 
 FORMAT_VERSION = 1
@@ -189,10 +189,5 @@ def save_certificate(cert: PurityCertificate, path: Path) -> None:
 
 
 def load_certificate(path: Path) -> PurityCertificate:
-    try:
-        doc = canonical_loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:
-        raise CertificateFormatError(f"cannot read certificate {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CertificateFormatError("certificate file must hold a JSON object")
+    doc = load_object(path, CertificateFormatError, "certificate")
     return certificate_from_json(doc)

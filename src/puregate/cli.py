@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 when a verifier rejects (gate, certificate,
 attestation, provenance) or an admitted executor fails (any VMError: trap,
-fuel, limits), 2 on usage or file errors. Every subcommand accepts --json
-for machine-readable output on stdout.
+fuel, limits), 2 on usage or file errors, including any malformed document:
+a file that cannot be read, is not JSON, is not a JSON object or has a field
+of the wrong type or shape. Every subcommand accepts --json for
+machine-readable output on stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .attestation import (
-    AttestationFormatError,
     EnvironmentDescriptor,
     GateNeverAccepted,
     build_attestation,
@@ -27,9 +28,8 @@ from .attestation import (
     verify_attestation,
 )
 from .bench import METRICS, bench
-from .canonical import CanonicalError, canonical_dumps, canonical_loads
+from .canonical import canonical_dumps, load_object, loads_object
 from .certificate import (
-    CertificateFormatError,
     KeyPair,
     ProofBinaryMismatch,
     RefuseImpure,
@@ -40,12 +40,7 @@ from .certificate import (
     sign_certificate,
     verify_certificate_signature,
 )
-from .fixtures import (
-    ImpureFixture,
-    UnknownFixture,
-    fixture_binary,
-    list_fixtures,
-)
+from .fixtures import ImpureFixture, fixture_binary, list_fixtures
 from .gate import DecisionLog, GateDecision, gate_verify
 from .gate import R_ARTIFACT_HASH_MISMATCH, R_PROOF_HASH_MISMATCH
 from .interpreter import (
@@ -56,26 +51,13 @@ from .interpreter import (
     default_governance,
     run_machine,
 )
-from .proof import (
-    ProofFormatError,
-    build_proof,
-    load_proof,
-    proof_hash,
-    save_proof,
-)
-from .provenance import (
-    ProvenanceFormatError,
-    cross_org_hash,
-    load_run_record,
-    save_run_record,
-    verify_chain,
-)
+from .proof import build_proof, load_proof, proof_hash, save_proof
+from .provenance import cross_org_hash, load_run_record, save_run_record, verify_chain
 from .runtime_host import ExecutorInput, ResourceLimits, instantiate_and_plan
-from .signing import SigningError, generate_seed, load_public_key, load_seed, save_keypair
-from .wasm_inspect import MalformedBinary, hash_bytes, parse_imports
+from .signing import generate_seed, load_public_key, load_seed, save_keypair
+from .wasm_inspect import hash_bytes, parse_imports
 from .wasmvm import VMError
 from .whitelist import (
-    WhitelistFormatError,
     builtin_whitelist,
     load_whitelist,
     sign_whitelist,
@@ -85,20 +67,8 @@ from .whitelist import (
 
 KEY_DIR_ENV = "PUREGATE_KEY_DIR"
 
-_USAGE_ERRORS = (
-    OSError,
-    CanonicalError,
-    CertificateFormatError,
-    ProofFormatError,
-    WhitelistFormatError,
-    AttestationFormatError,
-    ProvenanceFormatError,
-    MalformedBinary,
-    SigningError,
-    UnknownFixture,
-    ValueError,
-    KeyError,
-)
+# every format error of a document, key or binary subclasses one of these
+_USAGE_ERRORS = (OSError, ValueError, KeyError)
 _DOMAIN_ERRORS = (RefuseImpure, ProofBinaryMismatch, GateNeverAccepted, ImpureFixture)
 
 
@@ -152,11 +122,26 @@ def _emit(args: argparse.Namespace, doc: dict[str, Any], human: str) -> None:
         print(human)
 
 
-def _json_object(data: bytes, source: str) -> dict[str, Any]:
-    doc = canonical_loads(data)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{source} must hold a JSON object, not {type(doc).__name__}")
-    return doc
+def _check_machine(doc: dict[str, Any], what: str) -> None:
+    """Refuse a machine whose parts have a shape run_machine cannot read."""
+    executors = doc.get("executors", {})
+    if not isinstance(executors, dict) or not all(
+        isinstance(paths, dict)
+        and all(isinstance(paths.get(key), str) for key in ("wasm", "cert", "proof"))
+        for paths in executors.values()
+    ):
+        raise ValueError(
+            f"{what}: executors must map names to objects "
+            "with string wasm, cert and proof"
+        )
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list) or not all(
+        isinstance(step, dict) and isinstance(step.get("executor_ref"), str)
+        for step in steps
+    ):
+        raise ValueError(
+            f"{what}: steps must be a list of objects with a string executor_ref"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +269,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     proof = load_proof(Path(args.proof))
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
-    input_doc = _json_object(Path(args.input).read_bytes(), args.input)
+    input_doc = load_object(Path(args.input), ValueError, "input")
 
     decision = gate_verify(binary, cert, proof, whitelist, trusted)
     if not decision.accepted:
@@ -323,7 +308,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_machine(args: argparse.Namespace) -> int:
     machine_path = Path(args.machine)
     machine_bytes = machine_path.read_bytes()
-    machine_doc = _json_object(machine_bytes, args.machine)
+    what = f"machine {machine_path}"
+    machine_doc = loads_object(machine_bytes, ValueError, what)
+    _check_machine(machine_doc, what)
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
 
@@ -378,8 +365,9 @@ def _cmd_attest(args: argparse.Namespace) -> int:
     binary = Path(args.wasm).read_bytes()
     cert = load_certificate(Path(args.cert))
     proof = load_proof(Path(args.proof))
-    env_doc = _json_object(Path(args.env).read_bytes(), args.env)
-    env = EnvironmentDescriptor.from_json(env_doc)
+    env = EnvironmentDescriptor.from_json(
+        load_object(Path(args.env), ValueError, "environment")
+    )
     env_key = _load_keypair(args.env_key)
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust) if args.trust else list(

@@ -26,7 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import CanonicalError, canonical_bytes, loads_object
 from .certificate import (
     INVALID_SIGNATURE,
     UNTRUSTED_CERTIFIER,
@@ -175,9 +175,10 @@ class DecisionLog:
     @staticmethod
     def read_events(path: Path) -> list[dict[str, Any]]:
         events = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
             if line.strip():
-                events.append(canonical_loads(line))
+                what = f"decision log {path} line {number}"
+                events.append(loads_object(line, CanonicalError, what))
         return events
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import canonical_bytes, load_object
 from .wasm_inspect import ImportRecord, MalformedBinary, ModuleImports, parse_imports
 from .whitelist import DISALLOWED, Classification, Whitelist, classify_import
 
@@ -103,13 +103,7 @@ def save_proof(proof: PurityProof, path: Path) -> None:
 
 
 def load_proof(path: Path) -> PurityProof:
-    try:
-        doc = canonical_loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:
-        raise ProofFormatError(f"cannot read proof {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ProofFormatError("proof file must hold a JSON object")
-    return proof_from_json(doc)
+    return proof_from_json(load_object(path, ProofFormatError, "proof"))
 
 
 def validate_proof_against_binary(

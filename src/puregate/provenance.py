@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import canonical_bytes, loads_object
 
 DIGEST_BYTES = 32
 ZERO_DIGEST = bytes(DIGEST_BYTES)
@@ -282,18 +282,14 @@ def load_run_record(path: Path) -> RunRecord:
     steps: list[StepRecord] = []
     run_doc: Mapping[str, Any] | None = None
     try:
-        raw_lines: Iterable[str] = (
-            Path(path).read_text(encoding="utf-8").splitlines()
-        )
+        raw_lines = Path(path).read_bytes().splitlines()
     except OSError as exc:
         raise ProvenanceFormatError(f"cannot read chain file {path}: {exc}") from exc
-    for line in raw_lines:
+    for number, line in enumerate(raw_lines, 1):
         if not line.strip():
             continue
-        try:
-            doc = canonical_loads(line)
-        except ValueError as exc:
-            raise ProvenanceFormatError(f"bad chain line: {exc}") from exc
+        what = f"chain file {path} line {number}"
+        doc = loads_object(line, ProvenanceFormatError, what)
         if run_doc is not None:
             raise ProvenanceFormatError("records found after the sealed run line")
         if doc.get("type") == "step":

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping
 
 from . import signing
 from .canonical import canonical_bytes as _canonical_json
-from .canonical import canonical_loads
+from .canonical import load_object
 from .wasm_inspect import ImportRecord
 
 PURE_DATA = "pure_data"
@@ -238,24 +238,21 @@ def whitelist_to_json(whitelist: Whitelist) -> dict[str, Any]:
 
 def whitelist_from_json(doc: Mapping[str, Any]) -> Whitelist:
     try:
-        version = doc["version"]
-        entries = tuple(WhitelistEntry.from_json(e) for e in doc["entries"])
+        built = make_whitelist(
+            doc["version"], [WhitelistEntry.from_json(e) for e in doc["entries"]]
+        )
+        recorded, key, signature = (
+            None if doc.get(name) is None else bytes.fromhex(doc[name])
+            for name in ("content_hash", "authority_key", "authority_signature")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise WhitelistFormatError(f"bad whitelist document: {exc}") from exc
-    built = make_whitelist(version, entries)
-    recorded = doc.get("content_hash")
-    if recorded is not None and bytes.fromhex(recorded) != built.content_hash:
+    if recorded is not None and recorded != built.content_hash:
         raise WhitelistFormatError(
             "recorded content_hash does not match the canonical entries"
         )
-    key_hex = doc.get("authority_key")
-    sig_hex = doc.get("authority_signature")
-    if key_hex is not None and sig_hex is not None:
-        built = replace(
-            built,
-            authority_key=bytes.fromhex(key_hex),
-            authority_signature=bytes.fromhex(sig_hex),
-        )
+    if key is not None and signature is not None:
+        built = replace(built, authority_key=key, authority_signature=signature)
     return built
 
 
@@ -264,13 +261,7 @@ def save_whitelist(whitelist: Whitelist, path: Path) -> None:
 
 
 def load_whitelist(path: Path) -> Whitelist:
-    try:
-        doc = canonical_loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:
-        raise WhitelistFormatError(f"cannot read whitelist {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise WhitelistFormatError("whitelist file must hold a JSON object")
-    return whitelist_from_json(doc)
+    return whitelist_from_json(load_object(path, WhitelistFormatError, "whitelist"))
 
 
 # ---------------------------------------------------------------------------

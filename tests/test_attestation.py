@@ -338,6 +338,18 @@ def test_environment_and_policy_round_trips(attested, policy):
     )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("whitelist_version", [1]), ("whitelist_hash", 5), ("accepted_certifier_keys", 5)],
+)
+def test_environment_fields_of_the_wrong_type_are_format_errors(
+    attested, field, value
+):
+    doc = {**attested.env.to_json(), field: value}
+    with pytest.raises(AttestationFormatError, match="bad environment document"):
+        EnvironmentDescriptor.from_json(doc)
+
+
 def test_attesting_without_local_acceptance_refused(
     bundles, certifier_key, env_keypair, wl_v1, wl_v2
 ):

@@ -11,6 +11,8 @@ from puregate.canonical import (
     canonical_dumps,
     canonical_loads,
     is_hex_digest,
+    load_object,
+    loads_object,
 )
 
 json_values = st.recursive(
@@ -72,3 +74,35 @@ def test_hex_digest_predicate():
     assert not is_hex_digest("AB" * 32)
     assert not is_hex_digest("ab" * 31)
     assert not is_hex_digest("zz" * 32)
+
+
+class DocumentError(ValueError):
+    pass
+
+
+def test_document_reader_returns_the_object(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(canonical_bytes({"a": [1, 2]}))
+    assert load_object(path, DocumentError, "doc") == {"a": [1, 2]}
+    assert loads_object(b'{"a": 1}', DocumentError, "doc") == {"a": 1}
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read doc {path}: "),
+        (b"{not json", "cannot read doc {path}: invalid document: "),
+        (b'"\xff"', "cannot read doc {path}: "),
+        (b"[" * 100_000, "cannot read doc {path}: "),
+        (b"[1, 2]", "doc {path} must hold a JSON object, not list"),
+        (b"null", "doc {path} must hold a JSON object, not NoneType"),
+    ],
+    ids=["missing", "not_json", "not_utf8", "too_deep", "list", "null"],
+)
+def test_document_reader_raises_only_the_callers_error(tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DocumentError) as caught:
+        load_object(path, DocumentError, "doc")
+    assert str(caught.value).startswith(message.format(path=path))

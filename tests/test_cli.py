@@ -464,6 +464,125 @@ def test_run_machine_refuses_a_document_that_is_not_an_object(workspace, capsys)
     assert "must hold a JSON object, not list" in capsys.readouterr().err
 
 
+def _machine(workspace, **parts):
+    doc = {
+        "machine": "demo",
+        "input": None,
+        "steps": [{"executor_ref": "e"}],
+        "executors": {"e": {"wasm": str(workspace["wasm"]), "cert": workspace["cert"],
+                            "proof": workspace["proof"]}},
+    }
+    return {**doc, **parts}
+
+
+def _mistyped_document(workspace, command):
+    """A document for the command that parses but has one field of the wrong type."""
+    cert = json.loads(Path(workspace["cert"]).read_text())
+    proof = json.loads(Path(workspace["proof"]).read_text())
+    whitelist = json.loads(_builtin_v1_path().read_text())
+    env = {
+        "runtime_identity": RUNTIME_ID,
+        "runtime_version": "1.0",
+        "whitelist_version": 1,
+        "whitelist_hash": builtin_whitelist(1).content_hash.hex(),
+        "accepted_certifier_keys": [workspace["pub"]],
+    }
+    return {
+        "verify": {**cert, "signature": 5},
+        "gate": {**proof, "imports": 5},
+        "run": {**whitelist, "version": [1]},
+        "run-machine": _machine(workspace, steps=[{"executor_ref": ["e"]}]),
+        "attest": {**env, "whitelist_version": [1]},
+        "attest-verify": {
+            "certificate": cert,
+            "proof": proof,
+            "env": {**env, "whitelist_hash": 5},
+            "env_signature": "00" * 64,
+            "env_key": "00" * 32,
+        },
+        "whitelist": {**whitelist, "content_hash": 5},
+        "provenance": {"type": "step", "step_index": [1]},
+    }[command]
+
+
+def _argv_reading(workspace, command, document):
+    """The command line of a subcommand that reads the given document file."""
+    executor = ["--cert", workspace["cert"], "--proof", workspace["proof"]]
+    trust = ["--trust", workspace["pub"]]
+    input_doc = ["--input", str(workspace["root"] / "input.json")]
+    return {
+        "verify": ["verify", str(workspace["wasm"]), "--cert", document,
+                   "--proof", workspace["proof"], *trust],
+        "gate": ["gate", str(workspace["wasm"]), "--cert", workspace["cert"],
+                 "--proof", document, *trust],
+        "run": ["run", str(workspace["wasm"]), *executor, *input_doc,
+                "--whitelist", document, *trust],
+        "run-machine": ["run-machine", document, *trust],
+        "attest": ["attest", str(workspace["wasm"]), *executor, "--env", document,
+                   "--env-key", "certifier"],
+        "attest-verify": ["attest-verify", document, "--policy", document],
+        "whitelist": ["whitelist", "hash", document],
+        "provenance": ["provenance", "verify", document],
+    }[command]
+
+
+@pytest.mark.parametrize("bad", ["missing", "not_json", "list", "mistyped"])
+@pytest.mark.parametrize(
+    "command",
+    ["verify", "gate", "run", "run-machine", "attest", "attest-verify",
+     "whitelist", "provenance"],
+)
+def test_every_malformed_document_is_a_usage_error(workspace, capsys, command, bad):
+    document = workspace["root"] / "document.json"
+    if bad == "not_json":
+        document.write_text('{"version": ')
+    elif bad == "list":
+        document.write_text("[1, 2]\n")
+    elif bad == "mistyped":
+        document.write_text(json.dumps(_mistyped_document(workspace, command)) + "\n")
+    code = main(_argv_reading(workspace, command, str(document)))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        {"executors": []},
+        {"executors": {"a": "x"}},
+        {"steps": "ab"},
+        {"steps": ["a"]},
+        {"steps": [{"executor_ref": ["a"]}]},
+    ],
+    ids=["executors_list", "executor_string", "steps_string", "step_string",
+         "executor_ref_list"],
+)
+def test_run_machine_refuses_misshapen_parts(workspace, capsys, parts):
+    machine = workspace["root"] / "misshapen.json"
+    machine.write_text(json.dumps(_machine(workspace, **parts)))
+    code = main(["run-machine", str(machine), "--trust", workspace["pub"]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: machine {machine}: ")
+
+
+@pytest.mark.parametrize("line", ["[1]", "5", '"x"'])
+def test_provenance_refuses_chain_lines_that_are_not_objects(workspace, capsys, line):
+    chain = workspace["root"] / "bad.chain"
+    chain.write_text(line + "\n")
+    for argv in (
+        ["provenance", "verify", str(chain)],
+        ["provenance", "cross-org", "--caller", str(chain),
+         "--attestation", str(chain), "--callee", str(chain)],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: chain file {chain} line 1 must hold a JSON object")
+
+
 def test_unknown_fixture_is_usage_error(workspace, capsys):
     code = main(["fixtures", "build", "ghost_fixture"])
     assert code == 2

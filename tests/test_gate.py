@@ -5,7 +5,7 @@ import random
 import pytest
 
 from puregate import gate, signing
-from puregate.canonical import canonical_bytes
+from puregate.canonical import CanonicalError, canonical_bytes
 from puregate.certificate import (
     certificate_from_json,
     certificate_to_json,
@@ -510,6 +510,13 @@ def test_every_decision_logged_accepts_and_rejects(
 
     replayed = DecisionLog.read_events(tmp_path / "decisions.jsonl")
     assert replayed == log.events
+
+
+def test_decision_log_lines_must_be_objects(tmp_path):
+    path = tmp_path / "decisions.jsonl"
+    path.write_text('{"event": "gate_decision"}\n\n[1]\n')
+    with pytest.raises(CanonicalError, match="line 3 must hold a JSON object, not list"):
+        DecisionLog.read_events(path)
 
 
 def test_cache_hits_are_also_logged(bundles, wl_v1, certifier_key):

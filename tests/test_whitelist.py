@@ -156,6 +156,18 @@ def test_recorded_hash_must_match_recomputation(wl_v1):
         whitelist_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("version", [1]), ("content_hash", 5), ("authority_key", 5),
+     ("authority_signature", ["00"])],
+)
+def test_wrongly_typed_fields_are_format_errors(wl_v1, field, value):
+    doc = whitelist_to_json(sign_whitelist(wl_v1, generate_seed()))
+    doc[field] = value
+    with pytest.raises(WhitelistFormatError, match="bad whitelist document"):
+        whitelist_from_json(doc)
+
+
 def test_json_round_trip(wl_v2):
     assert whitelist_from_json(whitelist_to_json(wl_v2)) == wl_v2
 
