@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import signing
-from .canonical import canonical_bytes, load_object
+from .canonical import canonical_bytes, load_object, of_type
 from .certificate import (
     KeyPair,
     PurityCertificate,
@@ -87,17 +87,22 @@ class EnvironmentDescriptor:
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "EnvironmentDescriptor":
         try:
-            return cls(
-                runtime_identity=obj["runtime_identity"],
-                runtime_version=obj["runtime_version"],
-                whitelist_version=int(obj["whitelist_version"]),
-                whitelist_hash=bytes.fromhex(obj["whitelist_hash"]),
-                accepted_certifier_keys=tuple(
-                    bytes.fromhex(k) for k in obj["accepted_certifier_keys"]
-                ),
+            env = cls(
+                of_type(obj["runtime_identity"], str, "runtime_identity"),
+                of_type(obj["runtime_version"], str, "runtime_version"),
+                of_type(obj["whitelist_version"], int, "whitelist_version"),
+                bytes.fromhex(obj["whitelist_hash"]),
+                tuple(bytes.fromhex(k) for k in obj["accepted_certifier_keys"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise AttestationFormatError(f"bad environment document: {exc}") from exc
+        if env.whitelist_version < 1:
+            raise AttestationFormatError("environment whitelist_version must be >= 1")
+        if len(env.whitelist_hash) != 32:
+            raise AttestationFormatError("environment whitelist_hash must be 32 bytes")
+        if any(len(k) != signing.PUBLIC_KEY_BYTES for k in env.accepted_certifier_keys):
+            raise AttestationFormatError("environment certifier keys must be 32 bytes")
+        return env
 
 
 def environment_bytes(env: EnvironmentDescriptor) -> bytes:

@@ -8,7 +8,9 @@ lowercase hex. Identical values produce identical bytes on every platform.
 
 Every document that comes from outside, file or line, is read here too:
 `load_object` and `loads_object` accept one JSON object and turn any other
-input (unreadable, not JSON, not an object) into the caller's format error.
+input (unreadable, not JSON, not an object) into the caller's format error,
+and `of_type` refuses a field whose JSON type is not the one the decoder
+expects.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ def load_object(path: Path, error: type[ValueError], what: str) -> dict[str, Any
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     return loads_object(data, error, f"{what} {path}")
+
+
+def of_type(value: Any, kind: type, what: str) -> Any:
+    """value if its type is exactly kind, else TypeError. Exactly, because
+    JSON's true decodes to a bool, which Python counts as an int."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    return value
 
 
 def is_hex_digest(value: Any, *, nbytes: int = 32) -> bool:

@@ -56,8 +56,13 @@ the gate's acceptance can carry it and a warm plan only builds an Instance.
 It tiers up once the module's runs have spent TIER_UP_FUEL_PER_OP units per
 op, and the generated source grows linearly with the ops, so compile time
 stays of the order of the time already spent interpreting. The
-translation of a body is memoised, keyed by the body and its function
-types, so a cell built again for the same artifact does not recompile.
+translation of a body is memoised process-wide (a bounded map of code
+objects, keyed by the body and its function types; least recently used
+out first), and a cell whose bodies are all in it when it parses tiers up
+on its first plan: so a cell built again for a hot artifact, by a new
+session or after the gate's cache is cleared, neither recompiles nor
+interprets again. The functions are still made per cell, and dropped
+with it.
 
 Isolation properties the host relies on: each Instance owns a private linear
 memory created at instantiation, with the data segments copied into it (no
@@ -69,7 +74,6 @@ read at each call.
 
 from __future__ import annotations
 
-import functools
 import operator
 import struct
 import time
@@ -170,9 +174,14 @@ class ModuleCell:
     the same InstantiationError.
 
     The cell also tiers the module up: add_fuel() counts the fuel its runs
-    spend, and once that reaches TIER_UP_FUEL_PER_OP times the module's op
-    count, tier2() translates it (compile_tier2) and keeps the functions.
-    A module run once below that never compiles.
+    spend, and once that reaches its threshold, tier2() translates the
+    module (compile_tier2) and keeps the functions. The threshold is set
+    once, when module() parses: 0 when every body is already in the
+    process-wide translation memo, since compiling is then only memo hits,
+    so a cell built again for a hot artifact runs tier 2 from its first
+    plan; otherwise TIER_UP_FUEL_PER_OP times the module's op count, so a
+    module run once below that never compiles. Either way the functions
+    are the cell's own and go with it.
     """
 
     __slots__ = ("header", "_module", "_threshold", "_fuel", "_tier2")
@@ -186,8 +195,13 @@ class ModuleCell:
 
     def module(self, binary: bytes) -> ParsedModule:
         if self._module is None:
-            self._module = parse_module(binary, self.header)
-            self._threshold = TIER_UP_FUEL_PER_OP * module_size(self._module)
+            module = parse_module(binary, self.header)
+            self._threshold = (
+                0
+                if _TRANSLATIONS.translated(module)
+                else TIER_UP_FUEL_PER_OP * module_size(module)
+            )
+            self._module = module
         return self._module
 
     def add_fuel(self, used: int) -> None:
@@ -938,8 +952,10 @@ _BINARY: dict[int, Callable[[int, int], int]] = {
 # tier 2: each validated body translated into one Python function
 # ---------------------------------------------------------------------------
 
-# a cell tiers up once its runs have spent this much fuel per op of the
-# module: compile() takes about 25 us per op, an interpreted unit 0.15 us
+# a cell whose bodies are not all in the translation memo tiers up once its
+# runs have spent this much fuel per op of the module: compile() takes about
+# 25 us per op, an interpreted unit 0.15 us (a cell whose bodies all are
+# tiers up at once: the compile is then only memo hits)
 TIER_UP_FUEL_PER_OP = 170
 
 # one generated function per defined function, in code-section order
@@ -964,18 +980,65 @@ def compile_tier2(module: ParsedModule) -> Tier2:
     n_imported = len(module.imported_funcs)
     namespace = dict(_TIER2_NAMES)
     for i, code in enumerate(module.codes, n_imported):
-        exec(_translate(code, i, module.func_types, n_imported), namespace)
+        exec(_TRANSLATIONS.translate(code, i, module.func_types, n_imported), namespace)
     return tuple(namespace[f"f{i}"] for i in range(n_imported, len(module.func_types)))
 
 
-@functools.lru_cache(maxsize=512)
-def _translate(
-    code: _Code, index: int, func_types: tuple[FuncType, ...], n_imported: int
-) -> CodeType:
-    # a pure function of validated code, so sessions that decode the same
-    # artifact again share one compile
-    source = _Translator(code, index, func_types, n_imported).source()
-    return compile(source, f"<tier2 f{index}>", "exec")
+class _TranslationMemo:
+    """Tier-2 code objects, keyed by body, function index, function types and
+    import count; at most maxsize entries, the least recently used evicted.
+
+    A translation is a pure function of validated code, so one memo serves
+    every cell of the process: a cell built again for the same artifact (a
+    new session, a cleared cache) does not recompile. It holds code objects
+    only; the functions made from them live in each cell's own namespace.
+    Like the cells and the gate's cache, it is for one thread.
+    """
+
+    __slots__ = ("maxsize", "hits", "misses", "_codes")
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self._codes: dict[tuple, CodeType] = {}  # in order of last use
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def translated(self, module: ParsedModule) -> bool:
+        """Whether every body of module is held; recency is left as it is."""
+        n_imported = len(module.imported_funcs)
+        return all(
+            (code, i, module.func_types, n_imported) in self._codes
+            for i, code in enumerate(module.codes, n_imported)
+        )
+
+    def translate(
+        self, code: _Code, index: int, func_types: tuple[FuncType, ...], n_imported: int
+    ) -> CodeType:
+        """The code object of function index's body, translated on a miss."""
+        key = (code, index, func_types, n_imported)
+        codes = self._codes
+        compiled = codes.pop(key, None)
+        if compiled is None:
+            self.misses += 1
+            source = _Translator(code, index, func_types, n_imported).source()
+            compiled = compile(source, f"<tier2 f{index}>", "exec")
+            if len(codes) >= self.maxsize:
+                del codes[next(iter(codes))]
+        else:
+            self.hits += 1
+        codes[key] = compiled
+        return compiled
+
+    def clear(self) -> None:
+        self._codes.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+_TRANSLATIONS = _TranslationMemo(512)
 
 
 def _tier1(inst, fuel, index, k, frame, height, depth):

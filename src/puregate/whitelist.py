@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping
 
 from . import signing
 from .canonical import canonical_bytes as _canonical_json
-from .canonical import load_object
+from .canonical import load_object, of_type
 from .wasm_inspect import ImportRecord
 
 PURE_DATA = "pure_data"
@@ -64,10 +64,10 @@ class WhitelistEntry:
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "WhitelistEntry":
         return cls(
-            namespace=obj["namespace"],
-            name=obj["name"],
-            purity_class=obj["class"],
-            type_signature=obj["type_signature"],
+            *(
+                of_type(obj[key], str, f"entry {key}")
+                for key in ("namespace", "name", "class", "type_signature")
+            )
         )
 
 
@@ -239,7 +239,8 @@ def whitelist_to_json(whitelist: Whitelist) -> dict[str, Any]:
 def whitelist_from_json(doc: Mapping[str, Any]) -> Whitelist:
     try:
         built = make_whitelist(
-            doc["version"], [WhitelistEntry.from_json(e) for e in doc["entries"]]
+            of_type(doc["version"], int, "version"),
+            [WhitelistEntry.from_json(e) for e in doc["entries"]],
         )
         recorded, key, signature = (
             None if doc.get(name) is None else bytes.fromhex(doc[name])

@@ -350,6 +350,36 @@ def test_environment_fields_of_the_wrong_type_are_format_errors(
         EnvironmentDescriptor.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("runtime_identity", 5), ("runtime_version", None), ("runtime_version", 1.0),
+     ("whitelist_version", 1.5), ("whitelist_version", True),
+     ("whitelist_version", "1")],
+)
+def test_environment_fields_that_parse_but_are_mistyped_are_format_errors(
+    attested, field, value
+):
+    doc = {**attested.env.to_json(), field: value}
+    with pytest.raises(AttestationFormatError, match=f"{field} must be"):
+        EnvironmentDescriptor.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("whitelist_version", 0, "whitelist_version must be >= 1"),
+     ("whitelist_hash", "", "whitelist_hash must be 32 bytes"),
+     ("whitelist_hash", "00" * 31, "whitelist_hash must be 32 bytes"),
+     ("accepted_certifier_keys", ["00" * 33], "certifier keys must be 32 bytes"),
+     ("accepted_certifier_keys", [""], "certifier keys must be 32 bytes")],
+)
+def test_environment_versions_hashes_and_keys_out_of_range_are_format_errors(
+    attested, field, value, message
+):
+    doc = {**attested.env.to_json(), field: value}
+    with pytest.raises(AttestationFormatError, match=message):
+        EnvironmentDescriptor.from_json(doc)
+
+
 def test_attesting_without_local_acceptance_refused(
     bundles, certifier_key, env_keypair, wl_v1, wl_v2
 ):

@@ -475,18 +475,22 @@ def _machine(workspace, **parts):
     return {**doc, **parts}
 
 
-def _mistyped_document(workspace, command):
-    """A document for the command that parses but has one field of the wrong type."""
-    cert = json.loads(Path(workspace["cert"]).read_text())
-    proof = json.loads(Path(workspace["proof"]).read_text())
-    whitelist = json.loads(_builtin_v1_path().read_text())
-    env = {
+def _environment(workspace):
+    return {
         "runtime_identity": RUNTIME_ID,
         "runtime_version": "1.0",
         "whitelist_version": 1,
         "whitelist_hash": builtin_whitelist(1).content_hash.hex(),
         "accepted_certifier_keys": [workspace["pub"]],
     }
+
+
+def _mistyped_document(workspace, command):
+    """A document for the command that parses but has one field of the wrong type."""
+    cert = json.loads(Path(workspace["cert"]).read_text())
+    proof = json.loads(Path(workspace["proof"]).read_text())
+    whitelist = json.loads(_builtin_v1_path().read_text())
+    env = _environment(workspace)
     return {
         "verify": {**cert, "signature": 5},
         "gate": {**proof, "imports": 5},
@@ -545,6 +549,33 @@ def test_every_malformed_document_is_a_usage_error(workspace, capsys, command, b
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _wrongly_typed_fields(workspace):
+    """(command, document) pairs whose only fault is a field's JSON type or
+    length; each parses and, unchecked, would hash as if valid."""
+    whitelist = json.loads(_builtin_v1_path().read_text())
+    del whitelist["content_hash"]  # optional; its check would mask the fault
+    entry = whitelist["entries"][0]
+    env = _environment(workspace)
+    return [
+        ("run", {**whitelist, "version": 1.5}),
+        ("run", {**whitelist, "version": True}),
+        ("run", {**whitelist, "entries": [{**entry, "namespace": 5}]}),
+        ("attest", {**env, "runtime_identity": 5}),
+        ("attest", {**env, "runtime_version": None}),
+        ("attest", {**env, "whitelist_hash": ""}),
+    ]
+
+
+def test_wrongly_typed_whitelists_and_environments_are_usage_errors(workspace, capsys):
+    for command, doc in _wrongly_typed_fields(workspace):
+        document = workspace["root"] / "document.json"
+        document.write_text(json.dumps(doc) + "\n")
+        code = main(_argv_reading(workspace, command, str(document)))
+        err = capsys.readouterr().err
+        assert code == 2, (command, doc)
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puregate import wasmvm
+from puregate import runtime_host, wasmvm
 from puregate.fixtures import PURE_V1, fixture_binary
 from puregate.gate import GateCache, gate_verify, invalidate_cache
+from puregate.interpreter import (
+    RuntimeServices,
+    TierPolicy,
+    WasmExecutor,
+    default_governance,
+    run_machine,
+)
+from puregate.provenance import save_run_record
 from puregate.runtime_host import (
     ExecutorInput,
     ResourceLimits,
@@ -485,14 +493,54 @@ def test_no_text_from_the_module_reaches_the_generated_source():
             assert "import" not in source and "exec" not in source
 
 
-def test_translation_is_memoised_and_each_cell_gets_its_own_functions():
+@pytest.fixture
+def memo():
+    """The process-wide translation memo, emptied: earlier tests have warmed
+    it, and a cell whose bodies are all in it tiers up on its first plan."""
+    wasmvm._TRANSLATIONS.clear()
+    return wasmvm._TRANSLATIONS
+
+
+def test_translation_is_memoised_and_each_cell_gets_its_own_functions(memo):
     module = parse_module(fixture_binary("emit_call"))
+    assert not memo.translated(module)
     first = compile_tier2(module)
-    hits = wasmvm._translate.cache_info().hits
-    again = compile_tier2(parse_module(fixture_binary("emit_call")))
-    assert wasmvm._translate.cache_info().hits == hits + len(module.codes)
+    assert (memo.misses, memo.hits) == (len(module.codes), 0)
+    again_module = parse_module(fixture_binary("emit_call"))
+    assert memo.translated(again_module)
+    again = compile_tier2(again_module)
+    assert (memo.misses, memo.hits) == (len(module.codes), len(module.codes))
     assert all(a is not b and a.__code__ is b.__code__ for a, b in zip(first, again))
     assert first[0].__globals__ is not again[0].__globals__
+
+
+def _constant_modules(n):
+    """n modules of one distinct body each: (func (result i32) i32.const k)."""
+    return [
+        parse_module(assemble(f'(module (func (export "f") (result i32) i32.const {k}))'))
+        for k in range(n)
+    ]
+
+
+def _translate_into(memo, module):
+    n = len(module.imported_funcs)
+    for i, code in enumerate(module.codes, n):
+        memo.translate(code, i, module.func_types, n)
+
+
+def test_the_memo_evicts_the_least_recently_used_translation(memo):
+    assert memo.maxsize == 512
+    small = wasmvm._TranslationMemo(2)
+    a, b, c = _constant_modules(3)
+    _translate_into(small, a)
+    _translate_into(small, b)
+    assert small.translated(a)  # asking leaves a the least recently used
+    _translate_into(small, c)
+    assert [small.translated(m) for m in (a, b, c)] == [False, True, True]
+    _translate_into(small, b)  # using b makes c the least recently used
+    _translate_into(small, a)
+    assert [small.translated(m) for m in (a, b, c)] == [True, True, False]
+    assert len(small) == 2 and (small.misses, small.hits) == (4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +566,7 @@ def _plans_to_tier_up(binary, decision):
     return -(-threshold // 1784)  # emit_call spends 1784 units a plan
 
 
-def test_a_cell_tiers_up_once_its_fuel_repays_the_compile(gated):
-    binary, decision = gated("emit_call")
+def _tiers_up_by_fuel(binary, decision):
     instantiate_and_plan(binary, decision, INPUT)
     needed = _plans_to_tier_up(binary, decision)
     assert needed > 1  # a module planned once, as onboard does, never compiles
@@ -530,7 +577,61 @@ def test_a_cell_tiers_up_once_its_fuel_repays_the_compile(gated):
     assert tier2 is not None and decision.compiled.tier2() is tier2
 
 
-def test_determinism_check_straddling_tier_up_finds_no_divergence(gated):
+def _heat(binary, decision):
+    for _ in range(_plans_to_tier_up(binary, decision)):
+        instantiate_and_plan(binary, decision, INPUT)
+    assert decision.compiled.tier2() is not None
+    return decision.compiled
+
+
+def test_a_cell_tiers_up_once_its_fuel_repays_the_compile(gated, memo):
+    _tiers_up_by_fuel(*gated("emit_call"))
+
+
+def test_a_cell_with_one_body_untranslated_waits_for_the_fuel_rule(gated, memo):
+    binary, decision = gated("emit_call")
+    module = parse_module(binary)
+    n = len(module.imported_funcs)
+    assert len(module.codes) == 2
+    memo.translate(module.codes[0], n, module.func_types, n)
+    _tiers_up_by_fuel(binary, decision)
+
+
+def test_a_cell_built_again_for_a_hot_artifact_runs_tier_2_from_its_first_plan(
+    gated, memo
+):
+    cache = GateCache()
+    hot = _heat(*gated("emit_call", cache))
+    old = hot.tier2()
+    invalidate_cache(cache, "manual")
+    for fresh_cache in (cache, GateCache()):
+        binary, decision = gated("emit_call", fresh_cache)
+        fresh = decision.compiled
+        assert fresh is not hot and fresh.tier2() is None  # not parsed yet
+        misses, hits = memo.misses, memo.hits
+        instantiate_and_plan(binary, decision, INPUT)
+        new = fresh.tier2()
+        assert new is not None and fresh.tier2() is new
+        # compiled from the memo alone
+        assert (memo.misses, memo.hits) == (misses, hits + len(new))
+        assert all(a is not b and a.__code__ is b.__code__ for a, b in zip(old, new))
+        assert new[0].__globals__ is not old[0].__globals__
+
+
+def test_the_memo_holds_at_most_its_bound_and_an_evicted_body_waits_again(
+    gated, memo
+):
+    cache = GateCache()
+    _heat(*gated("emit_call", cache))
+    for module in _constant_modules(memo.maxsize + 8):
+        compile_tier2(module)
+        assert len(memo) <= memo.maxsize
+    assert len(memo) == memo.maxsize
+    invalidate_cache(cache, "manual")
+    _tiers_up_by_fuel(*gated("emit_call", cache))
+
+
+def test_determinism_check_straddling_tier_up_finds_no_divergence(gated, memo):
     binary, decision = gated("emit_call")
     instantiate_and_plan(binary, decision, INPUT)
     needed = _plans_to_tier_up(binary, decision)
@@ -565,3 +666,71 @@ def test_tier2_code_is_dropped_with_the_compile_handle(gated, wl_v1, wl_v2):
     assert fresh is not hot and fresh.tier2() is None
     again = gated("fuel_burn", cache)[1].compiled
     assert again is not hot and again.tier2() is None
+
+
+def test_a_machine_run_is_byte_identical_across_a_session_swap(
+    bundles, certifier_key, wl_v1, memo, monkeypatch, tmp_path
+):
+    tiers, fuel, host_calls = [], [], []  # per plan, per plan, per call
+    instantiate = runtime_host.instantiate
+    implementation_for = runtime_host._implementation_for
+    add_fuel = wasmvm.ModuleCell.add_fuel
+
+    def seen_instantiate(module, host_funcs, memory_max, tier2=None):
+        tiers.append(tier2 is not None)
+        return instantiate(module, host_funcs, memory_max, tier2)
+
+    def counted_implementation(name, state):
+        fn = implementation_for(name, state)
+
+        def call(*args):
+            host_calls.append(name)
+            return fn(*args)
+
+        return call
+
+    def seen_fuel(cell, used):
+        fuel.append(used)
+        add_fuel(cell, used)
+
+    monkeypatch.setattr(runtime_host, "instantiate", seen_instantiate)
+    monkeypatch.setattr(runtime_host, "_implementation_for", counted_implementation)
+    monkeypatch.setattr(wasmvm.ModuleCell, "add_fuel", seen_fuel)
+
+    names = ("emit_call", "emit_event", "emit_reason")
+    registry = {}
+    for name in names:
+        binary, proof, cert = bundles[name]
+        registry[name] = WasmExecutor(binary=binary, cert=cert, proof=proof)
+    doc = {
+        "machine": "swap",
+        "input": {"n": 3},
+        "steps": [
+            {"executor_ref": name, "config": {"i": i}}
+            for i, name in enumerate(names + names)
+        ],
+    }
+
+    def services():
+        return RuntimeServices(whitelist=wl_v1, trusted_keys=(certifier_key.public_key,))
+
+    def run(session, label):
+        for seen in (tiers, fuel, host_calls):
+            seen.clear()
+        record, _ = run_machine(doc, default_governance(), TierPolicy(), registry, session)
+        save_run_record(record, tmp_path / label)
+        observed = ((tmp_path / label).read_bytes(), list(fuel), list(host_calls))
+        return observed, list(tiers)
+
+    hot_session = services()
+    cold, cold_tiers = run(hot_session, "cold")
+    assert not any(cold_tiers)  # the memo was empty: every plan interpreted
+    assert len(cold[1]) == len(doc["steps"]) and cold[2]
+    for attempt in range(50):
+        hot, hot_tiers = run(hot_session, f"hot{attempt}")
+        if all(hot_tiers):
+            break
+    assert all(hot_tiers)
+    fresh, fresh_tiers = run(services(), "fresh")
+    assert all(fresh_tiers)  # a new session starts in tier 2
+    assert fresh == hot == cold

@@ -168,6 +168,24 @@ def test_wrongly_typed_fields_are_format_errors(wl_v1, field, value):
         whitelist_from_json(doc)
 
 
+@pytest.mark.parametrize("version", [1.5, True, "1", 0, -3])
+def test_a_version_that_is_no_positive_integer_is_a_format_error(wl_v1, version):
+    doc = {**whitelist_to_json(wl_v1), "version": version}
+    del doc["content_hash"]  # so the refusal is the version's, not the hash's
+    with pytest.raises(WhitelistFormatError, match="bad whitelist document"):
+        whitelist_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["namespace", "name", "class", "type_signature"])
+@pytest.mark.parametrize("value", [5, None, ["x"]])
+def test_entry_fields_that_are_not_strings_are_format_errors(wl_v1, field, value):
+    doc = whitelist_to_json(wl_v1)
+    del doc["content_hash"]
+    doc["entries"][0] = {**doc["entries"][0], field: value}
+    with pytest.raises(WhitelistFormatError, match=f"entry {field} must be str"):
+        whitelist_from_json(doc)
+
+
 def test_json_round_trip(wl_v2):
     assert whitelist_from_json(whitelist_to_json(wl_v2)) == wl_v2
 
