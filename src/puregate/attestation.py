@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import signing
-from .canonical import canonical_bytes, load_object, of_type
+from .canonical import canonical_bytes, load_object
+from .canonical import read_field, read_hex, read_int, read_list
 from .certificate import (
     KeyPair,
     PurityCertificate,
@@ -87,22 +88,17 @@ class EnvironmentDescriptor:
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "EnvironmentDescriptor":
         try:
-            env = cls(
-                of_type(obj["runtime_identity"], str, "runtime_identity"),
-                of_type(obj["runtime_version"], str, "runtime_version"),
-                of_type(obj["whitelist_version"], int, "whitelist_version"),
-                bytes.fromhex(obj["whitelist_hash"]),
-                tuple(bytes.fromhex(k) for k in obj["accepted_certifier_keys"]),
+            return cls(
+                read_field(obj, "runtime_identity", str),
+                read_field(obj, "runtime_version", str),
+                read_int(obj, "whitelist_version", minimum=1),
+                read_hex(obj, "whitelist_hash", 32),
+                read_list(
+                    obj, "accepted_certifier_keys", read_hex, signing.PUBLIC_KEY_BYTES
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise AttestationFormatError(f"bad environment document: {exc}") from exc
-        if env.whitelist_version < 1:
-            raise AttestationFormatError("environment whitelist_version must be >= 1")
-        if len(env.whitelist_hash) != 32:
-            raise AttestationFormatError("environment whitelist_hash must be 32 bytes")
-        if any(len(k) != signing.PUBLIC_KEY_BYTES for k in env.accepted_certifier_keys):
-            raise AttestationFormatError("environment certifier keys must be 32 bytes")
-        return env
 
 
 def environment_bytes(env: EnvironmentDescriptor) -> bytes:
@@ -306,11 +302,11 @@ def attestation_to_json(record: AttestationRecord) -> dict[str, Any]:
 def attestation_from_json(doc: Mapping[str, Any]) -> AttestationRecord:
     try:
         return AttestationRecord(
-            certificate=certificate_from_json(doc["certificate"]),
-            proof=proof_from_json(doc["proof"]),
-            env=EnvironmentDescriptor.from_json(doc["env"]),
-            env_signature=bytes.fromhex(doc["env_signature"]),
-            env_key=bytes.fromhex(doc["env_key"]),
+            certificate=certificate_from_json(read_field(doc, "certificate", dict)),
+            proof=proof_from_json(read_field(doc, "proof", dict)),
+            env=EnvironmentDescriptor.from_json(read_field(doc, "env", dict)),
+            env_signature=read_hex(doc, "env_signature", signing.SIGNATURE_BYTES),
+            env_key=read_hex(doc, "env_key", signing.PUBLIC_KEY_BYTES),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise AttestationFormatError(f"bad attestation document: {exc}") from exc
@@ -352,15 +348,17 @@ def policy_from_json(doc: Mapping[str, Any]) -> OrgPolicy:
     try:
         return OrgPolicy(
             accepted_whitelists=frozenset(
-                bytes.fromhex(h) for h in doc["accepted_whitelists"]
+                read_list(doc, "accepted_whitelists", read_hex, 32)
             ),
-            trusted_runtimes=frozenset(doc["trusted_runtimes"]),
+            trusted_runtimes=frozenset(
+                read_list(doc, "trusted_runtimes", read_field, str)
+            ),
             trusted_certifiers=frozenset(
-                bytes.fromhex(k) for k in doc["trusted_certifiers"]
+                read_list(doc, "trusted_certifiers", read_hex, signing.PUBLIC_KEY_BYTES)
             ),
-            minimum_required=int(doc["minimum_required"]),
+            minimum_required=read_int(doc, "minimum_required"),
             trusted_env_keys=frozenset(
-                bytes.fromhex(k) for k in doc["trusted_env_keys"]
+                read_list(doc, "trusted_env_keys", read_hex, signing.PUBLIC_KEY_BYTES)
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,17 +7,18 @@ keys, no insignificant whitespace, UTF-8 bytes, and digests rendered as
 lowercase hex. Identical values produce identical bytes on every platform.
 
 Every document that comes from outside, file or line, is read here too:
-`load_object` and `loads_object` accept one JSON object and turn any other
-input (unreadable, not JSON, not an object) into the caller's format error,
-and `of_type` refuses a field whose JSON type is not the one the decoder
-expects.
+`load_object`, `loads_object` and `load_lines` accept JSON objects and turn
+any other input (unreadable, not JSON, not an object) into the caller's
+format error, and every decoder reads its fields through the typed readers
+(`read_field`, `read_int`, `read_hex`, `read_list`), which refuse a field
+that is missing or of another type or shape, and name it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Mapping
 
 
 class CanonicalError(ValueError):
@@ -69,25 +70,56 @@ def loads_object(
     return doc
 
 
-def load_object(path: Path, error: type[ValueError], what: str) -> dict[str, Any]:
-    """Read and parse a document file that must hold one JSON object."""
+def _read_bytes(path: Path, error: type[ValueError], what: str) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    return loads_object(data, error, f"{what} {path}")
 
 
-def of_type(value: Any, kind: type, what: str) -> Any:
-    """value if its type is exactly kind, else TypeError. Exactly, because
-    JSON's true decodes to a bool, which Python counts as an int."""
-    if type(value) is not kind:
-        raise TypeError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+def load_object(path: Path, error: type[ValueError], what: str) -> dict[str, Any]:
+    """Read and parse a document file that must hold one JSON object."""
+    return loads_object(_read_bytes(path, error, what), error, f"{what} {path}")
+
+
+def load_lines(path: Path, error: type[ValueError], what: str) -> list[dict[str, Any]]:
+    """Read a file that holds one JSON object a line; blank lines are skipped."""
+    return [
+        loads_object(line, error, f"{what} {path} line {number}")
+        for number, line in enumerate(_read_bytes(path, error, what).splitlines(), 1)
+        if line.strip()
+    ]
+
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def read_field(doc: Mapping[str, Any], key: str, kind: type) -> Any:
+    """doc[key] if its JSON type is exactly kind, so that true is no int."""
+    if key not in doc:
+        raise ValueError(f"missing field {key}")
+    if type(doc[key]) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, not {type(doc[key]).__name__}")
+    return doc[key]
+
+
+def read_int(doc: Mapping[str, Any], key: str, minimum: int | None = None) -> int:
+    """doc[key] if it is an int (not a bool, float or string) >= minimum."""
+    value = read_field(doc, key, int)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, not {value}")
     return value
 
 
-def is_hex_digest(value: Any, *, nbytes: int = 32) -> bool:
-    """True if value is a lowercase-hex rendering of an nbytes digest."""
-    if not isinstance(value, str) or len(value) != 2 * nbytes:
-        return False
-    return all(c in "0123456789abcdef" for c in value)
+def read_hex(doc: Mapping[str, Any], key: str, nbytes: int) -> bytes:
+    """The nbytes that doc[key] spells in exactly 2 * nbytes lowercase hex digits."""
+    text = read_field(doc, key, str)
+    if len(text) != 2 * nbytes or not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"{key} must be {nbytes} bytes in lowercase hex")
+    return bytes.fromhex(text)
+
+
+def read_list(doc: Mapping[str, Any], key: str, read: Callable, *args: Any) -> tuple:
+    """Each item of the list doc[key], read by read(..., *args) as the field key[i]."""
+    named = {f"{key}[{i}]": item for i, item in enumerate(read_field(doc, key, list))}
+    return tuple(read(named, name, *args) for name in named)

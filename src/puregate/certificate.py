@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Collection, Mapping
 
 from . import signing
-from .canonical import canonical_bytes, load_object
+from .canonical import canonical_bytes, load_object, read_field, read_hex, read_int
 from .proof import PURE, PurityProof, proof_hash, validate_proof_against_binary
 
 FORMAT_VERSION = 1
@@ -152,27 +152,21 @@ def certificate_to_json(cert: PurityCertificate) -> dict[str, Any]:
 
 def certificate_from_json(doc: Mapping[str, Any]) -> PurityCertificate:
     try:
-        meta = doc["metadata"]
+        meta = read_field(doc, "metadata", dict)
         cert = PurityCertificate(
-            artifact_hash=bytes.fromhex(doc["artifact_hash"]),
-            proof_hash=bytes.fromhex(doc["proof_hash"]),
-            signature=bytes.fromhex(doc["signature"]),
+            artifact_hash=read_hex(doc, "artifact_hash", 32),
+            proof_hash=read_hex(doc, "proof_hash", 32),
+            signature=read_hex(doc, "signature", signing.SIGNATURE_BYTES),
             metadata=CertificateMetadata(
-                certifier_key=bytes.fromhex(meta["certifier_key"]),
-                timestamp=int(meta["timestamp"]),
-                whitelist_version=int(meta["whitelist_version"]),
-                whitelist_hash=bytes.fromhex(meta["whitelist_hash"]),
-                format_version=int(meta["format_version"]),
+                certifier_key=read_hex(meta, "certifier_key", signing.PUBLIC_KEY_BYTES),
+                timestamp=read_int(meta, "timestamp"),
+                whitelist_version=read_int(meta, "whitelist_version"),
+                whitelist_hash=read_hex(meta, "whitelist_hash", 32),
+                format_version=read_int(meta, "format_version"),
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"bad certificate document: {exc}") from exc
-    if len(cert.artifact_hash) != 32 or len(cert.proof_hash) != 32:
-        raise CertificateFormatError("digests must be 32 bytes")
-    if len(cert.signature) != signing.SIGNATURE_BYTES:
-        raise CertificateFormatError("signature must be 64 bytes")
-    if len(cert.metadata.certifier_key) != signing.PUBLIC_KEY_BYTES:
-        raise CertificateFormatError("certifier key must be 32 bytes")
     if cert.metadata.format_version != FORMAT_VERSION:
         raise CertificateFormatError(
             f"unsupported format_version {cert.metadata.format_version}"

@@ -28,7 +28,7 @@ from .attestation import (
     verify_attestation,
 )
 from .bench import METRICS, bench
-from .canonical import canonical_dumps, load_object, loads_object
+from .canonical import canonical_dumps, load_object, loads_object, read_field, read_list
 from .certificate import (
     KeyPair,
     ProofBinaryMismatch,
@@ -124,24 +124,17 @@ def _emit(args: argparse.Namespace, doc: dict[str, Any], human: str) -> None:
 
 def _check_machine(doc: dict[str, Any], what: str) -> None:
     """Refuse a machine whose parts have a shape run_machine cannot read."""
-    executors = doc.get("executors", {})
-    if not isinstance(executors, dict) or not all(
-        isinstance(paths, dict)
-        and all(isinstance(paths.get(key), str) for key in ("wasm", "cert", "proof"))
-        for paths in executors.values()
-    ):
-        raise ValueError(
-            f"{what}: executors must map names to objects "
-            "with string wasm, cert and proof"
-        )
-    steps = doc.get("steps", [])
-    if not isinstance(steps, list) or not all(
-        isinstance(step, dict) and isinstance(step.get("executor_ref"), str)
-        for step in steps
-    ):
-        raise ValueError(
-            f"{what}: steps must be a list of objects with a string executor_ref"
-        )
+    parts = {"executors": {}, "steps": [], **doc}
+    try:
+        executors = read_field(parts, "executors", dict)
+        for name in executors:
+            paths = read_field(executors, name, dict)
+            for key in ("wasm", "cert", "proof"):
+                read_field(paths, key, str)
+        for step in read_list(parts, "steps", read_field, dict):
+            read_field(step, "executor_ref", str)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +276,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         context=input_doc.get("context", {}),
     )
     reports = []
-    output = None
     for _ in range(args.repeat):
         timings: dict[str, float] = {}
         try:
@@ -293,7 +285,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except VMError as exc:
             return _executor_failed(args, exc)
         reports.append(timings)
-    assert output is not None
     doc = {"output": output.to_json(), "timings": reports}
     human_lines = [canonical_dumps(output.to_json())]
     for timing in reports:
@@ -624,8 +615,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if args.command == "whitelist" and args.action == "sign" and not args.key:
-        parser.error("whitelist sign requires --key")
+    if args.command == "run" and args.repeat < 1:
+        parser.error("run --repeat must be at least 1")
+    if args.command == "whitelist" and args.action == "sign":
+        if not args.key:
+            parser.error("whitelist sign requires --key")
+        if args.file in ("v1", "v2-extended") and not args.out:
+            parser.error(f"whitelist sign of the built-in {args.file} requires --out")
     if args.command == "provenance":
         if args.action == "verify" and not args.chain:
             parser.error("provenance verify requires a chain file")

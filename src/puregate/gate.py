@@ -26,7 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
-from .canonical import CanonicalError, canonical_bytes, loads_object
+from .canonical import CanonicalError, canonical_bytes, load_lines
 from .certificate import (
     INVALID_SIGNATURE,
     UNTRUSTED_CERTIFIER,
@@ -174,12 +174,7 @@ class DecisionLog:
 
     @staticmethod
     def read_events(path: Path) -> list[dict[str, Any]]:
-        events = []
-        for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-            if line.strip():
-                what = f"decision log {path} line {number}"
-                events.append(loads_object(line, CanonicalError, what))
-        return events
+        return load_lines(path, CanonicalError, "decision log")
 
 
 def _reject(

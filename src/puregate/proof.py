@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .canonical import canonical_bytes, load_object
+from .canonical import read_field, read_hex, read_int, read_list
 from .wasm_inspect import ImportRecord, MalformedBinary, ModuleImports, parse_imports
 from .whitelist import DISALLOWED, Classification, Whitelist, classify_import
 
@@ -70,13 +71,17 @@ def proof_to_json(proof: PurityProof) -> dict[str, Any]:
 def proof_from_json(doc: Mapping[str, Any]) -> PurityProof:
     try:
         proof = PurityProof(
-            imports=tuple(ImportRecord.from_json(i) for i in doc["imports"]),
-            classifications=tuple(
-                Classification.from_json(c) for c in doc["classifications"]
+            imports=tuple(
+                ImportRecord.from_json(i)
+                for i in read_list(doc, "imports", read_field, dict)
             ),
-            conclusion=doc["conclusion"],
-            whitelist_version=doc["whitelist_version"],
-            whitelist_hash=bytes.fromhex(doc["whitelist_hash"]),
+            classifications=tuple(
+                Classification.from_json(c)
+                for c in read_list(doc, "classifications", read_field, dict)
+            ),
+            conclusion=read_field(doc, "conclusion", str),
+            whitelist_version=read_int(doc, "whitelist_version"),
+            whitelist_hash=read_hex(doc, "whitelist_hash", 32),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProofFormatError(f"bad proof document: {exc}") from exc
@@ -84,8 +89,6 @@ def proof_from_json(doc: Mapping[str, Any]) -> PurityProof:
         raise ProofFormatError(f"unknown conclusion: {proof.conclusion!r}")
     if len(proof.imports) != len(proof.classifications):
         raise ProofFormatError("classifications not parallel to imports")
-    if len(proof.whitelist_hash) != 32:
-        raise ProofFormatError("whitelist_hash must be 32 bytes")
     return proof
 
 

@@ -15,11 +15,11 @@ purity_method marker carries the tier.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .canonical import canonical_bytes, loads_object
+from .canonical import canonical_bytes, load_lines, read_field, read_hex, read_int
 
 DIGEST_BYTES = 32
 ZERO_DIGEST = bytes(DIGEST_BYTES)
@@ -72,13 +72,13 @@ class StepRecord:
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "StepRecord":
         rec = cls(
-            step_index=int(obj["step_index"]),
-            directive_hash=bytes.fromhex(obj["directive_hash"]),
-            governance_hash=bytes.fromhex(obj["governance_hash"]),
-            result_hash=bytes.fromhex(obj["result_hash"]),
-            purity_cert_hash=bytes.fromhex(obj["purity_cert_hash"]),
-            purity_method=obj["purity_method"],
-            execution_hash_vp=bytes.fromhex(obj["execution_hash_vp"]),
+            step_index=read_int(obj, "step_index"),
+            directive_hash=read_hex(obj, "directive_hash", DIGEST_BYTES),
+            governance_hash=read_hex(obj, "governance_hash", DIGEST_BYTES),
+            result_hash=read_hex(obj, "result_hash", DIGEST_BYTES),
+            purity_cert_hash=read_hex(obj, "purity_cert_hash", DIGEST_BYTES),
+            purity_method=read_field(obj, "purity_method", str),
+            execution_hash_vp=read_hex(obj, "execution_hash_vp", DIGEST_BYTES),
         )
         if rec.purity_method not in PURITY_METHODS:
             raise ValueError(f"unknown purity_method: {rec.purity_method!r}")
@@ -279,38 +279,16 @@ def save_run_record(record: RunRecord, path: Path) -> None:
 
 
 def load_run_record(path: Path) -> RunRecord:
-    steps: list[StepRecord] = []
-    run_doc: Mapping[str, Any] | None = None
+    docs = load_lines(path, ProvenanceFormatError, "chain file")
+    types = [doc.get("type") for doc in docs]
+    if types[-1:] != ["run"] or types.count("step") != len(types) - 1:
+        raise ProvenanceFormatError(
+            f"chain file {path} must hold step records, then one sealed run record"
+        )
     try:
-        raw_lines = Path(path).read_bytes().splitlines()
-    except OSError as exc:
-        raise ProvenanceFormatError(f"cannot read chain file {path}: {exc}") from exc
-    for number, line in enumerate(raw_lines, 1):
-        if not line.strip():
-            continue
-        what = f"chain file {path} line {number}"
-        doc = loads_object(line, ProvenanceFormatError, what)
-        if run_doc is not None:
-            raise ProvenanceFormatError("records found after the sealed run line")
-        if doc.get("type") == "step":
-            try:
-                steps.append(StepRecord.from_json(doc))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProvenanceFormatError(f"bad step record: {exc}") from exc
-        elif doc.get("type") == "run":
-            run_doc = doc
-        else:
-            raise ProvenanceFormatError(f"unknown record type {doc.get('type')!r}")
-    if run_doc is None:
-        raise ProvenanceFormatError("chain file has no sealed run record")
-    try:
-        return RunRecord(
-            machine_version_hash=bytes.fromhex(run_doc["machine_version_hash"]),
-            input_hash=bytes.fromhex(run_doc["input_hash"]),
-            final_execution_hash=bytes.fromhex(run_doc["final_execution_hash"]),
-            output_hash=bytes.fromhex(run_doc["output_hash"]),
-            run_hash_vp=bytes.fromhex(run_doc["run_hash_vp"]),
-            steps=tuple(steps),
+        return RunRecord(  # every field but the steps is a digest
+            *(read_hex(docs[-1], f.name, DIGEST_BYTES) for f in fields(RunRecord)[:-1]),
+            steps=tuple(StepRecord.from_json(doc) for doc in docs[:-1]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ProvenanceFormatError(f"bad run record: {exc}") from exc
+        raise ProvenanceFormatError(f"bad chain record: {exc}") from exc

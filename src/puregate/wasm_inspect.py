@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
+
+from .canonical import read_field
 
 WASM_MAGIC = b"\x00asm"
 WASM_VERSION = b"\x01\x00\x00\x00"
@@ -67,13 +69,9 @@ class ImportRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "ImportRecord":
-        rec = cls(
-            namespace=obj["namespace"],
-            name=obj["name"],
-            kind=obj["kind"],
-            type_signature=obj["type_signature"],
-        )
+    def from_json(cls, obj: Mapping[str, Any]) -> "ImportRecord":
+        keys = ("namespace", "name", "kind", "type_signature")
+        rec = cls(*(read_field(obj, key, str) for key in keys))
         if rec.kind not in IMPORT_KINDS:
             raise ValueError(f"unknown import kind: {rec.kind!r}")
         return rec

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping
 
 from . import signing
 from .canonical import canonical_bytes as _canonical_json
-from .canonical import load_object, of_type
+from .canonical import load_object, read_field, read_hex, read_int, read_list
 from .wasm_inspect import ImportRecord
 
 PURE_DATA = "pure_data"
@@ -63,12 +63,8 @@ class WhitelistEntry:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "WhitelistEntry":
-        return cls(
-            *(
-                of_type(obj[key], str, f"entry {key}")
-                for key in ("namespace", "name", "class", "type_signature")
-            )
-        )
+        keys = ("namespace", "name", "class", "type_signature")
+        return cls(*(read_field(obj, key, str) for key in keys))
 
 
 @dataclass(frozen=True)
@@ -103,10 +99,10 @@ class Classification:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "Classification":
-        verdict = obj["verdict"]
+        verdict = read_field(obj, "verdict", str)
         if verdict not in VERDICTS:
             raise ValueError(f"unknown verdict: {verdict!r}")
-        return cls(ImportRecord.from_json(obj["import"]), verdict)
+        return cls(ImportRecord.from_json(read_field(obj, "import", dict)), verdict)
 
 
 @dataclass(frozen=True)
@@ -239,12 +235,19 @@ def whitelist_to_json(whitelist: Whitelist) -> dict[str, Any]:
 def whitelist_from_json(doc: Mapping[str, Any]) -> Whitelist:
     try:
         built = make_whitelist(
-            of_type(doc["version"], int, "version"),
-            [WhitelistEntry.from_json(e) for e in doc["entries"]],
+            read_int(doc, "version"),
+            [
+                WhitelistEntry.from_json(e)
+                for e in read_list(doc, "entries", read_field, dict)
+            ],
         )
         recorded, key, signature = (
-            None if doc.get(name) is None else bytes.fromhex(doc[name])
-            for name in ("content_hash", "authority_key", "authority_signature")
+            None if doc.get(name) is None else read_hex(doc, name, nbytes)
+            for name, nbytes in (
+                ("content_hash", 32),
+                ("authority_key", signing.PUBLIC_KEY_BYTES),
+                ("authority_signature", signing.SIGNATURE_BYTES),
+            )
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WhitelistFormatError(f"bad whitelist document: {exc}") from exc

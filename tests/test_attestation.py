@@ -317,7 +317,7 @@ def test_attestation_json_and_file_round_trip(attested, tmp_path):
     )
 
 
-def test_attestation_file_rejects_garbage(tmp_path):
+def test_attestation_file_rejects_garbage(tmp_path, attested, policy):
     path = tmp_path / "bad.attest"
     path.write_text("[]\n")
     with pytest.raises(AttestationFormatError):
@@ -327,6 +327,26 @@ def test_attestation_file_rejects_garbage(tmp_path):
         load_attestation(path)
     with pytest.raises(AttestationFormatError):
         load_attestation(tmp_path / "absent.attest")
+    # fields of the wrong shape, in the attestation and in the policy it meets
+    record = attestation_to_json(attested)
+    for field, value in [
+        ("env_signature", "00" * 63),
+        ("env_key", "00" * 31),
+        ("env_key", record["env_key"].upper()),
+        ("proof", [record["proof"]]),
+    ]:
+        with pytest.raises(AttestationFormatError, match=field):
+            attestation_from_json({**record, field: value})
+    doc = policy_to_json(policy)
+    for field, value in [
+        ("trusted_runtimes", RUNTIME_ID),
+        ("trusted_runtimes", [5]),
+        ("minimum_required", True),
+        ("trusted_env_keys", ["00" * 31]),
+        ("accepted_whitelists", [doc["accepted_whitelists"][0].upper()]),
+    ]:
+        with pytest.raises(AttestationFormatError, match=field):
+            policy_from_json({**doc, field: value})
 
 
 def test_environment_and_policy_round_trips(attested, policy):
@@ -369,8 +389,8 @@ def test_environment_fields_that_parse_but_are_mistyped_are_format_errors(
     [("whitelist_version", 0, "whitelist_version must be >= 1"),
      ("whitelist_hash", "", "whitelist_hash must be 32 bytes"),
      ("whitelist_hash", "00" * 31, "whitelist_hash must be 32 bytes"),
-     ("accepted_certifier_keys", ["00" * 33], "certifier keys must be 32 bytes"),
-     ("accepted_certifier_keys", [""], "certifier keys must be 32 bytes")],
+     ("accepted_certifier_keys", ["00" * 33], r"certifier_keys\[0\] must be 32 bytes"),
+     ("accepted_certifier_keys", [""], r"certifier_keys\[0\] must be 32 bytes")],
 )
 def test_environment_versions_hashes_and_keys_out_of_range_are_format_errors(
     attested, field, value, message

@@ -10,9 +10,12 @@ from puregate.canonical import (
     canonical_bytes,
     canonical_dumps,
     canonical_loads,
-    is_hex_digest,
     load_object,
     loads_object,
+    read_field,
+    read_hex,
+    read_int,
+    read_list,
 )
 
 json_values = st.recursive(
@@ -69,11 +72,47 @@ def test_matches_plain_json_under_same_flags():
     assert canonical_dumps(doc) == expected
 
 
-def test_hex_digest_predicate():
-    assert is_hex_digest("ab" * 32)
-    assert not is_hex_digest("AB" * 32)
-    assert not is_hex_digest("ab" * 31)
-    assert not is_hex_digest("zz" * 32)
+def test_hex_reader():
+    assert read_hex({"h": "ab" * 32}, "h", 32) == b"\xab" * 32
+    for bad in ("AB" * 32, "ab" * 31, "ab" * 33, "zz" * 32, " ".join(["ab"] * 32)):
+        with pytest.raises(ValueError, match="^h must be 32 bytes in lowercase hex$"):
+            read_hex({"h": bad}, "h", 32)
+    with pytest.raises(TypeError, match="^h must be str, not int$"):
+        read_hex({"h": 5}, "h", 32)
+
+
+@pytest.mark.parametrize(
+    "read, doc, error, message",
+    [
+        (lambda d: read_field(d, "k", str), {}, ValueError, "missing field k"),
+        (lambda d: read_field(d, "k", int), {"k": True}, TypeError,
+         "k must be int, not bool"),
+        (lambda d: read_field(d, "k", dict), {"k": []}, TypeError,
+         "k must be dict, not list"),
+        (lambda d: read_int(d, "k"), {"k": 1.0}, TypeError, "k must be int, not float"),
+        (lambda d: read_int(d, "k"), {"k": "1"}, TypeError, "k must be int, not str"),
+        (lambda d: read_int(d, "k", 1), {"k": 0}, ValueError, "k must be >= 1, not 0"),
+        (lambda d: read_list(d, "k", read_field, str), {"k": "ab"}, TypeError,
+         "k must be list, not str"),
+        (lambda d: read_list(d, "k", read_field, str), {"k": ["a", 5]}, TypeError,
+         r"k\[1\] must be str, not int"),
+        (lambda d: read_list(d, "k", read_hex, 1), {"k": ["0a", "0"]}, ValueError,
+         r"k\[1\] must be 1 bytes in lowercase hex"),
+    ],
+    ids=["missing", "bool_is_no_int", "list_is_no_object", "float", "int_string",
+         "below_minimum", "string_is_no_list", "list_item_type", "list_item_hex"],
+)
+def test_field_readers_name_the_bad_field(read, doc, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        read(doc)
+
+
+def test_field_readers_return_the_value():
+    doc = {"s": "x", "n": 3, "h": "0aff", "l": ["00", "ff"]}
+    assert read_field(doc, "s", str) == "x"
+    assert read_int(doc, "n", 3) == 3
+    assert read_hex(doc, "h", 2) == b"\x0a\xff"
+    assert read_list(doc, "l", read_hex, 1) == (b"\x00", b"\xff")
 
 
 class DocumentError(ValueError):

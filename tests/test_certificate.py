@@ -120,16 +120,24 @@ def test_json_round_trip(bundles):
         ("proof_hash", "zz" * 32),
         ("signature", "00" * 63),
         ("format_version", 2),
+        pytest.param("artifact_hash", str.upper, id="uppercase_hex"),
+        pytest.param(
+            "signature",
+            lambda h: " ".join(h[i:i + 2] for i in range(0, len(h), 2)),
+            id="spaced_hex",
+        ),
+        pytest.param("timestamp", str, id="timestamp_string"),
+        pytest.param("format_version", 1.9, id="format_version_float"),
+        pytest.param("whitelist_version", True, id="whitelist_version_bool"),
+        pytest.param("certifier_key", "00" * 31, id="short_certifier_key"),
     ],
 )
 def test_malformed_documents_rejected(bundles, field, value):
     _, _, cert = bundles["emit_call"]
     doc = certificate_to_json(cert)
-    if field == "format_version":
-        doc["metadata"]["format_version"] = value
-    else:
-        doc[field] = value
-    with pytest.raises((CertificateFormatError, ValueError)):
+    target = doc["metadata"] if field in doc["metadata"] else doc
+    target[field] = value(target[field]) if callable(value) else value
+    with pytest.raises(CertificateFormatError):
         certificate_from_json(doc)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from puregate.attestation import OrgPolicy, save_policy
+from _chain_tools import build_chain
 from puregate.cli import main
 from puregate.whitelist import builtin_whitelist
 
@@ -206,6 +207,20 @@ def test_run_executes_and_reports_output(workspace, capsys):
     assert kinds == ["call_machine"]
     assert len(doc["timings"]) == 2
     assert all(t["total_us"] > 0 for t in doc["timings"])
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_run_refuses_a_repeat_below_one(workspace, capsys, repeat):
+    with pytest.raises(SystemExit) as exited:
+        main([
+            "run", str(workspace["wasm"]),
+            "--cert", workspace["cert"], "--proof", workspace["proof"],
+            "--input", str(workspace["root"] / "input.json"),
+            "--trust", workspace["pub"], "--repeat", repeat,
+        ])
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert "--repeat must be at least 1" in err and "Traceback" not in err
 
 
 def test_run_machine_writes_chain_and_effects(workspace, capsys):
@@ -415,6 +430,21 @@ def test_whitelist_hash_sign_verify(workspace, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", ["v1", "v2-extended"])
+def test_signing_a_builtin_whitelist_requires_out(workspace, capsys, name):
+    with pytest.raises(SystemExit) as exited:
+        main(["whitelist", "sign", name, "--key", "certifier"])
+    assert exited.value.code == 2
+    assert f"built-in {name} requires --out" in capsys.readouterr().err
+    assert not (workspace["root"] / name).exists()
+
+    out = workspace["root"] / "signed.json"
+    code, _ = run_json(capsys, "whitelist", "sign", name, "--key", "certifier",
+                       "--out", str(out))
+    assert code == 0
+    assert run_json(capsys, "whitelist", "verify", str(out))[0] == 0
+
+
 def _builtin_v1_path():
     import pathlib
 
@@ -485,28 +515,90 @@ def _environment(workspace):
     }
 
 
-def _mistyped_document(workspace, command):
-    """A document for the command that parses but has one field of the wrong type."""
+def _attested(workspace):
+    """An attestation of the certified executor and a policy that accepts it."""
+    root = workspace["root"]
+    (root / "env.json").write_text(json.dumps(_environment(workspace)))
+    code = main([
+        "attest", str(workspace["wasm"]),
+        "--cert", workspace["cert"], "--proof", workspace["proof"],
+        "--env", str(root / "env.json"), "--env-key", "certifier",
+        "--out", str(root / "record.attest"),
+    ])
+    assert code == 0
+    key = bytes.fromhex(workspace["pub"])
+    policy = OrgPolicy(
+        accepted_whitelists=frozenset([builtin_whitelist(1).content_hash]),
+        trusted_runtimes=frozenset([RUNTIME_ID]),
+        trusted_certifiers=frozenset([key]),
+        minimum_required=1,
+        trusted_env_keys=frozenset([key]),
+    )
+    save_policy(policy, root / "policy.json")
+    return str(root / "record.attest"), str(root / "policy.json")
+
+
+def _spaced(hex_text):
+    return " ".join(hex_text[i:i + 2] for i in range(0, len(hex_text), 2))
+
+
+def _chain(**first_step):
+    """A valid two-step chain file's text with fields of its first step replaced."""
+    record = build_chain(2)
+    lines = [{"type": "step", **step.to_json()} for step in record.steps]
+    lines.append({"type": "run", **record.to_json()})
+    lines[0].update(first_step)
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+def _mistyped_documents(workspace, command):
+    """Documents for the command that parse but have one field of the wrong type
+    or shape. Read without a check, several would decode equal to the real one."""
     cert = json.loads(Path(workspace["cert"]).read_text())
+    meta = cert["metadata"]
     proof = json.loads(Path(workspace["proof"]).read_text())
+    import_0 = proof["imports"][0]
     whitelist = json.loads(_builtin_v1_path().read_text())
+    signed = {**whitelist, "authority_key": "00" * 32, "authority_signature": "00" * 64}
     env = _environment(workspace)
-    return {
-        "verify": {**cert, "signature": 5},
-        "gate": {**proof, "imports": 5},
-        "run": {**whitelist, "version": [1]},
-        "run-machine": _machine(workspace, steps=[{"executor_ref": ["e"]}]),
-        "attest": {**env, "whitelist_version": [1]},
-        "attest-verify": {
-            "certificate": cert,
-            "proof": proof,
-            "env": {**env, "whitelist_hash": 5},
-            "env_signature": "00" * 64,
-            "env_key": "00" * 32,
-        },
-        "whitelist": {**whitelist, "content_hash": 5},
-        "provenance": {"type": "step", "step_index": [1]},
-    }[command]
+    if command == "provenance":
+        return [_chain(step_index=[1]), _chain(step_index="1"),
+                _chain(directive_hash="00" * 31)]
+    if command in ("attest-verify", "policy"):
+        record, policy = (json.loads(Path(p).read_text()) for p in _attested(workspace))
+    docs = {
+        "verify": lambda: [
+            {**cert, "signature": 5},
+            {**cert, "artifact_hash": cert["artifact_hash"].upper()},
+            {**cert, "signature": _spaced(cert["signature"])},
+            {**cert, "metadata": {**meta, "timestamp": str(meta["timestamp"])}},
+            {**cert, "metadata": {**meta, "format_version": 1.9}},
+        ],
+        "gate": lambda: [
+            {**proof, "imports": 5},
+            {**proof, "whitelist_version": True},
+            {**proof, "imports": [{**import_0, "namespace": 5}, *proof["imports"][1:]]},
+        ],
+        "run": lambda: [{**whitelist, "version": [1]}],
+        "run-machine": lambda: [_machine(workspace, steps=[{"executor_ref": ["e"]}])],
+        "attest": lambda: [{**env, "whitelist_version": [1]}],
+        "attest-verify": lambda: [
+            {**record, "env": {**env, "whitelist_hash": 5}},
+            {**record, "env_signature": record["env_signature"][:-2]},
+            {**record, "env_key": record["env_key"][:-2]},
+        ],
+        "policy": lambda: [
+            {**policy, "trusted_runtimes": RUNTIME_ID},
+            {**policy, "minimum_required": True},
+        ],
+        "whitelist": lambda: [
+            {**whitelist, "content_hash": 5},
+            {**whitelist, "content_hash": whitelist["content_hash"].upper()},
+            {**signed, "authority_key": "00" * 31},
+            {**signed, "authority_signature": "00" * 63},
+        ],
+    }
+    return [json.dumps(doc) + "\n" for doc in docs[command]()]
 
 
 def _argv_reading(workspace, command, document):
@@ -514,6 +606,11 @@ def _argv_reading(workspace, command, document):
     executor = ["--cert", workspace["cert"], "--proof", workspace["proof"]]
     trust = ["--trust", workspace["pub"]]
     input_doc = ["--input", str(workspace["root"] / "input.json")]
+    if command in ("attest-verify", "policy"):
+        attestation, policy = _attested(workspace)
+        if command == "attest-verify":
+            return ["attest-verify", document, "--policy", policy]
+        return ["attest-verify", attestation, "--policy", document]
     return {
         "verify": ["verify", str(workspace["wasm"]), "--cert", document,
                    "--proof", workspace["proof"], *trust],
@@ -524,7 +621,6 @@ def _argv_reading(workspace, command, document):
         "run-machine": ["run-machine", document, *trust],
         "attest": ["attest", str(workspace["wasm"]), *executor, "--env", document,
                    "--env-key", "certifier"],
-        "attest-verify": ["attest-verify", document, "--policy", document],
         "whitelist": ["whitelist", "hash", document],
         "provenance": ["provenance", "verify", document],
     }[command]
@@ -533,22 +629,26 @@ def _argv_reading(workspace, command, document):
 @pytest.mark.parametrize("bad", ["missing", "not_json", "list", "mistyped"])
 @pytest.mark.parametrize(
     "command",
-    ["verify", "gate", "run", "run-machine", "attest", "attest-verify",
+    ["verify", "gate", "run", "run-machine", "attest", "attest-verify", "policy",
      "whitelist", "provenance"],
 )
 def test_every_malformed_document_is_a_usage_error(workspace, capsys, command, bad):
     document = workspace["root"] / "document.json"
-    if bad == "not_json":
-        document.write_text('{"version": ')
-    elif bad == "list":
-        document.write_text("[1, 2]\n")
-    elif bad == "mistyped":
-        document.write_text(json.dumps(_mistyped_document(workspace, command)) + "\n")
-    code = main(_argv_reading(workspace, command, str(document)))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    argv = _argv_reading(workspace, command, str(document))
+    contents = {
+        "missing": [None],
+        "not_json": ['{"version": '],
+        "list": ["[1, 2]\n"],
+    }.get(bad) or _mistyped_documents(workspace, command)
+    for content in contents:
+        if content is not None:
+            document.write_text(content)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, content
+        assert err.startswith("error:"), content
+        assert "Traceback" not in err
 
 
 def _wrongly_typed_fields(workspace):

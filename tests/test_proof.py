@@ -95,6 +95,12 @@ def test_json_round_trip(bundles):
         lambda d: d.update(whitelist_hash="ab"),
         lambda d: d.update(classifications=[]),
         lambda d: d.pop("imports"),
+        pytest.param(lambda d: d.update(whitelist_version=True), id="version_bool"),
+        pytest.param(lambda d: d["imports"][0].update(namespace=5), id="namespace_int"),
+        pytest.param(
+            lambda d: d["classifications"][0].update(verdict=None), id="verdict_null"
+        ),
+        pytest.param(lambda d: d.update(imports=[["mashin"]]), id="import_not_object"),
     ],
 )
 def test_malformed_documents_rejected(bundles, mutate):

@@ -185,6 +185,20 @@ def test_chain_file_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"type": "step", "step_index": 1}) + "\n")
     with pytest.raises(ProvenanceFormatError):
         load_run_record(path)
+    save_run_record(build_chain(2), path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for index, field, value in [
+        (0, "step_index", "1"),
+        (0, "step_index", True),
+        (0, "directive_hash", "00" * 31),
+        (1, "execution_hash_vp", lines[1]["execution_hash_vp"].upper()),
+        (2, "run_hash_vp", "00" * 33),
+    ]:
+        mutated = [dict(line) for line in lines]
+        mutated[index][field] = value
+        path.write_text("".join(json.dumps(line) + "\n" for line in mutated))
+        with pytest.raises(ProvenanceFormatError, match=field):
+            load_run_record(path)
     with pytest.raises(ProvenanceFormatError):
         load_run_record(tmp_path / "absent.chain")
 

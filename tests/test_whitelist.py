@@ -159,11 +159,14 @@ def test_recorded_hash_must_match_recomputation(wl_v1):
 @pytest.mark.parametrize(
     "field, value",
     [("version", [1]), ("content_hash", 5), ("authority_key", 5),
-     ("authority_signature", ["00"])],
+     ("authority_signature", ["00"]),
+     pytest.param("content_hash", str.upper, id="uppercase_content_hash"),
+     pytest.param("authority_key", "00" * 31, id="short_authority_key"),
+     pytest.param("authority_signature", "00" * 65, id="long_authority_signature")],
 )
 def test_wrongly_typed_fields_are_format_errors(wl_v1, field, value):
     doc = whitelist_to_json(sign_whitelist(wl_v1, generate_seed()))
-    doc[field] = value
+    doc[field] = value(doc[field]) if callable(value) else value
     with pytest.raises(WhitelistFormatError, match="bad whitelist document"):
         whitelist_from_json(doc)
 
@@ -182,7 +185,7 @@ def test_entry_fields_that_are_not_strings_are_format_errors(wl_v1, field, value
     doc = whitelist_to_json(wl_v1)
     del doc["content_hash"]
     doc["entries"][0] = {**doc["entries"][0], field: value}
-    with pytest.raises(WhitelistFormatError, match=f"entry {field} must be str"):
+    with pytest.raises(WhitelistFormatError, match=f"document: {field} must be str"):
         whitelist_from_json(doc)
 
 
