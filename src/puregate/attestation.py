@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -24,7 +25,6 @@ from .canonical import read_field, read_hex, read_int, read_list
 from .certificate import (
     KeyPair,
     PurityCertificate,
-    certificate_bytes,
     certificate_from_json,
     certificate_to_json,
     verify_certificate_signature,
@@ -84,6 +84,11 @@ class EnvironmentDescriptor:
                 k.hex() for k in self.accepted_certifier_keys
             ],
         }
+
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the canonical bytes, encoded at most once per object."""
+        return hashlib.sha256(environment_bytes(self)).digest()
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "EnvironmentDescriptor":
@@ -145,11 +150,7 @@ def attestation_message(
     cert: PurityCertificate, proof: PurityProof, env: EnvironmentDescriptor
 ) -> bytes:
     """The signed message: digest of each record part, concatenated in order."""
-    return (
-        hashlib.sha256(certificate_bytes(cert)).digest()
-        + proof_hash(proof)
-        + hashlib.sha256(environment_bytes(env)).digest()
-    )
+    return cert.digest + proof_hash(proof) + env.digest
 
 
 def build_attestation(

@@ -111,12 +111,19 @@ def read_int(doc: Mapping[str, Any], key: str, minimum: int | None = None) -> in
     return value
 
 
+def parse_hex(text: str, nbytes: int, name: str) -> bytes:
+    """The nbytes that text spells in exactly 2 * nbytes lowercase hex digits.
+
+    The one hex reader for documents, key files and keys given on the
+    command line, so none of them takes uppercase or spaced hex."""
+    if len(text) != 2 * nbytes or not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"{name} must be {nbytes} bytes in lowercase hex")
+    return bytes.fromhex(text)
+
+
 def read_hex(doc: Mapping[str, Any], key: str, nbytes: int) -> bytes:
     """The nbytes that doc[key] spells in exactly 2 * nbytes lowercase hex digits."""
-    text = read_field(doc, key, str)
-    if len(text) != 2 * nbytes or not _HEX_DIGITS.issuperset(text):
-        raise ValueError(f"{key} must be {nbytes} bytes in lowercase hex")
-    return bytes.fromhex(text)
+    return parse_hex(read_field(doc, key, str), nbytes, key)
 
 
 def read_list(doc: Mapping[str, Any], key: str, read: Callable, *args: Any) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
@@ -77,6 +78,12 @@ class PurityCertificate:
     signature: bytes
     metadata: CertificateMetadata
 
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the canonical bytes, encoded at most once per object;
+        the provenance chain pins it as purity_cert_hash."""
+        return hashlib.sha256(certificate_bytes(self)).digest()
+
 
 @dataclass(frozen=True)
 class SignatureCheck:
@@ -94,10 +101,12 @@ def sign_certificate(
 ) -> PurityCertificate:
     if proof.conclusion != PURE:
         raise RefuseImpure("disallowed imports found; refusing to certify")
-    validation = validate_proof_against_binary(proof, binary_bytes)
+    artifact_hash = hashlib.sha256(binary_bytes).digest()
+    validation = validate_proof_against_binary(
+        proof, binary_bytes, artifact_hash=artifact_hash
+    )
     if not validation.accepted:
         raise ProofBinaryMismatch(f"proof does not match binary: {validation.reason}")
-    artifact_hash = hashlib.sha256(binary_bytes).digest()
     proof_digest = proof_hash(proof)
     signature = signing.sign(
         key.private_key, signing_message(artifact_hash, proof_digest)

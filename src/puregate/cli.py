@@ -28,7 +28,8 @@ from .attestation import (
     verify_attestation,
 )
 from .bench import METRICS, bench
-from .canonical import canonical_dumps, load_object, loads_object, read_field, read_list
+from .canonical import canonical_dumps, load_object, loads_object, parse_hex
+from .canonical import read_field, read_list
 from .certificate import (
     KeyPair,
     ProofBinaryMismatch,
@@ -54,7 +55,8 @@ from .interpreter import (
 from .proof import build_proof, load_proof, proof_hash, save_proof
 from .provenance import cross_org_hash, load_run_record, save_run_record, verify_chain
 from .runtime_host import ExecutorInput, ResourceLimits, instantiate_and_plan
-from .signing import generate_seed, load_public_key, load_seed, save_keypair
+from .signing import PUBLIC_KEY_BYTES, generate_seed, load_public_key, load_seed
+from .signing import save_keypair
 from .wasm_inspect import hash_bytes, parse_imports
 from .wasmvm import VMError
 from .whitelist import (
@@ -100,10 +102,7 @@ def _trusted_keys(values: Sequence[str]) -> list[bytes]:
             actual = path if path.exists() else _key_dir() / value
             keys.append(load_public_key(actual))
         else:
-            key = bytes.fromhex(value)
-            if len(key) != 32:
-                raise ValueError(f"public key must be 32 bytes, got {len(key)}")
-            keys.append(key)
+            keys.append(parse_hex(value, PUBLIC_KEY_BYTES, "public key"))
     return keys
 
 

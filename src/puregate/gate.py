@@ -13,8 +13,8 @@ artifact hash, and a hit requires the whitelist snapshot, certificate and
 proof that acceptance admitted; anything else runs the six checks. So a
 whitelist change invalidates implicitly, a hit never serves a certificate
 the gate did not verify, and the chain's purity_cert_hash is the admitting
-certificate's hash, taken at most once per acceptance. Every decision
-(accept and reject) is appended to a decision log for audit.
+certificate's digest, encoded at most once per certificate object. Every
+decision (accept and reject) is appended to a decision log for audit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
@@ -31,7 +30,6 @@ from .certificate import (
     INVALID_SIGNATURE,
     UNTRUSTED_CERTIFIER,
     PurityCertificate,
-    certificate_bytes,
     verify_certificate_signature,
 )
 from .proof import PURE, PurityProof, proof_hash
@@ -79,11 +77,6 @@ class Admission:
     whitelist: Whitelist
     cert: PurityCertificate
     proof: PurityProof
-
-    @cached_property
-    def cert_hash(self) -> bytes:
-        """The admitting certificate's hash, pinned in the provenance chain."""
-        return hashlib.sha256(certificate_bytes(self.cert)).digest()
 
 
 @dataclass(frozen=True)

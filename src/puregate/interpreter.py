@@ -354,7 +354,7 @@ def execute_step(
         )
         if not gate_decision.accepted:
             raise ExecutorRejected(gate_decision)
-        purity_cert_hash = gate_decision.admitted.cert_hash
+        purity_cert_hash = gate_decision.admitted.cert.digest
         output = instantiate_and_plan(
             executor.binary,
             gate_decision,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -37,6 +38,14 @@ class PurityProof:
     conclusion: str
     whitelist_version: int
     whitelist_hash: bytes
+
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the canonical bytes, encoded at most once per object:
+        the fields are frozen tuples, bytes, ints and strings, so it cannot
+        go stale, and dataclasses.replace builds an object that hashes
+        afresh."""
+        return hashlib.sha256(proof_bytes(self)).digest()
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,7 @@ def proof_bytes(proof: PurityProof) -> bytes:
 
 
 def proof_hash(proof: PurityProof) -> bytes:
-    return hashlib.sha256(proof_bytes(proof)).digest()
+    return proof.digest
 
 
 def save_proof(proof: PurityProof, path: Path) -> None:
@@ -110,15 +119,16 @@ def load_proof(path: Path) -> PurityProof:
 
 
 def validate_proof_against_binary(
-    proof: PurityProof, binary_bytes: bytes
+    proof: PurityProof, binary_bytes: bytes, *, artifact_hash: bytes | None = None
 ) -> ProofValidation:
     """Independently re-parse the binary and demand exact import equality.
 
     Order matters: a reordered import list is a different module as far as
-    evidence binding is concerned, so it is rejected.
+    evidence binding is concerned, so it is rejected. A caller that has
+    already hashed the bytes passes the digest, as to parse_imports.
     """
     try:
-        module = parse_imports(binary_bytes)
+        module = parse_imports(binary_bytes, artifact_hash=artifact_hash)
     except MalformedBinary:
         return ProofValidation(False, MALFORMED_BINARY)
     if module.imports != proof.imports:

@@ -17,6 +17,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .canonical import parse_hex
+
 SEED_BYTES = 32
 PUBLIC_KEY_BYTES = 32
 SIGNATURE_BYTES = 64
@@ -100,10 +102,6 @@ def load_public_key(path: Path) -> bytes:
 
 def _read_hex(path: Path, nbytes: int, what: str) -> bytes:
     try:
-        text = Path(path).read_text().strip()
-        raw = bytes.fromhex(text)
+        return parse_hex(Path(path).read_text().strip(), nbytes, what)
     except (OSError, ValueError) as exc:
         raise SigningError(f"cannot read {what} from {path}: {exc}") from exc
-    if len(raw) != nbytes:
-        raise SigningError(f"{what} in {path} must be {nbytes} bytes, got {len(raw)}")
-    return raw

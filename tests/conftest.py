@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -17,6 +20,12 @@ CERTIFIER_SEED = bytes(range(32))
 ENV_SEED = bytes(range(1, 33))
 ROGUE_SEED = bytes(range(2, 34))
 FIXED_NOW = 1_700_000_000
+
+
+def bare_digest(doc) -> bytes:
+    """SHA-256 of sorted-key compact JSON, independent of puregate.canonical."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
+from puregate import attestation, certificate, proof as proof_module
 from puregate.attestation import (
     CONCLUSION_NOT_PURE,
     DISALLOWED_IMPORT,
@@ -36,6 +38,7 @@ from puregate.gate import DecisionLog, GateCache, gate_verify
 from puregate.proof import PURE, Classification, build_proof
 from puregate.wasm_inspect import ImportRecord, parse_imports
 from puregate.whitelist import PURE_DATA, builtin_whitelist
+from tests.conftest import bare_digest
 
 RUNTIME_ID = "mashin-sim"
 RUNTIME_VERSION = "1.4.2"
@@ -423,3 +426,66 @@ def test_attesting_without_local_acceptance_refused(
     )
     with pytest.raises(GateNeverAccepted):
         build_attestation(cert, proof, env, env_keypair, log)
+
+
+def _counting(module, calls):
+    """module's encoder, noting the module's name in calls on every call."""
+    encode = module.canonical_bytes
+    return lambda doc: calls.append(module.__name__) or encode(doc)
+
+
+def test_build_and_verify_digest_each_part_once(
+    attested, policy, bundles, env_keypair, monkeypatch
+):
+    # fresh objects: the session bundle's digests may be cached by other tests
+    cert, proof, env = (
+        dataclasses.replace(part)
+        for part in (attested.certificate, attested.proof, attested.env)
+    )
+    calls = []
+    for module in (attestation, certificate, proof_module):
+        monkeypatch.setattr(module, "canonical_bytes", _counting(module, calls))
+    log = DecisionLog()
+    log.record_decision(
+        gate_verify(
+            bundles["emit_call"][0], cert, proof, builtin_whitelist(1),
+            policy.trusted_certifiers,
+        ),
+        0.0,
+        builtin_whitelist(1),
+    )
+    record = build_attestation(cert, proof, env, env_keypair, log)
+    assert record == attested
+    assert verify_attestation(record, policy).accepted
+    assert sorted(calls) == [
+        "puregate.attestation", "puregate.certificate", "puregate.proof"
+    ]
+
+
+def test_environment_replaced_with_other_keys_digests_afresh(attested, rogue_key):
+    env = attested.env
+    other = dataclasses.replace(
+        env, accepted_certifier_keys=(*env.accepted_certifier_keys, rogue_key.public_key)
+    )
+    assert other.digest != env.digest
+    assert other.digest == bare_digest(other.to_json())
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_KEY = st.binary(min_size=32, max_size=32)
+
+
+@given(
+    identity=_TEXT,
+    version=_TEXT,
+    whitelist_version=st.integers(1, 2**63),
+    whitelist_hash=_KEY,
+    keys=st.lists(_KEY, max_size=3),
+)
+def test_environment_digest_is_sha256_of_sorted_compact_json(
+    identity, version, whitelist_version, whitelist_hash, keys
+):
+    env = EnvironmentDescriptor(
+        identity, version, whitelist_version, whitelist_hash, tuple(keys)
+    )
+    assert env.digest == bare_digest(env.to_json())

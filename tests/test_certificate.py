@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import given, strategies as st
 
-from puregate import signing
+from puregate import certificate, signing, wasm_inspect
 from puregate.certificate import (
     FORMAT_VERSION,
     INVALID_SIGNATURE,
     MAX_CERT_BYTES,
     UNTRUSTED_CERTIFIER,
     CertificateFormatError,
+    CertificateMetadata,
     ProofBinaryMismatch,
+    PurityCertificate,
     RefuseImpure,
     certificate_bytes,
     certificate_from_json,
@@ -23,8 +27,8 @@ from puregate.certificate import (
 from puregate.fixtures import fixture_binary
 from puregate.proof import build_proof, proof_hash
 from puregate.wasm_inspect import parse_imports
-from puregate.whitelist import sign_whitelist
-from tests.conftest import CERTIFIER_SEED, ENV_SEED
+from puregate.whitelist import DISALLOWED, Classification, sign_whitelist
+from tests.conftest import CERTIFIER_SEED, ENV_SEED, bare_digest
 
 # RFC 8032 section 7.1, test 1
 RFC8032_SEED = bytes.fromhex(
@@ -82,6 +86,33 @@ def test_refuses_unbound_proof(wl_v1, certifier_key):
     proof = build_proof(parse_imports(fixture_binary("emit_call")), wl_v1)
     with pytest.raises(ProofBinaryMismatch):
         sign_certificate(fixture_binary("emit_poc"), proof, certifier_key, 1)
+
+
+def test_signing_hashes_the_binary_once(bundles, certifier_key, monkeypatch):
+    binary, proof, cert = bundles["emit_call"]
+    calls = []
+    monkeypatch.setattr(wasm_inspect, "hash_bytes", calls.append)
+    signed = sign_certificate(binary, proof, certifier_key, cert.metadata.timestamp)
+    assert signed == cert and calls == []
+
+
+@pytest.mark.parametrize(
+    "name, binary, error, message",
+    [
+        ("bypass_wasi", "bypass_wasi", RefuseImpure,
+         "disallowed imports found; refusing to certify"),
+        ("emit_call", "emit_poc", ProofBinaryMismatch,
+         "proof does not match binary: ImportMismatch"),
+        ("emit_call", None, ProofBinaryMismatch,
+         "proof does not match binary: MalformedBinary"),
+    ],
+)
+def test_refusal_messages(wl_v1, certifier_key, name, binary, error, message):
+    proof = build_proof(parse_imports(fixture_binary(name)), wl_v1)
+    data = b"\x00asm" if binary is None else fixture_binary(binary)
+    with pytest.raises(error) as raised:
+        sign_certificate(data, proof, certifier_key, 1)
+    assert str(raised.value) == message
 
 
 def test_trust_is_checked_before_signature_math(bundles, rogue_key):
@@ -188,3 +219,55 @@ def test_keypair_identity_is_public_key_and_seed(certifier_key):
     # a frozen dataclass hashes the tuple of its compared fields
     assert hash(again) == hash((again.public_key, CERTIFIER_SEED))
     assert keypair_from_seed(ENV_SEED) != certifier_key
+
+
+def test_a_second_digest_encodes_nothing(bundles, monkeypatch):
+    cert = dataclasses.replace(bundles["emit_call"][2])  # no digest cached yet
+    encode, calls = certificate.canonical_bytes, []
+    monkeypatch.setattr(
+        certificate, "canonical_bytes", lambda doc: calls.append(doc) or encode(doc)
+    )
+    first = cert.digest
+    assert cert.digest is first and len(calls) == 1
+    assert first.hex() == EMIT_CALL_CERT_SHA256
+    copy = dataclasses.replace(cert)
+    assert copy == cert and hash(copy) == hash(cert) and repr(copy) == repr(cert)
+
+
+def test_replace_with_another_proof_hash_digests_afresh(bundles, wl_v1):
+    _, proof, cert = bundles["emit_call"]
+    forged_proof = dataclasses.replace(
+        proof,
+        classifications=tuple(
+            Classification(c.import_record, DISALLOWED) for c in proof.classifications
+        ),
+    )
+    forged = dataclasses.replace(cert, proof_hash=proof_hash(forged_proof))
+    assert forged.digest != cert.digest
+    assert forged.digest == bare_digest(certificate_to_json(forged))
+
+
+_DIGEST = st.binary(min_size=32, max_size=32)
+
+
+@given(
+    artifact_hash=_DIGEST,
+    proof_digest=_DIGEST,
+    signature=st.binary(min_size=64, max_size=64),
+    certifier_key=_DIGEST,
+    numbers=st.tuples(*[st.integers(0, 2**63)] * 3),
+    whitelist_hash=_DIGEST,
+)
+def test_certificate_digest_is_sha256_of_sorted_compact_json(
+    artifact_hash, proof_digest, signature, certifier_key, numbers, whitelist_hash
+):
+    timestamp, version, format_version = numbers
+    cert = PurityCertificate(
+        artifact_hash=artifact_hash,
+        proof_hash=proof_digest,
+        signature=signature,
+        metadata=CertificateMetadata(
+            certifier_key, timestamp, version, whitelist_hash, format_version
+        ),
+    )
+    assert cert.digest == bare_digest(certificate_to_json(cert))

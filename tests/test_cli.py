@@ -474,6 +474,35 @@ def test_missing_file_is_usage_error(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spelling", ["uppercase", "spaced", "uppercase_pub_file"])
+def test_trusted_keys_in_other_hex_spellings_are_usage_errors(
+    workspace, capsys, spelling
+):
+    pub = workspace["pub"]
+    pub_file = workspace["root"] / "upper.pub"
+    pub_file.write_text(pub.upper() + "\n")
+    trusted = {
+        "uppercase": pub.upper(),
+        "spaced": " ".join(pub[i:i + 2] for i in range(0, len(pub), 2)),
+        "uppercase_pub_file": str(pub_file),
+    }[spelling]
+    code = main([
+        "verify", str(workspace["wasm"]),
+        "--cert", workspace["cert"], "--proof", workspace["proof"],
+        "--trust", trusted,
+    ])
+    assert code == 2
+    assert "must be 32 bytes in lowercase hex" in capsys.readouterr().err
+
+
+def test_a_key_file_in_uppercase_hex_is_a_usage_error(workspace, capsys):
+    key = workspace["root"] / "keys" / "certifier.key"
+    key.write_text(key.read_text().upper())
+    code = main(["certify", str(workspace["wasm"]), "--key", "certifier"])
+    assert code == 2
+    assert "must be 32 bytes in lowercase hex" in capsys.readouterr().err
+
+
 def test_run_refuses_an_input_that_is_not_an_object(workspace, capsys):
     listed = workspace["root"] / "list_input.json"
     listed.write_text("[1, 2]")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from puregate import gate, signing
+from puregate import certificate, gate, signing
 from puregate.canonical import CanonicalError, canonical_bytes
 from puregate.certificate import (
     certificate_from_json,
@@ -362,11 +362,12 @@ def test_cache_hit_is_the_stored_acceptance(bundles, wl_v1, certifier_key):
 def test_cold_gate_does_not_hash_the_certificate(
     bundles, wl_v1, certifier_key, monkeypatch
 ):
+    binary, proof, cert = bundles["emit_call"]
+    # a fresh object: the session bundle's digest may be cached by earlier tests
+    bundle = (binary, proof, dataclasses.replace(cert))
     calls = []
-    monkeypatch.setattr(gate, "certificate_bytes", lambda cert: calls.append(cert))
-    decision = _gate(
-        bundles["emit_call"], wl_v1, [certifier_key.public_key], cache=GateCache()
-    )
+    monkeypatch.setattr(certificate, "certificate_bytes", calls.append)
+    decision = _gate(bundle, wl_v1, [certifier_key.public_key], cache=GateCache())
     assert decision.accepted and calls == []
 
 

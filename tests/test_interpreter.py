@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
-from puregate import gate
+from puregate import certificate
 from puregate.certificate import certificate_bytes
 from puregate.interpreter import (
     PRE_EXECUTE_STAGES,
@@ -312,6 +313,8 @@ def test_steps_pin_the_admitting_certificate_hashed_once(
     bundles, certifier_key, wl_v1, monkeypatch
 ):
     binary, proof, cert = bundles["emit_call"]
+    # a fresh object: the session bundle's digest may be cached by earlier tests
+    cert = dataclasses.replace(cert)
     expected = hashlib.sha256(certificate_bytes(cert)).digest()
     calls = []
 
@@ -319,7 +322,7 @@ def test_steps_pin_the_admitting_certificate_hashed_once(
         calls.append(c)
         return certificate_bytes(c)
 
-    monkeypatch.setattr(gate, "certificate_bytes", counting)
+    monkeypatch.setattr(certificate, "certificate_bytes", counting)
     registry = {"emit": WasmExecutor(binary=binary, cert=cert, proof=proof)}
     record, results = run_machine(
         _machine([{"executor_ref": "emit", "config": {"n": n}} for n in range(4)]),

@@ -1,31 +1,41 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from puregate import proof as proof_module
 from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary
+from puregate.gate import R_PROOF_HASH_MISMATCH, gate_verify
 from puregate.proof import (
     IMPORT_MISMATCH,
     IMPURE,
     MALFORMED_BINARY,
     PURE,
     ProofFormatError,
+    PurityProof,
     build_proof,
+    load_proof,
     proof_bytes,
     proof_from_json,
     proof_hash,
     proof_to_json,
     validate_proof_against_binary,
 )
-from puregate.wasm_inspect import parse_imports
+from puregate.wasm_inspect import IMPORT_KINDS, ImportRecord, parse_imports
 from puregate.whitelist import (
     DISALLOWED,
     HOST_NAMESPACE,
     PURE_DATA,
+    VERDICTS,
+    Classification,
     WhitelistEntry,
     make_whitelist,
 )
+from tests.conftest import bare_digest
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "proof_emit_call.json").read_text()
@@ -146,3 +156,80 @@ def test_proof_hash_changes_with_any_field(bundles):
     doc = proof_to_json(proof)
     doc["whitelist_version"] = 7
     assert proof_hash(proof_from_json(doc)) != base
+
+
+def _fresh(proof):
+    """An equal proof object whose digest no earlier test has cached."""
+    return dataclasses.replace(proof)
+
+
+def test_a_second_proof_hash_encodes_nothing(bundles, monkeypatch):
+    proof = _fresh(bundles["emit_call"][1])
+    encode, calls = proof_module.canonical_bytes, []
+    monkeypatch.setattr(
+        proof_module, "canonical_bytes", lambda doc: calls.append(doc) or encode(doc)
+    )
+    first = proof_hash(proof)
+    assert proof_hash(proof) is first and proof.digest is first
+    assert len(calls) == 1
+    # the cached digest is no field: equality, hashing and repr are as before
+    copy = _fresh(proof)
+    assert copy == proof and hash(copy) == hash(proof)
+    assert repr(copy) == repr(proof) and "digest" not in repr(proof)
+    assert proof_to_json(proof) == proof_to_json(copy)
+
+
+def test_replace_with_other_classifications_hashes_afresh(bundles):
+    proof = bundles["emit_call"][1]
+    base = proof_hash(proof)
+    forged = dataclasses.replace(
+        proof,
+        classifications=tuple(
+            Classification(c.import_record, DISALLOWED) for c in proof.classifications
+        ),
+    )
+    assert proof_hash(forged) != base
+    assert proof_hash(forged) == bare_digest(proof_to_json(forged))
+
+
+def test_load_proof_hashes_the_canonical_re_encoding(bundles, tmp_path):
+    proof = bundles["emit_call"][1]
+    path = tmp_path / "spaced.proof"
+    path.write_text(json.dumps(proof_to_json(proof), indent=2))
+    loaded = load_proof(path)
+    assert proof_hash(loaded) == proof_hash(proof)
+    assert proof_hash(loaded) != hashlib.sha256(path.read_bytes()).digest()
+
+
+def test_a_swapped_proof_with_a_cached_digest_fails_step_3(
+    bundles, wl_v1, certifier_key
+):
+    binary, _, cert = bundles["emit_call"]
+    swapped = _fresh(bundles["echo"][1])
+    assert proof_hash(swapped) != cert.proof_hash  # cached before the gate reads it
+    decision = gate_verify(binary, cert, swapped, wl_v1, [certifier_key.public_key])
+    assert (decision.reason, decision.failed_step) == (R_PROOF_HASH_MISMATCH, 3)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_IMPORTS = st.builds(ImportRecord, _TEXT, _TEXT, st.sampled_from(IMPORT_KINDS), _TEXT)
+
+
+@given(
+    imports=st.lists(_IMPORTS, max_size=4),
+    verdicts=st.lists(st.sampled_from(VERDICTS), min_size=4, max_size=4),
+    conclusion=st.sampled_from([PURE, IMPURE]),
+    version=st.integers(0, 2**40),
+    whitelist_hash=st.binary(min_size=32, max_size=32),
+)
+def test_proof_digest_is_sha256_of_sorted_compact_json(
+    imports, verdicts, conclusion, version, whitelist_hash
+):
+    proof = PurityProof(
+        imports=tuple(imports),
+        classifications=tuple(map(Classification, imports, verdicts)),
+        conclusion=conclusion,
+        whitelist_version=version,
+        whitelist_hash=whitelist_hash,
+    )
+    assert proof.digest == bare_digest(proof_to_json(proof))
