@@ -29,7 +29,7 @@ from .certificate import (
     certificate_to_json,
     verify_certificate_signature,
 )
-from .gate import ACCEPT, DecisionLog
+from .gate import DecisionLog
 from .proof import (
     PURE,
     PurityProof,
@@ -166,17 +166,8 @@ def build_attestation(
     for this artifact under the whitelist the descriptor names. Attesting to
     an executor the local gate never accepted is refused.
     """
-    wanted_hash = cert.artifact_hash.hex()
-    wanted_whitelist = env.whitelist_hash.hex()
-    for event in decision_log.events:
-        if (
-            event.get("event") == "gate_decision"
-            and event.get("verdict") == ACCEPT
-            and event.get("artifact_hash") == wanted_hash
-            and event.get("whitelist_hash") == wanted_whitelist
-        ):
-            break
-    else:
+    witness = (cert.artifact_hash.hex(), env.whitelist_hash.hex())
+    if witness not in decision_log.acceptances:
         raise GateNeverAccepted(
             "no accepting gate decision recorded for this artifact under "
             "the attested whitelist"

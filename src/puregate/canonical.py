@@ -48,12 +48,19 @@ def canonical_bytes(value: Any) -> bytes:
 
 
 def canonical_loads(data: bytes | str) -> Any:
-    """Parse a canonical (or merely valid JSON) document."""
+    """Parse a canonical (or merely valid JSON) document.
+
+    A document nested too deeply for the parser is invalid too, so every
+    failure to parse is a CanonicalError (or the ValueError of bytes that
+    are not UTF-8).
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
+        raise CanonicalError(f"invalid document: {exc}") from exc
+    except RecursionError as exc:
         raise CanonicalError(f"invalid document: {exc}") from exc
 
 
@@ -63,7 +70,7 @@ def loads_object(
     """Parse a document that must be a JSON object; any failure raises error."""
     try:
         doc = canonical_loads(data)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         raise error(f"cannot read {what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{what} must hold a JSON object, not {type(doc).__name__}")

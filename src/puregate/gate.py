@@ -142,14 +142,19 @@ class DecisionLog:
     """Append-only record of gate decisions and cache events.
 
     Kept in memory always; mirrored to a JSONL file when a path is given.
+    acceptances indexes the log's witnesses: the (artifact hash, whitelist
+    hash) pair, both in hex, of every accepting gate decision ever appended.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
         self.events: list[dict[str, Any]] = []
+        self.acceptances: set[tuple[Any, Any]] = set()
 
     def append(self, event: dict[str, Any]) -> None:
         self.events.append(event)
+        if event.get("event") == "gate_decision" and event.get("verdict") == ACCEPT:
+            self.acceptances.add((event.get("artifact_hash"), event.get("whitelist_hash")))
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(canonical_bytes(event).decode("utf-8") + "\n")

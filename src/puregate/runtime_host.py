@@ -7,10 +7,17 @@ via get_input_len/get_input, the output document leaves via set_output (at
 most once), log lines via log, and, under the extended whitelist, directive
 constructors append effect descriptions to a host-side accumulator.
 
-The input is serialized to canonical JSON at most once per plan, when the
-instance binds get_input_len or get_input, which is during instantiation,
-before any instruction runs. A module reaches only the host functions it
-imports, so one that imports neither can never observe the input, and its
+The host functions keep no state of their own: each reaches the running
+invocation's buffers (_HostState) through the instance it is called with
+(Instance.embedder). So a module's imports are resolved and signature-checked
+once per artifact and runtime whitelist, and the compile handle keeps that
+binding, with whether the module imports get_input_len or get_input; a warm
+plan binds nothing.
+
+The input is serialized to canonical JSON at most once per plan, just before
+instantiation and so before any instruction runs, and only for a module that
+imports get_input_len or get_input. A module reaches only the host functions
+it imports, so one that imports neither can never observe the input, and its
 input is never serialized: a non-canonical input (a NaN, a set) raises
 CanonicalError before the plan starts for an executor that reads the input,
 and is no error at all for one that does not.
@@ -19,11 +26,12 @@ plan's ABI: exported as `plan() -> i32`, 0 meaning ok and any nonzero value
 an executor-declared error code (surfaced as PlanFailed, a deterministic
 abnormal termination).
 
-Every invocation gets a fresh instance and private memory; nothing survives
-between calls. What invocations of one artifact share is its compiled
-module, which the gate's acceptance carries: it is decoded on the first
-plan and is immutable, so later plans only build the instance (fresh
-memory, data segments copied in, host table bound to that call's buffers).
+Every invocation gets a fresh instance, private memory and its own buffers;
+nothing survives between calls. What invocations of one artifact share is
+its compiled module and its import binding, which the gate's acceptance
+carries: both are made on the first plan and are immutable, so later plans
+only build the instance (fresh memory, data segments copied in, that call's
+buffers attached).
 Each plan adds the fuel it spent to the artifact's compile handle, which
 tiers the module up to generated code once it has run enough to repay the
 compile (wasmvm.ModuleCell).
@@ -34,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .canonical import CanonicalError, canonical_bytes, canonical_loads
 from .gate import GateDecision
@@ -44,10 +52,12 @@ from .wasmvm import (
     Instance,
     MemoryExceeded,
     MissingExport,
+    ParsedModule,
     Timeout,
     Trap,
     VMError,
     instantiate,
+    resolve_imports,
 )
 from .whitelist import CONSTRUCTOR_KINDS, Whitelist, builtin_whitelist
 
@@ -143,39 +153,63 @@ class ExecutorOutput:
 class _HostState:
     """Per-invocation mutable buffers the host functions write into.
 
-    input_bytes is executor_input serialized: bound_input() makes it when
-    the first input import is bound, and both input imports share it.
+    Each instance carries its own as Instance.embedder. input_bytes is the
+    executor input serialized, or None when the module imports neither
+    get_input_len nor get_input.
     """
 
     input_bytes: bytes | None = None
-    executor_input: ExecutorInput | None = None
-    serialize_us: float = 0.0
     output_docs: list[bytes] = field(default_factory=list)
     directives: list[Directive] = field(default_factory=list)
     log_lines: list[str] = field(default_factory=list)
 
-    def bound_input(self) -> bytes:
-        if self.input_bytes is None:
-            t0 = time.perf_counter()
-            self.input_bytes = self.executor_input.serialize()
-            self.serialize_us = (time.perf_counter() - t0) * 1e6
-        return self.input_bytes
+
+# the host functions: each reaches the running invocation's _HostState
+# through the instance it is given, so one function serves every instance
+
+
+def _get_input_len(inst: Instance) -> int:
+    return len(inst.embedder.input_bytes)
+
+
+def _get_input(inst: Instance, ptr: int) -> None:
+    inst.write_mem(ptr, inst.embedder.input_bytes)
+
+
+def _set_output(inst: Instance, ptr: int, length: int) -> None:
+    output_docs = inst.embedder.output_docs
+    if output_docs:
+        raise MalformedOutput("set_output called more than once")
+    output_docs.append(inst.read_mem(ptr, length))
+
+
+def _log(inst: Instance, ptr: int, length: int) -> None:
+    inst.embedder.log_lines.append(
+        inst.read_mem(ptr, length).decode("utf-8", errors="replace")
+    )
+
+
+_PROVIDED = {
+    "get_input_len": _get_input_len,
+    "get_input": _get_input,
+    "set_output": _set_output,
+    "log": _log,
+}
 
 
 class _HostTable(Mapping[tuple[str, str], HostFunc]):
     """Import resolution over a whitelist: one key per entry, built on lookup.
 
-    A module binds only the few imports it names, so each closure is made
-    when the instance looks its key up, over the whitelist's own index.
+    A module binds only the few imports it names, so each HostFunc is made
+    when resolution looks its key up, over the whitelist's own index.
     """
 
-    def __init__(self, whitelist: Whitelist, state: _HostState):
+    def __init__(self, whitelist: Whitelist):
         self._whitelist = whitelist
-        self._state = state
 
     def __getitem__(self, key: tuple[str, str]) -> HostFunc:
         entry = self._whitelist.index[key]
-        return HostFunc(entry.type_signature, _implementation_for(entry.name, self._state))
+        return HostFunc(entry.type_signature, _implementation_for(entry.name))
 
     def __contains__(self, key: object) -> bool:
         return key in self._whitelist.index
@@ -187,9 +221,7 @@ class _HostTable(Mapping[tuple[str, str], HostFunc]):
         return len(self._whitelist.index)
 
 
-def build_host_functions(
-    whitelist: Whitelist, state: _HostState
-) -> Mapping[tuple[str, str], HostFunc]:
+def build_host_functions(whitelist: Whitelist) -> Mapping[tuple[str, str], HostFunc]:
     """The import-resolution table: exactly one entry per whitelist entry.
 
     Capability closure depends on this being a bijection with the whitelist:
@@ -197,38 +229,12 @@ def build_host_functions(
     Entries without a real implementation in this host profile resolve to a
     deterministic trap, which grants no effect capability.
     """
-    return _HostTable(whitelist, state)
+    return _HostTable(whitelist)
 
 
-def _implementation_for(name: str, state: _HostState):
-    if name == "get_input_len":
-        size = len(state.bound_input())
-
-        def get_input_len(inst: Instance) -> int:
-            return size
-
-        return get_input_len
-    if name == "get_input":
-        input_bytes = state.bound_input()
-
-        def get_input(inst: Instance, ptr: int) -> None:
-            inst.write_mem(ptr, input_bytes)
-
-        return get_input
-    if name == "set_output":
-        def set_output(inst: Instance, ptr: int, length: int) -> None:
-            if state.output_docs:
-                raise MalformedOutput("set_output called more than once")
-            state.output_docs.append(inst.read_mem(ptr, length))
-
-        return set_output
-    if name == "log":
-        def log(inst: Instance, ptr: int, length: int) -> None:
-            state.log_lines.append(
-                inst.read_mem(ptr, length).decode("utf-8", errors="replace")
-            )
-
-        return log
+def _implementation_for(name: str) -> Callable[..., int | None]:
+    if name in _PROVIDED:
+        return _PROVIDED[name]
     if name in CONSTRUCTOR_KINDS:
         kind = CONSTRUCTOR_KINDS[name]
 
@@ -240,7 +246,7 @@ def _implementation_for(name: str, state: _HostState):
                 raise MalformedOutput(
                     f"{name} payload is not a valid document: {exc}"
                 ) from exc
-            state.directives.append(Directive(kind=kind, payload=payload))
+            inst.embedder.directives.append(Directive(kind=kind, payload=payload))
 
         return construct
 
@@ -250,6 +256,23 @@ def _implementation_for(name: str, state: _HostState):
         raise Trap(f"host function {name} is not provided by this profile")
 
     return unprovided
+
+
+@dataclass(frozen=True)
+class _Binding:
+    """A module's imports resolved under one runtime whitelist."""
+
+    host_table: tuple[HostFunc, ...]
+    reads_input: bool  # it imports get_input_len or get_input
+
+
+def _bind(module: ParsedModule, whitelist: Whitelist) -> _Binding:
+    host_table = resolve_imports(module, build_host_functions(whitelist))
+    # every import resolved, so each is the whitelist entry of its own name
+    reads_input = any(
+        imp.name in ("get_input_len", "get_input") for imp in module.imported_funcs
+    )
+    return _Binding(host_table, reads_input)
 
 
 def _parse_output_doc(raw: bytes, state: _HostState) -> ExecutorOutput:
@@ -288,14 +311,15 @@ def instantiate_and_plan(
     The gate decision is re-bound to the exact bytes given here; a decision
     for different bytes (or a rejection, or one without a compile handle)
     refuses instantiation. The module is compiled through the decision's
-    handle, so only the first plan of an artifact decodes it.
+    handle, so only the first plan of an artifact decodes it, and its
+    imports are resolved once per runtime whitelist, on the handle too.
 
     The input is serialized only if the module imports get_input_len or
-    get_input, when instantiation binds them: for such a module a
-    non-canonical input raises CanonicalError before any instruction runs;
-    for any other module the input never crosses the boundary and is not
-    checked. timings["serialize_us"] is 0.0 when nothing was serialized, and
-    instantiate_us leaves the serialization out.
+    get_input, just before instantiation: for such a module a non-canonical
+    input raises CanonicalError before any instruction runs; for any other
+    module the input never crosses the boundary and is not checked.
+    timings["serialize_us"] is 0.0 when nothing was serialized, and
+    instantiate_us (module, binding and instance) does not count it.
     """
     t_total = time.perf_counter()
     if runtime_whitelist is None:
@@ -311,15 +335,24 @@ def instantiate_and_plan(
             "no accepting gate decision for these bytes; refusing to run"
         )
 
-    state = _HostState(executor_input=executor_input)
-    host_funcs = build_host_functions(runtime_whitelist, state)
-
     cell = decision.compiled
     t0 = time.perf_counter()
+    module = cell.module(binary_bytes)
+    binding = cell.bound(runtime_whitelist.content_hash, _bind, runtime_whitelist)
+    instantiate_us = (time.perf_counter() - t0) * 1e6
+
+    state = _HostState()
+    serialize_us = 0.0
+    if binding.reads_input:
+        t0 = time.perf_counter()
+        state.input_bytes = executor_input.serialize()
+        serialize_us = (time.perf_counter() - t0) * 1e6
+
+    t0 = time.perf_counter()
     instance = instantiate(
-        cell.module(binary_bytes), host_funcs, limits.memory_max, cell.tier2()
+        module, binding.host_table, limits.memory_max, cell.tier2(), state
     )
-    instantiate_us = (time.perf_counter() - t0) * 1e6 - state.serialize_us
+    instantiate_us += (time.perf_counter() - t0) * 1e6
 
     t0 = time.perf_counter()
     try:
@@ -338,7 +371,7 @@ def instantiate_and_plan(
     if timings is not None:
         timings.update(
             {
-                "serialize_us": state.serialize_us,
+                "serialize_us": serialize_us,
                 "instantiate_us": instantiate_us,
                 "call_us": call_us,
                 "total_us": (time.perf_counter() - t_total) * 1e6,

@@ -40,10 +40,14 @@ Two tiers run the blocks, with the same fuel, traps and messages:
   loop, end and nop cost fuel and are skipped);
 - tier 2 (compile_tier2) translates each validated body into one Python
   function: wasm local i is the Python local l<i>, operand-stack entries
-  are folded into expressions, and a loop picks blocks by index. Each block
-  charges its cost once; a block fuel cannot cover is handed, with its
-  locals and stack, to tier 1, which stops it where a per-op budget would;
-  each trap site refunds a constant. Only per-opcode templates and integers
+  are folded into expressions, and a loop picks blocks by index. It charges
+  once per chain of blocks that fall into one another (up to and including
+  the first call), not once per block; a branch out of a chain gives back
+  the costs of the blocks it skips, and each trap site refunds a constant
+  that counts them too. A chain fuel cannot cover is handed, with its
+  locals and stack, to tier 1, which charges block by block and so stops
+  where a per-op budget would, or runs on to the function's end when a
+  branch leaves the chain first. Only per-opcode templates and integers
   the validator has bounded reach the generated source; no name, byte
   string or type text from the module does, and trap messages that need
   such text are built at run time.
@@ -51,8 +55,9 @@ Two tiers run the blocks, with the same fuel, traps and messages:
 Compile once, instantiate many times: parse_module turns the bytes into a
 ParsedModule, which is immutable (tuples, bytes and a read-only export map)
 and so may be shared by any number of instances. A ModuleCell is one
-artifact's compile handle; it parses on first use and keeps the module, so
-the gate's acceptance can carry it and a warm plan only builds an Instance.
+artifact's compile handle; it parses on first use and keeps the module, and
+the embedder's import bindings (resolve_imports) once made, so the gate's
+acceptance can carry it and a warm plan only builds an Instance.
 It tiers up once the module's runs have spent TIER_UP_FUEL_PER_OP units per
 op, and the generated source grows linearly with the ops, so compile time
 stays of the order of the time already spent interpreting. The
@@ -69,7 +74,9 @@ memory created at instantiation, with the data segments copied into it (no
 state survives between instances, and nothing an instance does reaches the
 shared module), and the only way a module touches the outside world is
 through the host-function table passed in by the embedder, which both tiers
-read at each call.
+read at each call. Host functions reach per-instance embedder state only
+through the instance they are called with (Instance.embedder), so one
+resolved table may serve every instance.
 """
 
 from __future__ import annotations
@@ -182,9 +189,13 @@ class ModuleCell:
     plan; otherwise TIER_UP_FUEL_PER_OP times the module's op count, so a
     module run once below that never compiles. Either way the functions
     are the cell's own and go with it.
+
+    It keeps the module's import bindings too, one per key the embedder
+    names (bound()), so that the imports are resolved once per artifact and
+    host, not on every instantiation.
     """
 
-    __slots__ = ("header", "_module", "_threshold", "_fuel", "_tier2")
+    __slots__ = ("header", "_module", "_threshold", "_fuel", "_tier2", "_bindings")
 
     def __init__(self, header: ModuleHeader):
         self.header = header
@@ -192,6 +203,7 @@ class ModuleCell:
         self._threshold = 0
         self._fuel = 0
         self._tier2: Tier2 | None = None
+        self._bindings: dict[Any, Any] = {}
 
     def module(self, binary: bytes) -> ParsedModule:
         if self._module is None:
@@ -203,6 +215,18 @@ class ModuleCell:
             )
             self._module = module
         return self._module
+
+    def bound(self, key: Any, bind: Callable[[ParsedModule, Any], Any], host: Any) -> Any:
+        """bind(module, host), made on the first call for key and then kept.
+
+        key must identify host: a binding is made once and served for every
+        later host under the same key. A bind that raises keeps nothing, so
+        every call raises afresh. module() must have parsed first.
+        """
+        binding = self._bindings.get(key)
+        if binding is None:
+            binding = self._bindings[key] = bind(self._module, host)
+        return binding
 
     def add_fuel(self, used: int) -> None:
         self._fuel += used
@@ -624,33 +648,52 @@ def _basic_blocks(
 # instance and execution
 # ---------------------------------------------------------------------------
 
+def resolve_imports(
+    module: ParsedModule, host_funcs: Mapping[tuple[str, str], HostFunc]
+) -> tuple[HostFunc, ...]:
+    """The host function for each of module's imports, in import order.
+
+    Every import must resolve to a host function of exactly its signature.
+    The result depends only on module and host_funcs, so an embedder whose
+    host functions keep no state of their own may resolve once and pass the
+    same tuple to every instance.
+    """
+    resolved = []
+    for imp in module.imported_funcs:
+        host = host_funcs.get((imp.namespace, imp.name))
+        if host is None:
+            raise InstantiationError(f"unresolved import {imp.namespace}.{imp.name}")
+        if imp.type_signature != host.signature:
+            raise InstantiationError(
+                f"import {imp.namespace}.{imp.name} signature "
+                f"{imp.type_signature} does not match host {host.signature}"
+            )
+        resolved.append(host)
+    return tuple(resolved)
+
+
 class Instance:
-    """One private instantiation: memory, resolved imports, fuel, deadline."""
+    """One private instantiation: memory, resolved imports, fuel, deadline.
+
+    host_table is resolve_imports(module, ...): the host function of each
+    import, by import index. embedder is whatever the embedder attaches to
+    this instance, for its host functions to reach through the instance
+    they are given; the VM never reads it.
+    """
 
     def __init__(
         self,
         module: ParsedModule,
-        host_funcs: Mapping[tuple[str, str], HostFunc],
+        host_table: Sequence[HostFunc],
         max_memory_bytes: int,
         tier2: Tier2 | None = None,
+        embedder: Any = None,
     ):
         self.module = module
+        self.host_table = host_table
         self.tier2 = tier2  # compile_tier2(module), or None to interpret
+        self.embedder = embedder
         self.max_pages = max_memory_bytes // PAGE_BYTES
-
-        self.host_table: list[HostFunc] = []
-        for imp in module.imported_funcs:
-            host = host_funcs.get((imp.namespace, imp.name))
-            if host is None:
-                raise InstantiationError(
-                    f"unresolved import {imp.namespace}.{imp.name}"
-                )
-            if imp.type_signature != host.signature:
-                raise InstantiationError(
-                    f"import {imp.namespace}.{imp.name} signature "
-                    f"{imp.type_signature} does not match host {host.signature}"
-                )
-            self.host_table.append(host)
 
         self.mem_max_declared: int | None = None
         if module.memory is not None:
@@ -1042,17 +1085,23 @@ _TRANSLATIONS = _TranslationMemo(512)
 
 
 def _tier1(inst, fuel, index, k, frame, height, depth):
-    """Hand block k, which fuel cannot cover, to the block interpreter.
+    """Hand the chain from block k, which fuel cannot cover, to the block
+    interpreter, and return what the generated function would.
 
-    frame is the generated function's locals(): its l<i> are the wasm locals
-    the code reads and s0..s<height-1> the operand stack. The interpreter
-    runs what fuel pays for and raises.
+    fuel is the fuel left before the chain's charge. frame is the generated
+    function's locals(): its l<i> are the wasm locals the code reads and
+    s0..s<height-1> the operand stack. The interpreter charges block by
+    block: it runs what fuel pays for and raises FuelExhausted, unless a
+    branch leaves the chain before fuel runs out, and then it runs on to
+    the function's end, whose result it returns as tier 2 does (the value,
+    or None).
     """
     inst.fuel = fuel
     locals_ = {int(name[1:]): v for name, v in frame.items() if name[0] == "l"}
     stack = [frame[f"s{p}"] for p in range(height)]
     code = inst.module.codes[index - len(inst.module.imported_funcs)]
-    return inst._run(code, locals_, depth, k, stack)
+    results = inst._run(code, locals_, depth, k, stack)
+    return results[0] if results else None
 
 
 def _tick(inst, fuel):
@@ -1226,10 +1275,16 @@ class _Translator:
     enters, or that more than one edge enters, plus every block after it
     that only its predecessor falls into. A loop picks regions by index:
     loop headers are tested first, the rest by binary search, so a jump
-    costs tests logarithmic in the number of regions. Every block charges
-    its cost once; when fuel falls below the multiple of 4096 under the
-    block's starting fuel, a slow path either hands a block fuel cannot
-    cover to _tier1 or checks the deadline.
+    costs tests logarithmic in the number of regions.
+
+    Fuel is charged once per chain: a region's blocks from its head, or from
+    the block after a call, through each block the last falls or branches
+    conditionally into, up to and including the first call (whose callee
+    must see exactly the fuel left). A br_if or if that leaves the chain
+    early adds back the costs of the chain's later blocks, and a trap site's
+    refund counts them too. When fuel falls below the multiple of 4096
+    under the chain's starting fuel, a slow path either hands a chain fuel
+    cannot cover to _tier1 or checks the deadline.
 
     Only per-opcode templates and integers reach the source: immediates,
     indices and costs, all formatted with :d.
@@ -1365,24 +1420,49 @@ class _Translator:
         stack = _Stack(self.heights[k])
         next_k: int | None = k
         while next_k is not None:
-            next_k = self.block(next_k, stack, ind + 1)
+            next_k = self.chain(next_k, stack, ind + 1)
 
-    def block(self, k: int, stack: _Stack, ind: int) -> int | None:
-        """Emit block k; return the block its region goes on with, if any."""
+    def goes_on(self, k: int) -> bool:
+        """Whether block k's chain goes on with block k + 1: k ends in no
+        call, no op in it always traps, and it falls or branches
+        conditionally into k + 1, which nothing else enters."""
+        _, work, term, _, _, _ = self.blocks[k]
+        return (
+            (term is None or term == 0x0D or term == 0x04)
+            and k + 1 in self.inlined
+            and all(op != 0x00 for op, _, _ in work)
+        )
+
+    def chain(self, k: int, stack: _Stack, ind: int) -> int | None:
+        """Emit the chain from block k under one fuel charge; return the
+        block its region goes on with after a call, if any."""
         emit = self.emit
-        cost, work, term, a, b, c = self.blocks[k]
-        emit(ind, f"fuel -= {cost:d}")
+        chain = [k]
+        while self.goes_on(chain[-1]):
+            chain.append(chain[-1] + 1)
+        later = total = sum(self.blocks[j][0] for j in chain)
+        emit(ind, f"fuel -= {total:d}")
         emit(ind, "if fuel < mark:")
         emit(ind + 1, "if fuel < 0:")
         self.write_slots(stack, ind + 2)
         emit(
             ind + 2,
-            f"return _tier1(inst, fuel + {cost:d}, {self.index:d}, {k:d}, locals(), "
+            f"return _tier1(inst, fuel + {total:d}, {self.index:d}, {k:d}, locals(), "
             f"{len(stack):d}, depth)",
         )
         emit(ind + 1, "mark = _tick(inst, fuel)")
+        for j in chain:
+            later -= self.blocks[j][0]
+            next_k = self.block(j, stack, ind, later)
+        return next_k
+
+    def block(self, k: int, stack: _Stack, ind: int, later: int) -> int | None:
+        """Emit block k, whose chain charged later units for the blocks
+        after it; return the block its region goes on with, if any."""
+        emit = self.emit
+        _, work, term, a, b, c = self.blocks[k]
         for op, x, rest in work:
-            if not self.op(op, x, rest, stack, ind):
+            if not self.op(op, x, rest + later, stack, ind):
                 return None
             if len(stack.top) > _MAX_PENDING:
                 self.write_slots(stack, ind)
@@ -1393,7 +1473,7 @@ class _Translator:
         if term == 0x0D:  # br_if
             cond = stack.pop()
             emit(ind, f"if {cond.expr}:")
-            self.goto(a, stack, ind + 1, False, (b, c))
+            self.goto(a, stack, ind + 1, False, (b, c), later)
             return self.fall(k + 1, stack, ind)
         if term == 0x0C:  # br
             self.goto(a, stack, ind, True, (b, c))
@@ -1401,7 +1481,7 @@ class _Translator:
         if term == 0x04:  # if
             cond = stack.pop()
             emit(ind, f"if not {cond.expr}:")
-            self.goto(a, stack, ind + 1, False)
+            self.goto(a, stack, ind + 1, False, refund=later)
             return self.fall(k + 1, stack, ind)
         if term == 0x05:  # else, reached from the then-arm
             self.goto(a, stack, ind, True)
@@ -1422,10 +1502,14 @@ class _Translator:
         ind: int,
         tail: bool,
         cut: tuple[int, int] | None = None,
+        refund: int = 0,
     ) -> None:
         """Leave the region for block target, with the stack or, for a
-        branch, the entries below height b and the c on top."""
+        branch, the entries below height b and the c on top, giving back
+        the refund charged for the chain's blocks this skips."""
         emit = self.emit
+        if refund:
+            emit(ind, f"fuel += {refund:d}")
         if target == len(self.blocks):  # return
             emit(ind, "inst.fuel = fuel")
             if self.returns:
@@ -1551,13 +1635,16 @@ class _Translator:
 
 def instantiate(
     module: ParsedModule,
-    host_funcs: Mapping[tuple[str, str], HostFunc],
+    host_table: Sequence[HostFunc],
     max_memory_bytes: int,
     tier2: Tier2 | None = None,
+    embedder: Any = None,
 ) -> Instance:
     """Fresh instance over a private store; only the immutable module is shared.
 
-    tier2, from compile_tier2(module), runs the module's functions as
-    generated code; without it they are interpreted.
+    host_table is resolve_imports(module, ...). tier2, from
+    compile_tier2(module), runs the module's functions as generated code;
+    without it they are interpreted. embedder is attached to the instance
+    for the host functions (Instance.embedder).
     """
-    return Instance(module, host_funcs, max_memory_bytes, tier2)
+    return Instance(module, host_table, max_memory_bytes, tier2, embedder)

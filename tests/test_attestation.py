@@ -428,6 +428,41 @@ def test_attesting_without_local_acceptance_refused(
         build_attestation(cert, proof, env, env_keypair, log)
 
 
+class _CountingEvents(list):
+    """A list of events that counts the items read from it."""
+
+    examined = 0
+
+    def __iter__(self):
+        for event in super().__iter__():
+            self.examined += 1
+            yield event
+
+    def __getitem__(self, index):
+        self.examined += 1
+        return super().__getitem__(index)
+
+
+def test_finding_the_witness_examines_no_event(
+    attested, bundles, certifier_key, env_keypair, wl_v1, wl_v2
+):
+    binary, proof, cert = bundles["emit_call"]
+    trusted = frozenset([certifier_key.public_key])
+    log = DecisionLog()
+    log.events = _CountingEvents()
+    # an acceptance under another whitelist, then 99 999 other events, then
+    # the witness: 100 001 events in all
+    gate_verify(binary, cert, proof, wl_v2, trusted, log=log)
+    filler = {"event": "cache_invalidated", "timestamp": 0.0, "cause": "manual"}
+    for _ in range(99_999):
+        log.append(filler)
+    gate_verify(binary, cert, proof, wl_v1, trusted, log=log)
+    assert len(log.events) == 100_001
+    log.events.examined = 0
+    assert build_attestation(cert, proof, attested.env, env_keypair, log) == attested
+    assert log.events.examined == 0
+
+
 def _counting(module, calls):
     """module's encoder, noting the module's name in calls on every call."""
     encode = module.canonical_bytes

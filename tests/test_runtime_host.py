@@ -170,13 +170,14 @@ def test_plans_from_one_cached_module_share_no_state(accepted, wl_v1):
     assert decision.compiled.module(binary) is module
     data = [(offset, bytes(payload)) for offset, payload in module.data]
     states = [_HostState(input_bytes=b"first"), _HostState(input_bytes=b"second")]
+    # the binding every plan of this artifact under wl_v1 shares
+    binding = decision.compiled.bound(wl_v1.content_hash, runtime_host._bind, wl_v1)
     first, second = (
-        wasmvm.instantiate(
-            module, build_host_functions(wl_v1, state), DEFAULT_MEMORY_MAX
-        )
+        wasmvm.instantiate(module, binding.host_table, DEFAULT_MEMORY_MAX, None, state)
         for state in states
     )
     assert first.module is second.module is module
+    assert first.host_table is second.host_table
     assert first.memory is not second.memory
 
     # writing over a data segment in one instance reaches neither the other
@@ -186,7 +187,7 @@ def test_plans_from_one_cached_module_share_no_state(accepted, wl_v1):
     assert second.read_mem(offset, len(payload)) == payload
     assert [(o, bytes(p)) for o, p in module.data] == data
     third = wasmvm.instantiate(
-        module, build_host_functions(wl_v1, _HostState(b"")), DEFAULT_MEMORY_MAX
+        module, binding.host_table, DEFAULT_MEMORY_MAX, None, _HostState(b"")
     )
     assert third.read_mem(offset, len(payload)) == payload
 
@@ -196,6 +197,10 @@ def test_plans_from_one_cached_module_share_no_state(accepted, wl_v1):
     first.host_table[set_output].fn(first, offset, 4)
     assert states[0].output_docs == [b"\xff" * 4]
     assert states[1].output_docs == []
+    log = names.index("log")
+    second.host_table[log].fn(second, offset, 2)
+    assert states[1].log_lines == [payload[:2].decode("utf-8", errors="replace")]
+    assert states[0].log_lines == []
     with pytest.raises(TypeError):
         module.exports["plan"] = (0, 0)
 
@@ -307,10 +312,13 @@ def test_plan_output_matches_an_input_serialized_up_front(accepted, wl_v1, name)
 
     def up_front():
         state = _HostState(input_bytes=INPUT.serialize())
+        module = wasmvm.parse_module(binary)
         instance = wasmvm.instantiate(
-            wasmvm.parse_module(binary),
-            build_host_functions(wl_v1, state),
+            module,
+            wasmvm.resolve_imports(module, build_host_functions(wl_v1)),
             limits.memory_max,
+            None,
+            state,
         )
         (code,) = instance.invoke("plan", [], limits.fuel, limits.wall_clock_ms)
         if code:
@@ -344,6 +352,22 @@ def test_non_canonical_input_fails_only_executors_that_read_it(accepted, bad):
     with pytest.raises(CanonicalError):
         instantiate_and_plan(binary, decision, bad)
     assert cell._fuel == fuel  # raised at bind: no instruction ran
+
+
+DEEP = [b"[" * 100_000 + b"]" * 100_000, b'{"a":' * 100_000 + b"1" + b"}" * 100_000]
+
+
+@pytest.mark.parametrize("doc", DEEP, ids=["list", "object"])
+def test_a_deeply_nested_document_is_malformed_output(doc):
+    with pytest.raises(MalformedOutput):
+        runtime_host._parse_output_doc(doc, _HostState())
+    module = wasmvm.parse_module(assemble("(module (memory 10))"))
+    instance = wasmvm.instantiate(module, (), 10 * 65536, None, _HostState())
+    instance.write_mem(0, doc)
+    construct = runtime_host._implementation_for("directive_call_machine")
+    with pytest.raises(MalformedOutput):
+        construct(instance, 0, len(doc))
+    assert instance.embedder.directives == []
 
 
 def test_no_output_is_malformed(accepted):
@@ -413,9 +437,7 @@ def test_decision_for_other_bytes_refused(accepted, bundles):
 def test_host_table_matches_whitelist_exactly():
     for version in (1, 2):
         wl = builtin_whitelist(version)
-        from puregate.runtime_host import _HostState
-
-        table = build_host_functions(wl, _HostState(input_bytes=b""))
+        table = build_host_functions(wl)
         assert set(table) == {(e.namespace, e.name) for e in wl.entries}
         for (ns, name), host in table.items():
             entry = next(
@@ -448,28 +470,70 @@ IMPORT_ERRORS = [
 def test_import_resolution_errors_are_unchanged(source, message):
     module = wasmvm.parse_module(assemble(source))
     for version in (1, 2):
-        table = build_host_functions(builtin_whitelist(version), _HostState(b""))
+        table = build_host_functions(builtin_whitelist(version))
         with pytest.raises(InstantiationError) as excinfo:
-            wasmvm.instantiate(module, table, DEFAULT_MEMORY_MAX)
+            wasmvm.resolve_imports(module, table)
         assert str(excinfo.value) == message
 
 
-def test_host_table_builds_only_the_closures_a_module_binds(monkeypatch):
+def _count_built(monkeypatch):
     built = []
     real = runtime_host._implementation_for
     monkeypatch.setattr(
         runtime_host,
         "_implementation_for",
-        lambda name, state: built.append(name) or real(name, state),
+        lambda name: built.append(name) or real(name),
     )
-    wl = builtin_whitelist(2)
-    table = build_host_functions(wl, _HostState(input_bytes=b""))
-    assert built == [] and len(table) == len(wl.entries)
+    return built
+
+
+def test_plans_resolve_imports_once_per_artifact_and_whitelist(
+    accepted, wl_v1, wl_v2, monkeypatch
+):
+    built = _count_built(monkeypatch)
+    table = build_host_functions(wl_v2)  # looks nothing up until asked
+    assert len(table) == len(wl_v2.entries)
     assert ("mashin", "log") in table and ("mashin", "nope") not in table
     assert built == []
-    module = wasmvm.parse_module(fixture_binary("echo"))
-    wasmvm.instantiate(module, table, DEFAULT_MEMORY_MAX)
-    assert built == [imp.name for imp in module.imported_funcs]
+    binary, decision = accepted("emit_call")
+    names = [imp.name for imp in decision.compiled.module(binary).imported_funcs]
+    outputs = [instantiate_and_plan(binary, decision, INPUT).to_json() for _ in range(3)]
+    assert built == names  # once, on the first plan
+    outputs.append(
+        instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v2).to_json()
+    )
+    # another whitelist resolves again: a host function for each import the
+    # module names, none for the rest of the whitelist
+    assert built == names + names and len(names) < len(wl_v2.entries)
+    outputs.append(
+        instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v1).to_json()
+    )
+    assert built == names + names
+    assert all(out == outputs[0] for out in outputs)
+
+
+def test_a_resolution_error_is_raised_on_every_plan(certifier_key, wl_v1, monkeypatch):
+    # accepted under a whitelist that has the import, planned under one
+    # that does not
+    source, message = IMPORT_ERRORS[0]
+    mystery = whitelist.WhitelistEntry("mashin", "mystery", whitelist.PURE_DATA, "() -> i32")
+    wl = whitelist.make_whitelist(1, [*wl_v1.entries, mystery])
+    binary = assemble(source)
+    decision = _gated(binary, wl, certifier_key)
+    resolved = []
+    resolve = runtime_host.resolve_imports
+    monkeypatch.setattr(
+        runtime_host,
+        "resolve_imports",
+        lambda module, table: resolved.append(module) or resolve(module, table),
+    )
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(InstantiationError) as excinfo:
+            instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v1)
+        messages.add(str(excinfo.value))
+    assert messages == {message}
+    assert len(resolved) == 3  # nothing was kept: every plan resolves again
 
 
 def test_constructor_import_emits_directive(certifier_key, wl_v2):

@@ -40,6 +40,7 @@ from puregate.wasmvm import (
     compile_tier2,
     instantiate,
     parse_module,
+    resolve_imports,
 )
 from puregate.whitelist import builtin_whitelist
 
@@ -269,7 +270,7 @@ def _hosts(record):
 
 def _outcome(module, tier2, budget):
     record = []
-    instance = instantiate(module, _hosts(record), 2 * 65536, tier2)
+    instance = instantiate(module, resolve_imports(module, _hosts(record)), 2 * 65536, tier2)
     try:
         result = instance.invoke("f", [], budget, 60_000)
     except VMError as exc:
@@ -320,8 +321,8 @@ def test_fixtures_agree_in_both_tiers_across_budgets(name):
 
     def outcome(tier2, budget):
         state = _HostState(input_bytes=INPUT.serialize())
-        host = build_host_functions(builtin_whitelist(1), state)
-        instance = instantiate(module, host, 64 * MIB, tier2)
+        host = resolve_imports(module, build_host_functions(builtin_whitelist(1)))
+        instance = instantiate(module, host, 64 * MIB, tier2, state)
         try:
             result = instance.invoke("plan", [], budget, 60_000)
         except VMError as exc:
@@ -452,6 +453,79 @@ def test_the_deadline_holds_across_calls():
         instance = instantiate(module, {}, 0, tier2)
         with pytest.raises(wasmvm.Timeout):
             instance.invoke("f", [], 10**8, 20)
+
+
+def test_a_callee_handed_to_tier_1_returns_its_value_to_a_tier_2_caller(monkeypatch):
+    # g's chain (the br_if block and the block it skips) costs 17, but a
+    # nonzero argument leaves it after 4: with budgets 10 to 18, f has 2
+    # units spent and tier 2 cannot charge the chain, so tier 1 runs g to
+    # its end
+    source = """
+    (module
+      (func $g (param i32) (result i32)
+        block (result i32)
+          i32.const 7
+          local.get 0
+          br_if 0
+          drop
+          i32.const 1 i32.const 2 i32.add i32.const 3 i32.add
+          i32.const 4 i32.add i32.const 5 i32.add drop
+          i32.const 9
+        end)
+      (func (export "f") (result i32)
+        i32.const 1
+        call $g
+        i32.const 100
+        i32.add))
+    """
+    handed = []
+    tier1 = wasmvm._TIER2_NAMES["_tier1"]
+    monkeypatch.setitem(
+        wasmvm._TIER2_NAMES, "_tier1", lambda *args: handed.append(args[2]) or tier1(*args)
+    )
+    module = parse_module(assemble(source))
+    tier2 = compile_tier2(module)
+    for budget in range(10, 30):
+        handed.clear()
+        outcomes = []
+        for functions in (None, tier2):
+            instance = instantiate(module, (), 0, functions)
+            outcomes.append((instance.invoke("f", [], budget, 60_000), instance.fuel))
+        assert outcomes[0] == outcomes[1] == ([107], budget - 10), budget
+        assert handed == ([0] if budget < 19 else []), budget
+
+
+def test_a_trap_in_a_chains_second_block_leaves_the_same_fuel_in_both_tiers():
+    # one charge covers both blocks before the branch target; the division
+    # traps as the 11th op, and the 6 ops after it are given back
+    source = """
+    (module
+      (func (export "f") (result i32) (local i32)
+        block
+          i32.const 5
+          local.set 0
+          local.get 0
+          i32.eqz
+          br_if 0
+          i32.const 100
+          local.get 0
+          i32.const 5
+          i32.sub
+          i32.div_u
+          local.set 0
+          i32.const 1
+          local.get 0
+          i32.add
+          local.set 0
+        end
+        local.get 0))
+    """
+    module = parse_module(assemble(source))
+    assert "fuel -= 17" in wasmvm._Translator(module.codes[0], 0, module.func_types, 0).source()
+    expected = (("Trap", "integer divide by zero"), 1000 - 11)
+    for tier2 in (None, compile_tier2(module)):
+        assert _outcome(module, tier2, 1000)[:2] == expected
+    _agree_at_every_budget(module, cap=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +750,12 @@ def test_a_machine_run_is_byte_identical_across_a_session_swap(
     implementation_for = runtime_host._implementation_for
     add_fuel = wasmvm.ModuleCell.add_fuel
 
-    def seen_instantiate(module, host_funcs, memory_max, tier2=None):
+    def seen_instantiate(module, host_table, memory_max, tier2=None, embedder=None):
         tiers.append(tier2 is not None)
-        return instantiate(module, host_funcs, memory_max, tier2)
+        return instantiate(module, host_table, memory_max, tier2, embedder)
 
-    def counted_implementation(name, state):
-        fn = implementation_for(name, state)
+    def counted_implementation(name):
+        fn = implementation_for(name)
 
         def call(*args):
             host_calls.append(name)

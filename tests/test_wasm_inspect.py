@@ -25,6 +25,7 @@ from puregate.wasmvm import (
     VMError,
     instantiate,
     parse_module,
+    resolve_imports,
 )
 from puregate.whitelist import builtin_whitelist
 
@@ -176,9 +177,12 @@ def _check_vm_decode(data: bytes) -> None:
         imports = parse_imports(data).imports
     except MalformedBinary:
         imports = None
-    hosts = build_host_functions(V2, _HostState(input_bytes=b""))
+    hosts = build_host_functions(V2)
     try:
-        instance = instantiate(parse_module(data), hosts, 1024 * 1024)
+        module = parse_module(data)
+        instance = instantiate(
+            module, resolve_imports(module, hosts), 1024 * 1024, None, _HostState(b"")
+        )
     except VMError:
         return
     if imports is not None:

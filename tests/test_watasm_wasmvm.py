@@ -25,6 +25,7 @@ from puregate.wasmvm import (
     compile_tier2,
     instantiate,
     parse_module,
+    resolve_imports,
 )
 from puregate.whitelist import builtin_whitelist
 
@@ -33,9 +34,10 @@ MIB = 1024 * 1024
 TIERS = (1, 2)
 
 
-def _instantiate(module, host_funcs, max_memory_bytes, tier=1):
+def _instantiate(module, host_funcs, max_memory_bytes, tier=1, embedder=None):
     tier2 = compile_tier2(module) if tier == 2 else None
-    return instantiate(module, host_funcs, max_memory_bytes, tier2)
+    host_table = resolve_imports(module, host_funcs)
+    return instantiate(module, host_table, max_memory_bytes, tier2, embedder)
 
 
 def over_tiers(names):
@@ -232,7 +234,7 @@ def test_unresolved_import_rejected():
       (func $f (export "f") (result i32) call $m))
     """
     with pytest.raises(InstantiationError):
-        instantiate(parse_module(assemble(source)), {}, 64 * MIB)
+        _instantiate(parse_module(assemble(source)), {}, 64 * MIB)
 
 
 def test_import_signature_mismatch_rejected():
@@ -244,7 +246,7 @@ def test_import_signature_mismatch_rejected():
     """
     host = {("mashin", "cap"): HostFunc("(i32) -> ()", lambda inst, x: None)}
     with pytest.raises(InstantiationError):
-        instantiate(parse_module(assemble(source)), host, 64 * MIB)
+        _instantiate(parse_module(assemble(source)), host, 64 * MIB)
 
 
 def test_host_function_call_and_memory_access():
@@ -262,7 +264,7 @@ def test_host_function_call_and_memory_access():
             "(i32) -> i32", lambda inst, addr: inst.read_mem(addr, 1)[0]
         )
     }
-    instance = instantiate(parse_module(assemble(source)), host, 64 * MIB)
+    instance = _instantiate(parse_module(assemble(source)), host, 64 * MIB)
     assert instance.invoke("f", [], 1000, 1000) == [42]
 
 
@@ -273,7 +275,7 @@ def test_invoking_an_exported_import_costs_its_host_unit():
       (export "f" (func $inc)))
     """
     host = {("host", "inc"): HostFunc("(i32) -> i32", lambda inst, x: x + 1)}
-    instance = instantiate(parse_module(assemble(source)), host, 0)
+    instance = _instantiate(parse_module(assemble(source)), host, 0)
     assert instance.invoke("f", [41], 1, 1000) == [42]
     assert instance.fuel == 0
     with pytest.raises(FuelExhausted):
@@ -458,7 +460,7 @@ def test_imports_may_declare_other_numeric_types():
     )
     assert module.func_types[0] == (("i64", "i64"), ("i64",))
     host = {("mashin", "int_add"): HostFunc("(i64, i64) -> i64", lambda inst, a, b: 0)}
-    assert instantiate(module, host, 0).invoke("f", [], 100, 1000) == [7]
+    assert _instantiate(module, host, 0).invoke("f", [], 100, 1000) == [7]
 
 
 def test_branches_cut_the_stack_to_their_label():
@@ -637,10 +639,10 @@ HOST_CALL_GOLDENS = {
 def _plan_host_calls(name, budget, tier=1):
     """(host calls with the fuel used on entry, outcome, fuel left, state)."""
     state = _HostState(input_bytes=GOLDEN_INPUT.serialize())
-    host = build_host_functions(builtin_whitelist(1), state)
+    host = build_host_functions(builtin_whitelist(1))
     try:
         module = parse_module(fixture_binary(name))
-        instance = _instantiate(module, host, DEFAULT_MEMORY_MAX, tier)
+        instance = _instantiate(module, host, DEFAULT_MEMORY_MAX, tier, state)
     except VMError as exc:
         return (), type(exc).__name__, None, state
     calls = []
@@ -819,9 +821,9 @@ MID_BLOCK_TRAP_GOLDENS = {
 
 def _run_trapping(name, budget, tier=1):
     state = _HostState(input_bytes=b"0123456789")
-    host = build_host_functions(builtin_whitelist(2), state)
+    host = build_host_functions(builtin_whitelist(2))
     module = parse_module(assemble(MID_BLOCK_TRAPS[name]))
-    instance = _instantiate(module, host, 64 * MIB, tier)
+    instance = _instantiate(module, host, 64 * MIB, tier, state)
     with pytest.raises(VMError) as info:
         instance.invoke("f", [], budget, 60_000)
     return info.value, budget - instance.fuel, instance
