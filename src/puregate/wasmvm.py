@@ -1473,7 +1473,7 @@ class _Translator:
         if term == 0x0D:  # br_if
             cond = stack.pop()
             emit(ind, f"if {cond.expr}:")
-            self.goto(a, stack, ind + 1, False, (b, c), later)
+            self.goto(a, stack, ind + 1, False, (b, c), refund=later)
             return self.fall(k + 1, stack, ind)
         if term == 0x0C:  # br
             self.goto(a, stack, ind, True, (b, c))
