@@ -159,7 +159,7 @@ def bench(
             decision = gate_verify(
                 binary, cert, proof, runtime, trusted, cache=cache
             )
-            instantiate_and_plan(binary, decision, plan_input, runtime_whitelist=runtime)
+            instantiate_and_plan(binary, decision, plan_input)
 
         values = _time_us(cycle, samples, warmup)
 

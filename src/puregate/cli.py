@@ -39,11 +39,9 @@ from .certificate import (
     load_certificate,
     save_certificate,
     sign_certificate,
-    verify_certificate_signature,
 )
 from .fixtures import ImpureFixture, fixture_binary, list_fixtures
-from .gate import DecisionLog, GateDecision, gate_verify
-from .gate import R_ARTIFACT_HASH_MISMATCH, R_PROOF_HASH_MISMATCH
+from .gate import DecisionLog, GateDecision, check_certificate, gate_verify
 from .interpreter import (
     ExecutorRejected,
     RuntimeServices,
@@ -52,7 +50,7 @@ from .interpreter import (
     default_governance,
     run_machine,
 )
-from .proof import build_proof, load_proof, proof_hash, save_proof
+from .proof import build_proof, load_proof, save_proof
 from .provenance import cross_org_hash, load_run_record, save_run_record, verify_chain
 from .runtime_host import ExecutorInput, ResourceLimits, instantiate_and_plan
 from .signing import PUBLIC_KEY_BYTES, generate_seed, load_public_key, load_seed
@@ -190,15 +188,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     proof = load_proof(Path(args.proof))
     trusted = set(_trusted_keys(args.trust))
 
-    check = verify_certificate_signature(cert, trusted)
-    reason = None
-    if not check.accepted:
-        reason = check.reason
-    elif cert.artifact_hash != hash_bytes(binary):
-        reason = R_ARTIFACT_HASH_MISMATCH
-    elif cert.proof_hash != proof_hash(proof):
-        reason = R_PROOF_HASH_MISMATCH
-
+    rejection = check_certificate(hash_bytes(binary), cert, proof, trusted)
+    reason = None if rejection is None else rejection.reason
     ok = reason is None
     _emit(
         args,
@@ -279,7 +270,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         timings: dict[str, float] = {}
         try:
             output = instantiate_and_plan(
-                binary, decision, executor_input, limits, whitelist, timings
+                binary, decision, executor_input, limits, timings=timings
             )
         except VMError as exc:
             return _executor_failed(args, exc)

@@ -7,7 +7,8 @@ outside the whitelist, which is also why a nondeterministic fixture (say,
 one importing a clock) cannot be built against the shipped whitelists.
 
 Beyond the committed corpus, assemble_fixture() generates an executor from
-a FixtureSpec: a declared import list plus one of a small set of behaviors.
+a FixtureSpec: a declared import list plus one of a small set of behaviors
+(echo, trap and memory_sentinel run the committed fixture's own body).
 The generated module declares exactly the listed imports, so negative
 fixtures (a WASI import, a table import) assemble fine and fail later at
 the gate, where they should.
@@ -191,12 +192,17 @@ def _wat_string(data: bytes) -> str:
     return "".join(out)
 
 
-def _import_decl(index: int, namespace: str, name: str, signature: str) -> str:
+# behaviors whose memory, data and plan are those of the committed fixture
+# of the same name
+_COMMITTED_BODIES = ("echo", "trap", "memory_sentinel")
+
+
+def _import_decl(label: str, namespace: str, name: str, signature: str) -> str:
     if signature.startswith(("(table ", "(memory ", "(global ")):
         return f'  (import "{namespace}" "{name}" {signature})'
     params, _, result = signature.partition(" -> ")
     inner = params.strip()[1:-1].strip()
-    parts = [f"func $h{index}"]
+    parts = [f"func {label}"]
     if inner:
         parts.append("(param " + " ".join(t.strip() for t in inner.split(",")) + ")")
     result = result.strip()
@@ -205,123 +211,66 @@ def _import_decl(index: int, namespace: str, name: str, signature: str) -> str:
     return f'  (import "{namespace}" "{name}" ({" ".join(parts)}))'
 
 
-def _emit_body(doc_bytes: bytes, set_output: str) -> list[str]:
+@lru_cache(maxsize=None)
+def _committed_body(name: str) -> str:
+    """A committed fixture's source after its imports, without the module's
+    closing parenthesis: its memory, data and functions."""
+    lines = fixture_source(name).splitlines()
+    last_import = max(
+        i for i, line in enumerate(lines) if line.lstrip().startswith("(import ")
+    )
+    body = "\n".join(lines[last_import + 1 :])
+    return body[: body.rindex(")")]
+
+
+def _emit_body(doc_bytes: bytes) -> list[str]:
     return [
+        "  (memory 1)",
         f'  (data (i32.const 1024) "{_wat_string(doc_bytes)}")',
         "  (func $plan (export \"plan\") (result i32)",
         "    i32.const 1024",
         f"    i32.const {len(doc_bytes)}",
-        f"    call {set_output}",
+        "    call $set_output",
         "    i32.const 0)",
     ]
 
 
 def fixture_spec_source(spec: FixtureSpec) -> str:
-    """Render a FixtureSpec as deterministic WASM text."""
-    names: dict[tuple[str, str, str], str] = {}
+    """Render a FixtureSpec as deterministic WASM text.
+
+    The imports a behavior needs are named as the committed sources name
+    them ($get_input_len, $get_input, $set_output); any other function
+    import is $h<index>.
+    """
+    needs = _BEHAVIOR_NEEDS[spec.behavior]
+    named: set[tuple[str, str, str]] = set()
     lines = ["(module"]
     func_index = 0
-    for namespace, name, signature in spec.imports:
-        lines.append(_import_decl(func_index, namespace, name, signature))
-        if not signature.startswith(("(table ", "(memory ", "(global ")):
-            names[(namespace, name, signature)] = f"$h{func_index}"
+    for imp in spec.imports:
+        label = f"$h{func_index}"
+        if imp in needs and imp not in named:
+            label = f"${imp[1]}"
+            named.add(imp)
+        lines.append(_import_decl(label, *imp))
+        if not imp[2].startswith(("(table ", "(memory ", "(global ")):
             func_index += 1
 
-    for needed in _BEHAVIOR_NEEDS[spec.behavior]:
-        if needed not in names:
+    for needed in needs:
+        if needed not in named:
             raise UnimplementableBehavior(
                 f"behavior {spec.behavior!r} needs import "
                 f"{needed[0]}.{needed[1]} {needed[2]}"
             )
 
-    pages = 2 if spec.behavior == "echo" else 1
-    lines.append(f"  (memory {pages})")
-
-    if spec.behavior in _EMITTER_DOCS:
+    if spec.behavior in _COMMITTED_BODIES:
+        lines.append(_committed_body(spec.behavior))
+    elif spec.behavior in _EMITTER_DOCS:
         doc = canonical_dumps(_EMITTER_DOCS[spec.behavior]).encode()
-        lines.extend(_emit_body(doc, names[_SET_OUTPUT]))
-    elif spec.behavior == "no_output":
+        lines.extend(_emit_body(doc))
+    else:  # no_output
+        lines.append("  (memory 1)")
         lines.append('  (func $plan (export "plan") (result i32)')
         lines.append("    i32.const 0)")
-    elif spec.behavior == "trap":
-        lines.append('  (func $plan (export "plan") (result i32)')
-        lines.append("    unreachable)")
-    elif spec.behavior == "memory_sentinel":
-        prefix = b'{"result":{"sentinel":'
-        lines.extend(
-            [
-                f'  (data (i32.const 1024) "{_wat_string(prefix)}")',
-                '  (func $plan (export "plan") (result i32)',
-                f"    i32.const {1024 + len(prefix)}",
-                "    i32.const 0",
-                "    i32.load8_u",
-                "    i32.const 48",
-                "    i32.add",
-                "    i32.store8",
-                f"    i32.const {1025 + len(prefix)}",
-                "    i32.const 125",
-                "    i32.store8",
-                f"    i32.const {1026 + len(prefix)}",
-                "    i32.const 125",
-                "    i32.store8",
-                "    i32.const 0",
-                "    i32.const 1",
-                "    i32.store8",
-                "    i32.const 1024",
-                f"    i32.const {len(prefix) + 3}",
-                f"    call {names[_SET_OUTPUT]}",
-                "    i32.const 0)",
-            ]
-        )
-    else:  # echo
-        get_len, get_in, set_out = (
-            names[_GET_INPUT_LEN],
-            names[_GET_INPUT],
-            names[_SET_OUTPUT],
-        )
-        lines.extend(
-            [
-                '  (data (i32.const 1024) "{\\"result\\":")',
-                '  (func $plan (export "plan") (result i32)'
-                " (local $len i32) (local $i i32)",
-                f"    call {get_len}",
-                "    local.set $len",
-                "    block",
-                "      loop",
-                "        local.get $i",
-                "        i32.const 10",
-                "        i32.ge_u",
-                "        br_if 1",
-                "        i32.const 4096",
-                "        local.get $i",
-                "        i32.add",
-                "        i32.const 1024",
-                "        local.get $i",
-                "        i32.add",
-                "        i32.load8_u",
-                "        i32.store8",
-                "        local.get $i",
-                "        i32.const 1",
-                "        i32.add",
-                "        local.set $i",
-                "        br 0",
-                "      end",
-                "    end",
-                "    i32.const 4106",
-                f"    call {get_in}",
-                "    i32.const 4106",
-                "    local.get $len",
-                "    i32.add",
-                "    i32.const 125",
-                "    i32.store8",
-                "    i32.const 4096",
-                "    local.get $len",
-                "    i32.const 11",
-                "    i32.add",
-                f"    call {set_out}",
-                "    i32.const 0)",
-            ]
-        )
     lines.append(")")
     return "\n".join(lines) + "\n"
 

@@ -8,13 +8,14 @@ failure wins; rejections are decisions, never exceptions.
 
 An acceptance carries what it admitted (the runtime whitelist, certificate
 and proof it verified) and a compile handle, a wasmvm.ModuleCell over the
-header step 4 decoded. The cache keeps the accepting decision itself, by
-artifact hash, and a hit requires the whitelist snapshot, certificate and
-proof that acceptance admitted; anything else runs the six checks. So a
-whitelist change invalidates implicitly, a hit never serves a certificate
-the gate did not verify, and the chain's purity_cert_hash is the admitting
-certificate's digest, encoded at most once per certificate object. Every
-decision (accept and reject) is appended to a decision log for audit.
+bytes it admitted and the header step 4 decoded from them. The cache keeps
+the accepting decision itself, by artifact hash, and a hit requires the
+whitelist snapshot, certificate and proof that acceptance admitted;
+anything else runs the six checks. So a whitelist change invalidates
+implicitly, a hit never serves a certificate the gate did not verify, and
+the chain's purity_cert_hash is the admitting certificate's digest, encoded
+at most once per certificate object. Every decision (accept and reject) is
+appended to a decision log for audit.
 """
 
 from __future__ import annotations
@@ -86,9 +87,7 @@ class GateDecision:
     detail: str | None = None
     failed_step: int | None = None
     from_cache: bool = False
-    # Hash of the exact bytes this decision was made for; the host re-checks
-    # it before instantiation so a decision cannot be replayed onto other
-    # bytes.
+    # Hash of the exact bytes this decision was made for.
     artifact_hash: bytes | None = None
     # An acceptance's compile handle for those bytes and what it admitted;
     # neither is part of the decision's identity or its log record.
@@ -227,16 +226,17 @@ def gate_verify(
     return decision
 
 
-def _run_checks(
-    binary_bytes: bytes,
+def check_certificate(
     artifact_hash: bytes,
     cert: PurityCertificate,
     proof: PurityProof,
-    runtime_whitelist: Whitelist,
     trusted_keys: Collection[bytes],
-    minimum_version: int,
-    known_hashes: Mapping[int, bytes] | None,
-) -> GateDecision:
+) -> GateDecision | None:
+    """Steps 1-3: certifier trust and signature, then the certificate's
+    binding to the artifact hash and to the proof.
+
+    Returns the rejection, or None when all three hold.
+    """
     # step 1: trust establishment, then signature verification
     sig = verify_certificate_signature(cert, trusted_keys)
     if not sig.accepted:
@@ -249,6 +249,22 @@ def _run_checks(
     # step 3: proof binding
     if proof_hash(proof) != cert.proof_hash:
         return _reject(R_PROOF_HASH_MISMATCH, 3, artifact_hash)
+    return None
+
+
+def _run_checks(
+    binary_bytes: bytes,
+    artifact_hash: bytes,
+    cert: PurityCertificate,
+    proof: PurityProof,
+    runtime_whitelist: Whitelist,
+    trusted_keys: Collection[bytes],
+    minimum_version: int,
+    known_hashes: Mapping[int, bytes] | None,
+) -> GateDecision:
+    rejection = check_certificate(artifact_hash, cert, proof, trusted_keys)
+    if rejection is not None:
+        return rejection
 
     # step 4: independent import extraction, under the hash taken at entry
     try:
@@ -296,7 +312,7 @@ def _run_checks(
     return GateDecision(
         verdict=ACCEPT,
         artifact_hash=artifact_hash,
-        compiled=ModuleCell(module.header),
+        compiled=ModuleCell(binary_bytes, module.header),
         admitted=Admission(runtime_whitelist, cert, proof),
     )
 

@@ -356,11 +356,7 @@ def execute_step(
             raise ExecutorRejected(gate_decision)
         purity_cert_hash = gate_decision.admitted.cert.digest
         output = instantiate_and_plan(
-            executor.binary,
-            gate_decision,
-            executor_input,
-            services.limits,
-            services.whitelist,
+            executor.binary, gate_decision, executor_input, services.limits
         )
     else:
         output = executor.fn(executor_input)

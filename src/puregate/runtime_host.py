@@ -1,18 +1,20 @@
 """Execution host for gate-accepted executors.
 
-Instantiates a verified module with exactly the host functions named in the
-runtime whitelist, runs its `plan` export, and collects the output. All data
-crosses the WASM boundary through host calls: the input document is fetched
-via get_input_len/get_input, the output document leaves via set_output (at
-most once), log lines via log, and, under the extended whitelist, directive
-constructors append effect descriptions to a host-side accumulator.
+Runs only what the gate admitted: the bytes an acceptance's compile handle
+holds, instantiated with exactly the host functions named in the whitelist
+the gate admitted them under. It runs the module's `plan` export and
+collects the output. All data crosses the WASM boundary through host calls:
+the input document is fetched via get_input_len/get_input, the output
+document leaves via set_output (at most once), log lines via log, and,
+under the extended whitelist, directive constructors append effect
+descriptions to a host-side accumulator.
 
 The host functions keep no state of their own: each reaches the running
 invocation's buffers (_HostState) through the instance it is called with
 (Instance.embedder). So a module's imports are resolved and signature-checked
-once per artifact and runtime whitelist, and the compile handle keeps that
-binding, with whether the module imports get_input_len or get_input; a warm
-plan binds nothing.
+once per artifact, and the compile handle keeps that one binding, with
+whether the module imports get_input_len or get_input; a warm plan binds
+nothing.
 
 The input is serialized to canonical JSON at most once per plan, just before
 instantiation and so before any instruction runs, and only for a module that
@@ -59,7 +61,7 @@ from .wasmvm import (
     instantiate,
     resolve_imports,
 )
-from .whitelist import CONSTRUCTOR_KINDS, Whitelist, builtin_whitelist
+from .whitelist import CONSTRUCTOR_KINDS, Whitelist
 
 # fuel, not the clock, stops a runaway plan: tier 1, the slower tier, spent
 # 0.24-0.27 us per unit on fuel_burn, so a quarter of the default deadline
@@ -81,7 +83,8 @@ DIRECTIVE_KINDS = (
 
 
 class GateNotPassed(Exception):
-    """Refusal to instantiate: no accepting gate decision for these bytes."""
+    """Refusal to instantiate: no acceptance admitted these bytes, or not
+    under this whitelist."""
 
 
 class MalformedOutput(VMError):
@@ -260,7 +263,7 @@ def _implementation_for(name: str) -> Callable[..., int | None]:
 
 @dataclass(frozen=True)
 class _Binding:
-    """A module's imports resolved under one runtime whitelist."""
+    """A module's imports resolved under the whitelist that admitted it."""
 
     host_table: tuple[HostFunc, ...]
     reads_input: bool  # it imports get_input_len or get_input
@@ -308,11 +311,13 @@ def instantiate_and_plan(
 ) -> ExecutorOutput:
     """Run one gated invocation: fresh instance, plan call, output collection.
 
-    The gate decision is re-bound to the exact bytes given here; a decision
-    for different bytes (or a rejection, or one without a compile handle)
-    refuses instantiation. The module is compiled through the decision's
-    handle, so only the first plan of an artifact decodes it, and its
-    imports are resolved once per runtime whitelist, on the handle too.
+    Only what the gate admitted runs: the decision must be an acceptance
+    whose compile handle holds exactly binary_bytes, and the imports are
+    bound under the whitelist it was admitted under. runtime_whitelist
+    checks that whitelist: when given, it must have the admitted one's
+    content hash. Anything else refuses instantiation (GateNotPassed).
+    The module is compiled and its imports resolved through the handle, so
+    only the first plan of an artifact decodes or binds.
 
     The input is serialized only if the module imports get_input_len or
     get_input, just before instantiation: for such a module a non-canonical
@@ -322,23 +327,23 @@ def instantiate_and_plan(
     instantiate_us (module, binding and instance) does not count it.
     """
     t_total = time.perf_counter()
-    if runtime_whitelist is None:
-        runtime_whitelist = builtin_whitelist(1)
-
-    artifact_hash = hashlib.sha256(binary_bytes).digest()
-    if (
-        not decision.accepted
-        or decision.artifact_hash != artifact_hash
-        or decision.compiled is None
-    ):
+    cell = decision.compiled
+    if not decision.accepted or cell is None or binary_bytes != cell.binary:
         raise GateNotPassed(
             "no accepting gate decision for these bytes; refusing to run"
         )
+    admitted = decision.admitted.whitelist
+    if (
+        runtime_whitelist is not None
+        and runtime_whitelist.content_hash != admitted.content_hash
+    ):
+        raise GateNotPassed(
+            "these bytes were admitted under another whitelist; refusing to run"
+        )
 
-    cell = decision.compiled
     t0 = time.perf_counter()
-    module = cell.module(binary_bytes)
-    binding = cell.bound(runtime_whitelist.content_hash, _bind, runtime_whitelist)
+    module = cell.module()
+    binding = cell.bound(_bind, admitted)
     instantiate_us = (time.perf_counter() - t0) * 1e6
 
     state = _HostState()
@@ -386,7 +391,6 @@ def determinism_check(
     executor_input: ExecutorInput,
     limits: ResourceLimits = ResourceLimits(),
     n: int = 20,
-    runtime_whitelist: Whitelist | None = None,
 ) -> dict[str, Any]:
     """Run plan n times on identical input; count divergent serialized outputs.
 
@@ -396,9 +400,7 @@ def determinism_check(
     digests: list[str] = []
     for _ in range(n):
         try:
-            output = instantiate_and_plan(
-                binary_bytes, decision, executor_input, limits, runtime_whitelist
-            )
+            output = instantiate_and_plan(binary_bytes, decision, executor_input, limits)
             rendering = canonical_bytes(output.to_json())
         except (VMError, GateNotPassed) as exc:
             rendering = canonical_bytes(

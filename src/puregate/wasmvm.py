@@ -55,9 +55,10 @@ Two tiers run the blocks, with the same fuel, traps and messages:
 Compile once, instantiate many times: parse_module turns the bytes into a
 ParsedModule, which is immutable (tuples, bytes and a read-only export map)
 and so may be shared by any number of instances. A ModuleCell is one
-artifact's compile handle; it parses on first use and keeps the module, and
-the embedder's import bindings (resolve_imports) once made, so the gate's
-acceptance can carry it and a warm plan only builds an Instance.
+artifact's compile handle: it holds the bytes, parses them on first use and
+keeps the module, and the embedder's import binding (resolve_imports) once
+made, so the gate's acceptance can carry it and a warm plan only builds an
+Instance.
 It tiers up once the module's runs have spent TIER_UP_FUEL_PER_OP units per
 op, and the generated source grows linearly with the ops, so compile time
 stays of the order of the time already spent interpreting. The
@@ -176,9 +177,10 @@ class ParsedModule:
 class ModuleCell:
     """One artifact's compile handle: parses on first use, then memoises.
 
-    The header must be the one decoded from the bytes later passed to
-    module(). A module the VM rejects is not memoised, so every use raises
-    the same InstantiationError.
+    It keeps the bytes it was made for with their decoded header, so the
+    module it parses is always the one those bytes encode. A module the VM
+    rejects is not memoised, so every use raises the same
+    InstantiationError.
 
     The cell also tiers the module up: add_fuel() counts the fuel its runs
     spend, and once that reaches its threshold, tier2() translates the
@@ -190,24 +192,26 @@ class ModuleCell:
     module run once below that never compiles. Either way the functions
     are the cell's own and go with it.
 
-    It keeps the module's import bindings too, one per key the embedder
-    names (bound()), so that the imports are resolved once per artifact and
-    host, not on every instantiation.
+    It keeps the module's import binding too (bound()), so that the imports
+    are resolved once per artifact, not on every instantiation.
     """
 
-    __slots__ = ("header", "_module", "_threshold", "_fuel", "_tier2", "_bindings")
+    __slots__ = (
+        "binary", "header", "_module", "_threshold", "_fuel", "_tier2", "_binding"
+    )
 
-    def __init__(self, header: ModuleHeader):
+    def __init__(self, binary: bytes, header: ModuleHeader):
+        self.binary = binary
         self.header = header
         self._module: ParsedModule | None = None
         self._threshold = 0
         self._fuel = 0
         self._tier2: Tier2 | None = None
-        self._bindings: dict[Any, Any] = {}
+        self._binding: Any = None
 
-    def module(self, binary: bytes) -> ParsedModule:
+    def module(self) -> ParsedModule:
         if self._module is None:
-            module = parse_module(binary, self.header)
+            module = parse_module(self.binary, self.header)
             self._threshold = (
                 0
                 if _TRANSLATIONS.translated(module)
@@ -216,17 +220,17 @@ class ModuleCell:
             self._module = module
         return self._module
 
-    def bound(self, key: Any, bind: Callable[[ParsedModule, Any], Any], host: Any) -> Any:
-        """bind(module, host), made on the first call for key and then kept.
+    def bound(self, bind: Callable[[ParsedModule, Any], Any], host: Any) -> Any:
+        """bind(module, host), made on the first call and then kept.
 
-        key must identify host: a binding is made once and served for every
-        later host under the same key. A bind that raises keeps nothing, so
-        every call raises afresh. module() must have parsed first.
+        The embedder binds the cell under one host only: a later call is
+        served the first binding, whatever host it names. A bind that
+        raises keeps nothing, so every call raises afresh. module() must
+        have parsed first.
         """
-        binding = self._bindings.get(key)
-        if binding is None:
-            binding = self._bindings[key] = bind(self._module, host)
-        return binding
+        if self._binding is None:
+            self._binding = bind(self._module, host)
+        return self._binding
 
     def add_fuel(self, used: int) -> None:
         self._fuel += used

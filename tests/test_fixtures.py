@@ -86,6 +86,16 @@ def test_generated_specs_round_trip_their_imports():
         assert declared == V1_IMPORTS, behavior
 
 
+@pytest.mark.parametrize("name", ["echo", "trap", "memory_sentinel"])
+def test_a_behavior_with_the_committed_imports_is_the_committed_fixture(name):
+    imports = tuple(
+        (i.namespace, i.name, i.type_signature)
+        for i in parse_imports(fixture_binary(name)).imports
+    )
+    spec = FixtureSpec(name=name, imports=imports, behavior=name)
+    assert assemble_fixture(spec) == fixture_binary(name)
+
+
 def test_generated_spec_minimal_imports():
     spec = FixtureSpec(
         name="tiny",

@@ -166,12 +166,12 @@ def test_only_the_first_plan_of_an_artifact_compiles(
 
 def test_plans_from_one_cached_module_share_no_state(accepted, wl_v1):
     binary, decision = accepted("emit_call")
-    module = decision.compiled.module(binary)
-    assert decision.compiled.module(binary) is module
+    module = decision.compiled.module()
+    assert decision.compiled.module() is module
     data = [(offset, bytes(payload)) for offset, payload in module.data]
     states = [_HostState(input_bytes=b"first"), _HostState(input_bytes=b"second")]
-    # the binding every plan of this artifact under wl_v1 shares
-    binding = decision.compiled.bound(wl_v1.content_hash, runtime_host._bind, wl_v1)
+    # the binding every plan of this artifact shares
+    binding = decision.compiled.bound(runtime_host._bind, wl_v1)
     first, second = (
         wasmvm.instantiate(module, binding.host_table, DEFAULT_MEMORY_MAX, None, state)
         for state in states
@@ -285,7 +285,7 @@ def _count_serializations(monkeypatch):
 def test_input_is_serialized_once_and_only_when_bound(accepted, monkeypatch):
     calls = _count_serializations(monkeypatch)
     binary, decision = accepted("echo")
-    names = {imp.name for imp in decision.compiled.module(binary).imported_funcs}
+    names = {imp.name for imp in decision.compiled.module().imported_funcs}
     assert {"get_input_len", "get_input"} <= names
     timings: dict[str, float] = {}
     instantiate_and_plan(binary, decision, INPUT, timings=timings)
@@ -487,7 +487,7 @@ def _count_built(monkeypatch):
     return built
 
 
-def test_plans_resolve_imports_once_per_artifact_and_whitelist(
+def test_plans_resolve_imports_once_per_artifact(
     accepted, wl_v1, wl_v2, monkeypatch
 ):
     built = _count_built(monkeypatch)
@@ -496,44 +496,65 @@ def test_plans_resolve_imports_once_per_artifact_and_whitelist(
     assert ("mashin", "log") in table and ("mashin", "nope") not in table
     assert built == []
     binary, decision = accepted("emit_call")
-    names = [imp.name for imp in decision.compiled.module(binary).imported_funcs]
+    names = [imp.name for imp in decision.compiled.module().imported_funcs]
     outputs = [instantiate_and_plan(binary, decision, INPUT).to_json() for _ in range(3)]
-    assert built == names  # once, on the first plan
-    outputs.append(
-        instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v2).to_json()
-    )
-    # another whitelist resolves again: a host function for each import the
-    # module names, none for the rest of the whitelist
-    assert built == names + names and len(names) < len(wl_v2.entries)
     outputs.append(
         instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v1).to_json()
     )
-    assert built == names + names
+    # once, on the first plan: a host function for each import the module
+    # names, none for the rest of the whitelist
+    assert built == names
     assert all(out == outputs[0] for out in outputs)
 
 
-def test_a_resolution_error_is_raised_on_every_plan(certifier_key, wl_v1, monkeypatch):
-    # accepted under a whitelist that has the import, planned under one
-    # that does not
+def test_a_raising_bind_keeps_nothing(wl_v1):
+    # the module's imports resolve under no shipped whitelist
     source, message = IMPORT_ERRORS[0]
-    mystery = whitelist.WhitelistEntry("mashin", "mystery", whitelist.PURE_DATA, "() -> i32")
-    wl = whitelist.make_whitelist(1, [*wl_v1.entries, mystery])
     binary = assemble(source)
-    decision = _gated(binary, wl, certifier_key)
-    resolved = []
-    resolve = runtime_host.resolve_imports
-    monkeypatch.setattr(
-        runtime_host,
-        "resolve_imports",
-        lambda module, table: resolved.append(module) or resolve(module, table),
-    )
+    cell = wasmvm.ModuleCell(binary, parse_imports(binary).header)
+    cell.module()  # bound() binds the parsed module
+    hosts = []
+
+    def bind(module, host):
+        hosts.append(host)
+        return runtime_host._bind(module, host)
+
     messages = set()
     for _ in range(3):
         with pytest.raises(InstantiationError) as excinfo:
-            instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v1)
+            cell.bound(bind, wl_v1)
         messages.add(str(excinfo.value))
     assert messages == {message}
-    assert len(resolved) == 3  # nothing was kept: every plan resolves again
+    assert hosts == [wl_v1] * 3  # nothing was kept: every call binds again
+
+    # a bind that succeeds is made once, and its binding serves every call
+    mystery = whitelist.WhitelistEntry("mashin", "mystery", whitelist.PURE_DATA, "() -> i32")
+    wl = whitelist.make_whitelist(1, [*wl_v1.entries, mystery])
+    binding = cell.bound(bind, wl)
+    assert [host.signature for host in binding.host_table] == ["() -> i32"]
+    assert cell.bound(bind, wl) is binding and cell.bound(bind, wl_v1) is binding
+    assert hosts == [wl_v1] * 3 + [wl]
+
+
+def test_a_plan_under_another_whitelist_is_refused(
+    accepted, bundles, certifier_key, wl_v2
+):
+    binary, decision = accepted("emit_call")  # admitted under wl_v1
+    with pytest.raises(GateNotPassed):
+        instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v2)
+    # the gate does not admit the same certificate under wl_v2 either
+    _, proof, cert = bundles["emit_call"]
+    trusted = frozenset([certifier_key.public_key])
+    assert gate_verify(binary, cert, proof, wl_v2, trusted).failed_step == 5
+    assert instantiate_and_plan(binary, decision, INPUT).result is not None
+
+
+def test_a_plan_binds_under_the_whitelist_that_admitted_it(certifier_key, wl_v2):
+    binary = fixture_binary("v2_constructor")
+    decision = _gated(binary, wl_v2, certifier_key)
+    out = instantiate_and_plan(binary, decision, INPUT)
+    assert [d.kind for d in out.directives] == ["call_machine"]
+    assert out.result == "constructed"
 
 
 def test_constructor_import_emits_directive(certifier_key, wl_v2):

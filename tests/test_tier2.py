@@ -635,7 +635,7 @@ def gated(bundles, certifier_key, wl_v1):
 
 
 def _plans_to_tier_up(binary, decision):
-    module = decision.compiled.module(binary)
+    module = decision.compiled.module()
     threshold = wasmvm.TIER_UP_FUEL_PER_OP * wasmvm.module_size(module)
     return -(-threshold // 1784)  # emit_call spends 1784 units a plan
 
