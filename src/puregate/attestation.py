@@ -118,6 +118,11 @@ class AttestationRecord:
     env_signature: bytes
     env_key: bytes
 
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the canonical bytes, encoded at most once per object."""
+        return hashlib.sha256(attestation_bytes(self)).digest()
+
 
 @dataclass(frozen=True)
 class OrgPolicy:
@@ -164,7 +169,9 @@ def build_attestation(
 
     The decision log is the witness: there must be an accepting gate decision
     for this artifact under the whitelist the descriptor names. Attesting to
-    an executor the local gate never accepted is refused.
+    an executor the local gate never accepted is refused. The witness is
+    checked on every call; only then is a record issued before for the same
+    message under the same environment key taken from the issuance memo.
     """
     witness = (cert.artifact_hash.hex(), env.whitelist_hash.hex())
     if witness not in decision_log.acceptances:
@@ -172,16 +179,57 @@ def build_attestation(
             "no accepting gate decision recorded for this artifact under "
             "the attested whitelist"
         )
-    signature = signing.sign(
-        env_keypair.private_key, attestation_message(cert, proof, env)
-    )
-    return AttestationRecord(
-        certificate=cert,
-        proof=proof,
-        env=env,
-        env_signature=signature,
-        env_key=env_keypair.public_key,
-    )
+    return _ISSUED.issue(cert, proof, env, env_keypair)
+
+
+class _IssuedRecords:
+    """Issued attestation records, keyed by the environment's public key and
+    the signed message; at most maxsize, the least recently used evicted.
+
+    A record carries no timestamp or nonce and Ed25519 signing is
+    deterministic (RFC 8032 5.1.6), so signing the same message under the
+    same key again makes an equal record: a repeat issue takes it from here,
+    with its digest if one was taken. The keys hold no secret. Like the
+    gate's cache, it is for one thread.
+    """
+
+    __slots__ = ("maxsize", "_records")
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        # in order of last use
+        self._records: dict[tuple[bytes, bytes], AttestationRecord] = {}
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def issue(
+        self,
+        cert: PurityCertificate,
+        proof: PurityProof,
+        env: EnvironmentDescriptor,
+        env_keypair: KeyPair,
+    ) -> AttestationRecord:
+        """The record of the three parts under env_keypair, signed on a miss."""
+        message = attestation_message(cert, proof, env)
+        key = (env_keypair.public_key, message)
+        records = self._records
+        record = records.pop(key, None)
+        if record is None:
+            record = AttestationRecord(
+                certificate=cert,
+                proof=proof,
+                env=env,
+                env_signature=signing.sign(env_keypair.private_key, message),
+                env_key=env_keypair.public_key,
+            )
+            if len(records) >= self.maxsize:
+                del records[next(iter(records))]
+        records[key] = record
+        return record
+
+
+_ISSUED = _IssuedRecords(256)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +357,7 @@ def attestation_bytes(record: AttestationRecord) -> bytes:
 
 
 def attestation_hash(record: AttestationRecord) -> bytes:
-    return hashlib.sha256(attestation_bytes(record)).digest()
+    return record.digest
 
 
 def save_attestation(record: AttestationRecord, path: Path) -> None:

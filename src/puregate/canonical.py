@@ -6,6 +6,10 @@ and round-trip through this module. The canonical form is JSON with sorted
 keys, no insignificant whitespace, UTF-8 bytes, and digests rendered as
 lowercase hex. Identical values produce identical bytes on every platform.
 
+Every failure to encode is a CanonicalError: a value of a type JSON does
+not have, a NaN or infinity, a string holding a lone surrogate (which has no
+UTF-8 form), and a value that is cyclic or nested too deeply to encode.
+
 Every document that comes from outside, file or line, is read here too:
 `load_object`, `loads_object` and `load_lines` accept JSON objects and turn
 any other input (unreadable, not JSON, not an object) into the caller's
@@ -25,12 +29,16 @@ class CanonicalError(ValueError):
     """The value cannot be represented in the canonical form."""
 
 
-# built once: json.dumps builds an encoder on every call with these flags
+# built once: json.dumps builds an encoder on every call with these flags.
+# No cycle markers: the C encoder's recursion guard already stops a cyclic
+# value (as a RecursionError, like one nested too deeply), and the markers
+# cost every encode a dict entry per list and object.
 _ENCODER = json.JSONEncoder(
     sort_keys=True,
     separators=(",", ":"),
     ensure_ascii=False,
     allow_nan=False,
+    check_circular=False,
 )
 
 
@@ -38,13 +46,17 @@ def canonical_dumps(value: Any) -> str:
     """Render a JSON-compatible value in canonical text form."""
     try:
         return _ENCODER.encode(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CanonicalError(str(exc)) from exc
 
 
 def canonical_bytes(value: Any) -> bytes:
     """Canonical UTF-8 bytes of a JSON-compatible value."""
-    return canonical_dumps(value).encode("utf-8")
+    text = canonical_dumps(value)
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CanonicalError(f"no UTF-8 form: {exc}") from exc
 
 
 def canonical_loads(data: bytes | str) -> Any:

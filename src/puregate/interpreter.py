@@ -176,7 +176,10 @@ def default_governance(
         if directive.kind != "http_request":
             return True
         payload = directive.payload if isinstance(directive.payload, dict) else {}
-        host = urlparse(str(payload.get("url", ""))).hostname
+        try:
+            host = urlparse(str(payload.get("url", ""))).hostname
+        except ValueError:  # an unreadable url names no allowed host
+            return False
         return host in allowed_http_hosts
 
     def accept_result(_directive: Directive, _context: Any, _result: Any) -> bool:

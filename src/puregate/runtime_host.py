@@ -41,6 +41,7 @@ compile (wasmvm.ModuleCell).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -201,10 +202,12 @@ _PROVIDED = {
 
 
 class _HostTable(Mapping[tuple[str, str], HostFunc]):
-    """Import resolution over a whitelist: one key per entry, built on lookup.
+    """Import resolution over a whitelist: one key per entry, looked up in
+    the whitelist's own index.
 
-    A module binds only the few imports it names, so each HostFunc is made
-    when resolution looks its key up, over the whitelist's own index.
+    A module binds only the few imports it names. The host functions are
+    stateless, so the HostFunc of an entry is one object per (name,
+    signature) in the process, shared by every binding.
     """
 
     def __init__(self, whitelist: Whitelist):
@@ -212,7 +215,7 @@ class _HostTable(Mapping[tuple[str, str], HostFunc]):
 
     def __getitem__(self, key: tuple[str, str]) -> HostFunc:
         entry = self._whitelist.index[key]
-        return HostFunc(entry.type_signature, _implementation_for(entry.name))
+        return _host_func(entry.name, entry.type_signature)
 
     def __contains__(self, key: object) -> bool:
         return key in self._whitelist.index
@@ -233,6 +236,11 @@ def build_host_functions(whitelist: Whitelist) -> Mapping[tuple[str, str], HostF
     deterministic trap, which grants no effect capability.
     """
     return _HostTable(whitelist)
+
+
+@functools.lru_cache(maxsize=256)
+def _host_func(name: str, signature: str) -> HostFunc:
+    return HostFunc(signature, _implementation_for(name))
 
 
 def _implementation_for(name: str) -> Callable[..., int | None]:

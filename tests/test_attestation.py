@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -21,6 +22,7 @@ from puregate.attestation import (
     GateNeverAccepted,
     OrgPolicy,
     PeerRecord,
+    attestation_bytes,
     attestation_from_json,
     attestation_hash,
     attestation_to_json,
@@ -461,6 +463,66 @@ def test_finding_the_witness_examines_no_event(
     log.events.examined = 0
     assert build_attestation(cert, proof, attested.env, env_keypair, log) == attested
     assert log.events.examined == 0
+
+
+def test_an_issued_record_still_needs_its_witness(attested, env_keypair):
+    with pytest.raises(GateNeverAccepted):
+        build_attestation(
+            attested.certificate, attested.proof, attested.env, env_keypair,
+            DecisionLog(),
+        )
+
+
+def test_a_repeat_issue_signs_nothing_and_the_memo_is_bounded(
+    attested, bundles, certifier_key, env_keypair, rogue_key, wl_v1, monkeypatch
+):
+    from puregate import signing
+
+    log = DecisionLog()
+    assert gate_verify(
+        bundles["emit_call"][0], attested.certificate, attested.proof, wl_v1,
+        frozenset([certifier_key.public_key]), log=log,
+    ).accepted
+    signed = []
+    sign = signing.sign
+    monkeypatch.setattr(signing, "sign", lambda *a: signed.append(a) or sign(*a))
+    monkeypatch.setattr(attestation, "_ISSUED", attestation._IssuedRecords(2))
+    envs = [
+        dataclasses.replace(attested.env, runtime_version=str(n)) for n in range(3)
+    ]
+
+    def issue(env, keypair=env_keypair):
+        record = build_attestation(
+            attested.certificate, attested.proof, env, keypair, log
+        )
+        assert len(attestation._ISSUED) <= 2
+        return record
+
+    first = issue(envs[0])
+    assert len(signed) == 1
+    assert issue(dataclasses.replace(envs[0])) is first  # an equal env: no signing
+    assert issue(attested.env) == attested and len(signed) == 2
+    assert issue(envs[0]) is first and len(signed) == 2
+    # another environment key is another record
+    other = issue(envs[0], rogue_key)
+    assert other.env_key == rogue_key.public_key and len(signed) == 3
+    # the memo held envs[0] under env_keypair and the rogue record; the
+    # least recently used, attested.env's, was evicted and is signed again
+    assert issue(attested.env) == attested and len(signed) == 4
+    assert issue(envs[1]) != first and len(signed) == 5
+
+
+def test_attestation_hash_is_the_digest_of_the_record_bytes(attested):
+    loaded = attestation_from_json(attestation_to_json(attested))
+    replaced = dataclasses.replace(attested, env_signature=_flip(attested.env_signature))
+    for record in (attested, loaded, replaced):
+        assert attestation_hash(record) == hashlib.sha256(
+            attestation_bytes(record)
+        ).digest()
+        assert attestation_hash(record) == bare_digest(attestation_to_json(record))
+    assert loaded == attested and attestation_hash(loaded) == attestation_hash(attested)
+    assert attestation_hash(replaced) != attestation_hash(attested)
+    assert "digest" not in repr(attested) and "digest" not in attestation_to_json(attested)
 
 
 def _counting(module, calls):

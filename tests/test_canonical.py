@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from puregate.canonical import (
@@ -64,12 +64,51 @@ def test_key_order_never_matters(doc):
     assert canonical_bytes(doc) == canonical_bytes(shuffled)
 
 
-def test_matches_plain_json_under_same_flags():
-    doc = {"z": [1.5, "é"], "a": None}
+@given(json_values)
+@example({"z": [1.5, "é"], "a": None})
+def test_matches_plain_json_under_same_flags(doc):
     expected = json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
     assert canonical_dumps(doc) == expected
+
+
+def _nested(depth):
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _cyclic_list():
+    value: list = []
+    value.append(value)
+    return value
+
+
+def _cyclic_dict():
+    value: dict = {}
+    value["self"] = value
+    return value
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _nested(100_000), _cyclic_list, _cyclic_dict],
+    ids=["too_deep", "cyclic_list", "cyclic_dict"],
+)
+def test_a_value_that_cannot_be_encoded_is_a_canonical_error(make):
+    value = make()
+    with pytest.raises(CanonicalError):
+        canonical_dumps(value)
+    with pytest.raises(CanonicalError):
+        canonical_bytes(value)
+
+
+def test_a_lone_surrogate_is_a_canonical_error():
+    doc = canonical_loads(b'{"result":"\\ud800"}')  # still parsed (ROADMAP item 7)
+    assert doc == {"result": "\ud800"}
+    with pytest.raises(CanonicalError):
+        canonical_bytes(doc)
 
 
 def test_hex_reader():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from puregate import certificate
+from puregate.canonical import CanonicalError
 from puregate.certificate import certificate_bytes
 from puregate.interpreter import (
     PRE_EXECUTE_STAGES,
@@ -176,6 +177,37 @@ def test_simulated_sink_covers_every_directive_kind():
     # same directive, same simulated answer
     again = SimulatedSink()
     assert again.simulate(CALL) == sink.simulate(CALL)
+
+
+def test_an_unreadable_url_is_denied_before_the_sink():
+    governance = default_governance()
+    performed = interpret_directive(HTTP_OK, governance)
+    unreadable = Directive(kind="http_request", payload={"url": "http://[abc/x"})
+    outcome = interpret_directive(unreadable, governance)
+    assert isinstance(performed, Governed)
+    assert outcome == Denied(stage="permission", reason="http_host_allowlist")
+    record = governance.records[-1]
+    assert (record["denied_stage"], record["denied_check"]) == (
+        "permission", "http_host_allowlist"
+    )
+    assert len(governance.sink.log) == 1  # the earlier request's effect only
+
+
+def test_a_payload_too_deep_to_encode_is_a_canonical_error(certifier_key, wl_v1):
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+    registry = {
+        "deep": _stub("r", directives=[Directive(kind="emit_event", payload=deep)])
+    }
+    with pytest.raises(CanonicalError):
+        run_machine(
+            _machine([{"executor_ref": "deep"}]),
+            default_governance(),
+            TierPolicy(minimum_tier=TIER3_UNCHECKED),
+            registry,
+            _services(certifier_key, wl_v1),
+        )
 
 
 def test_stage_constant_shape():

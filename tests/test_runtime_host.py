@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -446,6 +447,25 @@ def test_host_table_matches_whitelist_exactly():
             assert host.signature == entry.type_signature
 
 
+def test_bindings_share_one_host_function_per_entry(accepted, wl_v1, wl_v2):
+    v1, v2, v1_again = (build_host_functions(wl) for wl in (wl_v1, wl_v2, wl_v1))
+    for key in v1:
+        assert v1[key] is v1_again[key]
+        if key in v2 and v2[key].signature == v1[key].signature:
+            assert v2[key] is v1[key]
+    hosts, shared = {}, set()
+    for name in ("echo", "emit_call"):
+        binary, decision = accepted(name)
+        instantiate_and_plan(binary, decision, INPUT)
+        cell = decision.compiled
+        binding = cell.bound(runtime_host._bind, wl_v1)  # the one it kept
+        for imp, host in zip(cell.module().imported_funcs, binding.host_table):
+            if imp.name in hosts:
+                shared.add(imp.name)
+            assert hosts.setdefault(imp.name, host) is host
+    assert "set_output" in shared
+
+
 # (module source, error message) as the eagerly built host table gave them
 IMPORT_ERRORS = [
     (
@@ -476,6 +496,16 @@ def test_import_resolution_errors_are_unchanged(source, message):
         assert str(excinfo.value) == message
 
 
+def _fresh_host_funcs(monkeypatch):
+    # a HostFunc cache of the test's own: those earlier tests built are
+    # not served, so each lookup it counts goes through _implementation_for
+    monkeypatch.setattr(
+        runtime_host,
+        "_host_func",
+        functools.lru_cache(runtime_host._host_func.__wrapped__),
+    )
+
+
 def _count_built(monkeypatch):
     built = []
     real = runtime_host._implementation_for
@@ -484,6 +514,7 @@ def _count_built(monkeypatch):
         "_implementation_for",
         lambda name: built.append(name) or real(name),
     )
+    _fresh_host_funcs(monkeypatch)
     return built
 
 

@@ -5,6 +5,7 @@ message, fuel left, memory and the host calls made, at every budget.
 """
 
 import ast
+import functools
 import random
 import re
 
@@ -769,6 +770,11 @@ def test_a_machine_run_is_byte_identical_across_a_session_swap(
 
     monkeypatch.setattr(runtime_host, "instantiate", seen_instantiate)
     monkeypatch.setattr(runtime_host, "_implementation_for", counted_implementation)
+    # host functions are shared across the process: count through a cache
+    # of this test's own, so none built by an earlier test is served
+    monkeypatch.setattr(
+        runtime_host, "_host_func", functools.lru_cache(runtime_host._host_func.__wrapped__)
+    )
     monkeypatch.setattr(wasmvm.ModuleCell, "add_fuel", seen_fuel)
 
     names = ("emit_call", "emit_event", "emit_reason")
