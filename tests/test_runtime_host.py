@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 
 import pytest
@@ -496,16 +495,6 @@ def test_import_resolution_errors_are_unchanged(source, message):
         assert str(excinfo.value) == message
 
 
-def _fresh_host_funcs(monkeypatch):
-    # a HostFunc cache of the test's own: those earlier tests built are
-    # not served, so each lookup it counts goes through _implementation_for
-    monkeypatch.setattr(
-        runtime_host,
-        "_host_func",
-        functools.lru_cache(runtime_host._host_func.__wrapped__),
-    )
-
-
 def _count_built(monkeypatch):
     built = []
     real = runtime_host._implementation_for
@@ -514,7 +503,9 @@ def _count_built(monkeypatch):
         "_implementation_for",
         lambda name: built.append(name) or real(name),
     )
-    _fresh_host_funcs(monkeypatch)
+    # uncached: every host table lookup builds, so a binding made again
+    # for any plan shows in the count
+    monkeypatch.setattr(runtime_host, "_host_func", runtime_host._host_func.__wrapped__)
     return built
 
 
