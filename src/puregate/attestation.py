@@ -30,6 +30,7 @@ from .certificate import (
     verify_certificate_signature,
 )
 from .gate import DecisionLog
+from .memo import BoundedMemo
 from .proof import (
     PURE,
     PurityProof,
@@ -179,57 +180,34 @@ def build_attestation(
             "no accepting gate decision recorded for this artifact under "
             "the attested whitelist"
         )
-    return _ISSUED.issue(cert, proof, env, env_keypair)
+    message = attestation_message(cert, proof, env)
+    return _ISSUED.get(
+        (env_keypair.public_key, message), _sign_record, cert, proof, env, env_keypair, message
+    )
 
 
-class _IssuedRecords:
-    """Issued attestation records, keyed by the environment's public key and
-    the signed message; at most maxsize, the least recently used evicted.
-
-    A record carries no timestamp or nonce and Ed25519 signing is
-    deterministic (RFC 8032 5.1.6), so signing the same message under the
-    same key again makes an equal record: a repeat issue takes it from here,
-    with its digest if one was taken. The keys hold no secret. Like the
-    gate's cache, it is for one thread.
-    """
-
-    __slots__ = ("maxsize", "_records")
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        # in order of last use
-        self._records: dict[tuple[bytes, bytes], AttestationRecord] = {}
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def issue(
-        self,
-        cert: PurityCertificate,
-        proof: PurityProof,
-        env: EnvironmentDescriptor,
-        env_keypair: KeyPair,
-    ) -> AttestationRecord:
-        """The record of the three parts under env_keypair, signed on a miss."""
-        message = attestation_message(cert, proof, env)
-        key = (env_keypair.public_key, message)
-        records = self._records
-        record = records.pop(key, None)
-        if record is None:
-            record = AttestationRecord(
-                certificate=cert,
-                proof=proof,
-                env=env,
-                env_signature=signing.sign(env_keypair.private_key, message),
-                env_key=env_keypair.public_key,
-            )
-            if len(records) >= self.maxsize:
-                del records[next(iter(records))]
-        records[key] = record
-        return record
+def _sign_record(
+    cert: PurityCertificate,
+    proof: PurityProof,
+    env: EnvironmentDescriptor,
+    env_keypair: KeyPair,
+    message: bytes,
+) -> AttestationRecord:
+    return AttestationRecord(
+        certificate=cert,
+        proof=proof,
+        env=env,
+        env_signature=signing.sign(env_keypair.private_key, message),
+        env_key=env_keypair.public_key,
+    )
 
 
-_ISSUED = _IssuedRecords(256)
+# Issued attestation records, keyed by the environment's public key and the
+# signed message. A record carries no timestamp or nonce and Ed25519 signing
+# is deterministic (RFC 8032 5.1.6), so signing the same message under the
+# same key again makes an equal record: a repeat issue takes it from here,
+# with its digest if one was taken. The keys hold no secret.
+_ISSUED = BoundedMemo(256)
 
 
 # ---------------------------------------------------------------------------

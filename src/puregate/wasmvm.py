@@ -40,7 +40,9 @@ Two tiers run the blocks, with the same fuel, traps and messages:
   loop, end and nop cost fuel and are skipped);
 - tier 2 (compile_tier2) translates each validated body into one Python
   function: wasm local i is the Python local l<i>, operand-stack entries
-  are folded into expressions, and a loop picks blocks by index. It charges
+  are folded into expressions, and a dispatch loop picks blocks by index,
+  except that a wasm loop whose body is one region of blocks runs as a
+  Python while loop of its own, its back edge a continue. It charges
   once per chain of blocks that fall into one another (up to and including
   the first call), not once per block; a branch out of a chain gives back
   the costs of the blocks it skips, and each trap site refunds a constant
@@ -89,6 +91,7 @@ from dataclasses import dataclass
 from types import CodeType, MappingProxyType
 from typing import Any, Callable, Mapping, MutableMapping, Sequence
 
+from .memo import BoundedMemo
 from .wasm_inspect import (
     FuncType,
     ImportRecord,
@@ -214,7 +217,7 @@ class ModuleCell:
             module = parse_module(self.binary, self.header)
             self._threshold = (
                 0
-                if _TRANSLATIONS.translated(module)
+                if _translated(_TRANSLATIONS, module)
                 else TIER_UP_FUEL_PER_OP * module_size(module)
             )
             self._module = module
@@ -1026,66 +1029,43 @@ def compile_tier2(module: ParsedModule) -> Tier2:
     """
     n_imported = len(module.imported_funcs)
     namespace = dict(_TIER2_NAMES)
-    for i, code in enumerate(module.codes, n_imported):
-        exec(_TRANSLATIONS.translate(code, i, module.func_types, n_imported), namespace)
+    for key in _translation_keys(module):
+        exec(_translate(_TRANSLATIONS, key), namespace)
     return tuple(namespace[f"f{i}"] for i in range(n_imported, len(module.func_types)))
 
 
-class _TranslationMemo:
-    """Tier-2 code objects, keyed by body, function index, function types and
-    import count; at most maxsize entries, the least recently used evicted.
-
-    A translation is a pure function of validated code, so one memo serves
-    every cell of the process: a cell built again for the same artifact (a
-    new session, a cleared cache) does not recompile. It holds code objects
-    only; the functions made from them live in each cell's own namespace.
-    Like the cells and the gate's cache, it is for one thread.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "_codes")
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._codes: dict[tuple, CodeType] = {}  # in order of last use
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def translated(self, module: ParsedModule) -> bool:
-        """Whether every body of module is held; recency is left as it is."""
-        n_imported = len(module.imported_funcs)
-        return all(
-            (code, i, module.func_types, n_imported) in self._codes
-            for i, code in enumerate(module.codes, n_imported)
-        )
-
-    def translate(
-        self, code: _Code, index: int, func_types: tuple[FuncType, ...], n_imported: int
-    ) -> CodeType:
-        """The code object of function index's body, translated on a miss."""
-        key = (code, index, func_types, n_imported)
-        codes = self._codes
-        compiled = codes.pop(key, None)
-        if compiled is None:
-            self.misses += 1
-            source = _Translator(code, index, func_types, n_imported).source()
-            compiled = compile(source, f"<tier2 f{index}>", "exec")
-            if len(codes) >= self.maxsize:
-                del codes[next(iter(codes))]
-        else:
-            self.hits += 1
-        codes[key] = compiled
-        return compiled
-
-    def clear(self) -> None:
-        self._codes.clear()
-        self.hits = 0
-        self.misses = 0
+# Tier-2 code objects, keyed by body, function index, function types and
+# import count. A translation is a pure function of validated code, so one
+# memo serves every cell of the process: a cell built again for the same
+# artifact (a new session, a cleared cache) does not recompile. It holds
+# code objects only; the functions made from them live in each cell's own
+# namespace.
+_TRANSLATIONS = BoundedMemo(512)
 
 
-_TRANSLATIONS = _TranslationMemo(512)
+def _translation_keys(module: ParsedModule) -> list[tuple]:
+    n_imported = len(module.imported_funcs)
+    return [
+        (code, i, module.func_types, n_imported)
+        for i, code in enumerate(module.codes, n_imported)
+    ]
+
+
+def _translated(memo: BoundedMemo, module: ParsedModule) -> bool:
+    """Whether every body of module is in memo; recency is left as it is."""
+    return all(key in memo for key in _translation_keys(module))
+
+
+def _translate(memo: BoundedMemo, key: tuple) -> CodeType:
+    """The code object of the body key names, translated on a miss."""
+    return memo.get(key, _compile_body, *key)
+
+
+def _compile_body(
+    code: _Code, index: int, func_types: tuple[FuncType, ...], n_imported: int
+) -> CodeType:
+    source = _Translator(code, index, func_types, n_imported).source()
+    return compile(source, f"<tier2 f{index}>", "exec")
 
 
 def _tier1(inst, fuel, index, k, frame, height, depth):
@@ -1277,9 +1257,15 @@ class _Translator:
     become statements, and the slots are written only where control leaves
     the region or too many entries wait. A region is a block that a branch
     enters, or that more than one edge enters, plus every block after it
-    that only its predecessor falls into. A loop picks regions by index:
-    loop headers are tested first, the rest by binary search, so a jump
-    costs tests logarithmic in the number of regions.
+    that only its predecessor falls into. A dispatch loop picks regions by
+    index: loop headers are tested first, the rest by binary search, so a
+    jump costs tests logarithmic in the number of regions.
+
+    A region that branches back to its own head (a wasm loop whose body is
+    one region) runs inside an inner while loop of its own: the back edge
+    is continue, and every other jump out of it sets k and breaks, after
+    which the later tests and then the dispatch loop find the target. So
+    an iteration of such a loop never goes back through the dispatch.
 
     Fuel is charged once per chain: a region's blocks from its head, or from
     the block after a call, through each block the last falls or branches
@@ -1290,8 +1276,9 @@ class _Translator:
     under the chain's starting fuel, a slow path either hands a chain fuel
     cannot cover to _tier1 or checks the deadline.
 
-    Only per-opcode templates and integers reach the source: immediates,
-    indices and costs, all formatted with :d.
+    Only per-opcode templates, the fixed control words (while True,
+    continue, break) and integers reach the source: immediates, indices
+    and costs, all formatted with :d.
     """
 
     def __init__(self, code, index, func_types, n_imported):
@@ -1312,7 +1299,17 @@ class _Translator:
         self.loops = {
             j for j, edges in preds.items() if any(jump and src >= j for src, jump in edges)
         }
+        # the loop headers branched back to from their own region: from a
+        # block at or after the head reached through inlined blocks only
+        self.self_loops = {
+            j for j in self.loops
+            if any(
+                jump and src >= j and all(i in self.inlined for i in range(j + 1, src + 1))
+                for src, jump in preds[j]
+            )
+        }
         self.first: list[int] = []  # the entries tested before the search
+        self.head: int | None = None  # the self-loop region being emitted
 
     def _flow(self):
         """Stack height entering each reachable block, and each one's edges."""
@@ -1421,6 +1418,10 @@ class _Translator:
     def region(self, k: int, ind: int) -> None:
         self.emit(ind, f"if k == {k:d}:")
         self.temps = 0
+        self.head = k if k in self.self_loops else None
+        if self.head is not None:
+            ind += 1
+            self.emit(ind, "while True:")
         stack = _Stack(self.heights[k])
         next_k: int | None = k
         while next_k is not None:
@@ -1530,6 +1531,15 @@ class _Translator:
             for p, v in enumerate(stack.values(len(stack) - c), b):
                 if v.expr != f"s{p:d}":
                     emit(ind, f"s{p:d} = {v.int}")
+        if self.head is not None:
+            # inside a self-loop's own while loop: the back edge goes round
+            # it, any other jump leaves it for the later tests
+            if target == self.head:
+                emit(ind, "continue")
+            else:
+                emit(ind, f"k = {target:d}")
+                emit(ind, "break")
+            return
         emit(ind, f"k = {target:d}")
         # a jump at a region's end falls into the later tests, and the loop
         # goes round when none matches; a target tested first goes round now
@@ -1597,14 +1607,14 @@ class _Translator:
         elif op in _LOADS:
             width, template = _LOADS[op]
             ptr = self.address(stack.pop(), x, ind)
-            emit(ind, f"if {ptr} + {width:d} > size:")
+            emit(ind, self.out_of_bounds(ptr, width))
             emit(ind + 1, f"raise _oob_read(inst, fuel + {rest:d}, {ptr}, {width:d})")
             stack.append(self.temp(ind, template.format(p=ptr)))
         elif op in _STORES:
             width, template = _STORES[op]
             value = stack.pop()
             ptr = self.address(stack.pop(), x, ind)
-            emit(ind, f"if {ptr} + {width:d} > size:")
+            emit(ind, self.out_of_bounds(ptr, width))
             emit(ind + 1, f"raise _oob_write(inst, fuel + {rest:d}, {ptr})")
             emit(ind, template.format(p=ptr, v=value.int))
         elif op in _DIVISION:
@@ -1635,6 +1645,13 @@ class _Translator:
         if offset:
             return self.temp(ind, f"{base.int} + {offset:d}").expr
         return self.atom(ind, base).expr
+
+    @staticmethod
+    def out_of_bounds(ptr: str, width: int) -> str:
+        """The test that an access of width bytes at ptr leaves memory."""
+        if width == 1:
+            return f"if {ptr} >= size:"
+        return f"if {ptr} + {width:d} > size:"
 
 
 def instantiate(

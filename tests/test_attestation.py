@@ -37,6 +37,7 @@ from puregate.attestation import (
     verify_attestation,
 )
 from puregate.gate import DecisionLog, GateCache, gate_verify
+from puregate.memo import BoundedMemo
 from puregate.proof import PURE, Classification, build_proof
 from puregate.wasm_inspect import ImportRecord, parse_imports
 from puregate.whitelist import PURE_DATA, builtin_whitelist
@@ -486,7 +487,7 @@ def test_a_repeat_issue_signs_nothing_and_the_memo_is_bounded(
     signed = []
     sign = signing.sign
     monkeypatch.setattr(signing, "sign", lambda *a: signed.append(a) or sign(*a))
-    monkeypatch.setattr(attestation, "_ISSUED", attestation._IssuedRecords(2))
+    monkeypatch.setattr(attestation, "_ISSUED", BoundedMemo(2))
     envs = [
         dataclasses.replace(attested.env, runtime_version=str(n)) for n in range(3)
     ]

@@ -6,8 +6,10 @@ message, fuel left, memory and the host calls made, at every budget.
 
 import ast
 import functools
+import importlib.util
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from puregate import runtime_host, wasmvm
 from puregate.fixtures import PURE_V1, fixture_binary
+from puregate.memo import BoundedMemo
 from puregate.gate import GateCache, gate_verify, invalidate_cache
 from puregate.interpreter import (
     RuntimeServices,
@@ -530,6 +533,199 @@ def test_a_trap_in_a_chains_second_block_leaves_the_same_fuel_in_both_tiers():
 
 
 # ---------------------------------------------------------------------------
+# loops whose body is one region
+# ---------------------------------------------------------------------------
+
+# a loop closed by br_if at its end, with a load and a store in the body
+SUM_LOOP = """
+(module
+  (memory 1)
+  (func (export "f") (result i32) (local i32 i32)
+    i32.const 40 local.set 0
+    loop
+      local.get 0 local.get 0 i32.store8
+      local.get 1 local.get 0 i32.load8_u i32.add local.set 1
+      local.get 0 i32.const 1 i32.sub local.tee 0
+      br_if 0
+    end
+    local.get 1))
+"""
+
+
+def _regions(source):
+    """The dispatch tests `if k == n:` of a generated function, by n."""
+    return {
+        node.test.comparators[0].value: node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.ops[0], ast.Eq)
+        and getattr(node.test.left, "id", None) == "k"
+    }
+
+
+def _assigns_k(node, value):
+    return any(
+        isinstance(n, ast.Assign)
+        and [getattr(t, "id", None) for t in n.targets] == ["k"]
+        and getattr(n.value, "value", None) == value
+        for n in ast.walk(node)
+    )
+
+
+@pytest.mark.parametrize("binary", [
+    fixture_binary("emit_call"), fixture_binary("fuel_burn"), assemble(SUM_LOOP)
+], ids=["emit_call", "fuel_burn", "inline"])
+def test_a_loop_of_one_region_runs_in_a_while_loop_of_its_own(binary):
+    looping = 0
+    for key in wasmvm._translation_keys(parse_module(binary)):
+        translator = wasmvm._Translator(*key)
+        regions = _regions(translator.source())
+        for head, region in regions.items():
+            inner = [node for node in ast.walk(region) if isinstance(node, ast.While)]
+            if head in translator.self_loops:
+                looping += 1
+                assert len(region.body) == 1 and inner == [region.body[0]], head
+                assert isinstance(inner[0].test, ast.Constant) and inner[0].test.value is True
+                assert any(isinstance(node, ast.Continue) for node in ast.walk(region))
+                assert not _assigns_k(region, head), head
+            else:
+                assert not inner, head
+    assert looping == 1  # strlen, the fixture's own loop, the inline loop
+
+
+def _self_loop_heads(module):
+    return [wasmvm._Translator(*key).self_loops for key in wasmvm._translation_keys(module)]
+
+
+def test_a_loop_that_calls_a_defined_function_agrees_in_both_tiers():
+    # the call ends the loop's first block, and the block after it goes on
+    # in the same region up to the back edge
+    source = """
+    (module
+      (func $g (param i32) (result i32)
+        local.get 0 i32.const 3 i32.mul i32.const 1 i32.add)
+      (func (export "f") (result i32) (local i32 i32)
+        i32.const 6 local.set 0
+        loop
+          local.get 1 local.get 0 call $g i32.add local.set 1
+          local.get 0 i32.const 1 i32.sub local.tee 0
+          br_if 0
+        end
+        local.get 1))
+    """
+    module = parse_module(assemble(source))
+    assert _self_loop_heads(module) == [set(), {1}]
+    _agree_at_every_budget(module, cap=400)
+
+
+def test_a_loop_left_for_a_label_two_levels_out_agrees_in_both_tiers():
+    source = """
+    (module
+      (func (export "f") (result i32) (local i32 i32)
+        block
+          block
+            loop
+              local.get 0 i32.const 1 i32.add local.set 0
+              local.get 0 i32.const 7 i32.ge_u
+              br_if 2
+              local.get 0 i32.const 100 i32.eq
+              br_if 1
+              br 0
+            end
+          end
+          i32.const 1000 local.set 1
+        end
+        local.get 0 local.get 1 i32.add))
+    """
+    module = parse_module(assemble(source))
+    assert _self_loop_heads(module) == [{1}]
+    assert _outcome(module, None, 400)[0] == [7]
+    _agree_at_every_budget(module, cap=400)
+
+
+def test_a_loop_of_two_regions_agrees_in_both_tiers():
+    # the if/else splits the body: the back edge leaves from the region
+    # after the else, so the loop is dispatched as before
+    source = """
+    (module
+      (func (export "f") (result i32) (local i32 i32)
+        i32.const 9 local.set 0
+        loop
+          local.get 0 i32.const 1 i32.and
+          if
+            local.get 1 i32.const 3 i32.add local.set 1
+          else
+            local.get 1 i32.const 5 i32.xor local.set 1
+          end
+          local.get 0 i32.const 1 i32.sub local.tee 0
+          br_if 0
+        end
+        local.get 1))
+    """
+    module = parse_module(assemble(source))
+    translator = wasmvm._Translator(module.codes[0], 0, module.func_types, 0)
+    assert translator.loops == {1} and not translator.self_loops
+    _agree_at_every_budget(module, cap=400)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["top", "past_the_top"])
+def test_a_loop_that_grows_memory_reads_the_new_size_in_both_tiers(past):
+    # each pass grows memory by a page (the second grow fails: the limit is
+    # two pages), then stores and loads the last byte below the top; with
+    # past, the last pass stores one byte beyond it and traps
+    source = f"""
+    (module
+      (memory 1)
+      (func (export "f") (result i32) (local i32 i32 i32)
+        i32.const 4 local.set 0
+        loop
+          i32.const 1 memory.grow drop
+          memory.size i32.const 65536 i32.mul i32.const 1 i32.sub
+          local.get 0 i32.const 1 i32.eq i32.const {past} i32.and i32.add
+          local.set 2
+          local.get 2 local.get 0 i32.store8
+          local.get 1 local.get 2 i32.load8_u i32.add local.set 1
+          local.get 0 i32.const 1 i32.sub local.tee 0
+          br_if 0
+        end
+        local.get 1))
+    """
+    module = parse_module(assemble(source))
+    assert _self_loop_heads(module) == [{1}]
+    expected = ("Trap", "memory write out of bounds at 131072") if past else [10]
+    assert _outcome(module, None, 400)[0] == expected
+    _agree_at_every_budget(module, cap=400)
+
+
+def test_loops_of_one_region_found_by_search_agree_in_both_tiers():
+    # more loops than the dispatch tests one by one, so each is found by
+    # binary search, and its break falls into the search's later tests
+    loops = " ".join(
+        f"i32.const {i % 3 + 1} local.set 0 "
+        f"loop local.get 1 i32.const {i} i32.add local.set 1 "
+        "local.get 0 i32.const 1 i32.sub local.tee 0 br_if 0 end"
+        for i in range(12)
+    )
+    module = parse_module(assemble(
+        f'(module (func (export "f") (result i32) (local i32 i32) {loops} local.get 1))'
+    ))
+    translator = wasmvm._Translator(module.codes[0], 0, module.func_types, 0)
+    assert "if k < " in translator.source()
+    assert len(translator.self_loops) == 12 and not translator.first
+    assert _outcome(module, None, 400)[0] == [sum(i * (i % 3 + 1) for i in range(12))]
+    _agree_at_every_budget(module, cap=400)
+
+
+def test_the_deadline_holds_in_a_loop_of_one_region():
+    module = parse_module(assemble('(module (func (export "f") loop br 0 end))'))
+    assert _self_loop_heads(module) == [{1}]
+    instance = instantiate(module, {}, 0, compile_tier2(module))
+    with pytest.raises(wasmvm.Timeout):
+        instance.invoke("f", [], 10**8, 20)
+
+
+# ---------------------------------------------------------------------------
 # the generated source
 # ---------------------------------------------------------------------------
 
@@ -568,6 +764,29 @@ def test_no_text_from_the_module_reaches_the_generated_source():
             assert "import" not in source and "exec" not in source
 
 
+def test_the_source_script_prints_each_function_of_a_fixture_or_binary(capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "tier2_source", Path(__file__).resolve().parents[1] / "scripts" / "tier2_source.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["emit_call"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == "".join(
+        f"# f{key[1]}\n{wasmvm._Translator(*key).source()}\n"
+        for key in wasmvm._translation_keys(parse_module(fixture_binary("emit_call")))
+    )
+    assert "while True:\n                fuel -= 11" in printed  # strlen's own loop
+    path = tmp_path / "emit_call.wasm"
+    path.write_bytes(fixture_binary("emit_call"))
+    assert script.main([str(path)]) == 0 and capsys.readouterr().out == printed
+    assert script.main(["no_such_fixture"]) == 2
+    assert "no fixture 'no_such_fixture'" in capsys.readouterr().err
+    path.write_bytes(b"\0asm")
+    assert script.main([str(path)]) == 1
+    assert "malformed module" in capsys.readouterr().err
+
+
 @pytest.fixture
 def memo():
     """The process-wide translation memo, emptied: earlier tests have warmed
@@ -578,11 +797,11 @@ def memo():
 
 def test_translation_is_memoised_and_each_cell_gets_its_own_functions(memo):
     module = parse_module(fixture_binary("emit_call"))
-    assert not memo.translated(module)
+    assert not wasmvm._translated(memo, module)
     first = compile_tier2(module)
     assert (memo.misses, memo.hits) == (len(module.codes), 0)
     again_module = parse_module(fixture_binary("emit_call"))
-    assert memo.translated(again_module)
+    assert wasmvm._translated(memo, again_module)
     again = compile_tier2(again_module)
     assert (memo.misses, memo.hits) == (len(module.codes), len(module.codes))
     assert all(a is not b and a.__code__ is b.__code__ for a, b in zip(first, again))
@@ -598,23 +817,22 @@ def _constant_modules(n):
 
 
 def _translate_into(memo, module):
-    n = len(module.imported_funcs)
-    for i, code in enumerate(module.codes, n):
-        memo.translate(code, i, module.func_types, n)
+    for key in wasmvm._translation_keys(module):
+        wasmvm._translate(memo, key)
 
 
 def test_the_memo_evicts_the_least_recently_used_translation(memo):
     assert memo.maxsize == 512
-    small = wasmvm._TranslationMemo(2)
+    small = BoundedMemo(2)
     a, b, c = _constant_modules(3)
     _translate_into(small, a)
     _translate_into(small, b)
-    assert small.translated(a)  # asking leaves a the least recently used
+    assert wasmvm._translated(small, a)  # asking leaves a the least recently used
     _translate_into(small, c)
-    assert [small.translated(m) for m in (a, b, c)] == [False, True, True]
+    assert [wasmvm._translated(small, m) for m in (a, b, c)] == [False, True, True]
     _translate_into(small, b)  # using b makes c the least recently used
     _translate_into(small, a)
-    assert [small.translated(m) for m in (a, b, c)] == [True, True, False]
+    assert [wasmvm._translated(small, m) for m in (a, b, c)] == [True, True, False]
     assert len(small) == 2 and (small.misses, small.hits) == (4, 1)
 
 
@@ -666,9 +884,8 @@ def test_a_cell_tiers_up_once_its_fuel_repays_the_compile(gated, memo):
 def test_a_cell_with_one_body_untranslated_waits_for_the_fuel_rule(gated, memo):
     binary, decision = gated("emit_call")
     module = parse_module(binary)
-    n = len(module.imported_funcs)
     assert len(module.codes) == 2
-    memo.translate(module.codes[0], n, module.func_types, n)
+    wasmvm._translate(memo, wasmvm._translation_keys(module)[0])
     _tiers_up_by_fuel(binary, decision)
 
 
