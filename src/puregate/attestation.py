@@ -51,13 +51,6 @@ DISALLOWED_IMPORT = "disallowed_import"  # step 3
 CONCLUSION_NOT_PURE = "conclusion_not_pure"  # step 3
 INCOMPATIBLE = "incompatible"  # step 4
 
-CONJUNCTS = (
-    "whitelist_accepted",
-    "runtime_trusted",
-    "certifier_trusted",
-    "version_current",
-)
-
 
 class GateNeverAccepted(Exception):
     """Refusal to attest: the local gate never accepted this pair."""

@@ -127,7 +127,6 @@ def bench(
     executor: str = "emit_call",
     samples: int = MIN_SAMPLES,
     warmup: int = MIN_WARMUP,
-    whitelist: Whitelist | None = None,
 ) -> BenchReport:
     """Measure one metric against one certified fixture."""
     if target not in METRICS:
@@ -138,7 +137,7 @@ def bench(
             f"warmup >= {MIN_WARMUP}"
         )
     fixture_source(executor)  # raises UnknownFixture early
-    runtime = whitelist if whitelist is not None else builtin_whitelist(1)
+    runtime = builtin_whitelist(1)
     key = keypair_from_seed(_BENCH_SEED)
     binary, proof, cert = certified_bundle(executor, key, runtime, _BENCH_TIME)
     trusted = [key.public_key]

@@ -2,8 +2,9 @@
 
 A certificate carries the artifact hash, the proof hash, an Ed25519 signature
 over their raw 64-byte concatenation, and metadata naming the certifier key
-and the whitelist the proof was built against. Certifying an impure proof is
-refused outright; the certificate only ever attests to purity.
+and the whitelist the proof was built against. Certifying a proof that is
+impure in its conclusion or in any verdict is refused outright; the
+certificate only ever attests to purity.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Any, Collection, Mapping
 from . import signing
 from .canonical import canonical_bytes, load_object, read_field, read_hex, read_int
 from .proof import PURE, PurityProof, proof_hash, validate_proof_against_binary
+from .whitelist import DISALLOWED
 
 FORMAT_VERSION = 1
 MAX_CERT_BYTES = 4096
@@ -99,14 +101,16 @@ def signing_message(artifact_hash: bytes, proof_digest: bytes) -> bytes:
 def sign_certificate(
     binary_bytes: bytes, proof: PurityProof, key: KeyPair, now: int
 ) -> PurityCertificate:
-    if proof.conclusion != PURE:
+    if proof.conclusion != PURE or any(
+        c.verdict == DISALLOWED for c in proof.classifications
+    ):
         raise RefuseImpure("disallowed imports found; refusing to certify")
-    artifact_hash = hashlib.sha256(binary_bytes).digest()
-    validation = validate_proof_against_binary(
-        proof, binary_bytes, artifact_hash=artifact_hash
-    )
+    if tuple(c.import_record for c in proof.classifications) != proof.imports:
+        raise ProofBinaryMismatch("proof classifications do not follow its imports")
+    validation = validate_proof_against_binary(proof, binary_bytes)
     if not validation.accepted:
         raise ProofBinaryMismatch(f"proof does not match binary: {validation.reason}")
+    artifact_hash = hashlib.sha256(binary_bytes).digest()
     proof_digest = proof_hash(proof)
     signature = signing.sign(
         key.private_key, signing_message(artifact_hash, proof_digest)

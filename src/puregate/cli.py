@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from .attestation import (
     EnvironmentDescriptor,
@@ -76,32 +76,40 @@ def _key_dir() -> Path:
     return Path(os.environ.get(KEY_DIR_ENV, "."))
 
 
-def _resolve_key_path(name: str) -> Path:
-    """A bare name refers to the key directory; a path is used as given."""
-    path = Path(name)
-    if path.exists():
-        return path
-    candidates = [_key_dir() / name, _key_dir() / f"{name}.key"]
-    for candidate in candidates:
-        if candidate.exists():
-            return candidate
-    return path  # let the read fail with a normal file error
+def _key_file(name: str, suffix: str) -> Path | None:
+    """The key file a name refers to: the path as given, else the bare name,
+    else the name plus the role's suffix (.key or .pub), under the key dir."""
+    for path in (Path(name), _key_dir() / name, _key_dir() / f"{name}{suffix}"):
+        if path.exists():
+            return path
+    return None
 
 
 def _load_keypair(name: str) -> KeyPair:
-    return keypair_from_seed(load_seed(_resolve_key_path(name)))
+    path = _key_file(name, ".key") or Path(name)  # a missing file fails the read
+    return keypair_from_seed(load_seed(path))
 
 
 def _trusted_keys(values: Sequence[str]) -> list[bytes]:
+    """Each value names a .pub key file or is a key in lowercase hex."""
     keys = []
     for value in values:
-        path = Path(value)
-        if path.exists() or (_key_dir() / value).exists():
-            actual = path if path.exists() else _key_dir() / value
-            keys.append(load_public_key(actual))
+        path = _key_file(value, ".pub")
+        if path is not None:
+            keys.append(load_public_key(path))
         else:
             keys.append(parse_hex(value, PUBLIC_KEY_BYTES, "public key"))
     return keys
+
+
+def _load_executor(paths: Mapping[str, str]) -> WasmExecutor:
+    """An executor from the files named by paths' wasm, cert and proof keys:
+    a subcommand's parsed arguments or an entry of a machine's executors."""
+    return WasmExecutor(
+        binary=Path(paths["wasm"]).read_bytes(),
+        cert=load_certificate(Path(paths["cert"])),
+        proof=load_proof(Path(paths["proof"])),
+    )
 
 
 def _load_runtime_whitelist(value: str | None):
@@ -183,12 +191,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    binary = Path(args.wasm).read_bytes()
-    cert = load_certificate(Path(args.cert))
-    proof = load_proof(Path(args.proof))
+    ex = _load_executor(vars(args))
     trusted = set(_trusted_keys(args.trust))
 
-    rejection = check_certificate(hash_bytes(binary), cert, proof, trusted)
+    rejection = check_certificate(hash_bytes(ex.binary), ex.cert, ex.proof, trusted)
     reason = None if rejection is None else rejection.reason
     ok = reason is None
     _emit(
@@ -200,18 +206,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
-    binary = Path(args.wasm).read_bytes()
-    cert = load_certificate(Path(args.cert))
-    proof = load_proof(Path(args.proof))
+    ex = _load_executor(vars(args))
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
     log = DecisionLog(Path(args.log)) if args.log else None
 
     start = time.perf_counter()
     decision = gate_verify(
-        binary,
-        cert,
-        proof,
+        ex.binary,
+        ex.cert,
+        ex.proof,
         whitelist,
         trusted,
         minimum_version=args.min_version,
@@ -247,14 +251,12 @@ def _executor_failed(args: argparse.Namespace, exc: VMError) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    binary = Path(args.wasm).read_bytes()
-    cert = load_certificate(Path(args.cert))
-    proof = load_proof(Path(args.proof))
+    ex = _load_executor(vars(args))
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
     input_doc = load_object(Path(args.input), ValueError, "input")
 
-    decision = gate_verify(binary, cert, proof, whitelist, trusted)
+    decision = gate_verify(ex.binary, ex.cert, ex.proof, whitelist, trusted)
     if not decision.accepted:
         return _gate_rejected(args, decision)
 
@@ -270,7 +272,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         timings: dict[str, float] = {}
         try:
             output = instantiate_and_plan(
-                binary, decision, executor_input, limits, timings=timings
+                ex.binary, decision, executor_input, limits, timings=timings
             )
         except VMError as exc:
             return _executor_failed(args, exc)
@@ -295,13 +297,10 @@ def _cmd_run_machine(args: argparse.Namespace) -> int:
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
 
-    registry: dict[str, WasmExecutor] = {}
-    for name, paths in machine_doc.get("executors", {}).items():
-        registry[name] = WasmExecutor(
-            binary=Path(paths["wasm"]).read_bytes(),
-            cert=load_certificate(Path(paths["cert"])),
-            proof=load_proof(Path(paths["proof"])),
-        )
+    registry = {
+        name: _load_executor(paths)
+        for name, paths in machine_doc.get("executors", {}).items()
+    }
 
     services = RuntimeServices(whitelist=whitelist, trusted_keys=trusted)
     governance = default_governance(tuple(args.allow_host))
@@ -343,9 +342,7 @@ def _cmd_run_machine(args: argparse.Namespace) -> int:
 
 
 def _cmd_attest(args: argparse.Namespace) -> int:
-    binary = Path(args.wasm).read_bytes()
-    cert = load_certificate(Path(args.cert))
-    proof = load_proof(Path(args.proof))
+    ex = _load_executor(vars(args))
     env = EnvironmentDescriptor.from_json(
         load_object(Path(args.env), ValueError, "environment")
     )
@@ -356,11 +353,11 @@ def _cmd_attest(args: argparse.Namespace) -> int:
     )
 
     log = DecisionLog()
-    decision = gate_verify(binary, cert, proof, whitelist, trusted, log=log)
+    decision = gate_verify(ex.binary, ex.cert, ex.proof, whitelist, trusted, log=log)
     if not decision.accepted:
         return _gate_rejected(args, decision)
 
-    record = build_attestation(cert, proof, env, env_key, log)
+    record = build_attestation(ex.cert, ex.proof, env, env_key, log)
     out = Path(args.out or f"{args.wasm}.attest")
     save_attestation(record, out)
     _emit(
@@ -407,8 +404,7 @@ def _cmd_whitelist(args: argparse.Namespace) -> int:
         )
         return 0
     if args.action == "sign":
-        seed = load_seed(_resolve_key_path(args.key))
-        signed = sign_whitelist(whitelist, seed)
+        signed = sign_whitelist(whitelist, _load_keypair(args.key).seed)
         out = Path(args.out or args.file)
         save_whitelist(signed, out)
         _emit(
@@ -511,6 +507,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    # the operands _load_executor reads
+    executor = argparse.ArgumentParser(add_help=False)
+    executor.add_argument("wasm")
+    executor.add_argument("--cert", required=True)
+    executor.add_argument("--proof", required=True)
+
     p = add("keygen", _cmd_keygen, help="generate an Ed25519 keypair")
     p.add_argument("--out", required=True, help="key file stem (bare names land in the key dir)")
 
@@ -522,25 +524,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-proof", default=None)
     p.add_argument("--timestamp", type=int, default=None)
 
-    p = add("verify", _cmd_verify, help="check a certificate against a binary")
-    p.add_argument("wasm")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--proof", required=True)
+    p = add(
+        "verify", _cmd_verify, parents=[executor],
+        help="check a certificate against a binary",
+    )
     p.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
 
-    p = add("gate", _cmd_gate, help="run the full admission gate")
-    p.add_argument("wasm")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--proof", required=True)
+    p = add("gate", _cmd_gate, parents=[executor], help="run the full admission gate")
     p.add_argument("--whitelist", default=None)
     p.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
     p.add_argument("--min-version", type=int, default=1)
     p.add_argument("--log", default=None, help="append decisions to this file")
 
-    p = add("run", _cmd_run, help="gate and execute one executor")
-    p.add_argument("wasm")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--proof", required=True)
+    p = add("run", _cmd_run, parents=[executor], help="gate and execute one executor")
     p.add_argument("--input", required=True)
     p.add_argument("--whitelist", default=None)
     p.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
@@ -562,10 +558,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="hosts the http_request guard admits",
     )
 
-    p = add("attest", _cmd_attest, help="gate locally and sign an attestation")
-    p.add_argument("wasm")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--proof", required=True)
+    p = add(
+        "attest", _cmd_attest, parents=[executor],
+        help="gate locally and sign an attestation",
+    )
     p.add_argument("--env", required=True)
     p.add_argument("--env-key", required=True)
     p.add_argument("--whitelist", default=None)

@@ -56,18 +56,6 @@ R_DISALLOWED_IMPORT = "disallowed_import"
 R_STALE_OR_UNKNOWN_WHITELIST = "stale_or_unknown_whitelist"
 R_CONCLUSION_NOT_PURE = "conclusion_not_pure"
 
-REASONS = (
-    R_INVALID_SIGNATURE,
-    R_UNTRUSTED_CERTIFIER,
-    R_ARTIFACT_HASH_MISMATCH,
-    R_PROOF_HASH_MISMATCH,
-    R_IMPORT_MISMATCH,
-    R_MALFORMED_BINARY,
-    R_DISALLOWED_IMPORT,
-    R_STALE_OR_UNKNOWN_WHITELIST,
-    R_CONCLUSION_NOT_PURE,
-)
-
 CACHE_INVALIDATION_CAUSES = ("whitelist_changed", "keys_rotated", "manual")
 
 
@@ -266,9 +254,9 @@ def _run_checks(
     if rejection is not None:
         return rejection
 
-    # step 4: independent import extraction, under the hash taken at entry
+    # step 4: independent import extraction
     try:
-        module = parse_imports(binary_bytes, artifact_hash=artifact_hash)
+        module = parse_imports(binary_bytes)
     except MalformedBinary:
         return _reject(R_MALFORMED_BINARY, 4, artifact_hash)
     if module.imports != proof.imports:

@@ -119,16 +119,15 @@ def load_proof(path: Path) -> PurityProof:
 
 
 def validate_proof_against_binary(
-    proof: PurityProof, binary_bytes: bytes, *, artifact_hash: bytes | None = None
+    proof: PurityProof, binary_bytes: bytes
 ) -> ProofValidation:
     """Independently re-parse the binary and demand exact import equality.
 
     Order matters: a reordered import list is a different module as far as
-    evidence binding is concerned, so it is rejected. A caller that has
-    already hashed the bytes passes the digest, as to parse_imports.
+    evidence binding is concerned, so it is rejected.
     """
     try:
-        module = parse_imports(binary_bytes, artifact_hash=artifact_hash)
+        module = parse_imports(binary_bytes)
     except MalformedBinary:
         return ProofValidation(False, MALFORMED_BINARY)
     if module.imports != proof.imports:

@@ -235,7 +235,13 @@ class RunChain:
 # ---------------------------------------------------------------------------
 
 def verify_chain(record: RunRecord) -> ChainVerdict:
-    """Recompute every chain value from components; report the first mismatch."""
+    """Recompute every chain value from components; report the first mismatch.
+
+    A run with no steps fails at step:1, the step it lacks: finalize_run
+    never seals one.
+    """
+    if not record.steps:
+        return ChainVerdict(False, "step:1")
     previous = ZERO_DIGEST
     for i, step in enumerate(record.steps, start=1):
         if step.step_index != i:

@@ -3,10 +3,11 @@
 The single decoder of WASM bytes: the gate, the certifier and the VM all
 read a module's section framing, type section and import section through
 decode_header(), so they cannot disagree on what a module imports.
-parse_imports() is that decoder plus the artifact hash. Nothing here
-executes code or trusts the producer; a binary that cannot be parsed raises
-MalformedBinary so the caller rejects it rather than treating it as
-import-free.
+parse_imports() is that decoder plus the acceptance size limits; it keeps
+the bytes it decoded and hashes them only when a caller reads the artifact
+hash. Nothing here executes code or trusts the producer; a binary that
+cannot be parsed raises MalformedBinary so the caller rejects it rather
+than treating it as import-free.
 
 Every byte is read by one set of positional functions (_u32_at, _s32_at,
 _name_at, _limits_at, ...): each takes (data, pos, section end) and returns
@@ -17,7 +18,8 @@ the sections after the header through the same functions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from .canonical import read_field
@@ -190,19 +192,27 @@ class ModuleHeader:
 
 @dataclass(frozen=True)
 class ModuleImports:
-    """A module's decoded header plus the artifact hash of the full binary.
+    """A module's decoded header and the bytes it was decoded from.
 
     The gate hands the header on with its acceptance, so the VM decodes
     only the sections after it.
     """
 
     header: ModuleHeader
-    artifact_hash: bytes
-    byte_length: int
+    binary: bytes = field(repr=False)
 
     @property
     def imports(self) -> tuple[ImportRecord, ...]:
         return self.header.imports
+
+    @property
+    def byte_length(self) -> int:
+        return len(self.binary)
+
+    @cached_property
+    def artifact_hash(self) -> bytes:
+        """SHA-256 of the full binary, taken on first read."""
+        return hash_bytes(self.binary)
 
 
 def render_func_signature(params: Sequence[str], results: Sequence[str]) -> str:
@@ -351,24 +361,10 @@ def decode_header(data: bytes) -> ModuleHeader:
     )
 
 
-def parse_imports(
-    binary_bytes: bytes, *, artifact_hash: bytes | None = None
-) -> ModuleImports:
-    """Extract the complete import section of a WASM binary, in order.
-
-    The artifact hash is computed over the exact input bytes before any
-    parsing decision, so a malformed binary still has a well-defined hash.
-    A caller that has already hashed these bytes (the gate) passes the
-    digest instead.
-    """
-    if artifact_hash is None:
-        artifact_hash = hash_bytes(binary_bytes)
+def parse_imports(binary_bytes: bytes) -> ModuleImports:
+    """Extract the complete import section of a WASM binary, in order."""
     if not binary_bytes:
         raise MalformedBinary("empty input")
     if len(binary_bytes) > MAX_BINARY_BYTES:
         raise MalformedBinary("binary exceeds the 64 MiB acceptance limit")
-    return ModuleImports(
-        header=decode_header(binary_bytes),
-        artifact_hash=artifact_hash,
-        byte_length=len(binary_bytes),
-    )
+    return ModuleImports(header=decode_header(binary_bytes), binary=binary_bytes)

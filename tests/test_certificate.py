@@ -115,6 +115,31 @@ def test_refusal_messages(wl_v1, certifier_key, name, binary, error, message):
     assert str(raised.value) == message
 
 
+def test_a_disallowed_verdict_under_a_pure_conclusion_is_refused(
+    bundles, certifier_key
+):
+    binary, proof, _ = bundles["emit_call"]
+    contradicted = dataclasses.replace(
+        proof,
+        classifications=tuple(
+            Classification(c.import_record, DISALLOWED) for c in proof.classifications
+        ),
+    )
+    assert contradicted.conclusion == "pure"
+    with pytest.raises(RefuseImpure):
+        sign_certificate(binary, contradicted, certifier_key, 1)
+
+
+def test_classifications_out_of_import_order_are_refused(bundles, certifier_key):
+    binary, proof, _ = bundles["emit_call"]
+    assert len(set(proof.classifications)) > 1
+    reordered = dataclasses.replace(
+        proof, classifications=proof.classifications[::-1]
+    )
+    with pytest.raises(ProofBinaryMismatch):
+        sign_certificate(binary, reordered, certifier_key, 1)
+
+
 def test_trust_is_checked_before_signature_math(bundles, rogue_key):
     _, _, cert = bundles["emit_call"]
     signing.reset_verify_call_count()

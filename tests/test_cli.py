@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from puregate.attestation import OrgPolicy, save_policy
 from _chain_tools import build_chain
 from puregate.cli import main
+from puregate.provenance import ZERO_DIGEST, run_hash
 from puregate.whitelist import builtin_whitelist
 
 RUNTIME_ID = "mashin-sim"
@@ -142,6 +145,21 @@ def test_gate_accepts_and_reports_timing(workspace, capsys):
     assert code == 0
     assert doc["verdict"] == "accept"
     assert doc["timings"]["gate_us"] > 0
+
+
+def test_trust_names_a_pub_file_in_the_key_dir(workspace, capsys):
+    def gate(trusted):
+        return main([
+            "gate", str(workspace["wasm"]),
+            "--cert", workspace["cert"],
+            "--proof", workspace["proof"],
+            "--trust", trusted,
+        ])
+
+    assert gate("certifier") == 0  # keys/certifier.pub
+    capsys.readouterr()
+    assert gate("nosuch") == 2
+    assert "must be 32 bytes in lowercase hex" in capsys.readouterr().err
 
 
 def test_gate_rejects_untrusted_certifier(workspace, capsys):
@@ -338,6 +356,23 @@ def test_provenance_verify_rejects_tampered_chain(workspace, capsys):
     lines[0] = json.dumps(step)
     (root / "t.chain").write_text("\n".join(lines) + "\n")
     code, doc = run_json(capsys, "provenance", "verify", str(root / "t.chain"))
+    assert code == 1
+    assert doc == {"valid": False, "failure": "step:1"}
+
+
+def test_provenance_verify_rejects_a_run_with_no_steps(tmp_path, capsys):
+    machine, inputs, output = bytes([1]) * 32, bytes([2]) * 32, bytes([3]) * 32
+    run = {
+        "type": "run",
+        "machine_version_hash": machine.hex(),
+        "input_hash": inputs.hex(),
+        "final_execution_hash": ZERO_DIGEST.hex(),
+        "output_hash": output.hex(),
+        "run_hash_vp": run_hash(machine, inputs, ZERO_DIGEST, output).hex(),
+    }
+    chain = tmp_path / "empty.chain"
+    chain.write_text(json.dumps(run) + "\n")
+    code, doc = run_json(capsys, "provenance", "verify", str(chain))
     assert code == 1
     assert doc == {"valid": False, "failure": "step:1"}
 
@@ -749,13 +784,15 @@ def test_unknown_fixture_is_usage_error(workspace, capsys):
 
 
 def test_console_script_is_installed(tmp_path):
+    """The installed console script, else the module's __main__ entry."""
     exe = shutil.which("puregate")
-    if exe is None:
-        pytest.skip("console script not on PATH in this environment")
+    command = [exe] if exe else [sys.executable, "-m", "puregate.cli"]
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [exe, "whitelist", "hash", "v1", "--json"],
+        [*command, "whitelist", "hash", "v1", "--json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["version"] == 1

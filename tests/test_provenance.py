@@ -23,6 +23,7 @@ from puregate.provenance import (
     EmptyChain,
     ProvenanceFormatError,
     RunChain,
+    RunRecord,
     StepRecord,
     cross_org_hash,
     load_run_record,
@@ -58,6 +59,20 @@ def test_golden_three_step_chain_replays_exactly():
     )
     assert sealed.run_hash_vp.hex() == golden["run_hash_vp"]
     assert verify_chain(sealed).valid
+
+
+def test_a_run_with_no_steps_fails_at_its_first_step():
+    machine, inputs, output = bytes([1]) * 32, bytes([2]) * 32, bytes([3]) * 32
+    record = RunRecord(
+        machine_version_hash=machine,
+        input_hash=inputs,
+        final_execution_hash=ZERO_DIGEST,
+        output_hash=output,
+        run_hash_vp=run_hash(machine, inputs, ZERO_DIGEST, output),
+        steps=(),
+    )
+    verdict = verify_chain(record)
+    assert (verdict.valid, verdict.failure) == (False, "step:1")
 
 
 @given(digests, digests, digests, digests, digests)
