@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from . import signing
 from .canonical import canonical_bytes, load_object
@@ -29,7 +29,6 @@ from .certificate import (
     certificate_to_json,
     verify_certificate_signature,
 )
-from .gate import DecisionLog
 from .memo import BoundedMemo
 from .proof import (
     PURE,
@@ -39,6 +38,9 @@ from .proof import (
     proof_to_json,
 )
 from .whitelist import DISALLOWED, Whitelist, classify_import
+
+if TYPE_CHECKING:  # a verifying peer loads neither the gate nor the VM
+    from .gate import DecisionLog
 
 # verdict reasons, grouped by the verification step that emits them
 UNTRUSTED_ENV_KEY = "untrusted_environment_key"  # step 1

@@ -27,7 +27,6 @@ from .attestation import (
     save_attestation,
     verify_attestation,
 )
-from .bench import METRICS, bench
 from .canonical import canonical_dumps, load_object, loads_object, parse_hex
 from .canonical import read_field, read_list
 from .certificate import (
@@ -40,7 +39,6 @@ from .certificate import (
     save_certificate,
     sign_certificate,
 )
-from .fixtures import ImpureFixture, fixture_binary, list_fixtures
 from .gate import DecisionLog, GateDecision, check_certificate, gate_verify
 from .interpreter import (
     ExecutorRejected,
@@ -69,7 +67,10 @@ KEY_DIR_ENV = "PUREGATE_KEY_DIR"
 
 # every format error of a document, key or binary subclasses one of these
 _USAGE_ERRORS = (OSError, ValueError, KeyError)
-_DOMAIN_ERRORS = (RefuseImpure, ProofBinaryMismatch, GateNeverAccepted, ImpureFixture)
+_DOMAIN_ERRORS = (RefuseImpure, ProofBinaryMismatch, GateNeverAccepted)
+
+# the files of an executor: a subcommand's operands or a machine entry's keys
+_EXECUTOR_FILES = ("wasm", "cert", "proof")
 
 
 def _key_dir() -> Path:
@@ -103,13 +104,10 @@ def _trusted_keys(values: Sequence[str]) -> list[bytes]:
 
 
 def _load_executor(paths: Mapping[str, str]) -> WasmExecutor:
-    """An executor from the files named by paths' wasm, cert and proof keys:
-    a subcommand's parsed arguments or an entry of a machine's executors."""
-    return WasmExecutor(
-        binary=Path(paths["wasm"]).read_bytes(),
-        cert=load_certificate(Path(paths["cert"])),
-        proof=load_proof(Path(paths["proof"])),
-    )
+    """An executor from the files paths names under _EXECUTOR_FILES: a
+    subcommand's parsed arguments or an entry of a machine's executors."""
+    wasm, cert, proof = (Path(paths[key]) for key in _EXECUTOR_FILES)
+    return WasmExecutor(wasm.read_bytes(), load_certificate(cert), load_proof(proof))
 
 
 def _load_runtime_whitelist(value: str | None):
@@ -134,7 +132,7 @@ def _check_machine(doc: dict[str, Any], what: str) -> None:
         executors = read_field(parts, "executors", dict)
         for name in executors:
             paths = read_field(executors, name, dict)
-            for key in ("wasm", "cert", "proof"):
+            for key in _EXECUTOR_FILES:
                 read_field(paths, key, str)
         for step in read_list(parts, "steps", read_field, dict):
             read_field(step, "executor_ref", str)
@@ -462,6 +460,8 @@ def _cmd_provenance(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import bench
+
     report = bench(args.metric, args.executor, args.samples, args.warmup)
     human = (
         f"{report.metric} executor={report.executor} samples={report.samples} "
@@ -473,6 +473,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import fixture_binary, list_fixtures
+
     names = args.names or list(list_fixtures())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -513,6 +515,10 @@ def _build_parser() -> argparse.ArgumentParser:
     executor.add_argument("--cert", required=True)
     executor.add_argument("--proof", required=True)
 
+    # the certifier keys the gate trusts; attest declares its own optional form
+    trust = argparse.ArgumentParser(add_help=False)
+    trust.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
+
     p = add("keygen", _cmd_keygen, help="generate an Ed25519 keypair")
     p.add_argument("--out", required=True, help="key file stem (bare names land in the key dir)")
 
@@ -525,30 +531,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timestamp", type=int, default=None)
 
     p = add(
-        "verify", _cmd_verify, parents=[executor],
+        "verify", _cmd_verify, parents=[executor, trust],
         help="check a certificate against a binary",
     )
-    p.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
 
-    p = add("gate", _cmd_gate, parents=[executor], help="run the full admission gate")
+    p = add("gate", _cmd_gate, parents=[executor, trust], help="run the full admission gate")
     p.add_argument("--whitelist", default=None)
-    p.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
     p.add_argument("--min-version", type=int, default=1)
     p.add_argument("--log", default=None, help="append decisions to this file")
 
-    p = add("run", _cmd_run, parents=[executor], help="gate and execute one executor")
+    p = add("run", _cmd_run, parents=[executor, trust], help="gate and execute one executor")
     p.add_argument("--input", required=True)
     p.add_argument("--whitelist", default=None)
-    p.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
     p.add_argument("--fuel", type=int, default=ResourceLimits().fuel)
     p.add_argument("--mem-max", type=int, default=ResourceLimits().memory_max)
     p.add_argument("--timeout", type=int, default=ResourceLimits().wall_clock_ms)
     p.add_argument("--repeat", type=int, default=1)
 
-    p = add("run-machine", _cmd_run_machine, help="execute a machine document")
+    p = add("run-machine", _cmd_run_machine, parents=[trust], help="execute a machine document")
     p.add_argument("machine")
     p.add_argument("--whitelist", default=None)
-    p.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
     p.add_argument("--chain-out", default=None)
     p.add_argument("--effects-out", default=None)
     p.add_argument(
@@ -587,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--callee", default=None)
 
     p = add("bench", _cmd_bench, help="measure one evaluation metric")
-    p.add_argument("--metric", choices=METRICS, required=True)
+    p.add_argument("--metric", required=True)
     p.add_argument("--executor", default="emit_call")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--warmup", type=int, default=5)

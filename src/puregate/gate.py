@@ -8,7 +8,9 @@ failure wins; rejections are decisions, never exceptions.
 
 An acceptance carries what it admitted (the runtime whitelist, certificate
 and proof it verified) and a compile handle, a wasmvm.ModuleCell over the
-bytes it admitted and the header step 4 decoded from them. The cache keeps
+bytes it admitted and the header step 4 decoded from them. The six checks
+never call the VM: importing this module loads no wasmvm, and the first
+acceptance in a process imports it to build that handle. The cache keeps
 the accepting decision itself, by artifact hash, and a hit requires the
 whitelist snapshot, certificate and proof that acceptance admitted;
 anything else runs the six checks. So a whitelist change invalidates
@@ -20,11 +22,12 @@ appended to a decision log for audit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Collection, Mapping
+from typing import TYPE_CHECKING, Any, Collection, Mapping
 
 from .canonical import CanonicalError, canonical_bytes, load_lines
 from .certificate import (
@@ -35,13 +38,15 @@ from .certificate import (
 )
 from .proof import PURE, PurityProof, proof_hash
 from .wasm_inspect import MalformedBinary, parse_imports
-from .wasmvm import ModuleCell
 from .whitelist import (
     DISALLOWED,
     Whitelist,
     check_version_range,
     classify_import,
 )
+
+if TYPE_CHECKING:
+    from .wasmvm import ModuleCell
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -300,9 +305,20 @@ def _run_checks(
     return GateDecision(
         verdict=ACCEPT,
         artifact_hash=artifact_hash,
-        compiled=ModuleCell(binary_bytes, module.header),
+        compiled=_vm().ModuleCell(binary_bytes, module.header),
         admitted=Admission(runtime_whitelist, cert, proof),
     )
+
+
+@functools.cache
+def _vm():
+    """wasmvm, imported at the first acceptance: only an acceptance builds a
+    compile handle, and the six checks never call the VM. Cached, because an
+    import statement in every acceptance made perfbench's onboard op_p50_us
+    about 6 us (1.3%) slower (2-vCPU Xeon host, CPython 3.11)."""
+    from . import wasmvm
+
+    return wasmvm
 
 
 def invalidate_cache(

@@ -750,9 +750,10 @@ def test_wrongly_typed_whitelists_and_environments_are_usage_errors(workspace, c
         {"steps": "ab"},
         {"steps": ["a"]},
         {"steps": [{"executor_ref": ["a"]}]},
+        {"executors": {"e": {"wasm": "e.wasm", "cert": "e.cert"}}},
     ],
     ids=["executors_list", "executor_string", "steps_string", "step_string",
-         "executor_ref_list"],
+         "executor_ref_list", "executor_without_proof"],
 )
 def test_run_machine_refuses_misshapen_parts(workspace, capsys, parts):
     machine = workspace["root"] / "misshapen.json"
@@ -781,6 +782,18 @@ def test_provenance_refuses_chain_lines_that_are_not_objects(workspace, capsys, 
 def test_unknown_fixture_is_usage_error(workspace, capsys):
     code = main(["fixtures", "build", "ghost_fixture"])
     assert code == 2
+
+
+def test_bench_refuses_an_unknown_metric():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "puregate.cli", "bench", "--metric", "nope"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert "nope" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_console_script_is_installed(tmp_path):
