@@ -23,6 +23,7 @@ from . import signing
 from .canonical import canonical_bytes, load_object
 from .canonical import read_field, read_hex, read_int, read_list
 from .certificate import (
+    INVALID_SIGNATURE,
     KeyPair,
     PurityCertificate,
     certificate_from_json,
@@ -266,11 +267,10 @@ def verify_attestation(
     # step 3: certificate verification (binary re-parse is not possible here)
     cert = record.certificate
     proof = record.proof
-    if cert.metadata.certifier_key not in policy.trusted_certifiers:
-        return AttestationVerdict(False, step=3, reason=UNTRUSTED_CERTIFIER)
-    sig = verify_certificate_signature(cert, {cert.metadata.certifier_key})
-    if not sig.accepted:
-        return AttestationVerdict(False, step=3, reason=INVALID_CERT_SIGNATURE)
+    refusal = verify_certificate_signature(cert, policy.trusted_certifiers)
+    if refusal is not None:
+        reason = INVALID_CERT_SIGNATURE if refusal == INVALID_SIGNATURE else refusal
+        return AttestationVerdict(False, step=3, reason=reason)
     if proof_hash(proof) != cert.proof_hash:
         return AttestationVerdict(False, step=3, reason=PROOF_HASH_MISMATCH)
     consistent = (

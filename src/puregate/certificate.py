@@ -87,12 +87,6 @@ class PurityCertificate:
         return hashlib.sha256(certificate_bytes(self)).digest()
 
 
-@dataclass(frozen=True)
-class SignatureCheck:
-    accepted: bool
-    reason: str | None = None
-
-
 def signing_message(artifact_hash: bytes, proof_digest: bytes) -> bytes:
     """The signed message: raw digest concatenation, no outer hash."""
     return artifact_hash + proof_digest
@@ -107,9 +101,9 @@ def sign_certificate(
         raise RefuseImpure("disallowed imports found; refusing to certify")
     if tuple(c.import_record for c in proof.classifications) != proof.imports:
         raise ProofBinaryMismatch("proof classifications do not follow its imports")
-    validation = validate_proof_against_binary(proof, binary_bytes)
-    if not validation.accepted:
-        raise ProofBinaryMismatch(f"proof does not match binary: {validation.reason}")
+    mismatch = validate_proof_against_binary(proof, binary_bytes)
+    if mismatch is not None:
+        raise ProofBinaryMismatch(f"proof does not match binary: {mismatch}")
     artifact_hash = hashlib.sha256(binary_bytes).digest()
     proof_digest = proof_hash(proof)
     signature = signing.sign(
@@ -130,18 +124,17 @@ def sign_certificate(
 
 def verify_certificate_signature(
     cert: PurityCertificate, trusted_keys: Collection[bytes]
-) -> SignatureCheck:
-    """Trust establishment precedes signature math."""
-    if cert.metadata.certifier_key not in set(trusted_keys):
-        return SignatureCheck(False, UNTRUSTED_CERTIFIER)
-    ok = signing.verify(
+) -> str | None:
+    """The refusal, or None; trust establishment precedes signature math."""
+    if cert.metadata.certifier_key not in trusted_keys:
+        return UNTRUSTED_CERTIFIER
+    if not signing.verify(
         cert.metadata.certifier_key,
         cert.signature,
         signing_message(cert.artifact_hash, cert.proof_hash),
-    )
-    if not ok:
-        return SignatureCheck(False, INVALID_SIGNATURE)
-    return SignatureCheck(True)
+    ):
+        return INVALID_SIGNATURE
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .attestation import (
     save_attestation,
     verify_attestation,
 )
-from .canonical import canonical_dumps, load_object, loads_object, parse_hex
+from .canonical import canonical_dumps, load_object, parse_hex
 from .canonical import read_field, read_list
 from .certificate import (
     KeyPair,
@@ -135,7 +135,9 @@ def _check_machine(doc: dict[str, Any], what: str) -> None:
             for key in _EXECUTOR_FILES:
                 read_field(paths, key, str)
         for step in read_list(parts, "steps", read_field, dict):
-            read_field(step, "executor_ref", str)
+            ref = read_field(step, "executor_ref", str)
+            if ref not in executors:
+                raise ValueError(f"no executor named {ref!r}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: {exc}") from exc
 
@@ -288,10 +290,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_run_machine(args: argparse.Namespace) -> int:
     machine_path = Path(args.machine)
-    machine_bytes = machine_path.read_bytes()
-    what = f"machine {machine_path}"
-    machine_doc = loads_object(machine_bytes, ValueError, what)
-    _check_machine(machine_doc, what)
+    machine_doc = load_object(machine_path, ValueError, "machine")
+    _check_machine(machine_doc, f"machine {machine_path}")
     whitelist = _load_runtime_whitelist(args.whitelist)
     trusted = _trusted_keys(args.trust)
 
@@ -309,7 +309,6 @@ def _cmd_run_machine(args: argparse.Namespace) -> int:
             TierPolicy(),
             registry,
             services,
-            machine_bytes=machine_bytes,
         )
     except ExecutorRejected as exc:
         return _gate_rejected(args, exc.decision)
@@ -392,30 +391,28 @@ def _cmd_attest_verify(args: argparse.Namespace) -> int:
     return 0 if verdict.accepted else 1
 
 
-def _cmd_whitelist(args: argparse.Namespace) -> int:
-    whitelist = _load_runtime_whitelist(args.file)
-    if args.action == "hash":
-        _emit(
-            args,
-            {"version": whitelist.version, "content_hash": whitelist.content_hash.hex()},
-            f"version {whitelist.version}, hash {whitelist.content_hash.hex()}",
-        )
-        return 0
-    if args.action == "sign":
-        signed = sign_whitelist(whitelist, _load_keypair(args.key).seed)
-        out = Path(args.out or args.file)
-        save_whitelist(signed, out)
-        _emit(
-            args,
-            {
-                "file": str(out),
-                "authority_key": signed.authority_key.hex(),
-            },
-            f"signed whitelist → {out}",
-        )
-        return 0
-    # verify
-    ok = verify_whitelist_signature(whitelist)
+def _cmd_whitelist_hash(args: argparse.Namespace) -> int:
+    wl = _load_runtime_whitelist(args.file)
+    _emit(
+        args,
+        {"version": wl.version, "content_hash": wl.content_hash.hex()},
+        f"version {wl.version}, hash {wl.content_hash.hex()}",
+    )
+    return 0
+
+
+def _cmd_whitelist_sign(args: argparse.Namespace) -> int:
+    wl = _load_runtime_whitelist(args.file)
+    signed = sign_whitelist(wl, _load_keypair(args.key).seed)
+    out = Path(args.out or args.file)
+    save_whitelist(signed, out)
+    doc = {"file": str(out), "authority_key": signed.authority_key.hex()}
+    _emit(args, doc, f"signed whitelist → {out}")
+    return 0
+
+
+def _cmd_whitelist_verify(args: argparse.Namespace) -> int:
+    ok = verify_whitelist_signature(_load_runtime_whitelist(args.file))
     _emit(
         args,
         {"verdict": "accept" if ok else "reject"},
@@ -424,18 +421,19 @@ def _cmd_whitelist(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_provenance(args: argparse.Namespace) -> int:
-    if args.action == "verify":
-        record = load_run_record(Path(args.chain))
-        verdict = verify_chain(record)
-        doc = {"valid": verdict.valid, "failure": verdict.failure}
-        _emit(
-            args,
-            doc,
-            "chain valid" if verdict.valid else f"chain invalid at {verdict.failure}",
-        )
-        return 0 if verdict.valid else 1
-    # cross-org
+def _cmd_provenance_verify(args: argparse.Namespace) -> int:
+    record = load_run_record(Path(args.chain))
+    verdict = verify_chain(record)
+    doc = {"valid": verdict.valid, "failure": verdict.failure}
+    _emit(
+        args,
+        doc,
+        "chain valid" if verdict.valid else f"chain invalid at {verdict.failure}",
+    )
+    return 0 if verdict.valid else 1
+
+
+def _cmd_provenance_cross_org(args: argparse.Namespace) -> int:
     caller = load_run_record(Path(args.caller))
     callee = load_run_record(Path(args.callee))
     record = load_attestation(Path(args.attestation))
@@ -503,11 +501,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+    def add(name: str, handler, group=sub, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="structured output")
         p.set_defaults(handler=handler)
         return p
+
+    def actions(name: str, **kwargs):
+        return sub.add_parser(name, **kwargs).add_subparsers(dest="action", required=True)
 
     # the operands _load_executor reads
     executor = argparse.ArgumentParser(add_help=False)
@@ -519,13 +520,17 @@ def _build_parser() -> argparse.ArgumentParser:
     trust = argparse.ArgumentParser(add_help=False)
     trust.add_argument("--trust", nargs="+", required=True, metavar="PUBKEY")
 
+    # the whitelist to classify or gate against; attest-verify takes a list
+    wl = argparse.ArgumentParser(add_help=False)
+    wl.add_argument("--whitelist", default=None, help="file, 'v1', or 'v2-extended'")
+    gated = [executor, trust, wl]
+
     p = add("keygen", _cmd_keygen, help="generate an Ed25519 keypair")
     p.add_argument("--out", required=True, help="key file stem (bare names land in the key dir)")
 
-    p = add("certify", _cmd_certify, help="build a proof and sign a certificate")
+    p = add("certify", _cmd_certify, parents=[wl], help="build a proof and sign a certificate")
     p.add_argument("wasm")
     p.add_argument("--key", required=True)
-    p.add_argument("--whitelist", default=None, help="file, 'v1', or 'v2-extended'")
     p.add_argument("--out-cert", default=None)
     p.add_argument("--out-proof", default=None)
     p.add_argument("--timestamp", type=int, default=None)
@@ -535,22 +540,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check a certificate against a binary",
     )
 
-    p = add("gate", _cmd_gate, parents=[executor, trust], help="run the full admission gate")
-    p.add_argument("--whitelist", default=None)
+    p = add("gate", _cmd_gate, parents=gated, help="run the full admission gate")
     p.add_argument("--min-version", type=int, default=1)
     p.add_argument("--log", default=None, help="append decisions to this file")
 
-    p = add("run", _cmd_run, parents=[executor, trust], help="gate and execute one executor")
+    p = add("run", _cmd_run, parents=gated, help="gate and execute one executor")
     p.add_argument("--input", required=True)
-    p.add_argument("--whitelist", default=None)
     p.add_argument("--fuel", type=int, default=ResourceLimits().fuel)
     p.add_argument("--mem-max", type=int, default=ResourceLimits().memory_max)
     p.add_argument("--timeout", type=int, default=ResourceLimits().wall_clock_ms)
     p.add_argument("--repeat", type=int, default=1)
 
-    p = add("run-machine", _cmd_run_machine, parents=[trust], help="execute a machine document")
+    p = add("run-machine", _cmd_run_machine, parents=[trust, wl], help="run a machine document")
     p.add_argument("machine")
-    p.add_argument("--whitelist", default=None)
     p.add_argument("--chain-out", default=None)
     p.add_argument("--effects-out", default=None)
     p.add_argument(
@@ -561,12 +563,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = add(
-        "attest", _cmd_attest, parents=[executor],
+        "attest", _cmd_attest, parents=[executor, wl],
         help="gate locally and sign an attestation",
     )
     p.add_argument("--env", required=True)
     p.add_argument("--env-key", required=True)
-    p.add_argument("--whitelist", default=None)
     p.add_argument("--trust", nargs="*", default=None, metavar="PUBKEY")
     p.add_argument("--out", default=None)
 
@@ -575,18 +576,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--whitelist", nargs="*", default=None)
 
-    p = add("whitelist", _cmd_whitelist, help="hash, sign, or verify a whitelist file")
-    p.add_argument("action", choices=("hash", "sign", "verify"))
+    group = actions("whitelist", help="hash, sign, or verify a whitelist file")
+    add("hash", _cmd_whitelist_hash, group).add_argument("file")
+    p = add("sign", _cmd_whitelist_sign, group)
     p.add_argument("file")
-    p.add_argument("--key", default=None)
+    p.add_argument("--key", required=True)
     p.add_argument("--out", default=None)
+    add("verify", _cmd_whitelist_verify, group).add_argument("file")
 
-    p = add("provenance", _cmd_provenance, help="verify chains and cross-org links")
-    p.add_argument("action", choices=("verify", "cross-org"))
-    p.add_argument("chain", nargs="?", default=None)
-    p.add_argument("--caller", default=None)
-    p.add_argument("--attestation", default=None)
-    p.add_argument("--callee", default=None)
+    group = actions("provenance", help="verify chains and cross-org links")
+    add("verify", _cmd_provenance_verify, group).add_argument("chain")
+    p = add("cross-org", _cmd_provenance_cross_org, group)
+    for name in ("--caller", "--attestation", "--callee"):
+        p.add_argument(name, required=True)
 
     p = add("bench", _cmd_bench, help="measure one evaluation metric")
     p.add_argument("--metric", required=True)
@@ -594,8 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--warmup", type=int, default=5)
 
-    p = add("fixtures", _cmd_fixtures, help="assemble the fixture corpus to disk")
-    p.add_argument("action", choices=("build",))
+    group = actions("fixtures", help="assemble the fixture corpus to disk")
+    p = add("build", _cmd_fixtures, group)
     p.add_argument("names", nargs="*")
     p.add_argument("--out-dir", default="fixtures_out")
 
@@ -605,18 +607,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if args.command == "run" and args.repeat < 1:
         parser.error("run --repeat must be at least 1")
-    if args.command == "whitelist" and args.action == "sign":
-        if not args.key:
-            parser.error("whitelist sign requires --key")
-        if args.file in ("v1", "v2-extended") and not args.out:
+    if args.handler is _cmd_whitelist_sign and args.file in ("v1", "v2-extended"):
+        if not args.out:
             parser.error(f"whitelist sign of the built-in {args.file} requires --out")
-    if args.command == "provenance":
-        if args.action == "verify" and not args.chain:
-            parser.error("provenance verify requires a chain file")
-        if args.action == "cross-org" and not (
-            args.caller and args.attestation and args.callee
-        ):
-            parser.error("provenance cross-org requires --caller, --attestation, --callee")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -66,6 +66,8 @@ class ImpureFixture(ValueError):
 class UnknownFixture(KeyError):
     """No committed fixture under the requested name."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 class UnimplementableBehavior(ValueError):
     """The requested behavior needs an import the FixtureSpec omits."""

@@ -231,9 +231,9 @@ def check_certificate(
     Returns the rejection, or None when all three hold.
     """
     # step 1: trust establishment, then signature verification
-    sig = verify_certificate_signature(cert, trusted_keys)
-    if not sig.accepted:
-        return _reject(sig.reason, 1, artifact_hash)
+    refusal = verify_certificate_signature(cert, trusted_keys)
+    if refusal is not None:
+        return _reject(refusal, 1, artifact_hash)
 
     # step 2: artifact binding
     if artifact_hash != cert.artifact_hash:
@@ -276,17 +276,15 @@ def _run_checks(
                 artifact_hash,
                 detail=f"{imp.namespace}.{imp.name}",
             )
-    currency = check_version_range(
+    stale = check_version_range(
         cert.metadata.whitelist_version,
         cert.metadata.whitelist_hash,
         runtime_whitelist,
         minimum_version,
         known_hashes,
     )
-    if not currency.accepted:
-        return _reject(
-            R_STALE_OR_UNKNOWN_WHITELIST, 5, artifact_hash, detail=currency.reason
-        )
+    if stale is not None:
+        return _reject(R_STALE_OR_UNKNOWN_WHITELIST, 5, artifact_hash, detail=stale)
     if (
         proof.whitelist_version != cert.metadata.whitelist_version
         or proof.whitelist_hash != cert.metadata.whitelist_hash

@@ -76,6 +76,8 @@ class TierBelowMinimum(Exception):
 class UnknownExecutor(KeyError):
     """executor_ref does not resolve in the registry."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 # ---------------------------------------------------------------------------
 # effect sinks (simulated)
@@ -330,7 +332,7 @@ def execute_step(
     ref = step["executor_ref"]
     executor = registry.get(ref)
     if executor is None:
-        raise UnknownExecutor(ref)
+        raise UnknownExecutor(f"no executor named {ref!r}")
 
     minimum = tier_policy.minimum_for(ref)
     if _TIER_RANK[executor.tier] < _TIER_RANK[minimum]:
@@ -401,17 +403,20 @@ def run_machine(
     tier_policy: TierPolicy,
     registry: Mapping[str, Executor],
     services: RuntimeServices,
-    machine_bytes: bytes | None = None,
 ) -> tuple[RunRecord, list[StepResult]]:
     """Execute a machine document's steps in order and seal the run chain.
 
-    The context passed to each step carries the machine input plus all prior
-    step results; it is rebuilt per step, never mutated in place.
+    The canonical document and its input are hashed before the first step,
+    so a machine with no canonical form performs no effect. The context
+    passed to each step carries the machine input plus all prior step
+    results; it is rebuilt per step, never mutated in place.
     """
     steps = machine_doc.get("steps", [])
     if not steps:
         raise ValueError("machine document has no steps")
     machine_input = machine_doc.get("input")
+    machine_version_hash = _hash_canonical(machine_doc)
+    input_hash = _hash_canonical(machine_input)
 
     chain = RunChain()
     step_results: list[StepResult] = []
@@ -424,14 +429,9 @@ def run_machine(
         step_results.append(result)
         prior = prior + [list(result.results)]
 
-    version_source = (
-        machine_bytes
-        if machine_bytes is not None
-        else canonical_bytes(machine_doc)
-    )
     record = chain.finalize_run(
-        machine_version_hash=hashlib.sha256(version_source).digest(),
-        input_hash=_hash_canonical(machine_input),
+        machine_version_hash=machine_version_hash,
+        input_hash=input_hash,
         output_hash=_hash_canonical([list(r.results) for r in step_results]),
     )
     return record, step_results

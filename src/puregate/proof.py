@@ -48,12 +48,6 @@ class PurityProof:
         return hashlib.sha256(proof_bytes(self)).digest()
 
 
-@dataclass(frozen=True)
-class ProofValidation:
-    accepted: bool
-    reason: str | None = None
-
-
 def build_proof(module: ModuleImports, whitelist: Whitelist) -> PurityProof:
     """Classify every import in binary order and draw the conclusion."""
     classifications = tuple(classify_import(imp, whitelist) for imp in module.imports)
@@ -120,8 +114,9 @@ def load_proof(path: Path) -> PurityProof:
 
 def validate_proof_against_binary(
     proof: PurityProof, binary_bytes: bytes
-) -> ProofValidation:
-    """Independently re-parse the binary and demand exact import equality.
+) -> str | None:
+    """Independently re-parse the binary and demand exact import equality:
+    the refusal, or None when the binary's imports are the proof's.
 
     Order matters: a reordered import list is a different module as far as
     evidence binding is concerned, so it is rejected.
@@ -129,7 +124,7 @@ def validate_proof_against_binary(
     try:
         module = parse_imports(binary_bytes)
     except MalformedBinary:
-        return ProofValidation(False, MALFORMED_BINARY)
+        return MALFORMED_BINARY
     if module.imports != proof.imports:
-        return ProofValidation(False, IMPORT_MISMATCH)
-    return ProofValidation(True)
+        return IMPORT_MISMATCH
+    return None

@@ -105,12 +105,6 @@ class Classification:
         return cls(ImportRecord.from_json(read_field(obj, "import", dict)), verdict)
 
 
-@dataclass(frozen=True)
-class RangeCheck:
-    accepted: bool
-    reason: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # canonical form and hashing
 # ---------------------------------------------------------------------------
@@ -173,8 +167,9 @@ def check_version_range(
     runtime: Whitelist,
     minimum_required: int,
     known_hashes: Mapping[int, bytes] | None = None,
-) -> RangeCheck:
-    """Accept iff the certificate's whitelist is within the acceptable range.
+) -> str | None:
+    """The refusal, or None when the certificate's whitelist is within the
+    acceptable range.
 
     known_hashes maps every accepted historical version to its content hash;
     when omitted the runtime's own version is the only known one. A version
@@ -185,13 +180,13 @@ def check_version_range(
     table.setdefault(runtime.version, runtime.content_hash)
 
     if cert_whitelist_version < minimum_required:
-        return RangeCheck(False, STALE_WHITELIST)
+        return STALE_WHITELIST
     if cert_whitelist_version > runtime.version:
-        return RangeCheck(False, FUTURE_WHITELIST)
+        return FUTURE_WHITELIST
     expected = table.get(cert_whitelist_version)
     if expected is None or expected != cert_whitelist_hash:
-        return RangeCheck(False, UNKNOWN_WHITELIST_HASH)
-    return RangeCheck(True)
+        return UNKNOWN_WHITELIST_HASH
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from puregate import attestation, certificate, proof as proof_module
+from puregate import attestation, certificate, gate, proof as proof_module, signing
 from puregate.attestation import (
     CONCLUSION_NOT_PURE,
     DISALLOWED_IMPORT,
@@ -36,9 +36,11 @@ from puregate.attestation import (
     save_attestation,
     verify_attestation,
 )
+from puregate.certificate import PurityCertificate, sign_certificate
+from puregate.fixtures import fixture_binary
 from puregate.gate import DecisionLog, GateCache, gate_verify
 from puregate.memo import BoundedMemo
-from puregate.proof import PURE, Classification, build_proof
+from puregate.proof import IMPURE, PURE, Classification, build_proof, proof_hash
 from puregate.wasm_inspect import ImportRecord, parse_imports
 from puregate.whitelist import PURE_DATA, builtin_whitelist
 from tests.conftest import bare_digest
@@ -268,6 +270,82 @@ def test_local_whitelist_copy_reclassifies_forged_proof(
     verdict = verify_attestation(forged, policy, {wl_v1.content_hash: wl_v1})
     assert (verdict.accepted, verdict.step) == (False, 3)
     assert verdict.reason == DISALLOWED_IMPORT
+
+
+def _hand_signed(artifact_hash, proof, metadata, key):
+    """A certificate signed without sign_certificate's refusals, as a
+    compromised-but-trusted certifier would sign it."""
+    return PurityCertificate(
+        artifact_hash=artifact_hash,
+        proof_hash=proof_hash(proof),
+        metadata=metadata,
+        signature=signing.sign(key.private_key, artifact_hash + proof_hash(proof)),
+    )
+
+
+# fault -> (the gate's step and reason, the peer's step-3 reason)
+AGREED_REFUSALS = {
+    "untrusted_certifier": (1, gate.R_UNTRUSTED_CERTIFIER, UNTRUSTED_CERTIFIER),
+    "flipped_signature": (1, gate.R_INVALID_SIGNATURE, INVALID_CERT_SIGNATURE),
+    "swapped_proof": (3, gate.R_PROOF_HASH_MISMATCH, PROOF_HASH_MISMATCH),
+    "forged_pure": (5, gate.R_DISALLOWED_IMPORT, DISALLOWED_IMPORT),
+    "impure_conclusion": (6, gate.R_CONCLUSION_NOT_PURE, CONCLUSION_NOT_PURE),
+    "edited_whitelist_hash": (5, gate.R_STALE_OR_UNKNOWN_WHITELIST, WHITELIST_MISMATCH),
+}
+
+
+def test_gate_and_peer_refuse_the_same_faults(
+    attested, policy, bundles, certifier_key, rogue_key, env_keypair, wl_v1
+):
+    """Each fault of a certified bundle that a peer can see is refused by the
+    local gate and by a peer holding the whitelist; the honest one by neither."""
+    binary, proof, cert = bundles["emit_call"]
+    bypass = fixture_binary("bypass_wasi")
+    module = parse_imports(bypass)
+    forged = dataclasses.replace(
+        build_proof(module, wl_v1),
+        classifications=tuple(Classification(imp, PURE_DATA) for imp in module.imports),
+        conclusion=PURE,
+    )
+    impure = dataclasses.replace(proof, conclusion=IMPURE)
+    edited = dataclasses.replace(cert.metadata, whitelist_hash=bytes(32))
+    bundle_of = {
+        None: (binary, proof, cert),
+        "untrusted_certifier": (
+            binary, proof, sign_certificate(binary, proof, rogue_key, cert.metadata.timestamp)
+        ),
+        "flipped_signature": (
+            binary, proof, dataclasses.replace(cert, signature=_flip(cert.signature))
+        ),
+        "swapped_proof": (binary, bundles["emit_poc"][1], cert),
+        "forged_pure": (
+            bypass, forged,
+            _hand_signed(module.artifact_hash, forged, cert.metadata, certifier_key),
+        ),
+        "impure_conclusion": (
+            binary, impure,
+            _hand_signed(cert.artifact_hash, impure, cert.metadata, certifier_key),
+        ),
+        "edited_whitelist_hash": (binary, proof, dataclasses.replace(cert, metadata=edited)),
+    }
+    assert set(bundle_of) == {None, *AGREED_REFUSALS}
+    for fault, (fault_binary, fault_proof, fault_cert) in bundle_of.items():
+        decision = gate_verify(
+            fault_binary, fault_cert, fault_proof, wl_v1,
+            frozenset([certifier_key.public_key]),
+        )
+        record = _resign(attested, cert=fault_cert, proof=fault_proof, env_keypair=env_keypair)
+        verdict = verify_attestation(record, policy, {wl_v1.content_hash: wl_v1})
+        if fault is None:
+            assert decision.accepted and verdict.accepted
+            continue
+        step, gate_reason, peer_reason = AGREED_REFUSALS[fault]
+        assert (decision.verdict, decision.failed_step, decision.reason) == (
+            gate.REJECT, step, gate_reason
+        ), fault
+        assert (verdict.accepted, verdict.step, verdict.reason) == (
+            False, 3, peer_reason
+        ), fault
 
 
 def test_compatibility_requires_all_four_conjuncts(policy, wl_v1, certifier_key):

@@ -144,7 +144,7 @@ def test_trust_is_checked_before_signature_math(bundles, rogue_key):
     _, _, cert = bundles["emit_call"]
     signing.reset_verify_call_count()
     check = verify_certificate_signature(cert, {rogue_key.public_key})
-    assert (check.accepted, check.reason) == (False, UNTRUSTED_CERTIFIER)
+    assert check == UNTRUSTED_CERTIFIER
     assert signing.verify_call_count == 0
 
 
@@ -156,12 +156,12 @@ def test_flipped_signature_detected(bundles, certifier_key):
     doc["signature"] = raw.hex()
     tampered = certificate_from_json(doc)
     check = verify_certificate_signature(tampered, {certifier_key.public_key})
-    assert (check.accepted, check.reason) == (False, INVALID_SIGNATURE)
+    assert check == INVALID_SIGNATURE
 
 
 def test_accepts_trusted_valid_certificate(bundles, certifier_key):
     _, _, cert = bundles["emit_call"]
-    assert verify_certificate_signature(cert, {certifier_key.public_key}).accepted
+    assert verify_certificate_signature(cert, {certifier_key.public_key}) is None
 
 
 def test_json_round_trip(bundles):

@@ -330,6 +330,29 @@ def test_executor_failure_exits_1_with_error_document(workspace, capsys):
     assert doc == trapped
 
 
+def test_run_hash_is_the_canonical_machines(workspace, capsys):
+    """Layout, key order and where the executor files lie are not part of a
+    machine's version, so they do not move its run hash."""
+    root = workspace["root"]
+    moved = root / "moved"
+    moved.mkdir()
+    for key in ("wasm", "cert", "proof"):
+        shutil.copy(workspace[key], moved / f"e.{key}")
+    doc = _machine(workspace, input={"n": 1, "tags": ["a"]},
+                   steps=[{"executor_ref": "e", "config": {"x": 1}}])
+    indented = root / "indented.json"
+    indented.write_text(json.dumps(dict(reversed(doc.items())), indent=2))
+    compact = root / "compact.json"
+    executors = {"e": {key: str(moved / f"e.{key}") for key in ("wasm", "cert", "proof")}}
+    compact.write_text(json.dumps({**doc, "executors": executors}, separators=(",", ":")))
+    hashes = []
+    for machine in (indented, compact):
+        code, out = run_json(capsys, "run-machine", str(machine), "--trust", workspace["pub"])
+        assert code == 0
+        hashes.append(out["run_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_provenance_verify_rejects_tampered_chain(workspace, capsys):
     root = workspace["root"]
     machine = root / "m.json"
@@ -750,10 +773,11 @@ def test_wrongly_typed_whitelists_and_environments_are_usage_errors(workspace, c
         {"steps": "ab"},
         {"steps": ["a"]},
         {"steps": [{"executor_ref": ["a"]}]},
+        {"steps": [{"executor_ref": "ghost"}]},
         {"executors": {"e": {"wasm": "e.wasm", "cert": "e.cert"}}},
     ],
     ids=["executors_list", "executor_string", "steps_string", "step_string",
-         "executor_ref_list", "executor_without_proof"],
+         "executor_ref_list", "executor_ref_unknown", "executor_without_proof"],
 )
 def test_run_machine_refuses_misshapen_parts(workspace, capsys, parts):
     machine = workspace["root"] / "misshapen.json"
@@ -782,6 +806,7 @@ def test_provenance_refuses_chain_lines_that_are_not_objects(workspace, capsys, 
 def test_unknown_fixture_is_usage_error(workspace, capsys):
     code = main(["fixtures", "build", "ghost_fixture"])
     assert code == 2
+    assert capsys.readouterr().err == "error: no fixture named 'ghost_fixture'\n"
 
 
 def test_bench_refuses_an_unknown_metric():

@@ -285,6 +285,31 @@ def test_unknown_executor_ref(certifier_key, wl_v1):
         )
 
 
+def test_unknown_executor_names_the_ref(certifier_key, wl_v1):
+    with pytest.raises(UnknownExecutor) as excinfo:
+        run_machine(
+            _machine([{"executor_ref": "ghost"}]),
+            default_governance(),
+            TierPolicy(minimum_tier=TIER3_UNCHECKED),
+            {},
+            _services(certifier_key, wl_v1),
+        )
+    assert str(excinfo.value) == "no executor named 'ghost'"
+
+
+def test_input_without_canonical_form_performs_no_effect(certifier_key, wl_v1):
+    governance = default_governance()
+    with pytest.raises(CanonicalError):
+        run_machine(
+            _machine([{"executor_ref": "fetch"}], machine_input={"x": float("nan")}),
+            governance,
+            TierPolicy(minimum_tier=TIER3_UNCHECKED),
+            {"fetch": _stub("r", directives=[HTTP_OK])},
+            _services(certifier_key, wl_v1),
+        )
+    assert governance.sink.log == []
+
+
 def test_empty_machine_rejected(certifier_key, wl_v1):
     with pytest.raises(ValueError):
         run_machine(

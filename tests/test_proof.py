@@ -123,13 +123,13 @@ def test_malformed_documents_rejected(bundles, mutate):
 
 def test_binding_accepts_matching_binary(bundles):
     binary, proof, _ = bundles["emit_call"]
-    assert validate_proof_against_binary(proof, binary).accepted
+    assert validate_proof_against_binary(proof, binary) is None
 
 
 def test_binding_rejects_other_binary(bundles):
     _, proof, _ = bundles["emit_call"]
     check = validate_proof_against_binary(proof, fixture_binary("emit_poc"))
-    assert (check.accepted, check.reason) == (False, IMPORT_MISMATCH)
+    assert check == IMPORT_MISMATCH
 
 
 def test_binding_rejects_reordered_imports(wl_v1):
@@ -141,13 +141,13 @@ def test_binding_rejects_reordered_imports(wl_v1):
     swapped = assemble_fixture(FixtureSpec("ord_b", imports[::-1], "no_output"))
     proof = build_proof(parse_imports(original), wl_v1)
     check = validate_proof_against_binary(proof, swapped)
-    assert (check.accepted, check.reason) == (False, IMPORT_MISMATCH)
+    assert check == IMPORT_MISMATCH
 
 
 def test_binding_rejects_malformed_binary(bundles):
     _, proof, _ = bundles["emit_call"]
     check = validate_proof_against_binary(proof, b"\x00asm")
-    assert (check.accepted, check.reason) == (False, MALFORMED_BINARY)
+    assert check == MALFORMED_BINARY
 
 
 def test_proof_hash_changes_with_any_field(bundles):

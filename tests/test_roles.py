@@ -62,21 +62,35 @@ def _loaded(code, *argv):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def _readme_roles():
-    """role -> (entry module, module set) from README's role table."""
+def _readme_rows():
+    """(role, entry module, module set, line count) of README's role table."""
     rows = re.findall(
-        r"^\| ([a-z ]+) \| `(\w+)` \| ([`\w, ]+) \| [\d ]+ \|$",
+        r"^\| ([a-z ]+) \| `(\w+)` \| ([`\w, ]+) \| ([\d ]+) \|$",
         (ROOT / "README.md").read_text(),
         re.MULTILINE,
     )
-    return {
-        role: (entry, set(re.findall(r"`(\w+)`", modules)))
-        for role, entry, modules in rows
-    }
+    return [
+        (role, entry, set(re.findall(r"`(\w+)`", modules)), int(lines.replace(" ", "")))
+        for role, entry, modules, lines in rows
+    ]
+
+
+def _readme_roles():
+    """role -> (entry module, module set) from README's role table."""
+    return {role: (entry, modules) for role, entry, modules, _ in _readme_rows()}
 
 
 def test_readme_states_each_role_and_its_modules():
     assert _readme_roles() == ROLES
+
+
+def test_readme_states_each_roles_line_count():
+    for role, _, modules, lines in _readme_rows():
+        counted = sum(
+            len((ROOT / "src" / "puregate" / f"{m}.py").read_text().splitlines())
+            for m in modules
+        )
+        assert lines == counted, role
 
 
 @pytest.mark.parametrize("role", list(ROLES))

@@ -113,20 +113,20 @@ def test_duplicate_entries_rejected(wl_v1):
 
 def test_version_range_matrix(wl_v1, wl_v2):
     ok = check_version_range(1, wl_v1.content_hash, wl_v1, minimum_required=1)
-    assert ok.accepted and ok.reason is None
+    assert ok is None
 
     stale = check_version_range(1, wl_v1.content_hash, wl_v2, minimum_required=2)
-    assert (stale.accepted, stale.reason) == (False, STALE_WHITELIST)
+    assert stale == STALE_WHITELIST
 
     future = check_version_range(2, wl_v2.content_hash, wl_v1, minimum_required=1)
-    assert (future.accepted, future.reason) == (False, FUTURE_WHITELIST)
+    assert future == FUTURE_WHITELIST
 
     unknown = check_version_range(1, bytes(32), wl_v1, minimum_required=1)
-    assert (unknown.accepted, unknown.reason) == (False, UNKNOWN_WHITELIST_HASH)
+    assert unknown == UNKNOWN_WHITELIST_HASH
 
     # an in-range version is only accepted when its hash is on record
     unrecorded = check_version_range(1, wl_v1.content_hash, wl_v2, minimum_required=1)
-    assert (unrecorded.accepted, unrecorded.reason) == (False, UNKNOWN_WHITELIST_HASH)
+    assert unrecorded == UNKNOWN_WHITELIST_HASH
     recorded = check_version_range(
         1,
         wl_v1.content_hash,
@@ -134,7 +134,7 @@ def test_version_range_matrix(wl_v1, wl_v2):
         minimum_required=1,
         known_hashes={1: wl_v1.content_hash},
     )
-    assert recorded.accepted
+    assert recorded is None
 
 
 def test_signature_round_trip_and_tamper(wl_v1):
