@@ -267,23 +267,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         step_config=input_doc.get("step_config", input_doc),
         context=input_doc.get("context", {}),
     )
-    reports = []
+    totals = []
     for _ in range(args.repeat):
-        timings: dict[str, float] = {}
+        start = time.perf_counter()
         try:
-            output = instantiate_and_plan(
-                ex.binary, decision, executor_input, limits, timings=timings
-            )
+            output = instantiate_and_plan(ex.binary, decision, executor_input, limits)
         except VMError as exc:
             return _executor_failed(args, exc)
-        reports.append(timings)
-    doc = {"output": output.to_json(), "timings": reports}
-    human_lines = [canonical_dumps(output.to_json())]
-    for timing in reports:
-        human_lines.append(
-            "instantiate_us={instantiate_us:.1f} serialize_us={serialize_us:.1f} "
-            "call_us={call_us:.1f} total_us={total_us:.1f}".format(**timing)
-        )
+        totals.append((time.perf_counter() - start) * 1e6)
+    result = output.to_json()
+    doc = {"output": result, "timings": [{"total_us": t} for t in totals]}
+    human_lines = [canonical_dumps(result), *(f"total_us={t:.1f}" for t in totals)]
     _emit(args, doc, "\n".join(human_lines))
     return 0
 

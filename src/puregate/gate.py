@@ -12,12 +12,14 @@ bytes it admitted and the header step 4 decoded from them. The six checks
 never call the VM: importing this module loads no wasmvm, and the first
 acceptance in a process imports it to build that handle. The cache keeps
 the accepting decision itself, by artifact hash, and a hit requires the
-whitelist snapshot, certificate and proof that acceptance admitted;
-anything else runs the six checks. So a whitelist change invalidates
-implicitly, a hit never serves a certificate the gate did not verify, and
-the chain's purity_cert_hash is the admitting certificate's digest, encoded
-at most once per certificate object. Every decision (accept and reject) is
-appended to a decision log for audit.
+whitelist snapshot, certificate and proof that acceptance admitted, a
+trust set that still holds the certificate's certifier key, and the same
+minimum_version and known_hashes (None and {} alike); anything else runs
+the six checks. So a whitelist change invalidates implicitly, a hit gives
+the verdict the six checks would, it never serves a certificate the gate
+did not verify, and the chain's purity_cert_hash is the admitting
+certificate's digest, encoded at most once per certificate object. Every
+decision (accept and reject) is appended to a decision log for audit.
 """
 
 from __future__ import annotations
@@ -66,11 +68,14 @@ CACHE_INVALIDATION_CAUSES = ("whitelist_changed", "keys_rotated", "manual")
 
 @dataclass(frozen=True)
 class Admission:
-    """What an acceptance verified; a cache hit must present equal ones."""
+    """What an acceptance verified, and the version range it was verified
+    against; a cache hit must present equal ones."""
 
     whitelist: Whitelist
     cert: PurityCertificate
     proof: PurityProof
+    minimum_version: int
+    known_hashes: dict[int, bytes]  # a copy; {} when none were given
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,9 @@ class GateCache:
         runtime: Whitelist,
         cert: PurityCertificate,
         proof: PurityProof,
+        trusted_keys: Collection[bytes],
+        minimum_version: int,
+        known_hashes: Mapping[int, bytes] | None,
     ) -> GateDecision | None:
         hit = self.accepted.get(artifact_hash)
         if hit is None:
@@ -125,6 +133,9 @@ class GateCache:
             or admitted.whitelist.content_hash != runtime.content_hash
             or admitted.cert != cert
             or admitted.proof != proof
+            or cert.metadata.certifier_key not in trusted_keys
+            or admitted.minimum_version != minimum_version
+            or admitted.known_hashes != (known_hashes or {})
         ):
             return None
         return hit
@@ -197,7 +208,15 @@ def gate_verify(
     decision = (
         None
         if cache is None
-        else cache.lookup(artifact_hash, runtime_whitelist, cert, proof)
+        else cache.lookup(
+            artifact_hash,
+            runtime_whitelist,
+            cert,
+            proof,
+            trusted_keys,
+            minimum_version,
+            known_hashes,
+        )
     )
     if decision is None:
         decision = _run_checks(
@@ -304,7 +323,9 @@ def _run_checks(
         verdict=ACCEPT,
         artifact_hash=artifact_hash,
         compiled=_vm().ModuleCell(binary_bytes, module.header),
-        admitted=Admission(runtime_whitelist, cert, proof),
+        admitted=Admission(
+            runtime_whitelist, cert, proof, minimum_version, dict(known_hashes or {})
+        ),
     )
 
 

@@ -319,6 +319,22 @@ def _hash_canonical(value: Any) -> bytes:
     return hashlib.sha256(canonical_bytes(value)).digest()
 
 
+def _resolve(
+    step: Mapping[str, Any], tier_policy: TierPolicy, registry: Mapping[str, Executor]
+) -> Executor:
+    """The step's executor, refused if unknown or below its tier minimum."""
+    ref = step["executor_ref"]
+    executor = registry.get(ref)
+    if executor is None:
+        raise UnknownExecutor(f"no executor named {ref!r}")
+    minimum = tier_policy.minimum_for(ref)
+    if _TIER_RANK[executor.tier] < _TIER_RANK[minimum]:
+        raise TierBelowMinimum(
+            f"{ref} is {executor.tier}; policy requires at least {minimum}"
+        )
+    return executor
+
+
 def execute_step(
     step: Mapping[str, Any],
     context: Any,
@@ -329,17 +345,7 @@ def execute_step(
     chain: RunChain,
 ) -> StepResult:
     """Resolve, gate, plan, interpret, and chain one machine step."""
-    ref = step["executor_ref"]
-    executor = registry.get(ref)
-    if executor is None:
-        raise UnknownExecutor(f"no executor named {ref!r}")
-
-    minimum = tier_policy.minimum_for(ref)
-    if _TIER_RANK[executor.tier] < _TIER_RANK[minimum]:
-        raise TierBelowMinimum(
-            f"{ref} is {executor.tier}; policy requires at least {minimum}"
-        )
-
+    executor = _resolve(step, tier_policy, registry)
     executor_input = ExecutorInput(
         step_config=step.get("config", {}), context=context
     )
@@ -406,10 +412,12 @@ def run_machine(
 ) -> tuple[RunRecord, list[StepResult]]:
     """Execute a machine document's steps in order and seal the run chain.
 
-    The canonical document and its input are hashed before the first step,
-    so a machine with no canonical form performs no effect. The context
-    passed to each step carries the machine input plus all prior step
-    results; it is rebuilt per step, never mutated in place.
+    The canonical document and its input are hashed, and every step's
+    executor is resolved and tier-checked, before the first step, so a
+    machine with no canonical form, an unknown executor or one below its
+    tier minimum performs no effect. The context passed to each step
+    carries the machine input plus all prior step results; it is rebuilt
+    per step, never mutated in place.
     """
     steps = machine_doc.get("steps", [])
     if not steps:
@@ -417,6 +425,8 @@ def run_machine(
     machine_input = machine_doc.get("input")
     machine_version_hash = _hash_canonical(machine_doc)
     input_hash = _hash_canonical(machine_input)
+    for step in steps:
+        _resolve(step, tier_policy, registry)
 
     chain = RunChain()
     step_results: list[StepResult] = []

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
@@ -315,7 +314,6 @@ def instantiate_and_plan(
     executor_input: ExecutorInput,
     limits: ResourceLimits = ResourceLimits(),
     runtime_whitelist: Whitelist | None = None,
-    timings: dict[str, float] | None = None,
 ) -> ExecutorOutput:
     """Run one gated invocation: fresh instance, plan call, output collection.
 
@@ -331,10 +329,7 @@ def instantiate_and_plan(
     get_input, just before instantiation: for such a module a non-canonical
     input raises CanonicalError before any instruction runs; for any other
     module the input never crosses the boundary and is not checked.
-    timings["serialize_us"] is 0.0 when nothing was serialized, and
-    instantiate_us (module, binding and instance) does not count it.
     """
-    t_total = time.perf_counter()
     cell = decision.compiled
     if not decision.accepted or cell is None or binary_bytes != cell.binary:
         raise GateNotPassed(
@@ -349,48 +344,25 @@ def instantiate_and_plan(
             "these bytes were admitted under another whitelist; refusing to run"
         )
 
-    t0 = time.perf_counter()
     module = cell.module()
     binding = cell.bound(_bind, admitted)
-    instantiate_us = (time.perf_counter() - t0) * 1e6
-
     state = _HostState()
-    serialize_us = 0.0
     if binding.reads_input:
-        t0 = time.perf_counter()
         state.input_bytes = executor_input.serialize()
-        serialize_us = (time.perf_counter() - t0) * 1e6
-
-    t0 = time.perf_counter()
     instance = instantiate(
         module, binding.host_table, limits.memory_max, cell.tier2(), state
     )
-    instantiate_us += (time.perf_counter() - t0) * 1e6
-
-    t0 = time.perf_counter()
     try:
         results = instance.invoke("plan", [], limits.fuel, limits.wall_clock_ms)
     finally:
         cell.add_fuel(limits.fuel - instance.fuel)
-    call_us = (time.perf_counter() - t0) * 1e6
 
     code = results[0] if results else 0
     if code != 0:
         raise PlanFailed(code)
     if not state.output_docs:
         raise MalformedOutput("plan returned without calling set_output")
-    output = _parse_output_doc(state.output_docs[0], state)
-
-    if timings is not None:
-        timings.update(
-            {
-                "serialize_us": serialize_us,
-                "instantiate_us": instantiate_us,
-                "call_us": call_us,
-                "total_us": (time.perf_counter() - t_total) * 1e6,
-            }
-        )
-    return output
+    return _parse_output_doc(state.output_docs[0], state)
 
 
 def determinism_check(

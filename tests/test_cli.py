@@ -225,6 +225,7 @@ def test_run_executes_and_reports_output(workspace, capsys):
     assert kinds == ["call_machine"]
     assert len(doc["timings"]) == 2
     assert all(t["total_us"] > 0 for t in doc["timings"])
+    assert all(set(t) == {"total_us"} for t in doc["timings"])
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])

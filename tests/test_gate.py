@@ -3,6 +3,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puregate import certificate, gate, signing
 from puregate.canonical import CanonicalError, canonical_bytes
@@ -357,6 +359,79 @@ def test_cache_hit_is_the_stored_acceptance(bundles, wl_v1, certifier_key):
     )
     assert stored.admitted is cold.admitted
     assert _gate(bundles["emit_call"], wl_v1, keys, cache=cache) is stored
+
+
+def test_cache_hit_requires_a_trusted_certifier(
+    bundles, wl_v1, certifier_key, rogue_key
+):
+    cache = GateCache()
+    assert _gate(bundles["emit_call"], wl_v1, [certifier_key.public_key], cache=cache)
+    signing.reset_verify_call_count()
+    for c in (cache, None):
+        decision = _gate(bundles["emit_call"], wl_v1, [rogue_key.public_key], cache=c)
+        assert not decision.from_cache
+        assert (decision.reason, decision.failed_step) == (R_UNTRUSTED_CERTIFIER, 1)
+    assert signing.verify_call_count == 0
+
+
+def test_cache_hit_requires_the_version_range_it_admitted(
+    bundles, wl_v1, certifier_key
+):
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    assert _gate(bundles["emit_call"], wl_v1, keys, cache=cache).accepted
+    for c in (cache, None):
+        decision = _gate(bundles["emit_call"], wl_v1, keys, cache=c, minimum_version=2)
+        assert not decision.from_cache
+        assert (decision.reason, decision.failed_step, decision.detail) == (
+            R_STALE_OR_UNKNOWN_WHITELIST, 5, "StaleWhitelist"
+        )
+    # no known hashes and an empty table admit the same range
+    signing.reset_verify_call_count()
+    warm = _gate(bundles["emit_call"], wl_v1, keys, cache=cache, known_hashes={})
+    assert warm.from_cache and signing.verify_call_count == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trusted=st.sets(st.sampled_from(["certifier", "rogue"])),
+    minimum_version=st.integers(0, 3),
+    known=st.sampled_from(["none", "empty", "v1", "v1_wrong", "v1_v2"]),
+    runtime=st.sampled_from(["v1", "v2"]),
+)
+def test_a_warm_cache_gives_the_cold_verdict(
+    bundles, wl_v1, wl_v2, certifier_key, rogue_key,
+    trusted, minimum_version, known, runtime,
+):
+    keys = {"certifier": certifier_key.public_key, "rogue": rogue_key.public_key}
+    known_hashes = {
+        "none": None,
+        "empty": {},
+        "v1": {1: wl_v1.content_hash},
+        "v1_wrong": {1: bytes(32)},
+        "v1_v2": {1: wl_v1.content_hash, 2: wl_v2.content_hash},
+    }[known]
+    runtime_whitelist = {"v1": wl_v1, "v2": wl_v2}[runtime]
+    trusted_keys = [keys[name] for name in sorted(trusted)]
+
+    def verdict(cache):
+        d = _gate(
+            bundles["emit_call"],
+            runtime_whitelist,
+            trusted_keys,
+            cache=cache,
+            minimum_version=minimum_version,
+            known_hashes=known_hashes,
+        )
+        return d.verdict, d.reason, d.failed_step
+
+    cache = GateCache()
+    assert _gate(bundles["emit_call"], wl_v1, [keys["certifier"]], cache=cache).accepted
+    cold = verdict(None)
+    # the first warm call may check cold and replace the entry; the second
+    # is then served from whatever the first left
+    assert verdict(cache) == cold
+    assert verdict(cache) == cold
 
 
 def test_cold_gate_does_not_hash_the_certificate(

@@ -310,6 +310,39 @@ def test_input_without_canonical_form_performs_no_effect(certifier_key, wl_v1):
     assert governance.sink.log == []
 
 
+def test_an_unknown_later_step_performs_no_effect(certifier_key, wl_v1):
+    governance = default_governance()
+    with pytest.raises(UnknownExecutor):
+        run_machine(
+            _machine([{"executor_ref": "fetch"}, {"executor_ref": "ghost"}]),
+            governance,
+            TierPolicy(minimum_tier=TIER3_UNCHECKED),
+            {"fetch": _stub("r", directives=[HTTP_OK])},
+            _services(certifier_key, wl_v1),
+        )
+    assert governance.sink.log == [] and governance.records == []
+
+
+def test_a_later_step_below_its_tier_performs_no_effect(certifier_key, wl_v1):
+    governance = default_governance()
+    policy = TierPolicy(
+        minimum_tier=TIER3_UNCHECKED, overrides={"loose": TIER2_STATIC_ANALYSIS}
+    )
+    registry = {
+        "fetch": _stub("r", directives=[HTTP_OK]),
+        "loose": _stub("l", tier=TIER3_UNCHECKED),
+    }
+    with pytest.raises(TierBelowMinimum):
+        run_machine(
+            _machine([{"executor_ref": "fetch"}, {"executor_ref": "loose"}]),
+            governance,
+            policy,
+            registry,
+            _services(certifier_key, wl_v1),
+        )
+    assert governance.sink.log == [] and governance.records == []
+
+
 def test_empty_machine_rejected(certifier_key, wl_v1):
     with pytest.raises(ValueError):
         run_machine(
