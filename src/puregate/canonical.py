@@ -21,6 +21,7 @@ that is missing or of another type or shape, and name it.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -59,20 +60,34 @@ def canonical_bytes(value: Any) -> bytes:
         raise CanonicalError(f"no UTF-8 form: {exc}") from exc
 
 
+def _refuse(text: str) -> Any:
+    raise CanonicalError(f"invalid document: {text} has no canonical form")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    return value if math.isfinite(value) else _refuse(text)
+
+
+# built once, like _ENCODER, and refusing the numbers the encoder refuses: a
+# NaN or an infinity is stopped on the way in, not after an effect on the way out
+_DECODER = json.JSONDecoder(parse_constant=_refuse, parse_float=_finite_float)
+
+
 def canonical_loads(data: bytes | str) -> Any:
     """Parse a canonical (or merely valid JSON) document.
 
-    A document nested too deeply for the parser is invalid too, so every
-    failure to parse is a CanonicalError (or the ValueError of bytes that
-    are not UTF-8).
+    The literals NaN, Infinity and -Infinity, and a number too large for a
+    float (1e999), have no canonical form and are refused; -0.0 and 1e308
+    are read as floats. A document nested too deeply for the parser is
+    invalid too, so every failure to parse is a CanonicalError (or the
+    ValueError of bytes that are not UTF-8).
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise CanonicalError(f"invalid document: {exc}") from exc
-    except RecursionError as exc:
+        return _DECODER.decode(data)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CanonicalError(f"invalid document: {exc}") from exc
 
 

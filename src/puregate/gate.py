@@ -146,18 +146,18 @@ class DecisionLog:
 
     Kept in memory always; mirrored to a JSONL file when a path is given.
     acceptances indexes the log's witnesses: the (artifact hash, whitelist
-    hash) pair, both in hex, of every accepting gate decision ever appended.
+    hash) pair, both in hex, of every accepting gate decision recorded. Only
+    record_decision adds one; an event appended by hand is stored, not
+    believed.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
         self.events: list[dict[str, Any]] = []
-        self.acceptances: set[tuple[Any, Any]] = set()
+        self.acceptances: set[tuple[str, str]] = set()
 
     def append(self, event: dict[str, Any]) -> None:
         self.events.append(event)
-        if event.get("event") == "gate_decision" and event.get("verdict") == ACCEPT:
-            self.acceptances.add((event.get("artifact_hash"), event.get("whitelist_hash")))
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(canonical_bytes(event).decode("utf-8") + "\n")
@@ -169,6 +169,8 @@ class DecisionLog:
         event["whitelist_version"] = runtime_whitelist.version
         event["whitelist_hash"] = runtime_whitelist.content_hash.hex()
         self.append(event)
+        if decision.accepted:
+            self.acceptances.add((event["artifact_hash"], event["whitelist_hash"]))
 
     def record_invalidation(self, cause: str, now: float) -> None:
         self.append({"event": "cache_invalidated", "timestamp": now, "cause": cause})

@@ -205,10 +205,6 @@ class ModuleImports:
     def imports(self) -> tuple[ImportRecord, ...]:
         return self.header.imports
 
-    @property
-    def byte_length(self) -> int:
-        return len(self.binary)
-
     @cached_property
     def artifact_hash(self) -> bytes:
         """SHA-256 of the full binary, taken on first read."""

@@ -269,46 +269,9 @@ def load_whitelist(path: Path) -> Whitelist:
 
 HOST_NAMESPACE = "mashin"
 
-# v1: the four-function profile every shipped executor fixture compiles against.
-DEFAULT_V1_ENTRIES = (
-    WhitelistEntry(HOST_NAMESPACE, "get_input_len", PURE_DATA, "() -> i32"),
-    WhitelistEntry(HOST_NAMESPACE, "get_input", PURE_DATA, "(i32) -> ()"),
-    WhitelistEntry(HOST_NAMESPACE, "set_output", PURE_DIRECTIVE, "(i32, i32) -> ()"),
-    WhitelistEntry(HOST_NAMESPACE, "log", PURE_DATA, "(i32, i32) -> ()"),
-)
-
-_V2_DATA_NAMES = {
-    "mem_alloc": "(i32) -> i32",
-    "mem_free": "(i32) -> ()",
-    "mem_copy": "(i32, i32, i32) -> ()",
-    "str_concat": "(i32, i32) -> i32",
-    "str_slice": "(i32, i32, i32) -> i32",
-    "str_len": "(i32) -> i32",
-    "str_encode_utf8": "(i32, i32) -> i32",
-    "int_add": "(i64, i64) -> i64",
-    "int_sub": "(i64, i64) -> i64",
-    "int_mul": "(i64, i64) -> i64",
-    "int_div": "(i64, i64) -> i64",
-    "float_add": "(f64, f64) -> f64",
-    "float_sub": "(f64, f64) -> f64",
-    "float_mul": "(f64, f64) -> f64",
-    "float_div": "(f64, f64) -> f64",
-    "list_new": "() -> i32",
-    "list_push": "(i32, i32) -> i32",
-    "list_get": "(i32, i32) -> i32",
-    "list_len": "(i32) -> i32",
-    "map_new": "() -> i32",
-    "map_put": "(i32, i32, i32) -> i32",
-    "map_get": "(i32, i32) -> i32",
-    "map_keys": "(i32) -> i32",
-    "json_encode": "(i32) -> i32",
-    "json_decode": "(i32, i32) -> i32",
-    "ctx_get": "(i32, i32) -> i32",
-    "ctx_get_step_output": "(i32, i32) -> i32",
-    "ctx_get_input": "() -> i32",
-}
-
 # Directive-constructor host functions and the directive kind each one emits.
+# They share one ABI: a (ptr, len) JSON payload appended to the output
+# directive list.
 CONSTRUCTOR_KINDS = {
     "directive_llm_call": "llm_call",
     "directive_llm_call_stream": "llm_call",
@@ -322,26 +285,20 @@ CONSTRUCTOR_KINDS = {
     "directive_broadcast": "emit_event",
 }
 
-# v2-extended: the v1 profile plus the full design-envelope surface. Directive
-# constructors share one ABI: a (ptr, len) JSON payload appended to the output
-# directive list.
-V2_EXTENDED_ENTRIES = DEFAULT_V1_ENTRIES + tuple(
-    WhitelistEntry(HOST_NAMESPACE, name, PURE_DATA, sig)
-    for name, sig in _V2_DATA_NAMES.items()
-) + tuple(
-    WhitelistEntry(HOST_NAMESPACE, name, PURE_DIRECTIVE, "(i32, i32) -> ()")
-    for name in CONSTRUCTOR_KINDS
-)
+# v1: the four-function profile every shipped executor fixture compiles
+# against; v2-extended: v1 plus the full design-envelope surface.
+_BUILTIN_FILES = {1: "v1.json", 2: "v2-extended.json"}
 
 
 @functools.cache
 def builtin_whitelist(version: int) -> Whitelist:
     """The whitelists this distribution ships: v1 (default) and v2-extended.
 
-    Each version is built and hashed once; every call returns that object.
+    Their one definition is the package's whitelists/ files. Each version is
+    read once, refused unless its entries canonicalize to the content_hash
+    the file records; every call returns that object.
     """
-    if version == 1:
-        return make_whitelist(1, DEFAULT_V1_ENTRIES)
-    if version == 2:
-        return make_whitelist(2, V2_EXTENDED_ENTRIES)
-    raise ValueError(f"no builtin whitelist version {version}")
+    name = _BUILTIN_FILES.get(version)
+    if name is None:
+        raise ValueError(f"no builtin whitelist version {version}")
+    return load_whitelist(Path(__file__).parent / "whitelists" / name)

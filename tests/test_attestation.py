@@ -509,6 +509,21 @@ def test_attesting_without_local_acceptance_refused(
         build_attestation(cert, proof, env, env_keypair, log)
 
 
+def test_an_appended_acceptance_is_no_witness(attested, env_keypair):
+    log = DecisionLog()
+    log.append({
+        "event": "gate_decision",
+        "verdict": "accept",
+        "artifact_hash": attested.certificate.artifact_hash.hex(),
+        "whitelist_hash": attested.env.whitelist_hash.hex(),
+    })
+    assert len(log.events) == 1
+    with pytest.raises(GateNeverAccepted):
+        build_attestation(
+            attested.certificate, attested.proof, attested.env, env_keypair, log
+        )
+
+
 class _CountingEvents(list):
     """A list of events that counts the items read from it."""
 

@@ -43,6 +43,22 @@ def test_nan_rejected():
         canonical_dumps({"x": math.nan})
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_a_non_finite_number_is_refused_on_read(literal):
+    for text in (literal, '{"x":[%s]}' % literal):
+        with pytest.raises(CanonicalError):
+            canonical_loads(text)
+        with pytest.raises(CanonicalError):
+            canonical_loads(text.encode())
+
+
+def test_finite_extremes_and_negative_zero_are_read():
+    assert canonical_loads("1e308") == 1e308
+    zero = canonical_loads("-0.0")
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+    assert canonical_loads('{"a":[1.5,-2e-308]}') == {"a": [1.5, -2e-308]}
+
+
 def test_unserializable_rejected():
     with pytest.raises(CanonicalError):
         canonical_dumps({"x": object()})

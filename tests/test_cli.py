@@ -10,6 +10,7 @@ import pytest
 from puregate.attestation import OrgPolicy, save_policy
 from _chain_tools import build_chain
 from puregate.cli import main
+from puregate.fixtures import assemble_pure
 from puregate.provenance import ZERO_DIGEST, run_hash
 from puregate.whitelist import builtin_whitelist
 
@@ -329,6 +330,34 @@ def test_executor_failure_exits_1_with_error_document(workspace, capsys):
     code, doc = run_json(capsys, "run-machine", str(machine), "--trust", workspace["pub"])
     assert code == 1
     assert doc == trapped
+
+
+def test_a_non_finite_output_exits_1_as_malformed_output(workspace, capsys):
+    root = workspace["root"]
+    wasm = root / "nan.wasm"
+    wasm.write_bytes(assemble_pure("""
+    (module
+      (import "mashin" "set_output" (func $so (param i32 i32)))
+      (memory 1)
+      (data (i32.const 0) "{\\"result\\":NaN}")
+      (func (export "plan") (result i32)
+        i32.const 0 i32.const 14 call $so
+        i32.const 0))
+    """, builtin_whitelist(1)))
+    code, _ = run_json(
+        capsys, "certify", str(wasm), "--key", "certifier", "--timestamp", "1700000000"
+    )
+    assert code == 0
+    code, out = run_json(
+        capsys,
+        "run", str(wasm),
+        "--cert", f"{wasm}.cert",
+        "--proof", f"{wasm}.proof",
+        "--input", str(root / "input.json"),
+        "--trust", workspace["pub"],
+    )
+    assert code == 1
+    assert out["error"] == "MalformedOutput"
 
 
 def test_run_hash_is_the_canonical_machines(workspace, capsys):

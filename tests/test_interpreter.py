@@ -30,8 +30,11 @@ from puregate.interpreter import (
     interpret_directive,
     run_machine,
 )
+from puregate.fixtures import assemble_pure
+from puregate.proof import build_proof
 from puregate.provenance import ZERO_DIGEST, verify_chain
-from puregate.runtime_host import Directive, ExecutorOutput
+from puregate.runtime_host import Directive, ExecutorOutput, MalformedOutput
+from puregate.wasm_inspect import parse_imports
 from puregate.whitelist import builtin_whitelist
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "puregate"
@@ -208,6 +211,76 @@ def test_a_payload_too_deep_to_encode_is_a_canonical_error(certifier_key, wl_v1)
             registry,
             _services(certifier_key, wl_v1),
         )
+
+
+def _wat_data(offset, text):
+    return '(data (i32.const %d) "%s")' % (offset, text.replace('"', '\\"'))
+
+
+def _output_only(doc):
+    return f"""
+    (module
+      (import "mashin" "set_output" (func $so (param i32 i32)))
+      (memory 1)
+      {_wat_data(0, doc)}
+      (func (export "plan") (result i32)
+        i32.const 0 i32.const {len(doc)} call $so
+        i32.const 0))
+    """
+
+
+def _constructing(payload):
+    result = '{"result":1}'
+    return f"""
+    (module
+      (import "mashin" "directive_http_request" (func $http (param i32 i32)))
+      (import "mashin" "set_output" (func $so (param i32 i32)))
+      (memory 1)
+      {_wat_data(0, result)}
+      {_wat_data(64, payload)}
+      (func (export "plan") (result i32)
+        i32.const 64 i32.const {len(payload)} call $http
+        i32.const 0 i32.const {len(result)} call $so
+        i32.const 0))
+    """
+
+
+NAN_URL = '{"url":"https://example.org/","x":NaN}'
+OK_URL = '{"url":"https://example.org/"}'
+
+
+def _http_output(result, payload):
+    return '{"result":%s,"directives":[{"kind":"http_request","payload":%s}]}' % (
+        result, payload
+    )
+
+
+@pytest.mark.parametrize(
+    "version, source",
+    [
+        (1, _output_only(_http_output("1", NAN_URL))),
+        (1, _output_only(_http_output("1e999", OK_URL))),
+        (2, _constructing(NAN_URL)),
+    ],
+    ids=["directive_nan", "result_overflow", "constructor_nan"],
+)
+def test_a_non_finite_output_is_malformed_and_performs_no_effect(
+    certifier_key, version, source
+):
+    wl = builtin_whitelist(version)
+    binary = assemble_pure(source, wl)
+    proof = build_proof(parse_imports(binary), wl)
+    cert = certificate.sign_certificate(binary, proof, certifier_key, 1_700_000_000)
+    governance = default_governance()
+    with pytest.raises(MalformedOutput):
+        run_machine(
+            _machine([{"executor_ref": "e"}]),
+            governance,
+            TierPolicy(),
+            {"e": WasmExecutor(binary=binary, cert=cert, proof=proof)},
+            _services(certifier_key, wl),
+        )
+    assert governance.sink.log == [] and governance.records == []
 
 
 def test_stage_constant_shape():

@@ -341,9 +341,13 @@ def test_non_canonical_input_fails_only_executors_that_read_it(accepted, bad):
 
 
 DEEP = [b"[" * 100_000 + b"]" * 100_000, b'{"a":' * 100_000 + b"1" + b"}" * 100_000]
+NON_FINITE = [b'{"result":1,"x":NaN}', b'{"result":1e999}', b'{"result":-Infinity}']
 
 
-@pytest.mark.parametrize("doc", DEEP, ids=["list", "object"])
+# too deep to parse, or holding a number that has no canonical form
+@pytest.mark.parametrize(
+    "doc", DEEP + NON_FINITE, ids=["list", "object", "nan", "overflow", "infinity"]
+)
 def test_a_deeply_nested_document_is_malformed_output(doc):
     with pytest.raises(MalformedOutput):
         runtime_host._parse_output_doc(doc, _HostState())

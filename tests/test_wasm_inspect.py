@@ -49,7 +49,6 @@ def test_artifact_hash_is_plain_sha256_of_bytes():
 def test_minimal_module_has_no_imports():
     module = parse_imports(MINIMAL_MODULE)
     assert module.imports == ()
-    assert module.byte_length == 8
 
 
 def test_signature_rendering():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import puregate
 from puregate.signing import generate_seed
 from puregate.wasm_inspect import ImportRecord
 from puregate.whitelist import (
@@ -25,7 +24,6 @@ from puregate.whitelist import (
     check_version_range,
     content_hash,
     classify_import,
-    load_whitelist,
     make_whitelist,
     sign_whitelist,
     verify_whitelist_signature,
@@ -36,7 +34,6 @@ from puregate.whitelist import (
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "whitelist_v1.json").read_text()
 )
-SHIPPED = Path(__file__).parents[1] / "src" / "puregate" / "whitelists"
 
 
 def _func(name, signature="() -> i32", namespace=HOST_NAMESPACE):
@@ -48,10 +45,11 @@ def test_canonical_bytes_match_independent_golden(wl_v1):
     assert wl_v1.content_hash.hex() == GOLDEN["content_hash"]
 
 
-def test_shipped_files_agree_with_builtins(wl_v1, wl_v2):
-    assert load_whitelist(SHIPPED / "v1.json").content_hash == wl_v1.content_hash
-    shipped_v2 = load_whitelist(SHIPPED / "v2-extended.json")
-    assert shipped_v2.content_hash == wl_v2.content_hash
+def test_v2_extended_keeps_its_content_hash(wl_v2):
+    # v1 is pinned by the independent golden above; v2-extended by its digest
+    assert wl_v2.content_hash.hex() == (
+        "9afe95339c7d7d8082f7651211adbe6a9e57b568bd5ef92673f3f50fe10ddbb1"
+    )
 
 
 def test_sizes_and_inclusion(wl_v1, wl_v2):
@@ -212,12 +210,6 @@ def test_classification_is_monotone_under_growth(base, extra, picks):
         imp = _func(f"cap_{pick}")
         if classify_import(imp, small).verdict != DISALLOWED:
             assert classify_import(imp, large).verdict != DISALLOWED
-
-
-@pytest.mark.parametrize("version, filename", [(1, "v1.json"), (2, "v2-extended.json")])
-def test_shipped_whitelist_files_match_the_builtin_tables(version, filename):
-    path = Path(puregate.__file__).parent / "whitelists" / filename
-    assert load_whitelist(path) == builtin_whitelist(version)
 
 
 def test_builtin_whitelists_are_built_once():
