@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -74,21 +75,50 @@ def _finite_float(text: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_refuse, parse_float=_finite_float)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_surrogate(value: Any) -> bool:
+    """Whether a string or key anywhere in a decoded value holds a surrogate.
+
+    The decoder joins each escaped pair into one character, so any surrogate
+    left is alone. Iterative, so that depth costs no recursion."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is str:
+            if _SURROGATE.search(item):
+                return True
+        elif type(item) is list:
+            pending.extend(item)
+        elif type(item) is dict:
+            pending.extend(item)
+            pending.extend(item.values())
+    return False
+
+
 def canonical_loads(data: bytes | str) -> Any:
     """Parse a canonical (or merely valid JSON) document.
 
-    The literals NaN, Infinity and -Infinity, and a number too large for a
-    float (1e999), have no canonical form and are refused; -0.0 and 1e308
-    are read as floats. A document nested too deeply for the parser is
-    invalid too, so every failure to parse is a CanonicalError (or the
-    ValueError of bytes that are not UTF-8).
+    The literals NaN, Infinity and -Infinity, a number too large for a
+    float (1e999), and a string or key holding a lone surrogate ("\\ud800")
+    have no canonical form and are refused; -0.0 and 1e308 are read as
+    floats. A document nested too deeply for the parser is invalid too, so
+    every failure to parse is a CanonicalError (or the ValueError of bytes
+    that are not UTF-8).
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8")  # strict: it lets no surrogate through
+    elif _SURROGATE.search(data):
+        _refuse("a lone surrogate")
     try:
-        return _DECODER.decode(data)
+        value = _DECODER.decode(data)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CanonicalError(f"invalid document: {exc}") from exc
+    # only an escape makes a surrogate, and text with no backslash holds none
+    if "\\" in data and _holds_surrogate(value):
+        _refuse("a lone surrogate")
+    return value
 
 
 def loads_object(

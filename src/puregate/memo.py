@@ -1,10 +1,10 @@
 """A bounded map that makes what it lacks: least recently used out first.
 
-One policy serves the process-wide memos (wasmvm's tier-2 translations,
-attestation's issued records): each value is a pure function of its key,
-so a hit may stand in for making it again, and the bound keeps a
-long-lived process from holding every key it has ever seen. Like the
-gate's cache, a memo is for one thread.
+One policy serves the process-wide memos (wasm_inspect's decoded headers,
+wasmvm's tier-2 translations, attestation's issued records): each value is
+a pure function of its key, so a hit may stand in for making it again, and
+the bound keeps a long-lived process from holding every key it has ever
+seen. Like the gate's cache, a memo is for one thread.
 """
 
 from __future__ import annotations

@@ -13,6 +13,19 @@ Every byte is read by one set of positional functions (_u32_at, _s32_at,
 _name_at, _limits_at, ...): each takes (data, pos, section end) and returns
 the value and the next position, or raises MalformedBinary. The VM reads
 the sections after the header through the same functions.
+
+parse_imports() decodes each artifact's header once per process. A repeat
+call on the same bytes (an exact bytes object, compared by value) is served
+from a bounded memo, so sign_certificate's re-check and gate step 4 take the
+header the certifier decoded. It pays only where the certifier and the gate
+see the same bytes in one process, and in a lone `puregate certify`, whose
+re-check decodes nothing. Gate step 4 stays independent of the proof: a hit
+is decode_header's own output on byte-identical input. The memo keeps at
+most 64 binaries of at most 16 KiB (1 MiB of keys) and their headers, whose
+objects measure at most about 25 bytes per byte decoded. A larger binary, a
+bytearray and a bytes subclass (which could redefine equality or hashing)
+are decoded on every call, and a MalformedBinary keeps nothing. Like every
+memo.BoundedMemo, it is for one thread.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from .canonical import read_field
+from .memo import BoundedMemo
 
 WASM_MAGIC = b"\x00asm"
 WASM_VERSION = b"\x01\x00\x00\x00"
@@ -357,10 +371,18 @@ def decode_header(data: bytes) -> ModuleHeader:
     )
 
 
+_HEADER_MEMO_BYTES = 16 * 1024  # every executor in the fixture set is under 1 KiB
+_HEADERS = BoundedMemo(64)  # exact bytes -> their ModuleHeader
+
+
 def parse_imports(binary_bytes: bytes) -> ModuleImports:
     """Extract the complete import section of a WASM binary, in order."""
     if not binary_bytes:
         raise MalformedBinary("empty input")
     if len(binary_bytes) > MAX_BINARY_BYTES:
         raise MalformedBinary("binary exceeds the 64 MiB acceptance limit")
-    return ModuleImports(header=decode_header(binary_bytes), binary=binary_bytes)
+    if type(binary_bytes) is bytes and len(binary_bytes) <= _HEADER_MEMO_BYTES:
+        header = _HEADERS.get(binary_bytes, decode_header, binary_bytes)
+    else:
+        header = decode_header(binary_bytes)
+    return ModuleImports(header=header, binary=binary_bytes)

@@ -121,10 +121,38 @@ def test_a_value_that_cannot_be_encoded_is_a_canonical_error(make):
 
 
 def test_a_lone_surrogate_is_a_canonical_error():
-    doc = canonical_loads(b'{"result":"\\ud800"}')  # still parsed (ROADMAP item 7)
-    assert doc == {"result": "\ud800"}
     with pytest.raises(CanonicalError):
-        canonical_bytes(doc)
+        canonical_loads(b'{"result":"\\ud800"}')
+    with pytest.raises(CanonicalError):
+        canonical_bytes({"result": "\ud800"})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        r'"\udfff"',
+        r'{"a":["x\ud800y"]}',
+        r'{"\ud800":1}',
+        r'"\ude00\ud83d"',  # a low then a high surrogate is no pair
+        r'"\ud83d\\ude00"',  # an escaped backslash ends the pair
+        "[" * 500 + r'"\ud800"' + "]" * 500,
+    ],
+    ids=["low", "nested", "key", "reversed", "escaped_backslash", "deep"],
+)
+def test_a_lone_surrogate_is_refused_on_read(text):
+    for data in (text, text.encode()):
+        with pytest.raises(CanonicalError):
+            canonical_loads(data)
+
+
+def test_a_raw_surrogate_in_text_is_refused_on_read():
+    with pytest.raises(CanonicalError):
+        canonical_loads('{"a":"\ud800"}')
+
+
+def test_an_escaped_pair_and_an_escaped_backslash_are_read():
+    assert canonical_loads(rb'"\ud83d\ude00"') == "\U0001f600"
+    assert canonical_loads(rb'{"\\ud800":"\\"}') == {"\\ud800": "\\"}
 
 
 def test_hex_reader():

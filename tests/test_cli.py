@@ -360,6 +360,34 @@ def test_a_non_finite_output_exits_1_as_malformed_output(workspace, capsys):
     assert out["error"] == "MalformedOutput"
 
 
+def test_a_lone_surrogate_in_output_exits_1_as_malformed_output(workspace, capsys):
+    root = workspace["root"]
+    wasm = root / "surrogate.wasm"
+    wasm.write_bytes(assemble_pure("""
+    (module
+      (import "mashin" "set_output" (func $so (param i32 i32)))
+      (memory 1)
+      (data (i32.const 0) "{\\"result\\":\\"\\\\ud800\\"}")
+      (func (export "plan") (result i32)
+        i32.const 0 i32.const 19 call $so
+        i32.const 0))
+    """, builtin_whitelist(1)))
+    code, _ = run_json(
+        capsys, "certify", str(wasm), "--key", "certifier", "--timestamp", "1700000000"
+    )
+    assert code == 0
+    code, out = run_json(
+        capsys,
+        "run", str(wasm),
+        "--cert", f"{wasm}.cert",
+        "--proof", f"{wasm}.proof",
+        "--input", str(root / "input.json"),
+        "--trust", workspace["pub"],
+    )
+    assert code == 1
+    assert out["error"] == "MalformedOutput"
+
+
 def test_run_hash_is_the_canonical_machines(workspace, capsys):
     """Layout, key order and where the executor files lie are not part of a
     machine's version, so they do not move its run hash."""

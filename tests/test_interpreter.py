@@ -214,7 +214,8 @@ def test_a_payload_too_deep_to_encode_is_a_canonical_error(certifier_key, wl_v1)
 
 
 def _wat_data(offset, text):
-    return '(data (i32.const %d) "%s")' % (offset, text.replace('"', '\\"'))
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '(data (i32.const %d) "%s")' % (offset, escaped)
 
 
 def _output_only(doc):
@@ -265,6 +266,36 @@ def _http_output(result, payload):
     ids=["directive_nan", "result_overflow", "constructor_nan"],
 )
 def test_a_non_finite_output_is_malformed_and_performs_no_effect(
+    certifier_key, version, source
+):
+    wl = builtin_whitelist(version)
+    binary = assemble_pure(source, wl)
+    proof = build_proof(parse_imports(binary), wl)
+    cert = certificate.sign_certificate(binary, proof, certifier_key, 1_700_000_000)
+    governance = default_governance()
+    with pytest.raises(MalformedOutput):
+        run_machine(
+            _machine([{"executor_ref": "e"}]),
+            governance,
+            TierPolicy(),
+            {"e": WasmExecutor(binary=binary, cert=cert, proof=proof)},
+            _services(certifier_key, wl),
+        )
+    assert governance.sink.log == [] and governance.records == []
+
+
+SURROGATE_URL = '{"url":"https://example.org/","x":"\\ud800"}'
+
+
+@pytest.mark.parametrize(
+    "version, source",
+    [
+        (1, _output_only(_http_output("1", SURROGATE_URL))),
+        (2, _constructing(SURROGATE_URL)),
+    ],
+    ids=["directive_surrogate", "constructor_surrogate"],
+)
+def test_a_lone_surrogate_in_output_is_malformed_and_performs_no_effect(
     certifier_key, version, source
 ):
     wl = builtin_whitelist(version)

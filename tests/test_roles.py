@@ -27,7 +27,10 @@ from puregate.proof import save_proof
 
 ROOT = Path(__file__).resolve().parents[1]
 
-CERTIFIER = {"canonical", "certificate", "proof", "signing", "wasm_inspect", "whitelist"}
+# wasm_inspect keeps its decoded headers in a memo.BoundedMemo
+CERTIFIER = {
+    "canonical", "certificate", "memo", "proof", "signing", "wasm_inspect", "whitelist"
+}
 GATE = CERTIFIER | {"gate"}
 RUNTIME = GATE | {"interpreter", "memo", "provenance", "runtime_host", "wasmvm"}
 PEER_VERIFIER = CERTIFIER | {"attestation", "memo"}

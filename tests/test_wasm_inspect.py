@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puregate import wasm_inspect
+from puregate.bench import bench
+from puregate.certificate import sign_certificate
 from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary, list_fixtures
+from puregate.gate import gate_verify
+from puregate.proof import build_proof
 from puregate.runtime_host import _HostState, build_host_functions
 from puregate.wasm_inspect import (
     MAX_BINARY_BYTES,
@@ -12,6 +17,7 @@ from puregate.wasm_inspect import (
     WASM_VERSION,
     ImportRecord,
     MalformedBinary,
+    ModuleHeader,
     _s32_at,
     _u32_at,
     decode_header,
@@ -386,3 +392,119 @@ def test_non_canonical_s32_is_malformed_in_code_and_data(bad):
             InstantiationError, match="^malformed module: signed LEB128 value exceeds s32$"
         ):
             parse_module(data)
+
+
+# ---------------------------------------------------------------------------
+# the header memo: one decode per artifact per process
+# ---------------------------------------------------------------------------
+
+HEADERS = wasm_inspect._HEADERS
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The bytes decode_header is called on, from an empty header memo."""
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return decode_header(data)
+
+    monkeypatch.setattr(wasm_inspect, "decode_header", counting)
+    HEADERS.clear()
+    return calls
+
+
+def test_certify_then_gate_decodes_the_header_once(decodes, certifier_key, wl_v1):
+    binary = fixture_binary("emit_call")
+    proof = build_proof(parse_imports(binary), wl_v1)
+    cert = sign_certificate(binary, proof, certifier_key, 1_700_000_000)
+    decision = gate_verify(binary, cert, proof, wl_v1, [certifier_key.public_key])
+    assert decision.accepted
+    assert decodes == [binary]
+
+
+def test_a_tampered_binary_decodes_again(decodes):
+    binary = fixture_binary("emit_call")
+    tampered = binary[:-1] + bytes([binary[-1] ^ 0x01])
+    assert parse_imports(binary).header == parse_imports(tampered).header
+    parse_imports(bytes(bytearray(binary)))  # an equal copy is a hit
+    assert decodes == [binary, tampered]
+
+
+def test_a_malformed_binary_raises_again_and_keeps_nothing(decodes):
+    parse_imports(MINIMAL_MODULE)
+    bad = MINIMAL_MODULE + b"\x0d\x00"
+    for _ in range(3):
+        with pytest.raises(MalformedBinary, match="^unknown section id 13$"):
+            parse_imports(bad)
+        assert len(HEADERS) == 1
+    assert decodes == [MINIMAL_MODULE] + [bad] * 3
+
+
+class _Bytes(bytes):
+    """A bytes subclass, which could redefine equality or hashing."""
+
+
+def _custom_section_module(size):
+    """A minimal module padded to size bytes by one custom section."""
+    body = size - len(MINIMAL_MODULE) - 1
+    body -= len(uleb(body - len(uleb(body))))  # the section size's own LEB128
+    data = MINIMAL_MODULE + b"\x00" + uleb(body) + bytes(body)
+    assert len(data) == size
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _Bytes(fixture_binary("emit_call")),
+        bytearray(fixture_binary("emit_call")),
+        _custom_section_module(wasm_inspect._HEADER_MEMO_BYTES + 1),
+    ],
+    ids=["bytes_subclass", "bytearray", "over_the_cap"],
+)
+def test_only_exact_bytes_up_to_the_cap_are_memoized(decodes, data):
+    for _ in range(2):
+        assert parse_imports(data).header == decode_header(bytes(data))
+    assert decodes == [data, data] and len(HEADERS) == 0
+
+
+def test_a_binary_at_the_cap_is_memoized(decodes):
+    data = _custom_section_module(wasm_inspect._HEADER_MEMO_BYTES)
+    parse_imports(data)
+    parse_imports(data)
+    assert decodes == [data] and len(HEADERS) == 1
+
+
+def test_the_memo_keeps_its_bound(decodes):
+    for i in range(HEADERS.maxsize + 1):
+        parse_imports(_custom_section_module(len(MINIMAL_MODULE) + 3 + i))
+    assert len(HEADERS) == HEADERS.maxsize
+
+
+def _header_or_error(read, data):
+    try:
+        return read(data)
+    except MalformedBinary as exc:
+        return repr(exc)
+
+
+@given(flipped_fixtures())
+def test_a_hit_and_a_miss_are_each_a_fresh_decode(data):
+    HEADERS.clear()
+    fresh = _header_or_error(decode_header, data)
+    miss = _header_or_error(lambda b: parse_imports(b).header, data)
+    hit = _header_or_error(lambda b: parse_imports(b).header, bytes(bytearray(data)))
+    assert miss == fresh and hit == fresh
+    if isinstance(fresh, ModuleHeader):
+        assert (HEADERS.misses, HEADERS.hits) == (1, 1)
+    else:
+        assert (HEADERS.misses, HEADERS.hits, len(HEADERS)) == (2, 0, 0)
+
+
+def test_the_benchmark_cold_gate_decodes_on_every_call(decodes):
+    parse_imports(fixture_binary("emit_call"))  # the bundle bench() certifies hits
+    decodes.clear()
+    bench("verify_latency", samples=50, warmup=5)
+    assert len(decodes) == 55
