@@ -39,9 +39,10 @@ def main(argv: list[str]) -> int:
     except wasmvm.InstantiationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for key in wasmvm._translation_keys(module):
-        print(f"# f{key[1]:d}")
-        print(wasmvm._Translator(*key).source())
+    n_imported = len(module.imported_funcs)
+    for index, code in enumerate(module.codes, n_imported):
+        print(f"# f{index:d}")
+        print(wasmvm._Translator(code, index, module.func_types, n_imported).source())
     return 0
 
 

@@ -8,14 +8,16 @@ failure wins; rejections are decisions, never exceptions.
 
 An acceptance carries what it admitted (the runtime whitelist, certificate
 and proof it verified) and a compile handle, a wasmvm.ModuleCell over the
-bytes it admitted and the header step 4 decoded from them. The six checks
-never call the VM: importing this module loads no wasmvm, and the first
-acceptance in a process imports it to build that handle. The cache keeps
+bytes it admitted and the header step 4 decoded from them: the artifact's
+one handle in the process (wasmvm.compile_handle). The six checks never
+call the VM: importing this module loads no wasmvm, and the first
+acceptance in a process imports it to take that handle. The cache keeps
 the accepting decision itself, by artifact hash, and a hit requires the
 whitelist snapshot, certificate and proof that acceptance admitted, a
 trust set that still holds the certificate's certifier key, and the same
 minimum_version and known_hashes (None and {} alike); anything else runs
-the six checks. So a whitelist change invalidates implicitly, a hit gives
+the six checks. So a whitelist change invalidates implicitly (it drops
+admission decisions, never a compile handle), a hit gives
 the verdict the six checks would, it never serves a certificate the gate
 did not verify, and the chain's purity_cert_hash is the admitting
 certificate's digest, encoded at most once per certificate object. Every
@@ -324,7 +326,7 @@ def _run_checks(
     return GateDecision(
         verdict=ACCEPT,
         artifact_hash=artifact_hash,
-        compiled=_vm().ModuleCell(binary_bytes, module.header),
+        compiled=_vm().compile_handle(binary_bytes, module.header),
         admitted=Admission(
             runtime_whitelist, cert, proof, minimum_version, dict(known_hashes or {})
         ),
@@ -333,7 +335,7 @@ def _run_checks(
 
 @functools.cache
 def _vm():
-    """wasmvm, imported at the first acceptance: only an acceptance builds a
+    """wasmvm, imported at the first acceptance: only an acceptance takes a
     compile handle, and the six checks never call the VM. Cached, because an
     import statement in every acceptance made perfbench's onboard op_p50_us
     about 6 us (1.3%) slower (2-vCPU Xeon host, CPython 3.11)."""

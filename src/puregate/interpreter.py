@@ -303,7 +303,6 @@ class RuntimeServices:
     cache: GateCache = field(default_factory=GateCache)
     decision_log: DecisionLog = field(default_factory=DecisionLog)
     limits: ResourceLimits = field(default_factory=ResourceLimits)
-    minimum_whitelist_version: int = 1
 
 
 @dataclass(frozen=True)
@@ -359,7 +358,6 @@ def execute_step(
             executor.proof,
             services.whitelist,
             services.trusted_keys,
-            minimum_version=services.minimum_whitelist_version,
             cache=services.cache,
             log=services.decision_log,
         )

@@ -37,6 +37,12 @@ buffers attached).
 Each plan adds the fuel it spent to the artifact's compile handle, which
 tiers the module up to generated code once it has run enough to repay the
 compile (wasmvm.ModuleCell).
+
+The handle and its binding serve every acceptance of the same bytes in the
+process (wasmvm.compile_handle), under any whitelist that admits them: gate
+step 5 makes each import an exact (namespace, name, signature) entry of it,
+so _bind resolves the import to _host_func(name, signature) whatever the
+whitelist, and the binding is a function of the module alone.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ most 64 binaries of at most 16 KiB (1 MiB of keys) and their headers, whose
 objects measure at most about 25 bytes per byte decoded. A larger binary, a
 bytearray and a bytes subclass (which could redefine equality or hashing)
 are decoded on every call, and a MalformedBinary keeps nothing. Like every
-memo.BoundedMemo, it is for one thread.
+memo.BoundedMemo, it is safe for threads.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .canonical import read_field
 from .memo import BoundedMemo
@@ -375,14 +375,19 @@ _HEADER_MEMO_BYTES = 16 * 1024  # every executor in the fixture set is under 1 K
 _HEADERS = BoundedMemo(64)  # exact bytes -> their ModuleHeader
 
 
+def by_bytes(memo: BoundedMemo, binary: bytes, make: Callable[..., Any], *args: Any) -> Any:
+    """memo.get(binary, make, *args) for an exact bytes object of at most
+    16 KiB, else make(*args), kept nowhere."""
+    if type(binary) is bytes and len(binary) <= _HEADER_MEMO_BYTES:
+        return memo.get(binary, make, *args)
+    return make(*args)
+
+
 def parse_imports(binary_bytes: bytes) -> ModuleImports:
     """Extract the complete import section of a WASM binary, in order."""
     if not binary_bytes:
         raise MalformedBinary("empty input")
     if len(binary_bytes) > MAX_BINARY_BYTES:
         raise MalformedBinary("binary exceeds the 64 MiB acceptance limit")
-    if type(binary_bytes) is bytes and len(binary_bytes) <= _HEADER_MEMO_BYTES:
-        header = _HEADERS.get(binary_bytes, decode_header, binary_bytes)
-    else:
-        header = decode_header(binary_bytes)
+    header = by_bytes(_HEADERS, binary_bytes, decode_header, binary_bytes)
     return ModuleImports(header=header, binary=binary_bytes)

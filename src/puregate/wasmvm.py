@@ -58,19 +58,18 @@ Compile once, instantiate many times: parse_module turns the bytes into a
 ParsedModule, which is immutable (tuples, bytes and a read-only export map)
 and so may be shared by any number of instances. A ModuleCell is one
 artifact's compile handle: it holds the bytes, parses them on first use and
-keeps the module, and the embedder's import binding (resolve_imports) once
-made, so the gate's acceptance can carry it and a warm plan only builds an
-Instance.
+keeps the module, the embedder's import binding (resolve_imports) once
+made, the fuel the module's runs have spent and, once that fuel repays the
+compile, the tier-2 functions. compile_handle() gives one handle per
+artifact per process: a memo holds the handles of the HANDLES_MAX binaries
+admitted last, keyed by their exact bytes as wasm_inspect's header memo
+is. So an artifact admitted again, by a new session or after the gate's
+cache is cleared, keeps its module, binding, fuel count and tier. A
+bytearray, a bytes subclass, a binary over 16 KiB and an artifact evicted
+from the memo get a fresh handle, which waits for the fuel rule again.
 It tiers up once the module's runs have spent TIER_UP_FUEL_PER_OP units per
 op, and the generated source grows linearly with the ops, so compile time
-stays of the order of the time already spent interpreting. The
-translation of a body is memoised process-wide (a bounded map of code
-objects, keyed by the body and its function types; least recently used
-out first), and a cell whose bodies are all in it when it parses tiers up
-on its first plan: so a cell built again for a hot artifact, by a new
-session or after the gate's cache is cleared, neither recompiles nor
-interprets again. The functions are still made per cell, and dropped
-with it.
+stays of the order of the time already spent interpreting.
 
 Isolation properties the host relies on: each Instance owns a private linear
 memory created at instantiation, with the data segments copied into it (no
@@ -86,9 +85,10 @@ from __future__ import annotations
 
 import operator
 import struct
+import threading
 import time
 from dataclasses import dataclass
-from types import CodeType, MappingProxyType
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, MutableMapping, Sequence
 
 from .memo import BoundedMemo
@@ -97,6 +97,7 @@ from .wasm_inspect import (
     ImportRecord,
     MalformedBinary,
     ModuleHeader,
+    by_bytes,
     decode_header,
 )
 # the decoder's one reader: (data, pos, end) -> (value, next pos)
@@ -186,17 +187,16 @@ class ModuleCell:
     InstantiationError.
 
     The cell also tiers the module up: add_fuel() counts the fuel its runs
-    spend, and once that reaches its threshold, tier2() translates the
-    module (compile_tier2) and keeps the functions. The threshold is set
-    once, when module() parses: 0 when every body is already in the
-    process-wide translation memo, since compiling is then only memo hits,
-    so a cell built again for a hot artifact runs tier 2 from its first
-    plan; otherwise TIER_UP_FUEL_PER_OP times the module's op count, so a
-    module run once below that never compiles. Either way the functions
-    are the cell's own and go with it.
+    spend, and once that reaches TIER_UP_FUEL_PER_OP times the module's op
+    count, tier2() translates the module (compile_tier2) and keeps the
+    functions. So a module run once below that never compiles.
 
     It keeps the module's import binding too (bound()), so that the imports
     are resolved once per artifact, not on every instantiation.
+
+    A cell may serve several threads: two that race to make the module,
+    binding or functions, each a pure function of the bytes, may both make
+    it, and either serves. Fuel is added under a lock, so none is lost.
     """
 
     __slots__ = (
@@ -215,11 +215,7 @@ class ModuleCell:
     def module(self) -> ParsedModule:
         if self._module is None:
             module = parse_module(self.binary, self.header)
-            self._threshold = (
-                0
-                if _translated(_TRANSLATIONS, module)
-                else TIER_UP_FUEL_PER_OP * module_size(module)
-            )
+            self._threshold = TIER_UP_FUEL_PER_OP * module_size(module)
             self._module = module
         return self._module
 
@@ -236,7 +232,8 @@ class ModuleCell:
         return self._binding
 
     def add_fuel(self, used: int) -> None:
-        self._fuel += used
+        with _FUEL_LOCK:
+            self._fuel += used
 
     def tier2(self) -> Tier2 | None:
         """The tier-2 functions once the module is hot, else None."""
@@ -247,6 +244,17 @@ class ModuleCell:
         ):
             self._tier2 = compile_tier2(self._module)
         return self._tier2
+
+
+_FUEL_LOCK = threading.Lock()  # every cell's add_fuel
+HANDLES_MAX = 16  # perfbench's warm workloads plan 5 and 6 artifacts
+_HANDLES = BoundedMemo(HANDLES_MAX)  # exact bytes -> their ModuleCell
+
+
+def compile_handle(binary: bytes, header: ModuleHeader) -> ModuleCell:
+    """The process's compile handle for binary, whose decoded header is
+    header: the one in the handle memo, keyed as the header memo is."""
+    return by_bytes(_HANDLES, binary, ModuleCell, binary, header)
 
 
 def _i32_only(func_type: FuncType) -> bool:
@@ -1002,10 +1010,8 @@ _BINARY: dict[int, Callable[[int, int], int]] = {
 # tier 2: each validated body translated into one Python function
 # ---------------------------------------------------------------------------
 
-# a cell whose bodies are not all in the translation memo tiers up once its
-# runs have spent this much fuel per op of the module: compile() takes about
-# 25 us per op, an interpreted unit 0.15 us (a cell whose bodies all are
-# tiers up at once: the compile is then only memo hits)
+# a cell tiers up once its runs have spent this much fuel per op of the
+# module: compile() takes about 25 us per op, an interpreted unit 0.15 us
 TIER_UP_FUEL_PER_OP = 170
 
 # one generated function per defined function, in code-section order
@@ -1029,43 +1035,10 @@ def compile_tier2(module: ParsedModule) -> Tier2:
     """
     n_imported = len(module.imported_funcs)
     namespace = dict(_TIER2_NAMES)
-    for key in _translation_keys(module):
-        exec(_translate(_TRANSLATIONS, key), namespace)
+    for i, code in enumerate(module.codes, n_imported):
+        source = _Translator(code, i, module.func_types, n_imported).source()
+        exec(compile(source, f"<tier2 f{i}>", "exec"), namespace)
     return tuple(namespace[f"f{i}"] for i in range(n_imported, len(module.func_types)))
-
-
-# Tier-2 code objects, keyed by body, function index, function types and
-# import count. A translation is a pure function of validated code, so one
-# memo serves every cell of the process: a cell built again for the same
-# artifact (a new session, a cleared cache) does not recompile. It holds
-# code objects only; the functions made from them live in each cell's own
-# namespace.
-_TRANSLATIONS = BoundedMemo(512)
-
-
-def _translation_keys(module: ParsedModule) -> list[tuple]:
-    n_imported = len(module.imported_funcs)
-    return [
-        (code, i, module.func_types, n_imported)
-        for i, code in enumerate(module.codes, n_imported)
-    ]
-
-
-def _translated(memo: BoundedMemo, module: ParsedModule) -> bool:
-    """Whether every body of module is in memo; recency is left as it is."""
-    return all(key in memo for key in _translation_keys(module))
-
-
-def _translate(memo: BoundedMemo, key: tuple) -> CodeType:
-    """The code object of the body key names, translated on a miss."""
-    return memo.get(key, _compile_body, *key)
-
-
-def _compile_body(
-    code: _Code, index: int, func_types: tuple[FuncType, ...], n_imported: int
-) -> CodeType:
-    source = _Translator(code, index, func_types, n_imported).source()
-    return compile(source, f"<tier2 f{index}>", "exec")
 
 
 def _tier1(inst, fuel, index, k, frame, height, depth):

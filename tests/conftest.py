@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, settings
 
+from puregate import wasmvm
 from puregate.certificate import keypair_from_seed
 from puregate.fixtures import PURE_V1, certified_bundle
 from puregate.whitelist import builtin_whitelist
@@ -26,6 +27,13 @@ def bare_digest(doc) -> bytes:
     """SHA-256 of sorted-key compact JSON, independent of puregate.canonical."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+@pytest.fixture(autouse=True)
+def no_compile_handles():
+    """Every test starts with an empty handle memo: a handle an earlier test
+    parsed, bound or heated would otherwise make results depend on order."""
+    wasmvm._HANDLES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,7 @@ from puregate.gate import (
 )
 from puregate.proof import build_proof, proof_from_json, proof_to_json
 from puregate.wasm_inspect import parse_imports
+from puregate.watasm import uleb
 from puregate.whitelist import (
     HOST_NAMESPACE,
     PURE_DATA,
@@ -485,18 +486,20 @@ def test_cache_hit_hands_back_the_acceptance_compile_handle(
     assert cache.accepted[cold.artifact_hash].compiled is cold.compiled
 
 
-def test_invalidation_drops_the_compile_handle(bundles, wl_v1, certifier_key):
+def test_invalidation_keeps_the_compile_handle(bundles, wl_v1, certifier_key):
     cache = GateCache()
     keys = [certifier_key.public_key]
     old = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
     invalidate_cache(cache, "manual")
     fresh = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
+    # the decision is made again by the six checks; the handle is the
+    # artifact's one handle in the process
     assert fresh.accepted and not fresh.from_cache
-    assert fresh.compiled is not None and fresh.compiled is not old.compiled
-    assert cache.accepted[fresh.artifact_hash].compiled is fresh.compiled
+    assert fresh.compiled is not None and fresh.compiled is old.compiled
+    assert cache.accepted[fresh.artifact_hash].compiled is old.compiled
 
 
-def test_whitelist_change_drops_the_compile_handle(
+def test_whitelist_change_keeps_the_compile_handle(
     bundles, wl_v1, wl_v2, certifier_key
 ):
     cache = GateCache()
@@ -506,11 +509,30 @@ def test_whitelist_change_drops_the_compile_handle(
     old = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
     fresh = _gate(bundles["emit_call"], wl_v2, keys, cache=cache, known_hashes=known)
     assert fresh.accepted and not fresh.from_cache
-    assert fresh.compiled is not None and fresh.compiled is not old.compiled
-    # back under the first snapshot, the entry now holds the second handle
+    assert fresh.admitted.whitelist is wl_v2
+    assert fresh.compiled is not None and fresh.compiled is old.compiled
+    # back under the first snapshot: a new decision, the same handle
     again = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
     assert again.accepted and not again.from_cache
-    assert again.compiled is not fresh.compiled
+    assert again.compiled is old.compiled
+
+
+@pytest.mark.parametrize("kind", ["bytearray", "over_16_kib"])
+def test_a_binary_the_handle_memo_cannot_key_gets_a_fresh_handle_each_time(
+    kind, wl_v1, certifier_key
+):
+    binary = fixture_binary("emit_call")
+    if kind == "bytearray":
+        binary = bytearray(binary)
+    else:  # padded past the memo's key limit by one trailing custom section
+        padding = 16 * 1024
+        binary += b"\x00" + uleb(padding) + bytes(padding)
+    proof = build_proof(parse_imports(binary), wl_v1)
+    cert = sign_certificate(binary, proof, certifier_key, FIXED_NOW)
+    keys = [certifier_key.public_key]
+    decisions = [gate_verify(binary, cert, proof, wl_v1, keys) for _ in range(2)]
+    assert all(d.accepted and d.compiled.binary == binary for d in decisions)
+    assert decisions[0].compiled is not decisions[1].compiled
 
 
 def test_rejections_carry_no_compile_handle(

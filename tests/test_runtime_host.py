@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from puregate.canonical import CanonicalError
+from puregate.canonical import CanonicalError, canonical_bytes
 from puregate.fixtures import (
     EMITTERS,
     PURE_V1,
@@ -13,7 +13,7 @@ from puregate.fixtures import (
     fixture_binary,
     fixture_source,
 )
-from puregate.gate import DecisionLog, GateCache, gate_verify
+from puregate.gate import DecisionLog, GateCache, gate_verify, invalidate_cache
 from puregate import runtime_host, wasmvm, whitelist
 from puregate.runtime_host import (
     CONSTRUCTOR_KINDS,
@@ -162,6 +162,33 @@ def test_only_the_first_plan_of_an_artifact_compiles(
     assert warm.from_cache and warm.compiled is cold.compiled
     assert len(calls) == 1
     assert first.to_json() == second.to_json()
+
+
+def test_a_re_admission_shares_the_handle_and_its_binding(
+    bundles, certifier_key, wl_v1, wl_v2, monkeypatch
+):
+    binary, proof, cert = bundles["emit_call"]
+    keys = frozenset([certifier_key.public_key])
+    cache = GateCache()
+    first = gate_verify(binary, cert, proof, wl_v1, keys, cache=cache)
+    planned = canonical_bytes(instantiate_and_plan(binary, first, INPUT).to_json())
+    calls = _count_parses(monkeypatch)
+    invalidate_cache(cache, "manual")
+    # the v1 certificate stays current under v2 when v1's hash is on record
+    known = {wl_v1.version: wl_v1.content_hash}
+    for wl, known_hashes in ((wl_v1, None), (wl_v2, known)):
+        decision = gate_verify(
+            binary, cert, proof, wl, keys, cache=cache, known_hashes=known_hashes
+        )
+        assert decision.accepted and not decision.from_cache
+        handle = decision.compiled
+        assert handle is first.compiled
+        # bound under v1, and what a fresh bind under this whitelist makes
+        binding = handle.bound(runtime_host._bind, wl)
+        assert binding == runtime_host._bind(handle.module(), wl)
+        output = instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl)
+        assert canonical_bytes(output.to_json()) == planned
+    assert calls == []
 
 
 def test_plans_from_one_cached_module_share_no_state(accepted, wl_v1):

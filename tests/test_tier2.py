@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from puregate import runtime_host, wasmvm
 from puregate.fixtures import PURE_V1, fixture_binary
-from puregate.memo import BoundedMemo
 from puregate.gate import GateCache, gate_verify, invalidate_cache
 from puregate.interpreter import (
     RuntimeServices,
@@ -35,6 +34,7 @@ from puregate.runtime_host import (
     determinism_check,
     instantiate_and_plan,
 )
+from puregate.wasm_inspect import decode_header
 from puregate.watasm import assemble
 from puregate.wasmvm import (
     FuelExhausted,
@@ -578,8 +578,7 @@ def _assigns_k(node, value):
 ], ids=["emit_call", "fuel_burn", "inline"])
 def test_a_loop_of_one_region_runs_in_a_while_loop_of_its_own(binary):
     looping = 0
-    for key in wasmvm._translation_keys(parse_module(binary)):
-        translator = wasmvm._Translator(*key)
+    for translator in _translators(parse_module(binary)):
         regions = _regions(translator.source())
         for head, region in regions.items():
             inner = [node for node in ast.walk(region) if isinstance(node, ast.While)]
@@ -594,8 +593,17 @@ def test_a_loop_of_one_region_runs_in_a_while_loop_of_its_own(binary):
     assert looping == 1  # strlen, the fixture's own loop, the inline loop
 
 
+def _translators(module):
+    """A translator for each defined function of module, in code order."""
+    n = len(module.imported_funcs)
+    return [
+        wasmvm._Translator(code, i, module.func_types, n)
+        for i, code in enumerate(module.codes, n)
+    ]
+
+
 def _self_loop_heads(module):
-    return [wasmvm._Translator(*key).self_loops for key in wasmvm._translation_keys(module)]
+    return [translator.self_loops for translator in _translators(module)]
 
 
 def test_a_loop_that_calls_a_defined_function_agrees_in_both_tiers():
@@ -773,8 +781,8 @@ def test_the_source_script_prints_each_function_of_a_fixture_or_binary(capsys, t
     assert script.main(["emit_call"]) == 0
     printed = capsys.readouterr().out
     assert printed == "".join(
-        f"# f{key[1]}\n{wasmvm._Translator(*key).source()}\n"
-        for key in wasmvm._translation_keys(parse_module(fixture_binary("emit_call")))
+        f"# f{translator.index}\n{translator.source()}\n"
+        for translator in _translators(parse_module(fixture_binary("emit_call")))
     )
     assert "while True:\n                fuel -= 11" in printed  # strlen's own loop
     path = tmp_path / "emit_call.wasm"
@@ -787,53 +795,24 @@ def test_the_source_script_prints_each_function_of_a_fixture_or_binary(capsys, t
     assert "malformed module" in capsys.readouterr().err
 
 
-@pytest.fixture
-def memo():
-    """The process-wide translation memo, emptied: earlier tests have warmed
-    it, and a cell whose bodies are all in it tiers up on its first plan."""
-    wasmvm._TRANSLATIONS.clear()
-    return wasmvm._TRANSLATIONS
-
-
-def test_translation_is_memoised_and_each_cell_gets_its_own_functions(memo):
+def test_each_compile_makes_functions_of_its_own():
     module = parse_module(fixture_binary("emit_call"))
-    assert not wasmvm._translated(memo, module)
-    first = compile_tier2(module)
-    assert (memo.misses, memo.hits) == (len(module.codes), 0)
-    again_module = parse_module(fixture_binary("emit_call"))
-    assert wasmvm._translated(memo, again_module)
-    again = compile_tier2(again_module)
-    assert (memo.misses, memo.hits) == (len(module.codes), len(module.codes))
-    assert all(a is not b and a.__code__ is b.__code__ for a, b in zip(first, again))
+    first, again = compile_tier2(module), compile_tier2(module)
+    assert len(first) == len(again) == len(module.codes)
+    assert all(a is not b and a.__code__ is not b.__code__ for a, b in zip(first, again))
     assert first[0].__globals__ is not again[0].__globals__
 
 
-def _constant_modules(n):
-    """n modules of one distinct body each: (func (result i32) i32.const k)."""
+def _constant_binaries(n):
+    """n binaries of one distinct body each: (func (result i32) i32.const k)."""
     return [
-        parse_module(assemble(f'(module (func (export "f") (result i32) i32.const {k}))'))
+        assemble(f'(module (func (export "f") (result i32) i32.const {k}))')
         for k in range(n)
     ]
 
 
-def _translate_into(memo, module):
-    for key in wasmvm._translation_keys(module):
-        wasmvm._translate(memo, key)
-
-
-def test_the_memo_evicts_the_least_recently_used_translation(memo):
-    assert memo.maxsize == 512
-    small = BoundedMemo(2)
-    a, b, c = _constant_modules(3)
-    _translate_into(small, a)
-    _translate_into(small, b)
-    assert wasmvm._translated(small, a)  # asking leaves a the least recently used
-    _translate_into(small, c)
-    assert [wasmvm._translated(small, m) for m in (a, b, c)] == [False, True, True]
-    _translate_into(small, b)  # using b makes c the least recently used
-    _translate_into(small, a)
-    assert [wasmvm._translated(small, m) for m in (a, b, c)] == [True, True, False]
-    assert len(small) == 2 and (small.misses, small.hits) == (4, 1)
+def _handle(binary):
+    return wasmvm.compile_handle(binary, decode_header(binary))
 
 
 # ---------------------------------------------------------------------------
@@ -877,53 +856,75 @@ def _heat(binary, decision):
     return decision.compiled
 
 
-def test_a_cell_tiers_up_once_its_fuel_repays_the_compile(gated, memo):
+def test_a_cell_tiers_up_once_its_fuel_repays_the_compile(gated):
     _tiers_up_by_fuel(*gated("emit_call"))
 
 
-def test_a_cell_with_one_body_untranslated_waits_for_the_fuel_rule(gated, memo):
-    binary, decision = gated("emit_call")
-    module = parse_module(binary)
-    assert len(module.codes) == 2
-    wasmvm._translate(memo, wasmvm._translation_keys(module)[0])
-    _tiers_up_by_fuel(binary, decision)
+def _tiers(monkeypatch):
+    """Per plan, whether it ran in tier 2; and the modules compile_tier2 was
+    called on."""
+    tiers, compiles = [], []
+    instantiate = runtime_host.instantiate
+    compile_ = wasmvm.compile_tier2
+
+    def seen_instantiate(module, host_table, memory_max, tier2=None, embedder=None):
+        tiers.append(tier2 is not None)
+        return instantiate(module, host_table, memory_max, tier2, embedder)
+
+    monkeypatch.setattr(runtime_host, "instantiate", seen_instantiate)
+    monkeypatch.setattr(
+        wasmvm, "compile_tier2", lambda module: compiles.append(module) or compile_(module)
+    )
+    return tiers, compiles
 
 
-def test_a_cell_built_again_for_a_hot_artifact_runs_tier_2_from_its_first_plan(
-    gated, memo
+def test_a_fresh_session_plans_a_hot_artifact_in_tier_2_without_compiling(
+    gated, monkeypatch
 ):
     cache = GateCache()
     hot = _heat(*gated("emit_call", cache))
-    old = hot.tier2()
+    tier2 = hot.tier2()
+    tiers, compiles = _tiers(monkeypatch)
     invalidate_cache(cache, "manual")
     for fresh_cache in (cache, GateCache()):
         binary, decision = gated("emit_call", fresh_cache)
-        fresh = decision.compiled
-        assert fresh is not hot and fresh.tier2() is None  # not parsed yet
-        misses, hits = memo.misses, memo.hits
+        assert not decision.from_cache and decision.compiled is hot
         instantiate_and_plan(binary, decision, INPUT)
-        new = fresh.tier2()
-        assert new is not None and fresh.tier2() is new
-        # compiled from the memo alone
-        assert (memo.misses, memo.hits) == (misses, hits + len(new))
-        assert all(a is not b and a.__code__ is b.__code__ for a, b in zip(old, new))
-        assert new[0].__globals__ is not old[0].__globals__
+    assert tiers == [True, True] and compiles == []
+    assert hot.tier2() is tier2
 
 
-def test_the_memo_holds_at_most_its_bound_and_an_evicted_body_waits_again(
-    gated, memo
+def test_the_handle_memo_holds_at_most_its_bound_and_an_evicted_artifact_waits_again(
+    gated,
 ):
-    cache = GateCache()
-    _heat(*gated("emit_call", cache))
-    for module in _constant_modules(memo.maxsize + 8):
-        compile_tier2(module)
-        assert len(memo) <= memo.maxsize
-    assert len(memo) == memo.maxsize
-    invalidate_cache(cache, "manual")
-    _tiers_up_by_fuel(*gated("emit_call", cache))
+    bound = wasmvm.HANDLES_MAX
+    hot = _heat(*gated("emit_call"))
+    others = _constant_binaries(2 * bound)
+    first = _handle(others[0])
+    for binary in others[1:bound - 1]:
+        _handle(binary)
+    assert len(wasmvm._HANDLES) == bound
+    # a held artifact is served its one handle, and taking it keeps it held
+    assert _handle(others[0]) is first
+    assert gated("emit_call")[1].compiled is hot
+    # so a miss at the bound evicts the least recently used: others[1]
+    _handle(others[bound - 1])
+    assert len(wasmvm._HANDLES) == bound
+    misses = wasmvm._HANDLES.misses
+    assert _handle(others[0]) is first and wasmvm._HANDLES.misses == misses
+    _handle(others[1])
+    assert wasmvm._HANDLES.misses == misses + 1
+    for binary in others[bound:]:
+        _handle(binary)
+        assert len(wasmvm._HANDLES) == bound
+    # emit_call is evicted: its next acceptance takes a fresh handle, which
+    # parses, binds and waits for the fuel rule again
+    binary, decision = gated("emit_call")
+    assert decision.compiled is not hot and decision.compiled.tier2() is None
+    _tiers_up_by_fuel(binary, decision)
 
 
-def test_determinism_check_straddling_tier_up_finds_no_divergence(gated, memo):
+def test_determinism_check_straddling_tier_up_finds_no_divergence(gated):
     binary, decision = gated("emit_call")
     instantiate_and_plan(binary, decision, INPUT)
     needed = _plans_to_tier_up(binary, decision)
@@ -933,44 +934,38 @@ def test_determinism_check_straddling_tier_up_finds_no_divergence(gated, memo):
 
 
 def test_tier2_code_is_dropped_with_the_compile_handle(gated, wl_v1, wl_v2):
-    def tier_up(cache, **kwargs):
-        binary, decision = gated("fuel_burn", cache, **kwargs)
-        for _ in range(2):
-            with pytest.raises(FuelExhausted):
-                instantiate_and_plan(
-                    binary, decision, INPUT, ResourceLimits(fuel=50_000), kwargs.get("wl")
-                )
-        assert decision.compiled.tier2() is not None
-        return decision.compiled
-
     cache = GateCache()
-    hot = tier_up(cache)
-    assert gated("fuel_burn", cache)[1].compiled is hot
+    binary, decision = gated("fuel_burn", cache)
+    for _ in range(2):
+        with pytest.raises(FuelExhausted):
+            instantiate_and_plan(binary, decision, INPUT, ResourceLimits(fuel=50_000))
+    hot = decision.compiled
+    tier2 = hot.tier2()
+    assert tier2 is not None
+    # invalidation and a whitelist change drop decisions, not the handle
     invalidate_cache(cache, "manual")
-    fresh = gated("fuel_burn", cache)[1].compiled
-    assert fresh is not hot and fresh.tier2() is None
-
-    cache = GateCache()
-    hot = tier_up(cache)
+    assert gated("fuel_burn", cache)[1].compiled is hot
     # the v1 certificate stays current under v2 when v1's hash is on record
     known = {wl_v1.version: wl_v1.content_hash}
-    fresh = gated("fuel_burn", cache, wl=wl_v2, known_hashes=known)[1].compiled
+    assert gated("fuel_burn", cache, wl=wl_v2, known_hashes=known)[1].compiled is hot
+    assert hot.tier2() is tier2
+    # eviction drops the handle, and its functions with it, from every
+    # acceptance made after it
+    for other in _constant_binaries(wasmvm.HANDLES_MAX):
+        _handle(other)
+    held = gated("fuel_burn", cache, wl=wl_v2, known_hashes=known)[1]
+    assert held.from_cache and held.compiled is hot
+    fresh = gated("fuel_burn", GateCache())[1].compiled
     assert fresh is not hot and fresh.tier2() is None
-    again = gated("fuel_burn", cache)[1].compiled
-    assert again is not hot and again.tier2() is None
 
 
 def test_a_machine_run_is_byte_identical_across_a_session_swap(
-    bundles, certifier_key, wl_v1, memo, monkeypatch, tmp_path
+    bundles, certifier_key, wl_v1, monkeypatch, tmp_path
 ):
-    tiers, fuel, host_calls = [], [], []  # per plan, per plan, per call
-    instantiate = runtime_host.instantiate
+    tiers, _ = _tiers(monkeypatch)
+    fuel, host_calls = [], []  # per plan, per call
     implementation_for = runtime_host._implementation_for
     add_fuel = wasmvm.ModuleCell.add_fuel
-
-    def seen_instantiate(module, host_table, memory_max, tier2=None, embedder=None):
-        tiers.append(tier2 is not None)
-        return instantiate(module, host_table, memory_max, tier2, embedder)
 
     def counted_implementation(name):
         fn = implementation_for(name)
@@ -985,7 +980,6 @@ def test_a_machine_run_is_byte_identical_across_a_session_swap(
         fuel.append(used)
         add_fuel(cell, used)
 
-    monkeypatch.setattr(runtime_host, "instantiate", seen_instantiate)
     monkeypatch.setattr(runtime_host, "_implementation_for", counted_implementation)
     # host functions are shared across the process: count through a cache
     # of this test's own, so none built by an earlier test is served
@@ -1021,7 +1015,7 @@ def test_a_machine_run_is_byte_identical_across_a_session_swap(
 
     hot_session = services()
     cold, cold_tiers = run(hot_session, "cold")
-    assert not any(cold_tiers)  # the memo was empty: every plan interpreted
+    assert not any(cold_tiers)  # no handle was hot: every plan interpreted
     assert len(cold[1]) == len(doc["steps"]) and cold[2]
     for attempt in range(50):
         hot, hot_tiers = run(hot_session, f"hot{attempt}")
@@ -1029,5 +1023,5 @@ def test_a_machine_run_is_byte_identical_across_a_session_swap(
             break
     assert all(hot_tiers)
     fresh, fresh_tiers = run(services(), "fresh")
-    assert all(fresh_tiers)  # a new session starts in tier 2
+    assert all(fresh_tiers)  # a new session takes the hot handles
     assert fresh == hot == cold
