@@ -10,6 +10,11 @@ Every failure to encode is a CanonicalError: a value of a type JSON does
 not have, a NaN or infinity, a string holding a lone surrogate (which has no
 UTF-8 form), and a value that is cyclic or nested too deeply to encode.
 
+The form has sorted keys and no whitespace (RFC 8785 section 3.2.3), so a
+document can be spliced from members already encoded: `join_list` and
+`object_writer` are the one writer of such documents, and give the bytes
+`canonical_bytes` gives the whole value.
+
 Every document that comes from outside, file or line, is read here too:
 `load_object`, `loads_object` and `load_lines` accept JSON objects and turn
 any other input (unreadable, not JSON, not an object) into the caller's
@@ -23,8 +28,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from json.encoder import c_make_encoder, encode_basestring
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 
 class CanonicalError(ValueError):
@@ -44,21 +51,71 @@ _ENCODER = json.JSONEncoder(
 )
 
 
+if c_make_encoder is None:  # no C accelerator: the encoder's own path
+    _encode = _ENCODER.encode
+else:
+    # JSONEncoder.encode builds a C encoder on every call; this one is built
+    # once, with the arguments encode passes it
+    _iterencode = c_make_encoder(
+        None,
+        _ENCODER.default,
+        encode_basestring,
+        _ENCODER.indent,
+        _ENCODER.key_separator,
+        _ENCODER.item_separator,
+        _ENCODER.sort_keys,
+        _ENCODER.skipkeys,
+        _ENCODER.allow_nan,
+    )
+
+    def _encode(value: Any) -> str:
+        if isinstance(value, str):  # encode's fast path
+            return encode_basestring(value)
+        return "".join(_iterencode(value, 0))
+
+
 def canonical_dumps(value: Any) -> str:
     """Render a JSON-compatible value in canonical text form."""
     try:
-        return _ENCODER.encode(value)
+        return _encode(value)
     except (TypeError, ValueError, RecursionError) as exc:
         raise CanonicalError(str(exc)) from exc
 
 
 def canonical_bytes(value: Any) -> bytes:
     """Canonical UTF-8 bytes of a JSON-compatible value."""
-    text = canonical_dumps(value)
     try:
-        return text.encode("utf-8")
+        return _encode(value).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise CanonicalError(f"no UTF-8 form: {exc}") from exc
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise CanonicalError(str(exc)) from exc
+
+
+def join_list(members: Iterable[bytes]) -> bytes:
+    """The canonical bytes of a list, from the canonical bytes of its members."""
+    return b"[" + b",".join(members) + b"]"
+
+
+def object_writer(*keys: str) -> Callable[..., bytes]:
+    """A writer of objects that have exactly these keys.
+
+    Called with the canonical bytes of each key's value, in the order the
+    keys are given here, it returns the object's canonical bytes: each
+    member is its key's canonical string, a colon and those bytes, in the
+    key order sort_keys gives. The layout is worked out here, once."""
+    if len(set(keys)) != len(keys) or not all(isinstance(k, str) for k in keys):
+        raise CanonicalError(f"object keys must be distinct strings: {keys!r}")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    template = b"{%s}" % b",".join(
+        canonical_bytes(keys[i]).replace(b"%", b"%%") + b":%s" for i in order
+    )
+    pick = itemgetter(*order) if len(keys) > 1 else tuple
+
+    def write(*values: bytes) -> bytes:
+        return template % pick(values)
+
+    return write
 
 
 def _refuse(text: str) -> Any:

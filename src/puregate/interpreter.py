@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 from urllib.parse import urlparse
 
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, join_list, object_writer
 from .certificate import PurityCertificate
 from .gate import DecisionLog, GateCache, GateDecision, gate_verify
+from .memo import BoundedMemo
 from .proof import PurityProof
 from .provenance import (
     BEAM_STATIC_ANALYSIS,
@@ -318,6 +320,139 @@ def _hash_canonical(value: Any) -> bytes:
     return hashlib.sha256(canonical_bytes(value)).digest()
 
 
+# ---------------------------------------------------------------------------
+# step documents, spliced from each directive's bytes
+# ---------------------------------------------------------------------------
+
+_EFFECT_KEYS = frozenset({"directive", "result"})
+# a record's members as interpret_directive writes them, the directive first
+_GOVERNED = ("directive", "outcome", "effect_performed", "guardrail_violations", "stages")
+_DENIED = _GOVERNED + ("denied_stage", "denied_check")
+_GOVERNED_KEYS, _DENIED_KEYS = frozenset(_GOVERNED), frozenset(_DENIED)
+_write_governed = object_writer(*_GOVERNED)
+_write_denied = object_writer(*_DENIED)
+_write_effect = object_writer("directive", "result")
+_write_step_result = object_writer("effects", "result")
+# exact types only: equal leaves of these types encode alike, while
+# 1 == 1.0 == True do not
+_LEAF_TYPES = frozenset({str, bool, type(None)})
+_stage_fields = itemgetter("stage", "check", "passed")
+_ABSENT = object()
+
+# A record's frame is its canonical bytes with %s where its directive's go,
+# kept by its other members: governance writes a handful of distinct ones,
+# and the bound caps what caller-named checks can make it hold.
+_FRAMES = BoundedMemo(256)
+
+
+def _holds(doc: Any, directive: Directive) -> bool:
+    """Whether doc is a directive document holding this directive's very
+    kind and payload objects, so that it encodes as directive.to_json()."""
+    return (
+        type(doc) is dict
+        and len(doc) == 2
+        and doc.get("kind") is directive.kind
+        and doc.get("payload", _ABSENT) is directive.payload
+    )
+
+
+def _frame_key(record: dict[str, Any]) -> tuple | None:
+    """A record's members other than its directive, as a key that equals
+    another only when the two encode alike; None unless the record has a
+    shape interpret_directive writes, with only str, bool and None leaves."""
+    keys = record.keys()
+    if keys == _GOVERNED_KEYS:
+        leaves = [record["outcome"], record["effect_performed"]]
+    elif keys == _DENIED_KEYS:
+        leaves = [
+            record["outcome"],
+            record["effect_performed"],
+            record["denied_stage"],
+            record["denied_check"],
+        ]
+    else:
+        return None
+    stages, violations = record["stages"], record["guardrail_violations"]
+    if type(stages) is not list or type(violations) is not list:
+        return None
+    leaves += violations
+    try:
+        for entry in stages:
+            if type(entry) is not dict or len(entry) != 3:
+                return None
+            leaves += _stage_fields(entry)
+    except KeyError:
+        return None
+    if not _LEAF_TYPES.issuperset(map(type, leaves)):
+        return None
+    return len(keys), len(violations), *leaves
+
+
+def _frame(record: dict[str, Any]) -> bytes:
+    write = _write_governed if len(record) == len(_GOVERNED) else _write_denied
+    return write(
+        b"%s",
+        *[canonical_bytes(record[key]).replace(b"%", b"%%") for key in _DENIED[1 : len(record)]],
+    )
+
+
+def _record_bytes(record: Any, directive: Directive, encoded: bytes) -> bytes:
+    """A governance record's canonical bytes: its frame filled with its
+    directive's bytes when it holds this directive and has a frame key;
+    any other record is encoded whole."""
+    if type(record) is dict and _holds(record.get("directive"), directive):
+        key = _frame_key(record)
+        if key is not None:
+            return _FRAMES.get(key, _frame, record) % encoded
+    return canonical_bytes(record)
+
+
+def _effect_bytes(entry: Any, directive: Directive, encoded: bytes) -> bytes:
+    """An effect entry's canonical bytes, spliced from its directive's bytes
+    when it is exactly {"directive", "result"} of that directive, as the
+    default sink logs it; any other entry is encoded whole."""
+    if (
+        type(entry) is dict
+        and entry.keys() == _EFFECT_KEYS
+        and _holds(entry["directive"], directive)
+    ):
+        return _write_effect(encoded, canonical_bytes(entry["result"]))
+    return canonical_bytes(entry)
+
+
+def _step_documents(
+    output: ExecutorOutput,
+    records: list[Any],
+    effects: list[Any],
+    performed: list[int],
+) -> tuple[bytes, bytes, bytes]:
+    """The canonical bytes of a governed step's three chained documents: its
+    directive list, its governance records, and its effects with its result.
+
+    Each directive is encoded once, after the last check of the step has
+    run, so the bytes are those of the directive as the step left it. Each
+    record is paired with the directive in its place and each effect entry
+    with the performed directive in its place; the pair is spliced only when
+    the entry provably holds that directive, and anything else is encoded
+    whole, so every document is byte for byte the one canonical_bytes gives.
+    """
+    directives = output.directives
+    encoded = [canonical_bytes(d.to_json()) for d in directives]
+    paired = len(directives)
+    record_bytes = [
+        _record_bytes(record, directives[place], encoded[place])
+        for place, record in enumerate(records[:paired])
+    ] + [canonical_bytes(record) for record in records[paired:]]
+    effect_bytes = [
+        _effect_bytes(entry, directives[place], encoded[place])
+        for entry, place in zip(effects, performed)
+    ] + [canonical_bytes(entry) for entry in effects[len(performed):]]
+    result_doc = _write_step_result(
+        join_list(effect_bytes), canonical_bytes(output.result)
+    )
+    return join_list(encoded), join_list(record_bytes), result_doc
+
+
 def _resolve(
     step: Mapping[str, Any], tier_policy: TierPolicy, registry: Mapping[str, Executor]
 ) -> Executor:
@@ -374,21 +509,25 @@ def execute_step(
     effects_before = len(governance.sink.log)
     results: list[Any] = []
     denials: list[Denied] = []
-    for directive in output.directives:
+    performed: list[int] = []  # the place of each directive the sink performed
+    for place, directive in enumerate(output.directives):
         outcome = interpret_directive(directive, governance, context)
         if isinstance(outcome, Governed):
             results.append(outcome.result)
+            performed.append(place)
         else:
             denials.append(outcome)
 
-    step_records = governance.records[records_before:]
-    step_effects = governance.sink.log[effects_before:]
+    directive_doc, governance_doc, result_doc = _step_documents(
+        output,
+        governance.records[records_before:],
+        governance.sink.log[effects_before:],
+        performed,
+    )
     step_record = chain.append_step(
-        directive_hash=_hash_canonical([d.to_json() for d in output.directives]),
-        governance_hash=_hash_canonical(step_records),
-        result_hash=_hash_canonical(
-            {"effects": step_effects, "result": output.result}
-        ),
+        directive_hash=hashlib.sha256(directive_doc).digest(),
+        governance_hash=hashlib.sha256(governance_doc).digest(),
+        result_hash=hashlib.sha256(result_doc).digest(),
         purity_cert_hash=purity_cert_hash,
         purity_method=TIER_PURITY_METHOD[executor.tier],
     )
