@@ -326,9 +326,10 @@ def _hash_canonical(value: Any) -> bytes:
 
 _EFFECT_KEYS = frozenset({"directive", "result"})
 # a record's members as interpret_directive writes them, the directive first
-_GOVERNED = ("directive", "outcome", "effect_performed", "guardrail_violations", "stages")
+_GOVERNED = (
+    "directive", "outcome", "effect_performed", "guardrail_violations", "stages"
+)
 _DENIED = _GOVERNED + ("denied_stage", "denied_check")
-_GOVERNED_KEYS, _DENIED_KEYS = frozenset(_GOVERNED), frozenset(_DENIED)
 _write_governed = object_writer(*_GOVERNED)
 _write_denied = object_writer(*_DENIED)
 _write_effect = object_writer("directive", "result")
@@ -359,24 +360,25 @@ def _holds(doc: Any, directive: Directive) -> bool:
 def _frame_key(record: dict[str, Any]) -> tuple | None:
     """A record's members other than its directive, as a key that equals
     another only when the two encode alike; None unless the record has a
-    shape interpret_directive writes, with only str, bool and None leaves."""
-    keys = record.keys()
-    if keys == _GOVERNED_KEYS:
-        leaves = [record["outcome"], record["effect_performed"]]
-    elif keys == _DENIED_KEYS:
-        leaves = [
-            record["outcome"],
-            record["effect_performed"],
-            record["denied_stage"],
-            record["denied_check"],
-        ]
-    else:
-        return None
-    stages, violations = record["stages"], record["guardrail_violations"]
-    if type(stages) is not list or type(violations) is not list:
-        return None
-    leaves += violations
+    shape interpret_directive writes, with only str, bool and None leaves.
+    The caller has read the directive: with the record's length, reading
+    every other member by name checks its keys."""
     try:
+        if len(record) == len(_GOVERNED):
+            leaves = [record["outcome"], record["effect_performed"]]
+        elif len(record) == len(_DENIED):
+            leaves = [
+                record["outcome"],
+                record["effect_performed"],
+                record["denied_stage"],
+                record["denied_check"],
+            ]
+        else:
+            return None
+        stages, violations = record["stages"], record["guardrail_violations"]
+        if type(stages) is not list or type(violations) is not list:
+            return None
+        leaves += violations
         for entry in stages:
             if type(entry) is not dict or len(entry) != 3:
                 return None
@@ -385,15 +387,13 @@ def _frame_key(record: dict[str, Any]) -> tuple | None:
         return None
     if not _LEAF_TYPES.issuperset(map(type, leaves)):
         return None
-    return len(keys), len(violations), *leaves
+    return len(record), len(violations), *leaves
 
 
 def _frame(record: dict[str, Any]) -> bytes:
     write = _write_governed if len(record) == len(_GOVERNED) else _write_denied
-    return write(
-        b"%s",
-        *[canonical_bytes(record[key]).replace(b"%", b"%%") for key in _DENIED[1 : len(record)]],
-    )
+    members = [canonical_bytes(record[key]) for key in _DENIED[1 : len(record)]]
+    return write(b"%s", *[member.replace(b"%", b"%%") for member in members])
 
 
 def _record_bytes(record: Any, directive: Directive, encoded: bytes) -> bytes:
@@ -478,7 +478,12 @@ def execute_step(
     services: RuntimeServices,
     chain: RunChain,
 ) -> StepResult:
-    """Resolve, gate, plan, interpret, and chain one machine step."""
+    """Resolve, gate, plan, interpret, and chain one machine step.
+
+    Once every directive is governed, each is encoded once and the step's
+    three chained documents (directives, governance records, effects with
+    the result) are spliced from those bytes by _step_documents: the same
+    bytes as encoding each document whole at that moment."""
     executor = _resolve(step, tier_policy, registry)
     executor_input = ExecutorInput(
         step_config=step.get("config", {}), context=context
