@@ -84,12 +84,11 @@ def canonical_dumps(value: Any) -> str:
 
 def canonical_bytes(value: Any) -> bytes:
     """Canonical UTF-8 bytes of a JSON-compatible value."""
+    text = canonical_dumps(value)
     try:
-        return _encode(value).encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise CanonicalError(f"no UTF-8 form: {exc}") from exc
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise CanonicalError(str(exc)) from exc
 
 
 def join_list(members: Iterable[bytes]) -> bytes:
