@@ -324,7 +324,6 @@ def _hash_canonical(value: Any) -> bytes:
 # step documents, spliced from each directive's bytes
 # ---------------------------------------------------------------------------
 
-_EFFECT_KEYS = frozenset({"directive", "result"})
 # a record's members as interpret_directive writes them, the directive first
 _GOVERNED = (
     "directive", "outcome", "effect_performed", "guardrail_violations", "stages"
@@ -413,8 +412,9 @@ def _effect_bytes(entry: Any, directive: Directive, encoded: bytes) -> bytes:
     default sink logs it; any other entry is encoded whole."""
     if (
         type(entry) is dict
-        and entry.keys() == _EFFECT_KEYS
-        and _holds(entry["directive"], directive)
+        and len(entry) == 2
+        and "result" in entry
+        and _holds(entry.get("directive"), directive)
     ):
         return _write_effect(encoded, canonical_bytes(entry["result"]))
     return canonical_bytes(entry)
@@ -438,15 +438,18 @@ def _step_documents(
     """
     directives = output.directives
     encoded = [canonical_bytes(d.to_json()) for d in directives]
-    paired = len(directives)
-    record_bytes = [
-        _record_bytes(record, directives[place], encoded[place])
-        for place, record in enumerate(records[:paired])
-    ] + [canonical_bytes(record) for record in records[paired:]]
-    effect_bytes = [
-        _effect_bytes(entry, directives[place], encoded[place])
-        for entry, place in zip(effects, performed)
-    ] + [canonical_bytes(entry) for entry in effects[len(performed):]]
+    record_bytes = []
+    for place, record in enumerate(records):
+        if place < len(directives):
+            directive = directives[place]
+            record_bytes.append(_record_bytes(record, directive, encoded[place]))
+        else:
+            record_bytes.append(canonical_bytes(record))
+    effect_bytes = []
+    for entry, place in zip(effects, performed):
+        effect_bytes.append(_effect_bytes(entry, directives[place], encoded[place]))
+    for entry in effects[len(performed) :]:
+        effect_bytes.append(canonical_bytes(entry))
     result_doc = _write_step_result(
         join_list(effect_bytes), canonical_bytes(output.result)
     )
