@@ -4,10 +4,10 @@ One policy serves the process-wide memos (wasm_inspect's decoded headers,
 wasmvm's compile handles, attestation's issued records, interpreter's
 record frames): each value is a pure function of its key, so a hit may
 stand in for making it again, and the bound keeps a long-lived process
-from holding every key it has ever seen. A memo is safe for threads: one lock guards its own updates, and
-make runs outside it, as functools' pure-Python lru_cache does. Two
-threads that miss on one key may then both make, and the value stored
-first is kept and returned to both.
+from holding every key it has ever seen. A memo is safe for threads: one
+lock guards its own updates, and make runs outside it, as functools'
+pure-Python lru_cache does. Two threads that miss on one key may then both
+make, and the value stored first is kept and returned to both.
 """
 
 from __future__ import annotations
