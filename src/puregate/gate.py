@@ -113,6 +113,9 @@ class GateDecision:
 
 @dataclass
 class GateCache:
+    """Accepting decisions for one version range (minimum_version,
+    known_hashes): a caller that gates under two ranges holds two caches."""
+
     # artifact hash -> the acceptance a hit serves, with from_cache set
     accepted: dict[bytes, GateDecision] = field(default_factory=dict)
 

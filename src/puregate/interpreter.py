@@ -18,8 +18,8 @@ Tier 3 is an unchecked in-process stub, also test-only.
 from __future__ import annotations
 
 import hashlib
+import marshal
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Mapping
 from urllib.parse import urlparse
 
@@ -324,24 +324,13 @@ def _hash_canonical(value: Any) -> bytes:
 # step documents, spliced from each directive's bytes
 # ---------------------------------------------------------------------------
 
-# a record's members as interpret_directive writes them, the directive first
-_GOVERNED = (
-    "directive", "outcome", "effect_performed", "guardrail_violations", "stages"
-)
-_DENIED = _GOVERNED + ("denied_stage", "denied_check")
-_write_governed = object_writer(*_GOVERNED)
-_write_denied = object_writer(*_DENIED)
 _write_effect = object_writer("directive", "result")
 _write_step_result = object_writer("effects", "result")
-# exact types only: equal leaves of these types encode alike, while
-# 1 == 1.0 == True do not
-_LEAF_TYPES = frozenset({str, bool, type(None)})
-_stage_fields = itemgetter("stage", "check", "passed")
 _ABSENT = object()
 
-# A record's frame is its canonical bytes with %s where its directive's go,
-# kept by its other members: governance writes a handful of distinct ones,
-# and the bound caps what caller-named checks can make it hold.
+# A record's frame is its canonical bytes before and after its directive's,
+# kept by the marshal bytes of its other members: governance writes a handful
+# of distinct ones, and the bound caps what caller-named checks can make it hold.
 _FRAMES = BoundedMemo(256)
 
 
@@ -356,53 +345,35 @@ def _holds(doc: Any, directive: Directive) -> bool:
     )
 
 
-def _frame_key(record: dict[str, Any]) -> tuple | None:
-    """A record's members other than its directive, as a key that equals
-    another only when the two encode alike; None unless the record has a
-    shape interpret_directive writes, with only str, bool and None leaves.
-    The caller has read the directive: with the record's length, reading
-    every other member by name checks its keys."""
-    try:
-        if len(record) == len(_GOVERNED):
-            leaves = [record["outcome"], record["effect_performed"]]
-        elif len(record) == len(_DENIED):
-            leaves = [
-                record["outcome"],
-                record["effect_performed"],
-                record["denied_stage"],
-                record["denied_check"],
-            ]
-        else:
-            return None
-        stages, violations = record["stages"], record["guardrail_violations"]
-        if type(stages) is not list or type(violations) is not list:
-            return None
-        leaves += violations
-        for entry in stages:
-            if type(entry) is not dict or len(entry) != 3:
-                return None
-            leaves += _stage_fields(entry)
-    except KeyError:
+def _frame(record: dict[str, Any]) -> tuple[bytes, bytes] | None:
+    """A record's canonical bytes up to its directive's and from there on:
+    its members that sort before "directive" and those that sort after it.
+    None for a record with a key that is not a string."""
+    if not all(type(key) is str for key in record):
         return None
-    if not _LEAF_TYPES.issuperset(map(type, leaves)):
-        return None
-    return len(record), len(violations), *leaves
-
-
-def _frame(record: dict[str, Any]) -> bytes:
-    write = _write_governed if len(record) == len(_GOVERNED) else _write_denied
-    members = [canonical_bytes(record[key]) for key in _DENIED[1 : len(record)]]
-    return write(b"%s", *[member.replace(b"%", b"%%") for member in members])
+    before = canonical_bytes({k: v for k, v in record.items() if k < "directive"})
+    after = canonical_bytes({k: v for k, v in record.items() if k > "directive"})
+    return (
+        before[:-1] + (b"," if len(before) > 2 else b"") + b'"directive":',
+        (b"," if len(after) > 2 else b"") + after[1:],
+    )
 
 
 def _record_bytes(record: Any, directive: Directive, encoded: bytes) -> bytes:
-    """A governance record's canonical bytes: its frame filled with its
-    directive's bytes when it holds this directive and has a frame key;
-    any other record is encoded whole."""
+    """A governance record's canonical bytes: its frame around its
+    directive's bytes when it holds this directive; any other record, or
+    one marshal refuses, is encoded whole.
+
+    marshal writes only exact built-in types and tells True, 1 and 1.0
+    apart, so two records whose other members marshal alike encode alike."""
     if type(record) is dict and _holds(record.get("directive"), directive):
-        key = _frame_key(record)
-        if key is not None:
-            return _FRAMES.get(key, _frame, record) % encoded
+        try:
+            key = marshal.dumps({**record, "directive": None})
+        except ValueError:
+            return canonical_bytes(record)
+        frame = _FRAMES.get(key, _frame, record)
+        if frame is not None:
+            return encoded.join(frame)
     return canonical_bytes(record)
 
 
@@ -476,18 +447,16 @@ def execute_step(
     step: Mapping[str, Any],
     context: Any,
     governance: GovernanceContext,
-    tier_policy: TierPolicy,
-    registry: Mapping[str, Executor],
+    executor: Executor,
     services: RuntimeServices,
     chain: RunChain,
 ) -> StepResult:
-    """Resolve, gate, plan, interpret, and chain one machine step.
+    """Gate, plan, interpret, and chain one step on its resolved executor.
 
     Once every directive is governed, each is encoded once and the step's
     three chained documents (directives, governance records, effects with
     the result) are spliced from those bytes by _step_documents: the same
     bytes as encoding each document whole at that moment."""
-    executor = _resolve(step, tier_policy, registry)
     executor_input = ExecutorInput(
         step_config=step.get("config", {}), context=context
     )
@@ -570,17 +539,14 @@ def run_machine(
     machine_input = machine_doc.get("input")
     machine_version_hash = _hash_canonical(machine_doc)
     input_hash = _hash_canonical(machine_input)
-    for step in steps:
-        _resolve(step, tier_policy, registry)
+    executors = [_resolve(step, tier_policy, registry) for step in steps]
 
     chain = RunChain()
     step_results: list[StepResult] = []
     prior: list[list[Any]] = []
-    for step in steps:
+    for step, executor in zip(steps, executors):
         context = {"machine_input": machine_input, "prior_results": prior}
-        result = execute_step(
-            step, context, governance, tier_policy, registry, services, chain
-        )
+        result = execute_step(step, context, governance, executor, services, chain)
         step_results.append(result)
         prior = prior + [list(result.results)]
 

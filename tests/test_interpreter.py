@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from puregate import certificate
+from puregate import certificate, interpreter
 from puregate.canonical import CanonicalError
 from puregate.certificate import certificate_bytes
 from puregate.interpreter import (
@@ -529,6 +529,34 @@ def test_steps_pin_the_admitting_certificate_hashed_once(
     assert [r.step_record.purity_cert_hash for r in results] == [expected] * 4
     assert calls == [cert]
     assert verify_chain(record).valid
+
+
+def test_a_repeated_run_builds_no_record_frame(bundles, certifier_key, wl_v1):
+    """Records equal but for their directive share one frame, so running a
+    machine again builds none: a frame key that changed from call to call
+    would still give every digest, from a miss on every record."""
+    registry = {}
+    for name in ("emit_call", "emit_reason", "emit_event"):
+        binary, proof, cert = bundles[name]
+        registry[name] = WasmExecutor(binary=binary, cert=cert, proof=proof)
+    machine = _machine([{"executor_ref": name} for name in registry])
+    frames = interpreter._FRAMES
+    frames.clear()
+
+    def run():
+        run_machine(
+            machine,
+            default_governance(),
+            TierPolicy(),
+            registry,
+            _services(certifier_key, wl_v1),
+        )
+
+    run()
+    misses = frames.misses
+    run()
+    assert frames.misses == misses
+    assert 0 < len(frames) <= 4
 
 
 @pytest.mark.parametrize(

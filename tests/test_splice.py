@@ -8,9 +8,11 @@ and in shapes it does not, the spliced bytes must be `canonical_bytes` of
 the whole value, and a value with no canonical form must fail the same way.
 """
 
+import copy
 import importlib.util
 import json
 import math
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given
@@ -41,8 +43,22 @@ json_values = st.recursive(
 directives = st.builds(
     Directive, kind=st.sampled_from(sorted(DIRECTIVE_KINDS)), payload=json_values
 )
-# values equal to a bool, None or a str that encode otherwise, or not at all
-strangers = st.sampled_from([1, 0, 1.0, -0.0, [], {}, ["x"], "true"])
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# values equal to a bool, None or a str that encode otherwise, or not at all;
+# subclasses, which marshal refuses, and a tuple, which encodes as a list
+strangers = st.sampled_from(
+    [1, 0, 1.0, -0.0, [], {}, ["x"], "true"]
+    + [Text("allow_all"), Count(1), OrderedDict(a=None), ("x",)]
+)
 
 
 @st.composite
@@ -99,6 +115,16 @@ def effects(draw, directive):
 def steps(draw):
     planned = draw(st.lists(directives, max_size=5))
     step_records = [draw(records(d)) for d in planned]
+    if planned and draw(st.booleans()):
+        # a record drawn before, for its directive planned again, with its
+        # effect flag as the equal float, which encodes otherwise
+        place = draw(st.sampled_from(range(len(planned))))
+        twin = copy.deepcopy(step_records[place])
+        twin["directive"] = planned[place].to_json()
+        if type(twin["effect_performed"]) is bool:
+            twin["effect_performed"] = float(twin["effect_performed"])
+        planned.append(planned[place])
+        step_records.append(twin)
     # checks may add records, and sinks log what they like: pair any way
     step_records += draw(st.lists(json_values, max_size=1))
     places = st.sets(st.sampled_from(range(len(planned)))) if planned else st.just(set())
@@ -147,7 +173,7 @@ def test_object_writer_refuses_keys_with_no_single_layout():
             object_writer(*keys)
 
 
-def _step(payload=None, result=None, check="allow", violation="v"):
+def _step(payload=None, result=None, check="allow", violation="v", extra=None):
     directive = Directive(kind="emit_event", payload=payload)
     record = {
         "directive": directive.to_json(),
@@ -158,6 +184,7 @@ def _step(payload=None, result=None, check="allow", violation="v"):
         "outcome": "governed",
         "effect_performed": True,
         "guardrail_violations": [violation],
+        **(extra or {}),
     }
     entry = {"directive": directive.to_json(), "result": result}
     output = ExecutorOutput(result=None, directives=(directive,), log_lines=())
@@ -174,9 +201,10 @@ def _step(payload=None, result=None, check="allow", violation="v"):
         {"result": {"k": object()}},
         {"check": "\udfff"},
         {"violation": "a\ud800"},
+        {"extra": {1: "x"}},
     ],
     ids=["nan", "surrogate", "set", "infinite_result", "object_result",
-         "surrogate_check", "surrogate_violation"],
+         "surrogate_check", "surrogate_violation", "int_key"],
 )
 def test_no_canonical_form_fails_spliced_and_whole(bad):
     output, step_records, step_effects, performed = _step(**bad)
