@@ -12,16 +12,19 @@ bytes it admitted and the header step 4 decoded from them: the artifact's
 one handle in the process (wasmvm.compile_handle). The six checks never
 call the VM: importing this module loads no wasmvm, and the first
 acceptance in a process imports it to take that handle. The cache keeps
-the accepting decision itself, by artifact hash, and a hit requires the
-whitelist snapshot, certificate and proof that acceptance admitted, a
-trust set that still holds the certificate's certifier key, and the same
-minimum_version and known_hashes (None and {} alike); anything else runs
-the six checks. So a whitelist change invalidates implicitly (it drops
-admission decisions, never a compile handle), a hit gives
-the verdict the six checks would, it never serves a certificate the gate
-did not verify, and the chain's purity_cert_hash is the admitting
+the accepting decision itself, keyed by the exact bytes it admitted, so a
+hit is one dict lookup and hashes nothing: SHA-256 of the binary is
+computed only when the six checks run. A hit requires the whitelist
+snapshot, certificate and proof that acceptance admitted (the very objects,
+or equal ones), a trust set that still holds the certificate's certifier
+key, and the same minimum_version and known_hashes (None and {} alike);
+anything else runs the six checks. So a whitelist change invalidates
+implicitly (it drops admission decisions, never a compile handle), a hit
+gives the verdict the six checks would, it never serves a certificate the
+gate did not verify, and the chain's purity_cert_hash is the admitting
 certificate's digest, encoded at most once per certificate object. Every
-decision (accept and reject) is appended to a decision log for audit.
+decision (accept and reject) is appended to a decision log for audit; a
+hit's log fields are rendered once per cached acceptance.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Collection, Mapping
 
@@ -110,18 +113,38 @@ class GateDecision:
             ),
         }
 
+    @functools.cached_property
+    def log_fields(self) -> dict[str, Any]:
+        """A hit's decision-log fields after the timestamp, rendered once:
+        a hit's runtime whitelist has the admitted one's version and content
+        hash, the two the record names. Kept outside equality and repr."""
+        return _log_fields(self, self.admitted.whitelist)
+
+
+def _log_fields(decision: GateDecision, whitelist: Whitelist) -> dict[str, Any]:
+    return {
+        **decision.to_json(),
+        "whitelist_version": whitelist.version,
+        "whitelist_hash": whitelist.content_hash.hex(),
+    }
+
 
 @dataclass
 class GateCache:
     """Accepting decisions for one version range (minimum_version,
-    known_hashes): a caller that gates under two ranges holds two caches."""
+    known_hashes): a caller that gates under two ranges holds two caches.
 
-    # artifact hash -> the acceptance a hit serves, with from_cache set
+    Keyed by the exact bytes each acceptance admitted, so a hit is one dict
+    lookup and hashes nothing. For a bytes input the key is the object its
+    compile handle holds, so the cache keeps no second copy; any other
+    input is keyed by a bytes copy of its buffer."""
+
+    # admitted bytes -> the acceptance a hit serves, with from_cache set
     accepted: dict[bytes, GateDecision] = field(default_factory=dict)
 
     def lookup(
         self,
-        artifact_hash: bytes,
+        binary: bytes,
         runtime: Whitelist,
         cert: PurityCertificate,
         proof: PurityProof,
@@ -129,15 +152,22 @@ class GateCache:
         minimum_version: int,
         known_hashes: Mapping[int, bytes] | None,
     ) -> GateDecision | None:
-        hit = self.accepted.get(artifact_hash)
+        hit = self.accepted.get(binary)
         if hit is None:
             return None
         admitted = hit.admitted
+        whitelist = admitted.whitelist
+        # the very objects admitted are the common case; equal ones also hit
         if (
-            admitted.whitelist.version != runtime.version
-            or admitted.whitelist.content_hash != runtime.content_hash
-            or admitted.cert != cert
-            or admitted.proof != proof
+            (
+                whitelist is not runtime
+                and (
+                    whitelist.version != runtime.version
+                    or whitelist.content_hash != runtime.content_hash
+                )
+            )
+            or (admitted.cert is not cert and admitted.cert != cert)
+            or (admitted.proof is not proof and admitted.proof != proof)
             or cert.metadata.certifier_key not in trusted_keys
             or admitted.minimum_version != minimum_version
             or admitted.known_hashes != (known_hashes or {})
@@ -170,12 +200,14 @@ class DecisionLog:
     def record_decision(
         self, decision: GateDecision, now: float, runtime_whitelist: Whitelist
     ) -> None:
-        event = {"event": "gate_decision", "timestamp": now, **decision.to_json()}
-        event["whitelist_version"] = runtime_whitelist.version
-        event["whitelist_hash"] = runtime_whitelist.content_hash.hex()
-        self.append(event)
+        fields = (
+            decision.log_fields
+            if decision.from_cache and decision.admitted is not None
+            else _log_fields(decision, runtime_whitelist)
+        )
+        self.append({"event": "gate_decision", "timestamp": now, **fields})
         if decision.accepted:
-            self.acceptances.add((event["artifact_hash"], event["whitelist_hash"]))
+            self.acceptances.add((fields["artifact_hash"], fields["whitelist_hash"]))
 
     def record_invalidation(self, cause: str, now: float) -> None:
         self.append({"event": "cache_invalidated", "timestamp": now, "cause": cause})
@@ -210,13 +242,15 @@ def gate_verify(
     now: float | None = None,
 ) -> GateDecision:
     """Run the six checks (or serve a cached acceptance) and log the outcome."""
-    artifact_hash = hashlib.sha256(binary_bytes).digest()
-
-    decision = (
-        None
-        if cache is None
-        else cache.lookup(
-            artifact_hash,
+    decision = None
+    if cache is not None:
+        key = binary_bytes
+        if type(key) is not bytes:
+            # a bytearray may change once admitted, and a subclass may redefine
+            # __eq__, __hash__ or __bytes__: key by the bytes SHA-256 reads
+            key = bytes(memoryview(key))
+        decision = cache.lookup(
+            key,
             runtime_whitelist,
             cert,
             proof,
@@ -224,11 +258,10 @@ def gate_verify(
             minimum_version,
             known_hashes,
         )
-    )
     if decision is None:
         decision = _run_checks(
             binary_bytes,
-            artifact_hash,
+            hashlib.sha256(binary_bytes).digest(),
             cert,
             proof,
             runtime_whitelist,
@@ -237,7 +270,14 @@ def gate_verify(
             known_hashes,
         )
         if decision.accepted and cache is not None:
-            cache.accepted[artifact_hash] = replace(decision, from_cache=True)
+            held = decision.compiled.binary
+            cache.accepted[held if type(held) is bytes else key] = GateDecision(
+                ACCEPT,
+                from_cache=True,
+                artifact_hash=decision.artifact_hash,
+                compiled=decision.compiled,
+                admitted=decision.admitted,
+            )
     if log is not None:
         log.record_decision(
             decision, time.time() if now is None else now, runtime_whitelist

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -300,7 +301,7 @@ def test_rejections_are_never_cached(bundles, wl_v1, rogue_key):
 def test_cache_entry_records_whitelist_snapshot(bundles, wl_v1, certifier_key):
     cache = GateCache()
     log = DecisionLog()
-    decision = _gate(
+    _gate(
         bundles["emit_call"],
         wl_v1,
         [certifier_key.public_key],
@@ -308,7 +309,7 @@ def test_cache_entry_records_whitelist_snapshot(bundles, wl_v1, certifier_key):
         log=log,
         now=1234.5,
     )
-    admitted = cache.accepted[decision.artifact_hash].admitted
+    admitted = cache.accepted[bundles["emit_call"][0]].admitted
     assert admitted.whitelist.version == wl_v1.version
     assert admitted.whitelist.content_hash == wl_v1.content_hash
     assert log.events[-1]["timestamp"] == 1234.5
@@ -354,7 +355,7 @@ def test_cache_hit_is_the_stored_acceptance(bundles, wl_v1, certifier_key):
     cache = GateCache()
     keys = [certifier_key.public_key]
     cold = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
-    stored = cache.accepted[cold.artifact_hash]
+    stored = cache.accepted[bundles["emit_call"][0]]
     assert stored == GateDecision(
         verdict=ACCEPT, from_cache=True, artifact_hash=cold.artifact_hash
     )
@@ -483,7 +484,7 @@ def test_cache_hit_hands_back_the_acceptance_compile_handle(
     warm = _gate(bundles["emit_call"], wl_v1, keys, cache=cache)
     assert cold.compiled is not None
     assert warm.compiled is cold.compiled
-    assert cache.accepted[cold.artifact_hash].compiled is cold.compiled
+    assert cache.accepted[bundles["emit_call"][0]].compiled is cold.compiled
 
 
 def test_invalidation_keeps_the_compile_handle(bundles, wl_v1, certifier_key):
@@ -496,7 +497,7 @@ def test_invalidation_keeps_the_compile_handle(bundles, wl_v1, certifier_key):
     # artifact's one handle in the process
     assert fresh.accepted and not fresh.from_cache
     assert fresh.compiled is not None and fresh.compiled is old.compiled
-    assert cache.accepted[fresh.artifact_hash].compiled is old.compiled
+    assert cache.accepted[bundles["emit_call"][0]].compiled is old.compiled
 
 
 def test_whitelist_change_keeps_the_compile_handle(
@@ -533,6 +534,112 @@ def test_a_binary_the_handle_memo_cannot_key_gets_a_fresh_handle_each_time(
     decisions = [gate_verify(binary, cert, proof, wl_v1, keys) for _ in range(2)]
     assert all(d.accepted and d.compiled.binary == binary for d in decisions)
     assert decisions[0].compiled is not decisions[1].compiled
+
+
+def test_a_warm_hit_computes_no_sha256(bundles, wl_v1, certifier_key, monkeypatch):
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    assert _gate(bundles["emit_call"], wl_v1, keys, cache=cache).accepted
+    hashed = []
+
+    def sha256(data=b""):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(gate, "hashlib", types.SimpleNamespace(sha256=sha256))
+    for _ in range(3):
+        warm = _gate(bundles["emit_call"], wl_v1, keys, cache=cache, log=DecisionLog())
+        assert warm.from_cache
+    assert hashed == []
+    # the counter sees the gate's hashing: a miss hashes the binary once
+    assert _gate(bundles["emit_call"], wl_v1, keys, cache=GateCache()).accepted
+    assert hashed == [bundles["emit_call"][0]]
+
+
+@pytest.mark.parametrize("kind", ["equal_bytes", "bytearray"])
+def test_a_byte_equal_binary_is_served_from_the_cache(
+    kind, bundles, wl_v1, certifier_key
+):
+    binary, proof, cert = bundles["emit_call"]
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    cold = gate_verify(binary, cert, proof, wl_v1, keys, cache=cache)
+    # keyed by the bytes object the compile handle holds: no second copy
+    [key] = cache.accepted
+    assert key == binary and key is cold.compiled.binary
+    presented = bytes(bytearray(binary)) if kind == "equal_bytes" else bytearray(binary)
+    assert presented == binary and presented is not binary
+    signing.reset_verify_call_count()
+    warm = gate_verify(presented, cert, proof, wl_v1, keys, cache=cache)
+    assert warm.from_cache and warm.compiled is cold.compiled
+    assert signing.verify_call_count == 0
+
+
+def test_an_admitted_bytearray_is_keyed_by_a_copy(bundles, wl_v1, certifier_key):
+    binary, proof, cert = bundles["emit_call"]
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    mutable = bytearray(binary)
+    assert gate_verify(mutable, cert, proof, wl_v1, keys, cache=cache).accepted
+    [key] = cache.accepted
+    assert type(key) is bytes and key == binary
+    # bytes changed after admission are other bytes: the six checks run
+    mutable[-1] ^= 0xFF
+    decision = gate_verify(mutable, cert, proof, wl_v1, keys, cache=cache)
+    assert not decision.from_cache
+    assert (decision.reason, decision.failed_step) == (R_ARTIFACT_HASH_MISMATCH, 2)
+    assert gate_verify(binary, cert, proof, wl_v1, keys, cache=cache).from_cache
+
+
+class _Impostor(bytes):
+    """Other content that claims, by every method it can override, to be
+    the bytes it was made to pass for."""
+
+    def __new__(cls, content, claimed):
+        self = super().__new__(cls, content)
+        self.claimed = claimed
+        return self
+
+    def __eq__(self, other):
+        return other == self.claimed
+
+    def __hash__(self):
+        return hash(self.claimed)
+
+    def __bytes__(self):
+        return self.claimed
+
+
+def test_a_bytes_subclass_cannot_claim_an_admitted_key(
+    bundles, wl_v1, certifier_key
+):
+    binary, proof, cert = bundles["emit_call"]
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    assert gate_verify(binary, cert, proof, wl_v1, keys, cache=cache).accepted
+    impostor = _Impostor(fixture_binary("emit_poc"), binary)
+    assert impostor == binary and hash(impostor) == hash(binary)
+    assert bytes(impostor) == binary
+    decision = gate_verify(impostor, cert, proof, wl_v1, keys, cache=cache)
+    assert not decision.from_cache
+    assert (decision.reason, decision.failed_step) == (R_ARTIFACT_HASH_MISMATCH, 2)
+
+
+def test_equal_copies_of_what_was_admitted_still_hit(bundles, wl_v1, certifier_key):
+    binary, proof, cert = bundles["emit_call"]
+    cache = GateCache()
+    keys = [certifier_key.public_key]
+    assert gate_verify(binary, cert, proof, wl_v1, keys, cache=cache).accepted
+    cert_copy = certificate_from_json(certificate_to_json(cert))
+    proof_copy = proof_from_json(proof_to_json(proof))
+    wl_copy = make_whitelist(wl_v1.version, wl_v1.entries)
+    for original, copy in ((cert, cert_copy), (proof, proof_copy)):
+        assert copy == original and copy is not original
+    assert wl_copy is not wl_v1 and wl_copy.content_hash == wl_v1.content_hash
+    signing.reset_verify_call_count()
+    warm = gate_verify(binary, cert_copy, proof_copy, wl_copy, keys, cache=cache)
+    assert warm.from_cache and warm.admitted.cert is cert
+    assert signing.verify_call_count == 0
 
 
 def test_rejections_carry_no_compile_handle(
@@ -608,6 +715,44 @@ def test_every_decision_logged_accepts_and_rejects(
 
     replayed = DecisionLog.read_events(tmp_path / "decisions.jsonl")
     assert replayed == log.events
+
+
+def test_cache_hits_log_the_record_the_checks_would(
+    bundles, wl_v1, certifier_key, tmp_path
+):
+    path = tmp_path / "decisions.jsonl"
+    cache = GateCache()
+    log = DecisionLog(path)
+    keys = [certifier_key.public_key]
+
+    def gated(now):
+        return _gate(bundles["emit_call"], wl_v1, keys, cache=cache, log=log, now=now)
+
+    def event(decision, now):
+        return {
+            "event": "gate_decision",
+            "timestamp": now,
+            **decision.to_json(),
+            "whitelist_version": wl_v1.version,
+            "whitelist_hash": wl_v1.content_hash.hex(),
+        }
+
+    decisions = [gated(float(now)) for now in range(4)]
+    assert [d.from_cache for d in decisions] == [False, True, True, True]
+    expected = [event(d, float(now)) for now, d in enumerate(decisions)]
+    # key for key and in key order
+    assert [list(e.items()) for e in log.events] == [list(e.items()) for e in expected]
+    assert path.read_bytes() == b"".join(canonical_bytes(e) + b"\n" for e in expected)
+    assert log.acceptances == {
+        (decisions[0].artifact_hash.hex(), wl_v1.content_hash.hex())
+    }
+    # every hit appends a dict of its own
+    assert len({id(e) for e in log.events}) == 4
+    for key in log.events[1]:
+        log.events[1][key] = "mutated"
+    assert log.events[2] == expected[2]
+    assert gated(4.0).from_cache
+    assert log.events[-1] == event(decisions[1], 4.0)
 
 
 def test_decision_log_lines_must_be_objects(tmp_path):
