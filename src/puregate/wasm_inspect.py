@@ -44,6 +44,12 @@ MAX_BINARY_BYTES = 64 * 1024 * 1024
 
 SECTION_TYPE = 1
 SECTION_IMPORT = 2
+# the place of each non-custom section in the order the spec requires:
+# ids 1-9, then data count (12), code (10) and data (11)
+_SECTION_RANK = {
+    section_id: rank
+    for rank, section_id in enumerate((1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 10, 11), 1)
+}
 
 _VALTYPE = {
     0x7F: "i32",
@@ -338,6 +344,7 @@ def decode_header(data: bytes) -> ModuleHeader:
         raise MalformedBinary("unsupported WASM version")
     pos = 8
     seen: set[int] = set()
+    last = 0  # _SECTION_RANK of the last non-custom section
     types: tuple[FuncType, ...] = ()
     decoded: list[tuple[ImportRecord, FuncType | None]] = []
     sections: list[tuple[int, int, int]] = []
@@ -350,6 +357,9 @@ def decode_header(data: bytes) -> ModuleHeader:
             if section_id in seen:
                 raise MalformedBinary(f"duplicate section id {section_id}")
             seen.add(section_id)
+            if _SECTION_RANK[section_id] < last:
+                raise MalformedBinary(f"section id {section_id} out of order")
+            last = _SECTION_RANK[section_id]
         pos = start + size
         if pos > end:
             raise MalformedBinary("truncated binary")

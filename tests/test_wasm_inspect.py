@@ -1,15 +1,16 @@
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puregate import wasm_inspect
+from puregate import signing, wasm_inspect
 from puregate.bench import bench
-from puregate.certificate import sign_certificate
+from puregate.certificate import ProofBinaryMismatch, sign_certificate, signing_message
 from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary, list_fixtures
-from puregate.gate import gate_verify
-from puregate.proof import build_proof
+from puregate.gate import R_MALFORMED_BINARY, gate_verify
+from puregate.proof import build_proof, proof_hash
 from puregate.runtime_host import _HostState, build_host_functions
 from puregate.wasm_inspect import (
     MAX_BINARY_BYTES,
@@ -34,6 +35,7 @@ from puregate.wasmvm import (
     resolve_imports,
 )
 from puregate.whitelist import builtin_whitelist
+from tests.conftest import FIXED_NOW
 
 # FIPS 180-4 reference digests anchor the artifact-hash implementation
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -97,6 +99,63 @@ def test_empty_import_names_rejected():
     import_section = b"\x02\x07\x01\x00\x01\x66\x00\x00"
     with pytest.raises(MalformedBinary):
         parse_imports(MINIMAL_MODULE + type_section + import_section)
+
+
+def _sections(binary: bytes) -> list[bytes]:
+    """Each whole section (id, size and body) of a well-formed module."""
+    pos, out = 8, []
+    while pos < len(binary):
+        size, start = _u32_at(binary, pos + 1, len(binary))
+        out.append(binary[pos : start + size])
+        pos = start + size
+    return out
+
+
+def _move_section(binary: bytes, section_id: int, before_id: int) -> bytes:
+    """binary with its section section_id moved just before section before_id."""
+    sections = _sections(binary)
+    moved = next(s for s in sections if s[0] == section_id)
+    sections.remove(moved)
+    at = next(i for i, s in enumerate(sections) if s[0] == before_id)
+    return binary[:8] + b"".join(sections[:at] + [moved] + sections[at:])
+
+
+def test_sections_out_of_spec_order_are_malformed():
+    # memory (5) before function (3)
+    reordered = _move_section(fixture_binary("emit_poc"), 5, 3)
+    with pytest.raises(MalformedBinary) as excinfo:
+        decode_header(reordered)
+    assert str(excinfo.value) == "section id 3 out of order"
+    with pytest.raises(InstantiationError):
+        parse_module(reordered)
+    # data count (12) precedes code (10); custom sections (0) go anywhere
+    data_count = b"\x0c\x01\x00"
+    custom = b"\x00\x02\x01c"
+    code = b"\x0a\x01\x00"
+    assert decode_header(MINIMAL_MODULE + custom + data_count + custom + code).sections
+    with pytest.raises(MalformedBinary) as excinfo:
+        decode_header(MINIMAL_MODULE + code + data_count)
+    assert str(excinfo.value) == "section id 12 out of order"
+
+
+def test_certifier_and_gate_refuse_sections_out_of_order(certifier_key):
+    binary = fixture_binary("emit_poc")
+    reordered = _move_section(binary, 5, 3)
+    proof = build_proof(parse_imports(binary), V2)
+    with pytest.raises(MalformedBinary):
+        build_proof(parse_imports(reordered), V2)
+    with pytest.raises(ProofBinaryMismatch, match="MalformedBinary"):
+        sign_certificate(reordered, proof, certifier_key, FIXED_NOW)
+    # a trusted certifier that signed the reordered bytes anyway
+    artifact_hash = hashlib.sha256(reordered).digest()
+    message = signing_message(artifact_hash, proof_hash(proof))
+    cert = dataclasses.replace(
+        sign_certificate(binary, proof, certifier_key, FIXED_NOW),
+        artifact_hash=artifact_hash,
+        signature=signing.sign(certifier_key.private_key, message),
+    )
+    decision = gate_verify(reordered, cert, proof, V2, [certifier_key.public_key])
+    assert (decision.reason, decision.failed_step) == (R_MALFORMED_BINARY, 4)
 
 
 def _synthetic_imports(count: int) -> tuple[tuple[str, str, str], ...]:
