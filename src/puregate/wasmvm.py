@@ -93,6 +93,7 @@ from typing import Any, Callable, Mapping, MutableMapping, Sequence
 
 from .memo import BoundedMemo
 from .wasm_inspect import (
+    IMPORT_KINDS,
     FuncType,
     ImportRecord,
     MalformedBinary,
@@ -358,9 +359,11 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
         )
         for i, body in enumerate(bodies)
     ]
+    # functions, tables, memories and globals: the subset has no table or global
+    defined = (len(func_types), 0, 0 if memory is None else 1, 0)
     for kind, index in exports.values():
-        if kind == 0 and index >= len(func_types):
-            raise InstantiationError(f"export of unknown function {index}")
+        if index >= defined[kind]:
+            raise InstantiationError(f"export of unknown {IMPORT_KINDS[kind]} {index}")
     return ParsedModule(
         imported_funcs=header.imports,
         func_types=tuple(func_types),

@@ -403,9 +403,11 @@ def test_structural_faults_are_instantiation_errors(binary):
         instantiate(module, {}, 64 * MIB).invoke("f", [], 1000, 1000)
 
 
-def _exports_module(exports: bytes) -> bytes:
-    """Module with one function and the export section body given."""
-    return HEADER + TYPE_VOID + FUNC_0 + b"\x07" + uleb(len(exports)) + exports + CODE_END
+def _exports_module(exports: bytes, memory: bytes = b"") -> bytes:
+    """Module with one function, the memory section given (none by default)
+    and the export section body given."""
+    export = b"\x07" + uleb(len(exports)) + exports
+    return HEADER + TYPE_VOID + FUNC_0 + memory + export + CODE_END
 
 
 @pytest.mark.parametrize(
@@ -424,9 +426,29 @@ def test_export_names_are_distinct_and_kinds_known(exports, message):
     with pytest.raises(InstantiationError) as excinfo:
         parse_module(_exports_module(exports))
     assert str(excinfo.value) == message
-    # kind 0x03, a global, is the last the spec defines
-    module = parse_module(_exports_module(b"\x02\x01f\x00\x00\x01g\x03\x00"))
-    assert dict(module.exports) == {"f": (0, 0), "g": (3, 0)}
+    # kind 0x02, the module's one memory
+    module = parse_module(
+        _exports_module(b"\x02\x01f\x00\x00\x01m\x02\x00", memory=MEMORY_1)
+    )
+    assert dict(module.exports) == {"f": (0, 0), "m": (2, 0)}
+
+
+@pytest.mark.parametrize(
+    "exports, memory, message",
+    [
+        # (export "g" (global 0)): the subset defines no global
+        (b"\x01\x01g\x03\x00", b"", "export of unknown global 0"),
+        # (export "t" (table 0)): nor any table
+        (b"\x01\x01t\x01\x00", b"", "export of unknown table 0"),
+        # (export "m" (memory 7)) next to one memory
+        (b"\x01\x01m\x02\x07", MEMORY_1, "export of unknown memory 7"),
+    ],
+    ids=["global", "table", "memory"],
+)
+def test_exports_of_absent_indices_are_refused(exports, memory, message):
+    with pytest.raises(InstantiationError) as excinfo:
+        parse_module(_exports_module(exports, memory))
+    assert str(excinfo.value) == message
 
 
 INT_ADD = '(import "mashin" "int_add" (func $add (param i64 i64) (result i64)))'
