@@ -15,7 +15,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
-from .canonical import canonical_bytes, load_object
+from .canonical import canonical_bytes, join_list, load_object, object_writer
 from .canonical import read_field, read_hex, read_int, read_list
 from .wasm_inspect import ImportRecord, MalformedBinary, ModuleImports, parse_imports
 from .whitelist import DISALLOWED, Classification, Whitelist, classify_import
@@ -95,9 +95,27 @@ def proof_from_json(doc: Mapping[str, Any]) -> PurityProof:
     return proof
 
 
+_write_proof = object_writer(
+    "imports", "classifications", "conclusion", "whitelist_version", "whitelist_hash"
+)
+_write_classification = object_writer("import", "verdict")
+
+
 def proof_bytes(proof: PurityProof) -> bytes:
-    """Canonical serialization (fixed key order, imports in binary order)."""
-    return canonical_bytes(proof_to_json(proof))
+    """Canonical serialization (fixed key order, imports in binary order):
+    canonical_bytes(proof_to_json(proof)), spliced from each import record's
+    bytes, which the record encodes at most once."""
+    classifications = [
+        _write_classification(c.import_record.encoded, canonical_bytes(c.verdict))
+        for c in proof.classifications
+    ]
+    return _write_proof(
+        join_list([imp.encoded for imp in proof.imports]),
+        join_list(classifications),
+        canonical_bytes(proof.conclusion),
+        canonical_bytes(proof.whitelist_version),
+        canonical_bytes(proof.whitelist_hash.hex()),
+    )
 
 
 def proof_hash(proof: PurityProof) -> bytes:

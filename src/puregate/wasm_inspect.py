@@ -26,6 +26,20 @@ objects measure at most about 25 bytes per byte decoded. A larger binary, a
 bytearray and a bytes subclass (which could redefine equality or hashing)
 are decoded on every call, and a MalformedBinary keeps nothing. Like every
 memo.BoundedMemo, it is safe for threads.
+
+A binary never seen before still shares its entries with earlier ones: the
+gate admits only exact whitelist entries, so honest modules declare few
+distinct types and imports. Each distinct type entry (keyed by its bytes)
+is decoded to one shared FuncType, and each distinct function import (keyed
+by the bytes of its two names and its FuncType) to one shared ImportRecord,
+which encodes its canonical bytes at most once; ImportRecord.from_json
+returns the same record for equal fields. Two bounded memos hold them (256
+types, 512 records). A key is short: an entry is interned only when each
+of its lengths, counts and indices takes one byte, so its bytes are at most
+257, and an import's type has at most 256 value types. Any other entry, and
+every entry of a bytearray or a bytes subclass, is decoded as before; the
+lookup itself reads only bytes within the section and never raises, so
+every MalformedBinary keeps its message.
 """
 
 from __future__ import annotations
@@ -35,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
-from .canonical import read_field
+from .canonical import canonical_bytes, read_field
 from .memo import BoundedMemo
 
 WASM_MAGIC = b"\x00asm"
@@ -90,13 +104,21 @@ class ImportRecord:
             "type_signature": self.type_signature,
         }
 
+    @cached_property
+    def encoded(self) -> bytes:
+        """The canonical bytes of to_json(), encoded at most once per record:
+        the fields are frozen, so they cannot go stale."""
+        return canonical_bytes(self.to_json())
+
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "ImportRecord":
+        """The record obj describes: the interned one when its fields are
+        short, so a proof read from a file shares the decoder's records."""
         keys = ("namespace", "name", "kind", "type_signature")
-        rec = cls(*(read_field(obj, key, str) for key in keys))
-        if rec.kind not in IMPORT_KINDS:
-            raise ValueError(f"unknown import kind: {rec.kind!r}")
-        return rec
+        namespace, name, kind, signature = (read_field(obj, key, str) for key in keys)
+        if kind not in IMPORT_KINDS:
+            raise ValueError(f"unknown import kind: {kind!r}")
+        return _interned(namespace, name, kind, signature)
 
 
 def _u32_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
@@ -256,18 +278,49 @@ def _valtypes(data: bytes, pos: int, end: int) -> tuple[tuple[str, ...], int]:
     return types, stop
 
 
+def _func_type_at(data: bytes, pos: int, end: int) -> tuple[FuncType, int]:
+    """The type section entry at pos: (its function type, next pos)."""
+    if pos >= end:
+        raise MalformedBinary("truncated binary")
+    if data[pos] != 0x60:
+        raise MalformedBinary("type section entry is not a function type")
+    params, pos = _valtypes(data, pos + 1, end)
+    results, pos = _valtypes(data, pos, end)
+    return (params, results), pos
+
+
+def _func_type(entry: bytes) -> FuncType:
+    """The function type of a type section entry's own bytes."""
+    return _func_type_at(entry, 0, len(entry))[0]
+
+
+def _type_entry_end(data: bytes, pos: int, end: int) -> int:
+    """Where the type entry at pos ends, if it can be interned: it is in
+    exact bytes, both its counts take one byte (so it is at most 257 bytes
+    long), and it ends before end. Else 0. Reads only bytes before end,
+    never raises."""
+    if type(data) is not bytes or pos + 3 > end or data[pos] != 0x60:
+        return 0
+    at = pos + 2 + data[pos + 1]  # the results count, when params' is one byte
+    if data[pos + 1] >= 0x80 or at >= end or data[at] >= 0x80:
+        return 0
+    stop = at + 1 + data[at]
+    return stop if stop <= end else 0
+
+
 def _read_types(data: bytes, pos: int, end: int) -> tuple[tuple[FuncType, ...], int]:
     """The type section's entries at pos: (types, next pos)."""
     count, pos = _u32_at(data, pos, end)
     types = []
     for _ in range(count):
-        if pos >= end:
-            raise MalformedBinary("truncated binary")
-        if data[pos] != 0x60:
-            raise MalformedBinary("type section entry is not a function type")
-        params, pos = _valtypes(data, pos + 1, end)
-        results, pos = _valtypes(data, pos, end)
-        types.append((params, results))
+        stop = _type_entry_end(data, pos, end)
+        if stop:
+            entry = data[pos:stop]
+            types.append(_FUNC_TYPES.get(entry, _func_type, entry))
+            pos = stop
+        else:
+            func_type, pos = _func_type_at(data, pos, end)
+            types.append(func_type)
     return tuple(types), pos
 
 
@@ -302,14 +355,66 @@ def _other_import(
     raise MalformedBinary(f"unknown import descriptor 0x{desc:02x}")
 
 
+def _function_import_end(
+    data: bytes, pos: int, end: int, types: tuple[FuncType, ...]
+) -> int:
+    """Where the import entry at pos ends, if it can be interned: it is in
+    exact bytes, a function import whose name lengths and type index take
+    one byte each (so its names are at most 256 bytes long), its type index
+    is in types, and its type has at most _ENTRY_KEY_MAX value types. Else
+    0. Reads only bytes before end, never raises."""
+    if type(data) is not bytes or pos >= end or data[pos] >= 0x80:
+        return 0
+    at = pos + 1 + data[pos]  # the name's length
+    if at >= end or data[at] >= 0x80:
+        return 0
+    at += 1 + data[at]  # the descriptor
+    if at + 1 >= end or data[at] != 0x00 or data[at + 1] >= min(len(types), 0x80):
+        return 0
+    params, results = types[data[at + 1]]
+    return at + 2 if len(params) + len(results) <= _ENTRY_KEY_MAX else 0
+
+
+def _function_import(names: bytes, func_type: FuncType) -> ImportRecord:
+    """The record of a function import of this type whose namespace and
+    name are the length-prefixed names."""
+    namespace, pos = _name_at(names, 0, len(names))
+    name, _ = _name_at(names, pos, len(names))
+    if not namespace or not name:
+        raise MalformedBinary("empty import namespace or name")
+    signature = render_func_signature(*func_type)
+    return _interned(namespace, name, "function", signature)
+
+
+def _interned(namespace: str, name: str, kind: str, signature: str) -> ImportRecord:
+    """The one ImportRecord of these fields in the entry memo when they take
+    at most _ENTRY_KEY_MAX characters; else a new one."""
+    fields = (namespace, name, kind, signature)
+    if len(namespace) + len(name) + len(kind) + len(signature) > _ENTRY_KEY_MAX:
+        return ImportRecord(*fields)
+    return _IMPORTS.get(fields, ImportRecord, *fields)
+
+
 def _read_imports(
     data: bytes, pos: int, end: int, types: tuple[FuncType, ...]
-) -> tuple[list[tuple[ImportRecord, FuncType | None]], int]:
-    """The import section's entries at pos: ((record, function type), next pos)."""
+) -> tuple[list[ImportRecord], list[FuncType], int]:
+    """The import section's entries at pos: (records, the types of the
+    function imports, next pos)."""
     count, pos = _u32_at(data, pos, end)
     signatures: list[str | None] = [None] * len(types)  # rendered on first use
-    decoded: list[tuple[ImportRecord, FuncType | None]] = []
+    records: list[ImportRecord] = []
+    func_types: list[FuncType] = []
     for _ in range(count):
+        stop = _function_import_end(data, pos, end, types)
+        if stop:
+            func_type = types[data[stop - 1]]
+            names = data[pos : stop - 2]
+            records.append(
+                _IMPORTS.get((names, func_type), _function_import, names, func_type)
+            )
+            func_types.append(func_type)
+            pos = stop
+            continue
         namespace, pos = _name_at(data, pos, end)
         name, pos = _name_at(data, pos, end)
         if not namespace or not name:
@@ -319,7 +424,7 @@ def _read_imports(
         desc = data[pos]
         if desc != 0x00:
             record, pos = _other_import(data, pos + 1, end, namespace, name, desc)
-            decoded.append((record, None))
+            records.append(record)
             continue
         typeidx, pos = _u32_at(data, pos + 1, end)
         if typeidx >= len(types):
@@ -327,8 +432,9 @@ def _read_imports(
         sig = signatures[typeidx]
         if sig is None:
             sig = signatures[typeidx] = render_func_signature(*types[typeidx])
-        decoded.append((ImportRecord(namespace, name, "function", sig), types[typeidx]))
-    return decoded, pos
+        records.append(ImportRecord(namespace, name, "function", sig))
+        func_types.append(types[typeidx])
+    return records, func_types, pos
 
 
 def decode_header(data: bytes) -> ModuleHeader:
@@ -346,7 +452,8 @@ def decode_header(data: bytes) -> ModuleHeader:
     seen: set[int] = set()
     last = 0  # _SECTION_RANK of the last non-custom section
     types: tuple[FuncType, ...] = ()
-    decoded: list[tuple[ImportRecord, FuncType | None]] = []
+    records: list[ImportRecord] = []
+    func_types: list[FuncType] = []
     sections: list[tuple[int, int, int]] = []
     while pos < end:
         section_id = data[pos]
@@ -366,7 +473,7 @@ def decode_header(data: bytes) -> ModuleHeader:
         if section_id == SECTION_TYPE:
             types, stop = _read_types(data, start, pos)
         elif section_id == SECTION_IMPORT:
-            decoded, stop = _read_imports(data, start, pos, types)
+            records, func_types, stop = _read_imports(data, start, pos, types)
         else:
             sections.append((section_id, start, pos))
             continue
@@ -375,11 +482,20 @@ def decode_header(data: bytes) -> ModuleHeader:
             raise MalformedBinary(f"trailing bytes in {name} section")
     return ModuleHeader(
         types=types,
-        imports=tuple(rec for rec, _ in decoded),
-        func_import_types=tuple(ft for _, ft in decoded if ft is not None),
+        imports=tuple(records),
+        func_import_types=tuple(func_types),
         sections=tuple(sections),
     )
 
+
+# Each distinct type entry and import record is made once per process: the
+# gate admits only exact whitelist entries, so honest entries are few. One-byte
+# lengths and counts keep a type entry's or an import's names' bytes under 258
+_ENTRY_KEY_MAX = 256  # value types of an import's type, characters of fields
+_FUNC_TYPES = BoundedMemo(256)  # a type entry's bytes -> its FuncType
+# the bytes of a function import's names and its FuncType, or its four
+# fields -> that ImportRecord
+_IMPORTS = BoundedMemo(512)
 
 _HEADER_MEMO_BYTES = 16 * 1024  # every executor in the fixture set is under 1 KiB
 _HEADERS = BoundedMemo(64)  # exact bytes -> their ModuleHeader

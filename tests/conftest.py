@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, settings
 
-from puregate import wasmvm
+from puregate import wasm_inspect, wasmvm
 from puregate.certificate import keypair_from_seed
 from puregate.fixtures import PURE_V1, certified_bundle
 from puregate.whitelist import builtin_whitelist
@@ -32,8 +32,12 @@ def bare_digest(doc) -> bytes:
 @pytest.fixture(autouse=True)
 def no_compile_handles():
     """Every test starts with an empty handle memo: a handle an earlier test
-    parsed, bound or heated would otherwise make results depend on order."""
+    parsed, bound or heated would otherwise make results depend on order.
+    The entry memos start empty too, so a test sees the records and types it
+    decodes itself, and their counts start at zero."""
     wasmvm._HANDLES.clear()
+    wasm_inspect._FUNC_TYPES.clear()
+    wasm_inspect._IMPORTS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -619,9 +619,9 @@ def test_attestation_hash_is_the_digest_of_the_record_bytes(attested):
     assert "digest" not in repr(attested) and "digest" not in attestation_to_json(attested)
 
 
-def _counting(module, calls):
-    """module's encoder, noting the module's name in calls on every call."""
-    encode = module.canonical_bytes
+def _counting(module, name, calls):
+    """module's encoder name, noting the module's name in calls on every call."""
+    encode = getattr(module, name)
     return lambda doc: calls.append(module.__name__) or encode(doc)
 
 
@@ -634,8 +634,14 @@ def test_build_and_verify_digest_each_part_once(
         for part in (attested.certificate, attested.proof, attested.env)
     )
     calls = []
-    for module in (attestation, certificate, proof_module):
-        monkeypatch.setattr(module, "canonical_bytes", _counting(module, calls))
+    # a proof's bytes are spliced from its records' by proof_bytes, one call
+    # per encode
+    for module, name in (
+        (attestation, "canonical_bytes"),
+        (certificate, "canonical_bytes"),
+        (proof_module, "proof_bytes"),
+    ):
+        monkeypatch.setattr(module, name, _counting(module, name, calls))
     log = DecisionLog()
     log.record_decision(
         gate_verify(

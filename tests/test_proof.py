@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from puregate import proof as proof_module
+from puregate.canonical import canonical_bytes
 from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary
 from puregate.gate import R_PROOF_HASH_MISMATCH, gate_verify
 from puregate.proof import (
@@ -26,6 +27,7 @@ from puregate.proof import (
     validate_proof_against_binary,
 )
 from puregate.wasm_inspect import IMPORT_KINDS, ImportRecord, parse_imports
+from puregate.watasm import uleb
 from puregate.whitelist import (
     DISALLOWED,
     HOST_NAMESPACE,
@@ -165,9 +167,9 @@ def _fresh(proof):
 
 def test_a_second_proof_hash_encodes_nothing(bundles, monkeypatch):
     proof = _fresh(bundles["emit_call"][1])
-    encode, calls = proof_module.canonical_bytes, []
+    encode, calls = proof_module.proof_bytes, []
     monkeypatch.setattr(
-        proof_module, "canonical_bytes", lambda doc: calls.append(doc) or encode(doc)
+        proof_module, "proof_bytes", lambda doc: calls.append(doc) or encode(doc)
     )
     first = proof_hash(proof)
     assert proof_hash(proof) is first and proof.digest is first
@@ -233,3 +235,63 @@ def test_proof_digest_is_sha256_of_sorted_compact_json(
         whitelist_hash=whitelist_hash,
     )
     assert proof.digest == bare_digest(proof_to_json(proof))
+
+
+# names the encoder escapes or passes through: quotes, backslashes, controls,
+# non-ASCII and astral characters; a long one takes a two-byte length
+_NAMES = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\x7f", "\xe9", "\u65e5", "\U0001f600"]
+    ),
+    min_size=1,
+    max_size=40,
+)
+# (i32) -> () and () -> i64
+_TYPES = b"\x01\x09\x02\x60\x01\x7f\x00\x60\x00\x01\x7e"
+# a function of either type, a table, a memory and a global
+_DESCRIPTORS = [
+    b"\x00\x00", b"\x00\x01", b"\x01\x70\x00\x01", b"\x02\x01\x01\x02", b"\x03\x7f\x01"
+]
+
+
+def _importing(entries):
+    """A module importing each (namespace, name, descriptor) in order."""
+    body = uleb(len(entries)) + b"".join(
+        uleb(len(ns.encode())) + ns.encode() + uleb(len(n.encode())) + n.encode() + d
+        for ns, n, d in entries
+    )
+    return b"\x00asm\x01\x00\x00\x00" + _TYPES + b"\x02" + uleb(len(body)) + body
+
+
+@given(
+    entries=st.lists(
+        st.tuples(_NAMES, _NAMES, st.sampled_from(_DESCRIPTORS)), max_size=5
+    ),
+    read_back=st.lists(st.booleans(), min_size=5, max_size=5),
+    verdicts=st.lists(st.sampled_from(VERDICTS), min_size=5, max_size=5),
+    conclusion=st.sampled_from([PURE, IMPURE]),
+    version=st.integers(0, 2**40),
+    whitelist_hash=st.binary(min_size=32, max_size=32),
+)
+def test_spliced_proof_bytes_are_the_whole_encoding(
+    entries, read_back, verdicts, conclusion, version, whitelist_hash
+):
+    # records from the decoder, some read back from their documents
+    decoded = parse_imports(_importing(entries)).imports
+    assert [r.kind for r in decoded] == [IMPORT_KINDS[d[0]] for _, _, d in entries]
+    imports = tuple(
+        ImportRecord.from_json(json.loads(json.dumps(r.to_json()))) if again else r
+        for r, again in zip(decoded, read_back)
+    )
+    proof = PurityProof(
+        imports=imports,
+        classifications=tuple(map(Classification, imports, verdicts)),
+        conclusion=conclusion,
+        whitelist_version=version,
+        whitelist_hash=whitelist_hash,
+    )
+    whole = canonical_bytes(proof_to_json(proof))
+    assert proof_bytes(proof) == whole
+    assert proof_bytes(proof) == whole  # each record's bytes now kept
+    assert proof_bytes(proof_from_json(json.loads(whole))) == whole

@@ -567,3 +567,131 @@ def test_the_benchmark_cold_gate_decodes_on_every_call(decodes):
     decodes.clear()
     bench("verify_latency", samples=50, warmup=5)
     assert len(decodes) == 55
+
+
+# ---------------------------------------------------------------------------
+# the entry memos: each distinct type entry and function import made once
+# ---------------------------------------------------------------------------
+
+FUNC_TYPES = wasm_inspect._FUNC_TYPES
+IMPORTS = wasm_inspect._IMPORTS
+KEY_MAX = wasm_inspect._ENTRY_KEY_MAX
+
+
+def _section(section_id: int, entries: list[bytes]) -> bytes:
+    body = uleb(len(entries)) + b"".join(entries)
+    return bytes([section_id]) + uleb(len(body)) + body
+
+
+def _name(text: str) -> bytes:
+    return uleb(len(text.encode())) + text.encode()
+
+
+def _func_imports(names: list[tuple[str, str]], params: bytes = b"\x7f") -> bytes:
+    """A module importing each (namespace, name) as a function of one type."""
+    types = _section(1, [b"\x60" + uleb(len(params)) + params + b"\x00"])
+    imports = _section(2, [_name(ns) + _name(n) + b"\x00\x00" for ns, n in names])
+    return MINIMAL_MODULE + types + imports
+
+
+def test_two_modules_share_their_entries():
+    a = decode_header(fixture_binary("emit_call"))
+    b = decode_header(fixture_binary("emit_poc"))
+    shared = {r.name for r in a.imports} & {r.name for r in b.imports}
+    assert shared
+    for name in shared:
+        (ra,) = [r for r in a.imports if r.name == name]
+        (rb,) = [r for r in b.imports if r.name == name]
+        assert ra is rb
+    assert any(t is u for t in a.types for u in b.types)
+    # a record read from a document is the decoder's
+    for record in a.imports:
+        assert ImportRecord.from_json(record.to_json()) is record
+
+
+def test_a_record_encodes_once():
+    (record,) = decode_header(_func_imports([("env", "f")])).imports
+    assert record.encoded is record.encoded
+    assert record.encoded == b'{"kind":"function","name":"f","namespace":"env",' \
+        b'"type_signature":"(i32) -> ()"}'
+    assert "encoded" not in repr(record)
+    assert record == ImportRecord("env", "f", "function", "(i32) -> ()")
+
+
+def _outcome(data):
+    try:
+        return decode_header(data)
+    except MalformedBinary as exc:
+        return repr(exc)
+
+
+def test_warm_and_cold_decodes_of_the_corpus_agree():
+    from _decoder_corpus import build, recipes
+
+    inputs = [build(case) for case in recipes()]
+    cold = []
+    for data in inputs:
+        FUNC_TYPES.clear()
+        IMPORTS.clear()
+        cold.append(_outcome(data))
+    warm = [_outcome(data) for data in inputs]
+    assert warm == cold
+    assert IMPORTS.hits and FUNC_TYPES.hits
+    assert [_outcome(bytearray(data)) for data in inputs] == cold
+
+
+@pytest.mark.parametrize("data", [
+    bytearray(fixture_binary("emit_call")),
+    _Bytes(fixture_binary("emit_call")),
+], ids=["bytearray", "bytes_subclass"])
+def test_only_exact_bytes_are_interned(data):
+    header = decode_header(data)
+    assert len(FUNC_TYPES) == len(IMPORTS) == 0
+    assert header == decode_header(bytes(data)) and len(IMPORTS) > 0
+    # the buffer changes after the decode; what was decoded does not
+    if isinstance(data, bytearray):
+        data[8:] = bytes(len(data) - 8)
+    assert header == decode_header(fixture_binary("emit_call"))
+
+
+def test_the_entry_memos_keep_their_bounds():
+    # more distinct types and imports than either memo holds
+    for k in range(FUNC_TYPES.maxsize + 1):
+        params = b"\x7e" * (k // 100) + b"\x7f" * (k % 100)
+        decode_header(_func_imports([("env", f"f{k}")], params))
+    assert len(FUNC_TYPES) == FUNC_TYPES.maxsize
+    for k in range(IMPORTS.maxsize):
+        decode_header(_func_imports([("env", f"g{k}")]))
+    assert len(IMPORTS) == IMPORTS.maxsize
+    # entries with two-byte lengths or counts are decoded, and kept nowhere
+    FUNC_TYPES.clear()
+    IMPORTS.clear()
+    long_name = "n" * 128
+    (record,) = decode_header(_func_imports([("env", long_name)])).imports
+    assert record.name == long_name
+    assert len(FUNC_TYPES) == 1 and len(IMPORTS) == 0
+    for params, interned in [(128, 1), (KEY_MAX, 1), (KEY_MAX + 1, 0)]:
+        IMPORTS.clear()
+        binary = _func_imports([("env", "f")], b"\x7f" * params)
+        (record,) = decode_header(binary).imports
+        assert record.type_signature.count("i32") == params
+        assert len(FUNC_TYPES) == 1 and len(IMPORTS) == interned
+    # a record read from a document with long fields is made afresh
+    IMPORTS.clear()
+    doc = {"namespace": "env", "name": "n" * KEY_MAX, "kind": "function",
+           "type_signature": "(i32) -> ()"}
+    assert ImportRecord.from_json(doc) is not ImportRecord.from_json(doc)
+    assert ImportRecord.from_json(doc) == ImportRecord.from_json(doc)
+    assert len(IMPORTS) == 0
+
+
+def test_a_malformed_entry_keeps_nothing_and_raises_again():
+    # an empty name, then a name that is not UTF-8
+    for _ in range(2):
+        with pytest.raises(MalformedBinary, match="^empty import namespace or name$"):
+            decode_header(_func_imports([("env", "")]))
+    bad = _func_imports([("env", "f")]).replace(b"\x01f", b"\x01\xff")
+    for _ in range(2):
+        with pytest.raises(MalformedBinary, match="^import name is not valid UTF-8$"):
+            decode_header(bad)
+    assert len(IMPORTS) == 0
