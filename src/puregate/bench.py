@@ -98,7 +98,10 @@ def _cold_gate_us(
     before timing: a proof keeps its digest, so calls on one object would
     stop measuring step 3's encoding after the first. Each call also empties
     the header memo first, or step 4 would decode only once (an equal copy
-    of the bytes would still be a hit)."""
+    of the bytes would still be a hit). It empties no other process memo:
+    the type entries and import records that step 4 decodes and step 3
+    encodes stay warm, as they are in a running gate, which has seen the
+    whitelist's few entries long before this artifact."""
     doc = proof_to_json(proof)
     copies = iter([proof_from_json(doc) for _ in range(warmup + samples)])
 
