@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 
 import pytest
+from _decoder_corpus import _sections as corpus_sections
+from _decoder_corpus import build, recipes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,23 +103,15 @@ def test_empty_import_names_rejected():
         parse_imports(MINIMAL_MODULE + type_section + import_section)
 
 
-def _sections(binary: bytes) -> list[bytes]:
-    """Each whole section (id, size and body) of a well-formed module."""
-    pos, out = 8, []
-    while pos < len(binary):
-        size, start = _u32_at(binary, pos + 1, len(binary))
-        out.append(binary[pos : start + size])
-        pos = start + size
-    return out
-
-
 def _move_section(binary: bytes, section_id: int, before_id: int) -> bytes:
     """binary with its section section_id moved just before section before_id."""
-    sections = _sections(binary)
+    sections = corpus_sections(binary)
     moved = next(s for s in sections if s[0] == section_id)
     sections.remove(moved)
-    at = next(i for i, s in enumerate(sections) if s[0] == before_id)
-    return binary[:8] + b"".join(sections[:at] + [moved] + sections[at:])
+    sections.insert(next(i for i, s in enumerate(sections) if s[0] == before_id), moved)
+    return binary[:8] + b"".join(
+        bytes([i]) + uleb(len(body)) + body for i, body in sections
+    )
 
 
 def test_sections_out_of_spec_order_are_malformed():
@@ -626,8 +620,6 @@ def _outcome(data):
 
 
 def test_warm_and_cold_decodes_of_the_corpus_agree():
-    from _decoder_corpus import build, recipes
-
     inputs = [build(case) for case in recipes()]
     cold = []
     for data in inputs:
