@@ -120,3 +120,25 @@ def test_gating_and_planning_in_threads_gives_the_single_thread_results(
     wasmvm._HANDLES.clear()
     for seen in _in_threads(work):
         assert seen == alone
+
+
+def test_entry_memos_are_total_under_threads():
+    # 300 modules of two shared and one own import each: past the record
+    # memo's bound of 512, so threads evict what other threads look up
+    def module(k):
+        own = b"g%d" % k
+        names = [
+            b"\x06mashin\x0aset_output", b"\x03env\x01f", b"\x03env" + uleb(len(own)) + own
+        ]
+        types = b"\x01\x06\x01\x60\x02\x7f\x7f\x00"  # (i32, i32) -> ()
+        body = uleb(len(names)) + b"".join(name + b"\x00\x00" for name in names)
+        return b"\x00asm\x01\x00\x00\x00" + types + b"\x02" + uleb(len(body)) + body
+
+    binaries = [module(k) for k in range(300)]
+    expected = [decode_header(binary) for binary in binaries]
+
+    def work():
+        return [decode_header(b) for _ in range(2) for b in binaries]
+
+    for headers in _in_threads(work):
+        assert headers == expected * 2
