@@ -202,17 +202,32 @@ def _valtype_at(data: bytes, pos: int, end: int) -> str:
     return _VALTYPE[b]
 
 
-def _limits_at(data: bytes, pos: int, end: int) -> tuple[tuple[int, int | None], int]:
-    """Memory or table limits at pos: ((min, max or None), next pos)."""
+# the spec's bound on a memory's size, in 64 KiB pages (4 GiB)
+MAX_PAGES = 65536
+
+
+def _limits_at(
+    data: bytes, pos: int, end: int, memory: bool = False
+) -> tuple[tuple[int, int | None], int]:
+    """Memory or table limits at pos: ((min, max or None), next pos).
+
+    The minimum may not exceed the maximum, and a memory's limits may not
+    exceed MAX_PAGES, as the spec's validation requires.
+    """
     flag = _byte_at(data, pos, end)
     if flag == 0x00:
         lo, pos = _u32_at(data, pos + 1, end)
-        return (lo, None), pos
-    if flag == 0x01:
+        hi = None
+    elif flag == 0x01:
         lo, pos = _u32_at(data, pos + 1, end)
         hi, pos = _u32_at(data, pos, end)
-        return (lo, hi), pos
-    raise MalformedBinary(f"invalid limits flag 0x{flag:02x}")
+        if lo > hi:
+            raise MalformedBinary("size minimum must not be greater than maximum")
+    else:
+        raise MalformedBinary(f"invalid limits flag 0x{flag:02x}")
+    if memory and max(lo, hi or 0) > MAX_PAGES:
+        raise MalformedBinary(f"memory size must be at most {MAX_PAGES} pages (4GiB)")
+    return (lo, hi), pos
 
 
 FuncType = tuple[tuple[str, ...], tuple[str, ...]]  # (params, results)
@@ -342,7 +357,7 @@ def _other_import(
         sig = f"(table {_render_limits(limits)} {reftype})"
         return ImportRecord(namespace, name, "table", sig), pos
     if desc == 0x02:
-        limits, pos = _limits_at(data, pos, end)
+        limits, pos = _limits_at(data, pos, end, memory=True)
         sig = f"(memory {_render_limits(limits)})"
         return ImportRecord(namespace, name, "memory", sig), pos
     if desc == 0x03:

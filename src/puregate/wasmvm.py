@@ -319,7 +319,7 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
             if count > 1:
                 raise InstantiationError("multiple memories are not supported")
             if count == 1:
-                memory, pos = _limits_at(binary, pos, end)
+                memory, pos = _limits_at(binary, pos, end, memory=True)
         elif section_id == 7:
             for _ in range(count):
                 name, pos = _name_at(binary, pos, end)

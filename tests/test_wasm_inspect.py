@@ -28,7 +28,7 @@ from puregate.wasm_inspect import (
     parse_imports,
     render_func_signature,
 )
-from puregate.watasm import sleb, uleb
+from puregate.watasm import assemble, sleb, uleb
 from puregate.wasmvm import (
     InstantiationError,
     VMError,
@@ -101,6 +101,29 @@ def test_empty_import_names_rejected():
     import_section = b"\x02\x07\x01\x00\x01\x66\x00\x00"
     with pytest.raises(MalformedBinary):
         parse_imports(MINIMAL_MODULE + type_section + import_section)
+
+
+@pytest.mark.parametrize(
+    "descriptor, refusal",
+    [
+        ("(memory 3 1)", "size minimum must not be greater than maximum"),
+        ("(memory 65537)", "memory size must be at most 65536 pages (4GiB)"),
+        ("(memory 1 65537)", "memory size must be at most 65536 pages (4GiB)"),
+        ("(table 3 1 funcref)", "size minimum must not be greater than maximum"),
+        ("(memory 1 1)", None),
+        ("(memory 65536)", None),
+        ("(table 1 1 funcref)", None),
+    ],
+)
+def test_import_limits_the_spec_calls_invalid_are_malformed(descriptor, refusal):
+    binary = assemble(f'(module (import "env" "x" {descriptor}))')
+    if refusal is None:
+        (record,) = decode_header(binary).imports
+        assert record.type_signature == descriptor
+        return
+    with pytest.raises(MalformedBinary) as excinfo:
+        decode_header(binary)
+    assert str(excinfo.value) == refusal
 
 
 def _move_section(binary: bytes, section_id: int, before_id: int) -> bytes:

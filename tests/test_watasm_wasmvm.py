@@ -186,6 +186,26 @@ def test_declared_memory_beyond_host_limit_rejected():
         instantiate(parse_module(assemble(source)), {}, 65536)
 
 
+MIN_ABOVE_MAX = "size minimum must not be greater than maximum"
+TOO_MANY_PAGES = "memory size must be at most 65536 pages (4GiB)"
+
+
+@pytest.mark.parametrize(
+    "limits, refusal",
+    [("2 1", MIN_ABOVE_MAX), ("65537", TOO_MANY_PAGES), ("1 65537", TOO_MANY_PAGES),
+     ("1 1", None), ("65536", None)],
+)
+def test_memory_limits_the_spec_calls_invalid_are_refused(limits, refusal):
+    binary = assemble(f"(module (memory {limits}))")
+    if refusal is None:
+        lo, _, hi = limits.partition(" ")
+        assert parse_module(binary).memory == (int(lo), int(hi) if hi else None)
+        return
+    with pytest.raises(InstantiationError) as excinfo:
+        parse_module(binary)
+    assert str(excinfo.value) == f"malformed module: {refusal}"
+
+
 def test_data_segment_out_of_bounds_rejected():
     source = '(module (memory 1) (data (i32.const 65530) "0123456789"))'
     with pytest.raises(InstantiationError):
