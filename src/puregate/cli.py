@@ -226,7 +226,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     doc["timings"] = {"gate_us": gate_us}
     human = (
         f"verdict={decision.verdict} reason={decision.reason} "
-        f"failed_step={decision.failed_step} gate_us={gate_us:.1f}"
+        f"failed_step={decision.failed_step}{_detail(decision)} gate_us={gate_us:.1f}"
     )
     _emit(args, doc, human)
     return 0 if decision.accepted else 1
@@ -236,9 +236,20 @@ def _gate_rejected(args: argparse.Namespace, decision: GateDecision) -> int:
     _emit(
         args,
         decision.to_json(),
-        f"gate rejected: {decision.reason} (step {decision.failed_step})",
+        f"gate rejected: {decision.reason} (step {decision.failed_step}){_detail(decision)}",
     )
     return 1
+
+
+def _detail(decision: GateDecision) -> str:
+    """' detail=...' for a human gate line, or '' when the decision has
+    none. The detail may hold an import's name, so each control character
+    (and each backslash) is written as its escape: one line stays one."""
+    if decision.detail is None:
+        return ""
+    return " detail=" + "".join(
+        c if c.isprintable() and c != "\\" else ascii(c)[1:-1] for c in decision.detail
+    )
 
 
 def _executor_failed(args: argparse.Namespace, exc: VMError) -> int:

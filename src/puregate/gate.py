@@ -328,8 +328,8 @@ def _run_checks(
     # step 4: independent import extraction
     try:
         module = parse_imports(binary_bytes)
-    except MalformedBinary:
-        return _reject(R_MALFORMED_BINARY, 4, artifact_hash)
+    except MalformedBinary as exc:
+        return _reject(R_MALFORMED_BINARY, 4, artifact_hash, detail=str(exc))
     if module.imports != proof.imports:
         return _reject(R_IMPORT_MISMATCH, 4, artifact_hash)
 

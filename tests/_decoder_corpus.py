@@ -93,6 +93,15 @@ def _sections(binary: bytes) -> list[tuple[int, bytes]]:
     return out
 
 
+def move_section(binary: bytes, section_id: int, before_id: int) -> bytes:
+    """binary with its section section_id moved just before section before_id."""
+    sections = _sections(binary)
+    moved = next(s for s in sections if s[0] == section_id)
+    sections.remove(moved)
+    sections.insert(next(i for i, s in enumerate(sections) if s[0] == before_id), moved)
+    return binary[:8] + b"".join(bytes([i]) + _uleb(len(body)) + body for i, body in sections)
+
+
 def _edit(section_id: int, body: bytes, at: int, delete: int, insert: bytes) -> bytes:
     """body edited at offset at; in a code section the size field of the
     function body holding the edit is re-encoded too, so only the edited

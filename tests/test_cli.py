@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -7,11 +9,23 @@ from pathlib import Path
 
 import pytest
 
+from puregate import signing
 from puregate.attestation import OrgPolicy, save_policy
 from _chain_tools import build_chain
+from _decoder_corpus import move_section
+from puregate.certificate import (
+    keypair_from_seed,
+    load_certificate,
+    save_certificate,
+    signing_message,
+)
 from puregate.cli import main
 from puregate.fixtures import assemble_pure
+from puregate.proof import build_proof, load_proof, proof_hash, save_proof
 from puregate.provenance import ZERO_DIGEST, run_hash
+from puregate.signing import load_seed
+from puregate.wasm_inspect import parse_imports
+from puregate.watasm import assemble
 from puregate.whitelist import builtin_whitelist
 
 RUNTIME_ID = "mashin-sim"
@@ -209,6 +223,72 @@ def test_gate_rejection_reads_alike_from_run_run_machine_and_attest(workspace, c
         assert (doc["verdict"], doc["reason"], doc["failed_step"]) == (
             "reject", "untrusted_certifier", 1
         )
+
+
+def _signed_anyway(workspace, binary, proof=None):
+    """Executor files for binary under a certificate the workspace's trusted
+    certifier signed without its checks (over the workspace proof, or the
+    proof given): the gate's own steps must refuse what it holds."""
+    root = workspace["root"]
+    proof = proof or load_proof(Path(workspace["proof"]))
+    artifact_hash = hashlib.sha256(binary).digest()
+    key = keypair_from_seed(load_seed(root / "keys" / "certifier.key"))
+    cert = dataclasses.replace(
+        load_certificate(Path(workspace["cert"])),
+        artifact_hash=artifact_hash,
+        proof_hash=proof_hash(proof),
+        signature=signing.sign(key.private_key, signing_message(artifact_hash, proof_hash(proof))),
+    )
+    wasm = root / "signed_anyway.wasm"
+    wasm.write_bytes(binary)
+    save_certificate(cert, root / "signed_anyway.cert")
+    save_proof(proof, root / "signed_anyway.proof")
+    return [str(wasm), "--cert", str(root / "signed_anyway.cert"),
+            "--proof", str(root / "signed_anyway.proof"), "--trust", workspace["pub"]]
+
+
+def _gate_lines(workspace, capsys, executor):
+    """The human lines of gate and of run for one rejected executor."""
+    code, gate_line = run_cli(capsys, "gate", *executor)
+    assert code == 1
+    code, run_line = run_cli(capsys, "run", *executor, "--input",
+                             str(workspace["root"] / "input.json"))
+    assert code == 1
+    return gate_line, run_line
+
+
+def test_a_truncated_binary_is_refused_at_step_4_with_its_reason(workspace, capsys):
+    executor = _signed_anyway(workspace, workspace["wasm"].read_bytes()[:20])
+    code, doc = run_json(capsys, "gate", *executor)
+    assert (code, doc["reason"], doc["failed_step"], doc["detail"]) == (
+        1, "malformed_binary", 4, "truncated binary"
+    )
+    gate_line, run_line = _gate_lines(workspace, capsys, executor)
+    assert gate_line.startswith(
+        "verdict=reject reason=malformed_binary failed_step=4 detail=truncated binary gate_us="
+    )
+    assert run_line == "gate rejected: malformed_binary (step 4) detail=truncated binary\n"
+
+
+def test_a_section_out_of_order_is_refused_at_step_4_with_its_reason(workspace, capsys):
+    reordered = move_section(workspace["wasm"].read_bytes(), 5, 3)  # memory before function
+    gate_line, run_line = _gate_lines(workspace, capsys, _signed_anyway(workspace, reordered))
+    assert " failed_step=4 detail=section id 3 out of order gate_us=" in gate_line
+    assert run_line == "gate rejected: malformed_binary (step 4) detail=section id 3 out of order\n"
+
+
+def test_an_import_name_holding_a_newline_is_escaped_in_the_gate_line(workspace, capsys):
+    binary = assemble('(module (import "mashin" "a\\0a\\\\b" (func (param i32))))')
+    proof = build_proof(parse_imports(binary), builtin_whitelist(1))
+    executor = _signed_anyway(workspace, binary, proof)
+    code, doc = run_json(capsys, "gate", *executor)
+    assert (doc["reason"], doc["failed_step"], doc["detail"]) == (
+        "disallowed_import", 5, "mashin.a\n\\b"
+    )
+    gate_line, run_line = _gate_lines(workspace, capsys, executor)
+    assert " failed_step=5 detail=mashin.a\\n\\\\b gate_us=" in gate_line
+    assert gate_line.count("\n") == 1
+    assert run_line == "gate rejected: disallowed_import (step 5) detail=mashin.a\\n\\\\b\n"
 
 
 def test_run_executes_and_reports_output(workspace, capsys):

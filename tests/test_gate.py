@@ -141,7 +141,9 @@ def test_step4_malformed_binary(bundles, wl_v1, certifier_key):
     decision = gate_verify(
         truncated, rebound, proof_adv, wl_v1, [adversary.public_key]
     )
-    assert (decision.reason, decision.failed_step) == (R_MALFORMED_BINARY, 4)
+    assert (decision.reason, decision.failed_step, decision.detail) == (
+        R_MALFORMED_BINARY, 4, "truncated binary"
+    )
 
 
 def test_step4_import_mismatch(bundles, wl_v1, certifier_key):

@@ -2,8 +2,7 @@ import dataclasses
 import hashlib
 
 import pytest
-from _decoder_corpus import _sections as corpus_sections
-from _decoder_corpus import build, recipes
+from _decoder_corpus import build, move_section, recipes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,20 +125,9 @@ def test_import_limits_the_spec_calls_invalid_are_malformed(descriptor, refusal)
     assert str(excinfo.value) == refusal
 
 
-def _move_section(binary: bytes, section_id: int, before_id: int) -> bytes:
-    """binary with its section section_id moved just before section before_id."""
-    sections = corpus_sections(binary)
-    moved = next(s for s in sections if s[0] == section_id)
-    sections.remove(moved)
-    sections.insert(next(i for i, s in enumerate(sections) if s[0] == before_id), moved)
-    return binary[:8] + b"".join(
-        bytes([i]) + uleb(len(body)) + body for i, body in sections
-    )
-
-
 def test_sections_out_of_spec_order_are_malformed():
     # memory (5) before function (3)
-    reordered = _move_section(fixture_binary("emit_poc"), 5, 3)
+    reordered = move_section(fixture_binary("emit_poc"), 5, 3)
     with pytest.raises(MalformedBinary) as excinfo:
         decode_header(reordered)
     assert str(excinfo.value) == "section id 3 out of order"
@@ -157,7 +145,7 @@ def test_sections_out_of_spec_order_are_malformed():
 
 def test_certifier_and_gate_refuse_sections_out_of_order(certifier_key):
     binary = fixture_binary("emit_poc")
-    reordered = _move_section(binary, 5, 3)
+    reordered = move_section(binary, 5, 3)
     proof = build_proof(parse_imports(binary), V2)
     with pytest.raises(MalformedBinary):
         build_proof(parse_imports(reordered), V2)
@@ -172,7 +160,9 @@ def test_certifier_and_gate_refuse_sections_out_of_order(certifier_key):
         signature=signing.sign(certifier_key.private_key, message),
     )
     decision = gate_verify(reordered, cert, proof, V2, [certifier_key.public_key])
-    assert (decision.reason, decision.failed_step) == (R_MALFORMED_BINARY, 4)
+    assert (decision.reason, decision.failed_step, decision.detail) == (
+        R_MALFORMED_BINARY, 4, "section id 3 out of order"
+    )
 
 
 def _synthetic_imports(count: int) -> tuple[tuple[str, str, str], ...]:
