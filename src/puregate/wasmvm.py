@@ -49,10 +49,15 @@ Two tiers run the blocks, with the same fuel, traps and messages:
   that counts them too. A chain fuel cannot cover is handed, with its
   locals and stack, to tier 1, which charges block by block and so stops
   where a per-op budget would, or runs on to the function's end when a
-  branch leaves the chain first. Only per-opcode templates and integers
-  the validator has bounded reach the generated source; no name, byte
-  string or type text from the module does, and trap messages that need
-  such text are built at run time.
+  branch leaves the chain first. A loop whose body is one chain runs in
+  batches: as many iterations as the fuel above the next multiple of 4096
+  pays for, with no charge of their own, behind one guard that checks the
+  deadline or hands off to tier 1; an exit or trap in iteration i takes
+  its fuel from i. A one-byte load or store tests no bounds: its address
+  is never negative, so the bytearray's IndexError raises the trap. Only
+  per-opcode templates and integers the validator has bounded reach the
+  generated source; no name, byte string or type text from the module
+  does, and trap messages that need such text are built at run time.
 
 Compile once, instantiate many times: parse_module turns the bytes into a
 ParsedModule, which is immutable (tuples, bytes and a read-only export map)
@@ -1099,7 +1104,8 @@ def _too_deep():
 
 # everything generated code can name besides its own functions
 _TIER2_NAMES: dict[str, Any] = {
-    "__builtins__": {"len": len, "locals": locals},
+    "__builtins__": {"len": len, "locals": locals, "range": range},
+    "_index_error": IndexError,
     "_tier1": _tier1,
     "_tick": _tick,
     "_trap": _trap,
@@ -1242,6 +1248,9 @@ class _Translator:
     is continue, and every other jump out of it sets k and breaks, after
     which the later tests and then the dispatch loop find the target. So
     an iteration of such a loop never goes back through the dispatch.
+    When that region is one chain ending in the back edge, the loop runs
+    in batches (batched()), and a one-byte access is checked by the
+    bytearray's own index (access()).
 
     Fuel is charged once per chain: a region's blocks from its head, or from
     the block after a call, through each block the last falls or branches
@@ -1252,9 +1261,9 @@ class _Translator:
     under the chain's starting fuel, a slow path either hands a chain fuel
     cannot cover to _tier1 or checks the deadline.
 
-    Only per-opcode templates, the fixed control words (while True,
-    continue, break) and integers reach the source: immediates, indices
-    and costs, all formatted with :d.
+    Only per-opcode templates, the fixed control words (while True, for i
+    in range, try, continue, break) and integers reach the source:
+    immediates, indices and costs, all formatted with :d.
     """
 
     def __init__(self, code, index, func_types, n_imported):
@@ -1286,6 +1295,7 @@ class _Translator:
         }
         self.first: list[int] = []  # the entries tested before the search
         self.head: int | None = None  # the self-loop region being emitted
+        self.batch = 0  # the cost of that loop's one chain, when batched
 
     def _flow(self):
         """Stack height entering each reachable block, and each one's edges."""
@@ -1422,6 +1432,9 @@ class _Translator:
         while self.goes_on(chain[-1]):
             chain.append(chain[-1] + 1)
         later = total = sum(self.blocks[j][0] for j in chain)
+        if k == self.head and self.whole(chain):
+            self.batched(chain, total, stack, ind)
+            return None
         emit(ind, f"fuel -= {total:d}")
         emit(ind, "if fuel < mark:")
         emit(ind + 1, "if fuel < 0:")
@@ -1436,6 +1449,54 @@ class _Translator:
             later -= self.blocks[j][0]
             next_k = self.block(j, stack, ind, later)
         return next_k
+
+    def whole(self, chain: list[int]) -> bool:
+        """Whether a self-loop's chain from its head is the loop's whole
+        body at one cost: it ends in the br back to the head, no other
+        branch in it goes back, and no op in it always traps."""
+        head = chain[0]
+        _, _, term, a, _, _ = self.blocks[chain[-1]]
+        return (
+            term == 0x0C
+            and a == head
+            and not any(self.blocks[j][2:4] == (0x0D, head) for j in chain)
+            and all(op != 0x00 for j in chain for op, _, _ in self.blocks[j][1])
+        )
+
+    def batched(self, chain: list[int], cost: int, stack: _Stack, ind: int) -> None:
+        """Emit a self-loop whose body is one chain of the given cost as
+        batches of iterations, each batch as many as the fuel above mark
+        pays for, so an iteration is charged nothing of its own.
+
+        The guard runs the iteration that would cross mark as a chain's
+        charge would: it hands off to tier 1 when fuel cannot cover it and
+        otherwise checks the deadline. Within a batch fuel holds its value
+        from before the batch, so iteration i has spent cost * (i + 1)."""
+        emit = self.emit
+        emit(ind, f"if fuel - mark < {cost:d}:")
+        emit(ind + 1, f"if fuel < {cost:d}:")
+        emit(
+            ind + 2,
+            f"return _tier1(inst, fuel, {self.index:d}, {chain[0]:d}, locals(), "
+            f"{len(stack):d}, depth)",
+        )
+        emit(ind + 1, f"mark = _tick(inst, fuel - {cost:d})")
+        emit(ind, f"for i in range((fuel - mark) // {cost:d}):")
+        self.batch = later = cost
+        for j in chain:
+            later -= self.blocks[j][0]
+            self.block(j, stack, ind + 1, later)
+        self.batch = 0
+        emit(ind, "else:")
+        emit(ind + 1, f"fuel -= {cost:d} * i + {cost:d}")
+        emit(ind + 1, "continue")
+        emit(ind, "break")
+
+    def left(self, rest: int) -> str:
+        """The fuel left where the chain's last rest units go unspent."""
+        if self.batch:
+            return f"fuel - {self.batch:d} * i - {self.batch - rest:d}"
+        return f"fuel + {rest:d}"
 
     def block(self, k: int, stack: _Stack, ind: int, later: int) -> int | None:
         """Emit block k, whose chain charged later units for the blocks
@@ -1489,7 +1550,10 @@ class _Translator:
         branch, the entries below height b and the c on top, giving back
         the refund charged for the chain's blocks this skips."""
         emit = self.emit
-        if refund:
+        if self.batch:
+            if target != self.head:
+                emit(ind, f"fuel = {self.left(refund)}")
+        elif refund:
             emit(ind, f"fuel += {refund:d}")
         if target == len(self.blocks):  # return
             emit(ind, "inst.fuel = fuel")
@@ -1582,28 +1646,29 @@ class _Translator:
             stack.append(self.pure(ind, expr, (first, other, cond)))
         elif op in _LOADS:
             width, template = _LOADS[op]
-            ptr = self.address(stack.pop(), x, ind)
-            emit(ind, self.out_of_bounds(ptr, width))
-            emit(ind + 1, f"raise _oob_read(inst, fuel + {rest:d}, {ptr}, {width:d})")
-            stack.append(self.temp(ind, template.format(p=ptr)))
+            ptr = self.address(stack.pop(), x, width, ind)
+            value = _Value(f"t{self.temps:d}")
+            self.temps += 1
+            trap = f"_oob_read(inst, {self.left(rest)}, {ptr}, {width:d})"
+            self.access(ptr, width, f"{value.expr} = {template.format(p=ptr)}", trap, ind)
+            stack.append(value)
         elif op in _STORES:
             width, template = _STORES[op]
             value = stack.pop()
-            ptr = self.address(stack.pop(), x, ind)
-            emit(ind, self.out_of_bounds(ptr, width))
-            emit(ind + 1, f"raise _oob_write(inst, fuel + {rest:d}, {ptr})")
-            emit(ind, template.format(p=ptr, v=value.int))
+            ptr = self.address(stack.pop(), x, width, ind)
+            trap = f"_oob_write(inst, {self.left(rest)}, {ptr})"
+            self.access(ptr, width, template.format(p=ptr, v=value.int), trap, ind)
         elif op in _DIVISION:
             divisor = self.atom(ind, stack.pop())
             dividend = stack.pop()
             emit(ind, f"if not {divisor.expr}:")
-            emit(ind + 1, f"raise _trap(inst, fuel + {rest:d}, 'integer divide by zero')")
+            emit(ind + 1, f"raise _trap(inst, {self.left(rest)}, 'integer divide by zero')")
             if op == 0x6D:
                 dividend = self.atom(ind, dividend)
                 emit(ind, f"if {divisor.expr} == 4294967295 and {dividend.expr} == 2147483648:")
                 emit(
                     ind + 1,
-                    f"raise _trap(inst, fuel + {rest:d}, 'integer overflow in division')",
+                    f"raise _trap(inst, {self.left(rest)}, 'integer overflow in division')",
                 )
             expr = _DIVISION[op].format(a=dividend.int, b=divisor.expr)
             stack.append(self.pure(ind, expr, (dividend, divisor)))
@@ -1613,21 +1678,32 @@ class _Translator:
             stack.append(self.temp(ind, f"inst.mem_grow({stack.pop().int})"))
             emit(ind, "size = len(mem)")
         else:  # unreachable, the only other op the decoder admits
-            emit(ind, f"raise _trap(inst, fuel + {rest:d}, 'unreachable executed')")
+            emit(ind, f"raise _trap(inst, {self.left(rest)}, 'unreachable executed')")
             return False
         return True
 
-    def address(self, base: _Value, offset: int, ind: int) -> str:
-        if offset:
-            return self.temp(ind, f"{base.int} + {offset:d}").expr
-        return self.atom(ind, base).expr
-
-    @staticmethod
-    def out_of_bounds(ptr: str, width: int) -> str:
-        """The test that an access of width bytes at ptr leaves memory."""
+    def address(self, base: _Value, offset: int, width: int, ind: int) -> str:
+        """The address expression; a temporary unless only a one-byte
+        access reads it, whose trap alone reads it again."""
+        ptr = f"{base.int} + {offset:d}" if offset else base.int
         if width == 1:
-            return f"if {ptr} >= size:"
-        return f"if {ptr} + {width:d} > size:"
+            return ptr
+        return self.temp(ind, ptr).expr if offset else self.atom(ind, base).expr
+
+    def access(self, ptr: str, width: int, statement: str, trap: str, ind: int) -> None:
+        """Emit statement, an access of width bytes at ptr, raising trap
+        where the access leaves memory. A one-byte access runs unguarded:
+        an address is a u32 plus a u32 offset, never negative, so the
+        bytearray's own IndexError is the bounds check."""
+        if width == 1:
+            self.emit(ind, "try:")
+            self.emit(ind + 1, statement)
+            self.emit(ind, "except _index_error:")
+            self.emit(ind + 1, f"raise {trap} from None")
+        else:
+            self.emit(ind, f"if {ptr} + {width:d} > size:")
+            self.emit(ind + 1, f"raise {trap}")
+            self.emit(ind, statement)
 
 
 def instantiate(

@@ -728,9 +728,86 @@ def test_loops_of_one_region_found_by_search_agree_in_both_tiers():
 def test_the_deadline_holds_in_a_loop_of_one_region():
     module = parse_module(assemble('(module (func (export "f") loop br 0 end))'))
     assert _self_loop_heads(module) == [{1}]
+    source = wasmvm._Translator(module.codes[0], 0, module.func_types, 0).source()
+    assert "for i in range((fuel - mark) // 1):" in source  # batched: one deadline per mark
     instance = instantiate(module, {}, 0, compile_tier2(module))
     with pytest.raises(wasmvm.Timeout):
         instance.invoke("f", [], 10**8, 20)
+
+
+@st.composite
+def batched_loops(draw):
+    """(WAT source, the loop's chain cost): a loop of one chain that scans,
+    copies or checksums bytes for as many iterations as cross 1-3
+    multiples of 4096 units, maybe trapping in a drawn iteration on a byte
+    load or store past memory's end, or on a divide by zero."""
+    shape = draw(st.sampled_from(["scan", "copy", "checksum"]))
+    trap = draw(st.sampled_from(
+        {"scan": [None, "load"], "copy": [None, "load", "store"],
+         "checksum": [None, "load", "divide"]}[shape]
+    ))
+    offset = draw(st.sampled_from([0, 3]))
+    load = f"{draw(st.sampled_from(['i32.load8_u', 'i32.load8_s']))} offset={offset}"
+    if shape == "scan":  # up to the string's zero byte, as strlen
+        body = ["local.get $p", "local.get $i", "i32.add", load, "i32.eqz", "br_if 1"]
+    else:  # i from 0 up to n
+        body = ["local.get $i", "i32.const {n}", "i32.ge_u", "br_if 1"]
+        byte = ["local.get $i", "i32.const {src}", "i32.add", load]
+        if shape == "copy":
+            body += ["local.get $i", "i32.const {dst}", "i32.add", *byte,
+                     f"i32.store8 offset={offset}"]
+        else:
+            body += ["local.get $h", "i32.const 5", "i32.rotl", *byte, "i32.xor",
+                     "i32.const -1640531535", "i32.mul", "local.set $h"]
+            if trap == "divide" or draw(st.booleans()):
+                divide = draw(st.sampled_from(["i32.div_u", "i32.rem_u", "i32.div_s"]))
+                body += ["local.get $h", "i32.const {zero}", "local.get $i", "i32.sub",
+                         divide, "local.set $h"]
+    body += ["local.get $i", "i32.const 1", "i32.add", "local.set $i", "br 0"]
+    cost = len(body)  # one unit an op, the loop's own op being before its head
+    marks = draw(st.integers(1, 3))
+    n = draw(st.integers(-(-marks * 4096 // cost), (marks + 1) * 4096 // cost))
+    at = draw(st.integers(0, n - 1))  # the iteration that traps, if one does
+    top = 65536 - offset  # the first address whose byte access traps
+    src = top - at if trap == "load" else 64
+    dst = top - at if trap == "store" else 32768
+    fill = draw(st.sampled_from(["a", "\\ff"])) * min(n, top - src)  # nonzero bytes
+    text = " ".join(body).format(n=n, src=src, dst=dst, zero=at if trap == "divide" else n + 1)
+    source = f"""
+    (module
+      (import "host" "emit" (func $emit (param i32 i32)))
+      (import "host" "mix" (func $mix (param i32) (result i32)))
+      (memory 1)
+      (data (i32.const {src + offset}) "{fill}")
+      (func (export "f") (result i32) (local $i i32) (local $h i32) (local $p i32)
+        i32.const 7 call $mix local.set $h
+        i32.const {src} local.set $p
+        block loop {text} end end
+        local.get $i local.get $h call $emit
+        local.get $h local.get $i i32.add))
+    """
+    return source, cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop=batched_loops(), data=st.data())
+def test_batched_loops_agree_in_both_tiers_around_each_mark(loop, data):
+    source, cost = loop
+    module = parse_module(assemble(source))
+    translator = wasmvm._Translator(module.codes[0], 2, module.func_types, 2)
+    assert f"for i in range((fuel - mark) // {cost:d}):" in translator.source()
+    cap = 10**6
+    used = cap - _outcome(module, None, cap)[1]
+    # budgets that run out in the loop at every residue mod its cost; that
+    # enter it at and around multiples of 4096, so that the guard crosses
+    # a mark on its first test; and that finish, or just fail to
+    q = data.draw(st.integers(0, used // cost))
+    budgets = [max(used - q * cost - r, 0) for r in range(1, cost + 1)]
+    budgets += [4096 * m + d for m in range(1, used // 4096 + 1) for d in (-cost, -1, 0, 1, cost)]
+    budgets += [used - 1, used, used + data.draw(st.integers(1, 8191)), cap]
+    tier2 = compile_tier2(module)
+    for budget in budgets:
+        assert _outcome(module, tier2, budget) == _outcome(module, None, budget), budget
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +861,11 @@ def test_the_source_script_prints_each_function_of_a_fixture_or_binary(capsys, t
         f"# f{translator.index}\n{translator.source()}\n"
         for translator in _translators(parse_module(fixture_binary("emit_call")))
     )
-    assert "while True:\n                fuel -= 11" in printed  # strlen's own loop
+    # strlen's own loop, in batches of iterations that fuel above mark pays for
+    assert (
+        "while True:\n                if fuel - mark < 11:" in printed
+        and "for i in range((fuel - mark) // 11):" in printed
+    )
     path = tmp_path / "emit_call.wasm"
     path.write_bytes(fixture_binary("emit_call"))
     assert script.main([str(path)]) == 0 and capsys.readouterr().out == printed
