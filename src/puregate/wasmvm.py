@@ -1550,11 +1550,8 @@ class _Translator:
         branch, the entries below height b and the c on top, giving back
         the refund charged for the chain's blocks this skips."""
         emit = self.emit
-        if self.batch:
-            if target != self.head:
-                emit(ind, f"fuel = {self.left(refund)}")
-        elif refund:
-            emit(ind, f"fuel += {refund:d}")
+        if refund or (self.batch and target != self.head):
+            emit(ind, f"fuel = {self.left(refund)}")
         if target == len(self.blocks):  # return
             emit(ind, "inst.fuel = fuel")
             if self.returns:
