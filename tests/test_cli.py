@@ -231,13 +231,13 @@ def _signed_anyway(workspace, binary, proof=None):
     proof given): the gate's own steps must refuse what it holds."""
     root = workspace["root"]
     proof = proof or load_proof(Path(workspace["proof"]))
-    artifact_hash = hashlib.sha256(binary).digest()
+    artifact_hash, digest = hashlib.sha256(binary).digest(), proof_hash(proof)
     key = keypair_from_seed(load_seed(root / "keys" / "certifier.key"))
     cert = dataclasses.replace(
         load_certificate(Path(workspace["cert"])),
         artifact_hash=artifact_hash,
-        proof_hash=proof_hash(proof),
-        signature=signing.sign(key.private_key, signing_message(artifact_hash, proof_hash(proof))),
+        proof_hash=digest,
+        signature=signing.sign(key.private_key, signing_message(artifact_hash, digest)),
     )
     wasm = root / "signed_anyway.wasm"
     wasm.write_bytes(binary)
