@@ -53,8 +53,17 @@ Two tiers run the blocks, with the same fuel, traps and messages:
   batches: as many iterations as the fuel above the next multiple of 4096
   pays for, with no charge of their own, behind one guard that checks the
   deadline or hands off to tier 1; an exit or trap in iteration i takes
-  its fuel from i. A one-byte load or store tests no bounds: its address
-  is never negative, so the bytearray's IndexError raises the trap. Only
+  its fuel from i. A batched loop that scans for a zero byte as strlen
+  does (a one-byte load from local A + local I or from local I alone,
+  eqz, a br_if out carrying no values, then I += 1, entered with an empty
+  stack) runs a batch whose bytes lie in memory, at addresses that do not
+  wrap, as one bytearray.find: a zero in iteration i advances I by i and
+  leaves with iteration i's fuel, and none advances I by the batch and
+  spends its fuel; any other batch runs each iteration, so a scan that
+  leaves memory traps with the same fuel and address. A one-byte load or
+  store tests no bounds: its address is never negative, so the
+  bytearray's IndexError raises the trap, and code without wider
+  accesses or memory.size never reads memory's length. Only
   per-opcode templates and integers the validator has bounded reach the
   generated source; no name, byte string or type text from the module
   does, and trap messages that need such text are built at run time.
@@ -1169,6 +1178,13 @@ _STORES = {
     0x3A: (1, "mem[{p}] = {v} & 255"),
     0x3B: (2, "_p16(mem, {p}, {v} & 65535)"),
 }
+# the ops whose code reads size, memory's length in bytes
+_READS_SIZE = frozenset(
+    op for op, (width, _) in (_LOADS | _STORES).items() if width > 1
+) | {0x3F}
+# the last six ops of a byte scan's body: its load, i32.eqz, and then
+# local.get I, i32.const 1, i32.add, local.set I
+_SCAN_TAILS = {(load, 0x45, 0x20, 0x41, 0x6A, 0x21) for load in (0x2C, 0x2D)}
 # bounds that keep the source linear in the ops: an expression folding more
 # ops is bound to a temporary, and when more entries than this wait above
 # the slots they are written to them
@@ -1250,7 +1266,9 @@ class _Translator:
     an iteration of such a loop never goes back through the dispatch.
     When that region is one chain ending in the back edge, the loop runs
     in batches (batched()), and a one-byte access is checked by the
-    bytearray's own index (access()).
+    bytearray's own index (access()). A batched byte scan (scan()) runs
+    each batch as one mem.find when its bytes lie in memory (kernel()),
+    and as a batch of iterations otherwise.
 
     Fuel is charged once per chain: a region's blocks from its head, or from
     the block after a call, through each block the last falls or branches
@@ -1274,8 +1292,11 @@ class _Translator:
         self.returns = bool(func_types[index][1])
         self.lines: list[str] = []
         self.temps = 0
-        ops = [op for block in self.blocks for op, _, _ in block[1]]
-        self.memory = any(0x28 <= op <= 0x40 for op in ops)
+        ops = {op for block in self.blocks for op, _, _ in block[1]}
+        # whether the code reads memory's length (2- and 4-byte accesses,
+        # memory.size), and whether it reads memory at all
+        self.size = not ops.isdisjoint(_READS_SIZE)
+        self.memory = self.size or not ops.isdisjoint((0x2C, 0x2D, 0x3A))
         self.heights, preds = self._flow()
         # the blocks only their predecessor falls into, and the loop headers
         self.inlined = {
@@ -1374,6 +1395,7 @@ class _Translator:
             emit(1, " = ".join(declared) + " = 0")
         if self.memory:
             emit(1, "mem = inst.memory")
+        if self.size:
             emit(1, "size = len(mem)")
         emit(1, "fuel = inst.fuel")
         emit(1, "mark = fuel & -4096 if fuel > 0 else 0")
@@ -1481,8 +1503,9 @@ class _Translator:
             f"{len(stack):d}, depth)",
         )
         emit(ind + 1, f"mark = _tick(inst, fuel - {cost:d})")
-        emit(ind, f"for i in range((fuel - mark) // {cost:d}):")
         self.batch = later = cost
+        self.kernel(chain, ind)
+        emit(ind, f"for i in range((fuel - mark) // {cost:d}):")
         for j in chain:
             later -= self.blocks[j][0]
             self.block(j, stack, ind + 1, later)
@@ -1491,6 +1514,61 @@ class _Translator:
         emit(ind + 1, f"fuel -= {cost:d} * i + {cost:d}")
         emit(ind + 1, "continue")
         emit(ind, "break")
+
+    def scan(self, chain: list[int]) -> tuple[int | None, int, int] | None:
+        """(A, I, offset) when a batched loop's body, entered with an empty
+        stack, is a byte scan: an i32.load8_u or i32.load8_s at offset from
+        local A + local I (either order) or, with A None, from local I
+        alone; i32.eqz; a br_if that carries no values; then local I
+        incremented by one and the br back. None otherwise."""
+        if len(chain) != 2 or self.heights[chain[0]]:
+            return None
+        (_, test, term, _, _, kept), (_, step, _, _, _, _) = (self.blocks[j] for j in chain)
+        if term != 0x0D or kept or len(step) != 4:
+            return None
+        ops = tuple(op for op, _, _ in test + step)
+        args = [x for _, x, _ in test + step]
+        index = args[-1]
+        if ops[-6:] not in _SCAN_TAILS or (args[-4], args[-3]) != (index, 1):
+            return None
+        offset = args[-6]
+        if ops[:-6] == (0x20,) and args[0] == index:
+            return None, index, offset
+        if ops[:-6] == (0x20, 0x20, 0x6A) and index in args[:2] and args[0] != args[1]:
+            return ({args[0], args[1]} - {index}).pop(), index, offset
+        return None
+
+    def kernel(self, chain: list[int], ind: int) -> None:
+        """When the batched loop is a byte scan, emit its batch as one
+        bytearray.find, before the batch's own for loop, which runs instead
+        when the batch's bytes are not all in memory or their addresses
+        wrap.
+
+        a is iteration 0's address before the offset and n the batch's
+        iterations. No zero byte: I advances by n and the batch's fuel is
+        spent. A zero byte in iteration i: I advances by i and the br_if's
+        exit leaves as from the for loop, with fuel from i."""
+        scan = self.scan(chain)
+        if scan is None:
+            return
+        emit = self.emit
+        base, index, offset = scan
+        cost = self.batch
+        emit(ind, f"n = (fuel - mark) // {cost:d}")
+        if base is None:
+            emit(ind, f"a = l{index:d}")
+        else:
+            emit(ind, f"a = (l{base:d} + l{index:d}) & 4294967295")
+        first, back = (f"a + {offset:d}", f"a - {offset:d}") if offset else ("a", "a")
+        emit(ind, f"if a + n <= 4294967296 and {first} + n <= len(mem):")
+        emit(ind + 1, f"i = mem.find(0, {first}, {first} + n) - {back}")
+        emit(ind + 1, "if i < 0:")
+        emit(ind + 2, f"l{index:d} = (l{index:d} + n) & 4294967295")
+        emit(ind + 2, f"fuel -= {cost:d} * n")
+        emit(ind + 2, "continue")
+        emit(ind + 1, f"l{index:d} = (l{index:d} + i) & 4294967295")
+        _, _, _, target, height, kept = self.blocks[chain[0]]
+        self.goto(target, _Stack(0), ind + 1, False, (height, kept), refund=self.blocks[chain[1]][0])
 
     def left(self, rest: int) -> str:
         """The fuel left where the chain's last rest units go unspent."""
@@ -1606,7 +1684,7 @@ class _Translator:
                 emit(ind, call)
             emit(ind, "fuel = inst.fuel")
             emit(ind, "mark = fuel & -4096")
-        if self.memory:
+        if self.size:
             emit(ind, "size = len(mem)")
 
     def op(self, op: int, x: Any, rest: int, stack: _Stack, ind: int) -> bool:
@@ -1673,7 +1751,8 @@ class _Translator:
             stack.append(self.temp(ind, "size >> 16"))
         elif op == 0x40:  # memory.grow
             stack.append(self.temp(ind, f"inst.mem_grow({stack.pop().int})"))
-            emit(ind, "size = len(mem)")
+            if self.size:
+                emit(ind, "size = len(mem)")
         else:  # unreachable, the only other op the decoder admits
             emit(ind, f"raise _trap(inst, {self.left(rest)}, 'unreachable executed')")
             return False

@@ -5,11 +5,13 @@ message, fuel left, memory and the host calls made, at every budget.
 """
 
 import ast
+import contextlib
 import functools
 import importlib.util
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -789,25 +791,178 @@ def batched_loops(draw):
     return source, cost
 
 
+def _budgets_around_each_mark(module, cost, data, cap=10**6):
+    """cap, and budgets that run out in the loop at every residue mod its
+    cost; that enter it at and around multiples of 4096, so that the guard
+    crosses a mark on its first test; and that finish, or just fail to."""
+    translator = wasmvm._Translator(module.codes[0], 2, module.func_types, 2)
+    assert f"for i in range((fuel - mark) // {cost:d}):" in translator.source()
+    used = cap - _outcome(module, None, cap)[1]
+    q = data.draw(st.integers(0, used // cost))
+    budgets = [max(used - q * cost - r, 0) for r in range(1, cost + 1)]
+    budgets += [4096 * m + d for m in range(1, used // 4096 + 1) for d in (-cost, -1, 0, 1, cost)]
+    return budgets + [used - 1, used, used + data.draw(st.integers(1, 8191)), cap]
+
+
 @settings(max_examples=40, deadline=None)
 @given(loop=batched_loops(), data=st.data())
 def test_batched_loops_agree_in_both_tiers_around_each_mark(loop, data):
     source, cost = loop
     module = parse_module(assemble(source))
-    translator = wasmvm._Translator(module.codes[0], 2, module.func_types, 2)
-    assert f"for i in range((fuel - mark) // {cost:d}):" in translator.source()
-    cap = 10**6
-    used = cap - _outcome(module, None, cap)[1]
-    # budgets that run out in the loop at every residue mod its cost; that
-    # enter it at and around multiples of 4096, so that the guard crosses
-    # a mark on its first test; and that finish, or just fail to
-    q = data.draw(st.integers(0, used // cost))
-    budgets = [max(used - q * cost - r, 0) for r in range(1, cost + 1)]
-    budgets += [4096 * m + d for m in range(1, used // 4096 + 1) for d in (-cost, -1, 0, 1, cost)]
-    budgets += [used - 1, used, used + data.draw(st.integers(1, 8191)), cap]
     tier2 = compile_tier2(module)
-    for budget in budgets:
+    for budget in _budgets_around_each_mark(module, cost, data):
         assert _outcome(module, tier2, budget) == _outcome(module, None, budget), budget
+
+
+@st.composite
+def byte_scans(draw):
+    """(WAT source, the loop's chain cost, its first block's cost, where,
+    z): a strlen-shaped loop that the kernel runs, reading bytes from a,
+    u32 local A plus local I (either order) or local I alone, at an
+    offset. Where the zero byte is: at iteration 0 ("first"), at a drawn
+    iteration z that the budget makes the last of a batch ("last") or the
+    one whose charge crosses a mark ("crossing"), or nowhere before
+    memory's end ("nowhere"); or a lies just below 2**32, so that a + n
+    wraps and the per-iteration batch traps ("wrap")."""
+    form = draw(st.sampled_from(["base_index", "index_base", "index"]))
+    load = draw(st.sampled_from(["i32.load8_u", "i32.load8_s"]))
+    offset = draw(st.sampled_from([0, 3, 40000]))
+    where = draw(st.sampled_from(["first", "last", "crossing", "nowhere", "wrap"]))
+    address = {"base_index": ["local.get $p", "local.get $i", "i32.add"],
+               "index_base": ["local.get $i", "local.get $p", "i32.add"],
+               "index": ["local.get $i"]}[form]
+    test = address + [f"{load} offset={offset}", "i32.eqz", "br_if 1"]
+    step = ["local.get $i", "i32.const 1", "i32.add", "local.set $i", "br 0"]
+    cost = len(test) + len(step)
+    z = 0 if where == "first" else draw(st.integers(1, 3 * 4096 // cost))
+    if where == "wrap":
+        a = 2**32 - draw(st.integers(1, 8))
+    elif where == "nowhere":  # z nonzero bytes, then memory's end
+        a = 65536 - offset - z
+    else:
+        a = draw(st.integers(16, 1024))
+    i = a if form == "index" else draw(st.sampled_from([0, 5, 2**32 - 7]))
+    fill = draw(st.sampled_from(["a", "\\ff"])) * (0 if where == "wrap" else z)
+    source = f"""
+    (module
+      (import "host" "emit" (func $emit (param i32 i32)))
+      (import "host" "mix" (func $mix (param i32) (result i32)))
+      (memory 1)
+      (data (i32.const {(a + offset) % 2**32 if fill else 0}) "{fill}")
+      (func (export "f") (result i32) (local $i i32) (local $h i32) (local $p i32)
+        i32.const {i} local.set $i
+        i32.const {(a - i) % 2**32} local.set $p
+        i32.const 7 call $mix local.set $h
+        block loop {" ".join(test + step)} end end
+        local.get $i local.get $h call $emit
+        local.get $h local.get $i i32.add))
+    """
+    return source, cost, len(test), where, z
+
+
+def _ticking(module, kernel=True):
+    """compile_tier2(module), without the byte-scan kernel unless kernel,
+    and the list its deadline checks append the fuel they see to."""
+    ticks = []
+
+    def tick(inst, fuel):
+        ticks.append(fuel)
+        return wasmvm._tick(inst, fuel)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(wasmvm._TIER2_NAMES, _tick=tick))
+        if not kernel:
+            stack.enter_context(mock.patch.object(wasmvm._Translator, "scan", return_value=None))
+        return compile_tier2(module), ticks
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan=byte_scans(), data=st.data())
+def test_byte_scans_agree_in_both_tiers_around_each_mark(scan, data):
+    # tier 1 gives the outcome, and tier 2 without the kernel, which runs
+    # each iteration, the fuel at each deadline check as well
+    source, cost, first, where, z = scan
+    module = parse_module(assemble(source))
+    assert "= mem.find(0, " in wasmvm._Translator(module.codes[0], 2, module.func_types, 2).source()
+    cap = 10**6
+    result, _, _, record = _outcome(module, None, cap)
+    # the fuel at the loop's head: at mix's entry, less local.set, block
+    # and loop; after the exit in iteration z, two local.gets and the call
+    # of emit, with its entry, leave it 4 units lower
+    head = record[0][2] - 3
+    if where in ("wrap", "nowhere"):
+        assert result[0] == "Trap"
+    else:
+        assert record[1][3] == head - cost * z - first - 4
+    if where in ("last", "crossing"):
+        # iteration z, or for "last" the one after it, enters with fuel
+        # r units above a multiple of 4096, so its charge crosses it
+        z_crossing = z + (where == "last")
+        r = data.draw(st.integers(0, cost - 1))
+        cap = cap - head + 4096 * (cost * z_crossing // 4096 + 2) + (cost * z_crossing + r) % 4096
+    (kernel, ticks), (each, each_ticks) = _ticking(module), _ticking(module, kernel=False)
+    for budget in _budgets_around_each_mark(module, cost, data, cap):
+        ticks.clear()
+        each_ticks.clear()
+        outcome = _outcome(module, kernel, budget)
+        assert outcome == _outcome(module, None, budget), budget
+        assert (outcome, ticks) == (_outcome(module, each, budget), each_ticks), budget
+
+
+@pytest.mark.parametrize("name", ["emit_call", "emit_reason", "emit_event"])
+def test_each_shipped_strlen_runs_as_one_find_per_batch(name):
+    module = parse_module(fixture_binary(name))
+    sources = [translator.source() for translator in _translators(module)]
+    assert sum("i = mem.find(0, a, a + n) - a\n" in source for source in sources) == 1
+
+
+SCAN = "local.get $p local.get $i i32.add i32.load8_u i32.eqz br_if 1"
+STEP = "local.get $i i32.const 1 i32.add local.set $i br 0"
+
+
+@pytest.mark.parametrize("body,result", [
+    (f"{SCAN} {STEP}", ""),
+    (f"{SCAN} {STEP.replace('i32.const 1', 'i32.const 2')}", ""),
+    (f"{SCAN} local.get $p i32.const 0 i32.store8 {STEP}", ""),
+    (f"{SCAN} local.get $p i32.const 1 i32.add local.set $p {STEP}", ""),
+    (f"{SCAN.replace('$p', '$i')} {STEP}", ""),
+    (f"local.get $i {SCAN} drop {STEP}", "(result i32)"),
+], ids=["scan", "stride_2", "store", "written_base", "index_as_base", "br_if_value"])
+def test_only_a_byte_scan_runs_as_a_find(body, result):
+    # each loop but the first is batched and runs each iteration; all agree
+    # in both tiers up to a byte past the string's zero
+    inner, tail = ("unreachable", "drop") if result else ("", "")
+    source = f"""
+    (module
+      (memory 1)
+      (data (i32.const 64) "abcdefghij")
+      (func (export "f") (result i32) (local $i i32) (local $p i32)
+        i32.const 64 local.set $p
+        block {result} loop {body} end {inner} end {tail}
+        local.get $i))
+    """
+    module = parse_module(assemble(source))
+    translator = wasmvm._Translator(module.codes[0], 0, module.func_types, 0)
+    batched = translator.source()
+    assert "for i in range((fuel - mark) // " in batched
+    assert ("mem.find(0, " in batched) == (body == f"{SCAN} {STEP}")
+    _agree_at_every_budget(module, cap=400)
+
+
+def test_a_byte_scan_entered_with_values_on_the_stack_runs_each_iteration():
+    source = f"""
+    (module
+      (memory 1)
+      (data (i32.const 64) "abc")
+      (func (export "f") (result i32) (local $i i32) (local $p i32)
+        i32.const 64 local.set $p
+        i32.const 9 block loop {SCAN} {STEP} end end
+        local.get $i i32.add))
+    """
+    module = parse_module(assemble(source))
+    batched = wasmvm._Translator(module.codes[0], 0, module.func_types, 0).source()
+    assert "for i in range((fuel - mark) // 11):" in batched and "mem.find" not in batched
+    _agree_at_every_budget(module, cap=400)
 
 
 # ---------------------------------------------------------------------------
@@ -861,9 +1016,11 @@ def test_the_source_script_prints_each_function_of_a_fixture_or_binary(capsys, t
         f"# f{translator.index}\n{translator.source()}\n"
         for translator in _translators(parse_module(fixture_binary("emit_call")))
     )
-    # strlen's own loop, in batches of iterations that fuel above mark pays for
+    # strlen's own loop, in batches of iterations that fuel above mark pays
+    # for, each batch one find when its bytes are in memory
     assert (
         "while True:\n                if fuel - mark < 11:" in printed
+        and "\n                    i = mem.find(0, a, a + n) - a\n" in printed
         and "for i in range((fuel - mark) // 11):" in printed
     )
     path = tmp_path / "emit_call.wasm"
