@@ -34,7 +34,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Collection, Mapping
+from typing import TYPE_CHECKING, Any, Collection, Mapping, Sequence
 
 from .canonical import CanonicalError, canonical_bytes, load_lines
 from .certificate import (
@@ -44,7 +44,7 @@ from .certificate import (
     verify_certificate_signature,
 )
 from .proof import PURE, PurityProof, proof_hash
-from .wasm_inspect import MalformedBinary, parse_imports
+from .wasm_inspect import ImportRecord, MalformedBinary, parse_imports
 from .whitelist import (
     DISALLOWED,
     Whitelist,
@@ -331,7 +331,8 @@ def _run_checks(
     except MalformedBinary as exc:
         return _reject(R_MALFORMED_BINARY, 4, artifact_hash, detail=str(exc))
     if module.imports != proof.imports:
-        return _reject(R_IMPORT_MISMATCH, 4, artifact_hash)
+        detail = _first_difference(module.imports, proof.imports)
+        return _reject(R_IMPORT_MISMATCH, 4, artifact_hash, detail=detail)
 
     # step 5: re-classification against the runtime whitelist, then currency
     for imp in module.imports:
@@ -374,6 +375,19 @@ def _run_checks(
             runtime_whitelist, cert, proof, minimum_version, dict(known_hashes or {})
         ),
     )
+
+
+def _first_difference(found: Sequence[ImportRecord], proved: Sequence[ImportRecord]) -> str:
+    """Where two unequal import lists first differ: the position and both
+    records, or both counts when one list begins with the other."""
+    for i, (a, b) in enumerate(zip(found, proved)):
+        if a != b:
+            return f"import {i:d}: binary has {_record(a)}; proof has {_record(b)}"
+    return f"binary has {len(found):d} imports; proof has {len(proved):d}"
+
+
+def _record(record: ImportRecord) -> str:
+    return f"{record.namespace}.{record.name} {record.kind} {record.type_signature}"
 
 
 @functools.cache

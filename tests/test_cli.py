@@ -291,6 +291,27 @@ def test_an_import_name_holding_a_newline_is_escaped_in_the_gate_line(workspace,
     assert run_line == "gate rejected: disallowed_import (step 5) detail=mashin.a\\n\\\\b\n"
 
 
+def test_an_import_mismatch_names_both_records_escaped_in_the_gate_line(workspace, capsys):
+    binary = assemble('(module (import "mashin" "a\\0a\\\\b" (func (param i32))))')
+    other = assemble('(module (import "mashin" "a\\0a\\\\c" (func (param i32))))')
+    proof = build_proof(parse_imports(other), builtin_whitelist(1))
+    executor = _signed_anyway(workspace, binary, proof)
+    code, doc = run_json(capsys, "gate", *executor)
+    assert (doc["reason"], doc["failed_step"], doc["detail"]) == (
+        "import_mismatch", 4,
+        "import 0: binary has mashin.a\n\\b function (i32) -> (); "
+        "proof has mashin.a\n\\c function (i32) -> ()",
+    )
+    gate_line, run_line = _gate_lines(workspace, capsys, executor)
+    shown = (
+        "detail=import 0: binary has mashin.a\\n\\\\b function (i32) -> (); "
+        "proof has mashin.a\\n\\\\c function (i32) -> ()"
+    )
+    assert f" failed_step=4 {shown} gate_us=" in gate_line
+    assert gate_line.count("\n") == 1
+    assert run_line == f"gate rejected: import_mismatch (step 4) {shown}\n"
+
+
 def test_run_executes_and_reports_output(workspace, capsys):
     code, doc = run_json(
         capsys,

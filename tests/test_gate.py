@@ -34,7 +34,7 @@ from puregate.gate import (
     gate_verify,
     invalidate_cache,
 )
-from puregate.proof import build_proof, proof_from_json, proof_to_json
+from puregate.proof import build_proof, proof_from_json, proof_hash, proof_to_json
 from puregate.wasm_inspect import parse_imports
 from puregate.watasm import uleb
 from puregate.whitelist import (
@@ -146,32 +146,56 @@ def test_step4_malformed_binary(bundles, wl_v1, certifier_key):
     )
 
 
-def test_step4_import_mismatch(bundles, wl_v1, certifier_key):
-    """A proof whose import list was reordered no longer matches the binary."""
-    binary, proof, cert = bundles["emit_call"]
-    doc = proof_to_json(proof)
+def _rebound_to(bundle, doc, wl):
+    """gate_verify on the bundle's binary under the proof doc describes,
+    with a certificate an adversary re-signed over that proof."""
+    binary, honest, _ = bundle
+    proof = proof_from_json(doc)
+    adversary = keypair_from_seed(b"\x66" * 32)
+    cert_doc = certificate_to_json(sign_certificate(binary, honest, adversary, FIXED_NOW))
+    cert_doc["proof_hash"] = proof_hash(proof).hex()
+    message = bytes.fromhex(cert_doc["artifact_hash"]) + proof_hash(proof)
+    cert_doc["signature"] = signing.sign(adversary.private_key, message).hex()
+    return gate_verify(
+        binary, certificate_from_json(cert_doc), proof, wl, [adversary.public_key]
+    )
+
+
+def test_step4_import_mismatch(bundles, wl_v1):
+    """A proof whose import list was reordered no longer matches the
+    binary, and the detail names the first position where they differ."""
+    doc = proof_to_json(bundles["emit_call"][1])
     doc["imports"] = doc["imports"][::-1]
     doc["classifications"] = doc["classifications"][::-1]
-    reordered = proof_from_json(doc)
-    adversary = keypair_from_seed(b"\x66" * 32)
-    forged = dataclasses.replace(
-        sign_certificate(binary, proof, adversary, FIXED_NOW)
+    decision = _rebound_to(bundles["emit_call"], doc, wl_v1)
+    assert (decision.reason, decision.failed_step, decision.detail) == (
+        R_IMPORT_MISMATCH,
+        4,
+        "import 0: binary has mashin.get_input_len function () -> i32; "
+        "proof has mashin.log function (i32, i32) -> ()",
     )
-    import hashlib
+    doc["imports"][0] = doc["imports"][-1]
+    doc["classifications"][0] = doc["classifications"][-1]
+    assert _rebound_to(bundles["emit_call"], doc, wl_v1).detail == (
+        "import 1: binary has mashin.get_input function (i32) -> (); "
+        "proof has mashin.set_output function (i32, i32) -> ()"
+    )
 
-    from puregate.proof import proof_hash as ph
 
-    cert_doc = certificate_to_json(forged)
-    cert_doc["proof_hash"] = ph(reordered).hex()
-    message = bytes.fromhex(cert_doc["artifact_hash"]) + bytes.fromhex(
-        cert_doc["proof_hash"]
+@pytest.mark.parametrize("proved", [3, 5], ids=["proof_shorter", "proof_longer"])
+def test_step4_import_mismatch_in_count_only(bundles, wl_v1, proved):
+    """When one list begins with the other, the detail gives both counts."""
+    doc = proof_to_json(bundles["emit_call"][1])
+    doc["imports"].append(dict(doc["imports"][0], name="get_input_len2"))
+    doc["classifications"].append(
+        dict(doc["classifications"][0], **{"import": doc["imports"][-1]})
     )
-    cert_doc["signature"] = signing.sign(adversary.private_key, message).hex()
-    rebound = certificate_from_json(cert_doc)
-    decision = gate_verify(
-        binary, rebound, reordered, wl_v1, [adversary.public_key]
+    doc["imports"] = doc["imports"][:proved]
+    doc["classifications"] = doc["classifications"][:proved]
+    decision = _rebound_to(bundles["emit_call"], doc, wl_v1)
+    assert (decision.reason, decision.failed_step, decision.detail) == (
+        R_IMPORT_MISMATCH, 4, f"binary has 4 imports; proof has {proved}"
     )
-    assert (decision.reason, decision.failed_step) == (R_IMPORT_MISMATCH, 4)
 
 
 @pytest.mark.parametrize(
