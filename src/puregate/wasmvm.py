@@ -62,8 +62,8 @@ Two tiers run the blocks, with the same fuel, traps and messages:
   spends its fuel; any other batch runs each iteration, so a scan that
   leaves memory traps with the same fuel and address. A one-byte load or
   store tests no bounds: its address is never negative, so the
-  bytearray's IndexError raises the trap, and code without wider
-  accesses or memory.size never reads memory's length. Only
+  bytearray's IndexError raises the trap; only a function with a wider
+  access or memory.size keeps memory's length in a local. Only
   per-opcode templates and integers the validator has bounded reach the
   generated source; no name, byte string or type text from the module
   does, and trap messages that need such text are built at run time.

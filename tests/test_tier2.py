@@ -914,6 +914,8 @@ def test_each_shipped_strlen_runs_as_one_find_per_batch(name):
     module = parse_module(fixture_binary(name))
     sources = [translator.source() for translator in _translators(module)]
     assert sum("i = mem.find(0, a, a + n) - a\n" in source for source in sources) == 1
+    # one-byte accesses only: nothing reads memory's length
+    assert not any("size" in source for source in sources)
 
 
 SCAN = "local.get $p local.get $i i32.add i32.load8_u i32.eqz br_if 1"
