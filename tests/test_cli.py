@@ -297,8 +297,8 @@ def test_an_import_mismatch_names_both_records_escaped_in_the_gate_line(workspac
     proof = build_proof(parse_imports(other), builtin_whitelist(1))
     executor = _signed_anyway(workspace, binary, proof)
     code, doc = run_json(capsys, "gate", *executor)
-    assert (doc["reason"], doc["failed_step"], doc["detail"]) == (
-        "import_mismatch", 4,
+    assert (code, doc["reason"], doc["failed_step"], doc["detail"]) == (
+        1, "import_mismatch", 4,
         "import 0: binary has mashin.a\n\\b function (i32) -> (); "
         "proof has mashin.a\n\\c function (i32) -> ()",
     )

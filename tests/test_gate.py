@@ -198,6 +198,16 @@ def test_step4_import_mismatch_in_count_only(bundles, wl_v1, proved):
     )
 
 
+def test_each_acceptance_after_the_first_takes_the_vm_from_the_cache(bundles, wl_v1, certifier_key):
+    # an import statement in every acceptance cost onboard about 1.3%
+    gate._vm()
+    before = gate._vm.cache_info()
+    for name in ("emit_call", "emit_poc"):
+        assert _gate(bundles[name], wl_v1, [certifier_key.public_key]).accepted
+    after = gate._vm.cache_info()
+    assert (after.hits - before.hits, after.misses) == (2, 1)
+
+
 @pytest.mark.parametrize(
     "fixture,expected_detail",
     [

@@ -909,7 +909,7 @@ def test_byte_scans_agree_in_both_tiers_around_each_mark(scan, data):
         assert (outcome, ticks) == (_outcome(module, each, budget), each_ticks), budget
 
 
-@pytest.mark.parametrize("name", ["emit_call", "emit_reason", "emit_event"])
+@pytest.mark.parametrize("name", ["emit_call", "emit_reason", "emit_event", "v2_constructor"])
 def test_each_shipped_strlen_runs_as_one_find_per_batch(name):
     module = parse_module(fixture_binary(name))
     sources = [translator.source() for translator in _translators(module)]
