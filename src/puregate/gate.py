@@ -135,9 +135,8 @@ class GateCache:
     known_hashes): a caller that gates under two ranges holds two caches.
 
     Keyed by the exact bytes each acceptance admitted, so a hit is one dict
-    lookup and hashes nothing. For a bytes input the key is the object its
-    compile handle holds, so the cache keeps no second copy; any other
-    input is keyed by a bytes copy of its buffer."""
+    lookup and hashes nothing. The key is the bytes object the acceptance's
+    compile handle holds, so the cache keeps no second copy."""
 
     # admitted bytes -> the acceptance a hit serves, with from_cache set
     accepted: dict[bytes, GateDecision] = field(default_factory=dict)
@@ -241,16 +240,18 @@ def gate_verify(
     log: DecisionLog | None = None,
     now: float | None = None,
 ) -> GateDecision:
-    """Run the six checks (or serve a cached acceptance) and log the outcome."""
+    """Run the six checks (or serve a cached acceptance) and log the outcome.
+
+    A buffer that is not exactly bytes is copied first, and the checks, the
+    cache and the compile handle read only the copy of what the buffer
+    holds: a bytearray may change once admitted, and a bytes subclass may
+    redefine __eq__, __hash__ or __bytes__."""
+    if type(binary_bytes) is not bytes:
+        binary_bytes = bytes(memoryview(binary_bytes))
     decision = None
     if cache is not None:
-        key = binary_bytes
-        if type(key) is not bytes:
-            # a bytearray may change once admitted, and a subclass may redefine
-            # __eq__, __hash__ or __bytes__: key by the bytes SHA-256 reads
-            key = bytes(memoryview(key))
         decision = cache.lookup(
-            key,
+            binary_bytes,
             runtime_whitelist,
             cert,
             proof,
@@ -270,8 +271,7 @@ def gate_verify(
             known_hashes,
         )
         if decision.accepted and cache is not None:
-            held = decision.compiled.binary
-            cache.accepted[held if type(held) is bytes else key] = GateDecision(
+            cache.accepted[decision.compiled.binary] = GateDecision(
                 ACCEPT,
                 from_cache=True,
                 artifact_hash=decision.artifact_hash,

@@ -1,28 +1,36 @@
 """Execution host for gate-accepted executors.
 
 Runs only what the gate admitted: the bytes an acceptance's compile handle
-holds, instantiated with exactly the host functions named in the whitelist
-the gate admitted them under. It runs the module's `plan` export and
-collects the output. All data crosses the WASM boundary through host calls:
-the input document is fetched via get_input_len/get_input, the output
-document leaves via set_output (at most once), log lines via log, and,
-under the extended whitelist, directive constructors append effect
+holds. It runs the module's `plan` export and collects the output. All data
+crosses the WASM boundary through host calls: the input document is fetched
+via get_input_len/get_input, the output document leaves via set_output (at
+most once), log lines via log, and directive constructors append effect
 descriptions to a host-side accumulator.
+
+The whitelist admits, the host profile implements. Gate step 5 decides
+which imports a module may have; HOST_PROFILE is the one table of the
+functions this host implements, each with its real signature. An import
+binds to the profile's function only when its namespace, name and
+signature all match it; any other import (one a whitelist admits but this
+host does not implement, or a profile name under another signature) binds
+to a function of its own signature that traps when called and performs
+nothing. So the binding is a function of the module alone: it reads no
+whitelist, and the same bytes bind the same way under every acceptance.
 
 The host functions keep no state of their own: each reaches the running
 invocation's buffers (_HostState) through the instance it is called with
-(Instance.embedder). So a module's imports are resolved and signature-checked
+(Instance.embedder). So a module's imports are bound and signature-checked
 once per artifact, and the compile handle keeps that one binding, with
-whether the module imports get_input_len or get_input; a warm plan binds
-nothing.
+whether it binds the profile's get_input_len or get_input; a warm plan
+binds nothing.
 
 The input is serialized to canonical JSON at most once per plan, just before
-instantiation and so before any instruction runs, and only for a module that
-imports get_input_len or get_input. A module reaches only the host functions
-it imports, so one that imports neither can never observe the input, and its
-input is never serialized: a non-canonical input (a NaN, a set) raises
-CanonicalError before the plan starts for an executor that reads the input,
-and is no error at all for one that does not.
+instantiation and so before any instruction runs, and only for a module
+bound to get_input_len or get_input. A module reaches only the host
+functions it imports, so one that binds neither can never observe the
+input, and its input is never serialized: a non-canonical input (a NaN, a
+set) raises CanonicalError before the plan starts for an executor that
+reads the input, and is no error at all for one that does not.
 
 plan's ABI: exported as `plan() -> i32`, 0 meaning ok and any nonzero value
 an executor-declared error code (surfaced as PlanFailed, a deterministic
@@ -30,19 +38,14 @@ abnormal termination).
 
 Every invocation gets a fresh instance, private memory and its own buffers;
 nothing survives between calls. What invocations of one artifact share is
-its compiled module and its import binding, which the gate's acceptance
-carries: both are made on the first plan and are immutable, so later plans
-only build the instance (fresh memory, data segments copied in, that call's
-buffers attached).
+its compiled module and its import binding, which the artifact's compile
+handle (wasmvm.compile_handle) carries for every acceptance of the same
+bytes in the process: both are made on the first plan and are immutable,
+so later plans only build the instance (fresh memory, data segments copied
+in, that call's buffers attached).
 Each plan adds the fuel it spent to the artifact's compile handle, which
 tiers the module up to generated code once it has run enough to repay the
 compile (wasmvm.ModuleCell).
-
-The handle and its binding serve every acceptance of the same bytes in the
-process (wasmvm.compile_handle), under any whitelist that admits them: gate
-step 5 makes each import an exact (namespace, name, signature) entry of it,
-so _bind resolves the import to _host_func(name, signature) whatever the
-whitelist, and the binding is a function of the module alone.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 from .canonical import CanonicalError, canonical_bytes, canonical_loads
 from .gate import GateDecision
@@ -67,7 +71,7 @@ from .wasmvm import (
     instantiate,
     resolve_imports,
 )
-from .whitelist import CONSTRUCTOR_KINDS, Whitelist
+from .whitelist import HOST_NAMESPACE, Whitelist
 
 # fuel, not the clock, stops a runaway plan: tier 1, the slower tier, spent
 # 0.24-0.27 us per unit on fuel_burn, so a quarter of the default deadline
@@ -163,7 +167,7 @@ class _HostState:
     """Per-invocation mutable buffers the host functions write into.
 
     Each instance carries its own as Instance.embedder. input_bytes is the
-    executor input serialized, or None when the module imports neither
+    executor input serialized, or None when the module binds neither
     get_input_len nor get_input.
     """
 
@@ -198,96 +202,84 @@ def _log(inst: Instance, ptr: int, length: int) -> None:
     )
 
 
-_PROVIDED = {
-    "get_input_len": _get_input_len,
-    "get_input": _get_input,
-    "set_output": _set_output,
-    "log": _log,
+# Directive-constructor host functions and the directive kind each one emits.
+# They share one ABI: a (ptr, len) JSON payload appended to the output
+# directive list.
+CONSTRUCTOR_KINDS = {
+    "directive_llm_call": "llm_call",
+    "directive_llm_call_stream": "llm_call",
+    "directive_http_request": "http_request",
+    "directive_file_op": "file_op",
+    "directive_call_machine": "call_machine",
+    "directive_memory_op": "memory_op",
+    "directive_db_op": "memory_op",
+    "directive_exec_op": "code_eval",
+    "directive_emit_event": "emit_event",
+    "directive_broadcast": "emit_event",
 }
 
 
-class _HostTable(Mapping[tuple[str, str], HostFunc]):
-    """Import resolution over a whitelist: one key per entry, looked up in
-    the whitelist's own index.
+def _constructor(name: str, kind: str) -> Callable[[Instance, int, int], None]:
+    def construct(inst: Instance, ptr: int, length: int) -> None:
+        raw = inst.read_mem(ptr, length)
+        try:
+            payload = canonical_loads(raw)
+        except (CanonicalError, ValueError) as exc:
+            raise MalformedOutput(
+                f"{name} payload is not a valid document: {exc}"
+            ) from exc
+        inst.embedder.directives.append(Directive(kind=kind, payload=payload))
 
-    A module binds only the few imports it names. The host functions are
-    stateless, so the HostFunc of an entry is one object per (name,
-    signature) in the process, shared by every binding.
-    """
-
-    def __init__(self, whitelist: Whitelist):
-        self._whitelist = whitelist
-
-    def __getitem__(self, key: tuple[str, str]) -> HostFunc:
-        entry = self._whitelist.index[key]
-        return _host_func(entry.name, entry.type_signature)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._whitelist.index
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self._whitelist.index)
-
-    def __len__(self) -> int:
-        return len(self._whitelist.index)
+    return construct
 
 
-def build_host_functions(whitelist: Whitelist) -> Mapping[tuple[str, str], HostFunc]:
-    """The import-resolution table: exactly one entry per whitelist entry.
-
-    Capability closure depends on this being a bijection with the whitelist:
-    nothing outside the whitelist is resolvable, and everything inside it is.
-    Entries without a real implementation in this host profile resolve to a
-    deterministic trap, which grants no effect capability.
-    """
-    return _HostTable(whitelist)
+# the host profile: every function this host implements, with its signature
+HOST_PROFILE: Mapping[tuple[str, str], HostFunc] = MappingProxyType({
+    (HOST_NAMESPACE, name): HostFunc(signature, fn)
+    for name, signature, fn in (
+        ("get_input_len", "() -> i32", _get_input_len),
+        ("get_input", "(i32) -> ()", _get_input),
+        ("set_output", "(i32, i32) -> ()", _set_output),
+        ("log", "(i32, i32) -> ()", _log),
+        *(
+            (name, "(i32, i32) -> ()", _constructor(name, kind))
+            for name, kind in CONSTRUCTOR_KINDS.items()
+        ),
+    )
+})
 
 
 @functools.lru_cache(maxsize=256)
-def _host_func(name: str, signature: str) -> HostFunc:
-    return HostFunc(signature, _implementation_for(name))
-
-
-def _implementation_for(name: str) -> Callable[..., int | None]:
-    if name in _PROVIDED:
-        return _PROVIDED[name]
-    if name in CONSTRUCTOR_KINDS:
-        kind = CONSTRUCTOR_KINDS[name]
-
-        def construct(inst: Instance, ptr: int, length: int) -> None:
-            raw = inst.read_mem(ptr, length)
-            try:
-                payload = canonical_loads(raw)
-            except (CanonicalError, ValueError) as exc:
-                raise MalformedOutput(
-                    f"{name} payload is not a valid document: {exc}"
-                ) from exc
-            inst.embedder.directives.append(Directive(kind=kind, payload=payload))
-
-        return construct
+def _host_func(namespace: str, name: str, signature: str) -> HostFunc:
+    """What an import binds to: the profile's function when the namespace,
+    name and signature all match it, else a function of the import's own
+    signature that traps. One object per (namespace, name, signature) in
+    the process, shared by every binding."""
+    provided = HOST_PROFILE.get((namespace, name))
+    if provided is not None and provided.signature == signature:
+        return provided
 
     def unprovided(inst: Instance, *args: int) -> None:
-        # whitelisted but not implemented by this host profile; calling it
-        # terminates deterministically and performs nothing
+        # not implemented by this host profile under this signature; calling
+        # it terminates deterministically and performs nothing
         raise Trap(f"host function {name} is not provided by this profile")
 
-    return unprovided
+    return HostFunc(signature, unprovided)
 
 
 @dataclass(frozen=True)
 class _Binding:
-    """A module's imports resolved under the whitelist that admitted it."""
+    """A module's imports bound to the host profile."""
 
     host_table: tuple[HostFunc, ...]
-    reads_input: bool  # it imports get_input_len or get_input
+    reads_input: bool  # it binds get_input_len or get_input
 
 
-def _bind(module: ParsedModule, whitelist: Whitelist) -> _Binding:
-    host_table = resolve_imports(module, build_host_functions(whitelist))
-    # every import resolved, so each is the whitelist entry of its own name
-    reads_input = any(
-        imp.name in ("get_input_len", "get_input") for imp in module.imported_funcs
+def _bind(module: ParsedModule) -> _Binding:
+    host_table = resolve_imports(
+        module, lambda imp: _host_func(imp.namespace, imp.name, imp.type_signature)
     )
+    reads_input = any(host.fn in (_get_input_len, _get_input) for host in host_table)
     return _Binding(host_table, reads_input)
 
 
@@ -324,14 +316,14 @@ def instantiate_and_plan(
     """Run one gated invocation: fresh instance, plan call, output collection.
 
     Only what the gate admitted runs: the decision must be an acceptance
-    whose compile handle holds exactly binary_bytes, and the imports are
-    bound under the whitelist it was admitted under. runtime_whitelist
-    checks that whitelist: when given, it must have the admitted one's
-    content hash. Anything else refuses instantiation (GateNotPassed).
-    The module is compiled and its imports resolved through the handle, so
-    only the first plan of an artifact decodes or binds.
+    whose compile handle holds exactly binary_bytes. runtime_whitelist
+    checks the whitelist it was admitted under: when given, it must have
+    the admitted one's content hash. Anything else refuses instantiation
+    (GateNotPassed). The module is compiled and its imports bound to the
+    host profile through the handle, so only the first plan of an artifact
+    decodes or binds.
 
-    The input is serialized only if the module imports get_input_len or
+    The input is serialized only if the module binds get_input_len or
     get_input, just before instantiation: for such a module a non-canonical
     input raises CanonicalError before any instruction runs; for any other
     module the input never crosses the boundary and is not checked.
@@ -351,7 +343,7 @@ def instantiate_and_plan(
         )
 
     module = cell.module()
-    binding = cell.bound(_bind, admitted)
+    binding = cell.bound(_bind)
     state = _HostState()
     if binding.reads_input:
         state.input_bytes = executor_input.serialize()
@@ -400,6 +392,7 @@ def determinism_check(
 __all__ = [
     "DIRECTIVE_KINDS",
     "CONSTRUCTOR_KINDS",
+    "HOST_PROFILE",
     "Directive",
     "ExecutorInput",
     "ExecutorOutput",
@@ -407,7 +400,6 @@ __all__ = [
     "MalformedOutput",
     "PlanFailed",
     "ResourceLimits",
-    "build_host_functions",
     "determinism_check",
     "instantiate_and_plan",
     # re-exported execution errors

@@ -234,16 +234,15 @@ class ModuleCell:
             self._module = module
         return self._module
 
-    def bound(self, bind: Callable[[ParsedModule, Any], Any], host: Any) -> Any:
-        """bind(module, host), made on the first call and then kept.
+    def bound(self, bind: Callable[[ParsedModule], Any]) -> Any:
+        """bind(module), made on the first call and then kept.
 
-        The embedder binds the cell under one host only: a later call is
-        served the first binding, whatever host it names. A bind that
-        raises keeps nothing, so every call raises afresh. module() must
-        have parsed first.
+        The binding is a function of the module alone, so one serves every
+        call. A bind that raises keeps nothing, so every call raises afresh.
+        module() must have parsed first.
         """
         if self._binding is None:
-            self._binding = bind(self._module, host)
+            self._binding = bind(self._module)
         return self._binding
 
     def add_fuel(self, used: int) -> None:
@@ -349,6 +348,9 @@ def _parse_module(binary: bytes, header: ModuleHeader) -> ParsedModule:
                 body, pos = _vec_at(binary, pos, end)
                 bodies.append(body)
         elif section_id == 11:
+            if count and memory is None:
+                # a segment initialises memory 0, which this module lacks
+                raise InstantiationError("data segment without a memory")
             for _ in range(count):
                 if _byte_at(binary, pos, end) != 0x00:
                     raise InstantiationError("only active data segments supported")
@@ -681,18 +683,19 @@ def _basic_blocks(
 # ---------------------------------------------------------------------------
 
 def resolve_imports(
-    module: ParsedModule, host_funcs: Mapping[tuple[str, str], HostFunc]
+    module: ParsedModule, host_for: Callable[[ImportRecord], HostFunc | None]
 ) -> tuple[HostFunc, ...]:
     """The host function for each of module's imports, in import order.
 
-    Every import must resolve to a host function of exactly its signature.
-    The result depends only on module and host_funcs, so an embedder whose
-    host functions keep no state of their own may resolve once and pass the
-    same tuple to every instance.
+    host_for gives the embedder's host function for an import record, or
+    None when it has none. Every import must resolve to a host function of
+    exactly its signature. The result depends only on module and host_for,
+    so an embedder whose host functions keep no state of their own may
+    resolve once and pass the same tuple to every instance.
     """
     resolved = []
     for imp in module.imported_funcs:
-        host = host_funcs.get((imp.namespace, imp.name))
+        host = host_for(imp)
         if host is None:
             raise InstantiationError(f"unresolved import {imp.namespace}.{imp.name}")
         if imp.type_signature != host.signature:

@@ -269,22 +269,6 @@ def load_whitelist(path: Path) -> Whitelist:
 
 HOST_NAMESPACE = "mashin"
 
-# Directive-constructor host functions and the directive kind each one emits.
-# They share one ABI: a (ptr, len) JSON payload appended to the output
-# directive list.
-CONSTRUCTOR_KINDS = {
-    "directive_llm_call": "llm_call",
-    "directive_llm_call_stream": "llm_call",
-    "directive_http_request": "http_request",
-    "directive_file_op": "file_op",
-    "directive_call_machine": "call_machine",
-    "directive_memory_op": "memory_op",
-    "directive_db_op": "memory_op",
-    "directive_exec_op": "code_eval",
-    "directive_emit_event": "emit_event",
-    "directive_broadcast": "emit_event",
-}
-
 # v1: the four-function profile every shipped executor fixture compiles
 # against; v2-extended: v1 plus the full design-envelope surface.
 _BUILTIN_FILES = {1: "v1.json", 2: "v2-extended.json"}

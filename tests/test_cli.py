@@ -26,7 +26,7 @@ from puregate.provenance import ZERO_DIGEST, run_hash
 from puregate.signing import load_seed
 from puregate.wasm_inspect import parse_imports
 from puregate.watasm import assemble
-from puregate.whitelist import builtin_whitelist
+from puregate.whitelist import builtin_whitelist, make_whitelist, save_whitelist
 
 RUNTIME_ID = "mashin-sim"
 
@@ -431,6 +431,45 @@ def test_executor_failure_exits_1_with_error_document(workspace, capsys):
     code, doc = run_json(capsys, "run-machine", str(machine), "--trust", workspace["pub"])
     assert code == 1
     assert doc == trapped
+
+
+def test_a_mistyped_whitelist_entry_exits_1_with_a_trap(workspace, capsys):
+    root = workspace["root"]
+    # v1, but with get_input_len under a signature the host does not provide
+    entries = [
+        dataclasses.replace(e, type_signature="(i32) -> i32")
+        if e.name == "get_input_len"
+        else e
+        for e in builtin_whitelist(1).entries
+    ]
+    listed = root / "mistyped.json"
+    save_whitelist(make_whitelist(1, entries), listed)
+    wasm = root / "mistyped.wasm"
+    wasm.write_bytes(assemble(
+        '(module (import "mashin" "get_input_len"'
+        " (func $len (param i32) (result i32)))"
+        ' (func (export "plan") (result i32) i32.const 0 call $len))'
+    ))
+    code, _ = run_json(
+        capsys, "certify", str(wasm), "--key", "certifier",
+        "--timestamp", "1700000000", "--whitelist", str(listed),
+    )
+    assert code == 0
+    code = main([
+        "run", str(wasm),
+        "--cert", f"{wasm}.cert",
+        "--proof", f"{wasm}.proof",
+        "--input", str(root / "input.json"),
+        "--trust", workspace["pub"],
+        "--whitelist", str(listed),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "executor failed: Trap: host function get_input_len is not provided "
+        "by this profile\n"
+    )
 
 
 def test_a_non_finite_output_exits_1_as_malformed_output(workspace, capsys):

@@ -569,7 +569,12 @@ def test_a_binary_the_handle_memo_cannot_key_gets_a_fresh_handle_each_time(
     keys = [certifier_key.public_key]
     decisions = [gate_verify(binary, cert, proof, wl_v1, keys) for _ in range(2)]
     assert all(d.accepted and d.compiled.binary == binary for d in decisions)
-    assert decisions[0].compiled is not decisions[1].compiled
+    assert all(type(d.compiled.binary) is bytes for d in decisions)
+    if kind == "bytearray":
+        # the gate admits a bytes copy of the buffer, which the memo keys
+        assert decisions[0].compiled is decisions[1].compiled
+    else:
+        assert decisions[0].compiled is not decisions[1].compiled
 
 
 def test_a_warm_hit_computes_no_sha256(bundles, wl_v1, certifier_key, monkeypatch):

@@ -19,6 +19,7 @@ from puregate.runtime_host import (
     CONSTRUCTOR_KINDS,
     DEFAULT_MEMORY_MAX,
     DIRECTIVE_KINDS,
+    HOST_PROFILE,
     Directive,
     ExecutorInput,
     ExecutorOutput,
@@ -27,7 +28,6 @@ from puregate.runtime_host import (
     PlanFailed,
     ResourceLimits,
     _HostState,
-    build_host_functions,
     determinism_check,
     instantiate_and_plan,
 )
@@ -183,9 +183,9 @@ def test_a_re_admission_shares_the_handle_and_its_binding(
         assert decision.accepted and not decision.from_cache
         handle = decision.compiled
         assert handle is first.compiled
-        # bound under v1, and what a fresh bind under this whitelist makes
-        binding = handle.bound(runtime_host._bind, wl)
-        assert binding == runtime_host._bind(handle.module(), wl)
+        # bound once, and what a fresh bind of the module makes
+        binding = handle.bound(runtime_host._bind)
+        assert binding == runtime_host._bind(handle.module())
         output = instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl)
         assert canonical_bytes(output.to_json()) == planned
     assert calls == []
@@ -198,7 +198,7 @@ def test_plans_from_one_cached_module_share_no_state(accepted, wl_v1):
     data = [(offset, bytes(payload)) for offset, payload in module.data]
     states = [_HostState(input_bytes=b"first"), _HostState(input_bytes=b"second")]
     # the binding every plan of this artifact shares
-    binding = decision.compiled.bound(runtime_host._bind, wl_v1)
+    binding = decision.compiled.bound(runtime_host._bind)
     first, second = (
         wasmvm.instantiate(module, binding.host_table, DEFAULT_MEMORY_MAX, None, state)
         for state in states
@@ -329,7 +329,9 @@ def test_plan_output_matches_an_input_serialized_up_front(accepted, wl_v1, name)
         module = wasmvm.parse_module(binary)
         instance = wasmvm.instantiate(
             module,
-            wasmvm.resolve_imports(module, build_host_functions(wl_v1)),
+            wasmvm.resolve_imports(
+                module, lambda imp: HOST_PROFILE.get((imp.namespace, imp.name))
+            ),
             limits.memory_max,
             None,
             state,
@@ -381,9 +383,9 @@ def test_a_deeply_nested_document_is_malformed_output(doc):
     module = wasmvm.parse_module(assemble("(module (memory 10))"))
     instance = wasmvm.instantiate(module, (), 10 * 65536, None, _HostState())
     instance.write_mem(0, doc)
-    construct = runtime_host._implementation_for("directive_call_machine")
+    construct = HOST_PROFILE[("mashin", "directive_call_machine")]
     with pytest.raises(MalformedOutput):
-        construct(instance, 0, len(doc))
+        construct.fn(instance, 0, len(doc))
     assert instance.embedder.directives == []
 
 
@@ -451,38 +453,48 @@ def test_decision_for_other_bytes_refused(accepted, bundles):
         instantiate_and_plan(other, decision, INPUT)
 
 
-def test_host_table_matches_whitelist_exactly():
-    for version in (1, 2):
-        wl = builtin_whitelist(version)
-        table = build_host_functions(wl)
-        assert set(table) == {(e.namespace, e.name) for e in wl.entries}
-        for (ns, name), host in table.items():
-            entry = next(
-                e for e in wl.entries if (e.namespace, e.name) == (ns, name)
-            )
-            assert host.signature == entry.type_signature
+def test_the_host_profile_and_the_shipped_whitelists_agree(wl_v1, wl_v2):
+    profile = {key: host.signature for key, host in HOST_PROFILE.items()}
+    # every v1 entry is provided, with the entry's signature
+    for entry in wl_v1.entries:
+        assert profile[(entry.namespace, entry.name)] == entry.type_signature
+    # every profile function is a v2-extended entry of the same signature
+    for (namespace, name), signature in profile.items():
+        assert wl_v2.lookup(namespace, name).type_signature == signature
+    assert set(CONSTRUCTOR_KINDS.values()) <= set(DIRECTIVE_KINDS)
+    assert len(profile) == len(wl_v1.entries) + len(CONSTRUCTOR_KINDS)
 
 
-def test_bindings_share_one_host_function_per_entry(accepted, wl_v1, wl_v2):
-    v1, v2, v1_again = (build_host_functions(wl) for wl in (wl_v1, wl_v2, wl_v1))
-    for key in v1:
-        assert v1[key] is v1_again[key]
-        if key in v2 and v2[key].signature == v1[key].signature:
-            assert v2[key] is v1[key]
+def test_bindings_share_one_host_function_per_entry(accepted):
+    for (namespace, name), host in HOST_PROFILE.items():
+        assert runtime_host._host_func(namespace, name, host.signature) is host
+    # a profile name under another signature gets a trap of that signature,
+    # one object per (namespace, name, signature)
+    mistyped = runtime_host._host_func("mashin", "get_input_len", "(i32) -> i32")
+    assert mistyped.signature == "(i32) -> i32"
+    assert mistyped is not HOST_PROFILE[("mashin", "get_input_len")]
+    assert runtime_host._host_func("mashin", "get_input_len", "(i32) -> i32") is mistyped
     hosts, shared = {}, set()
     for name in ("echo", "emit_call"):
         binary, decision = accepted(name)
         instantiate_and_plan(binary, decision, INPUT)
         cell = decision.compiled
-        binding = cell.bound(runtime_host._bind, wl_v1)  # the one it kept
+        binding = cell.bound(runtime_host._bind)  # the one it kept
         for imp, host in zip(cell.module().imported_funcs, binding.host_table):
+            assert host is HOST_PROFILE[(imp.namespace, imp.name)]
             if imp.name in hosts:
                 shared.add(imp.name)
             assert hosts.setdefault(imp.name, host) is host
     assert "set_output" in shared
 
 
-# (module source, error message) as the eagerly built host table gave them
+def _profile_only(imp):
+    """The profile's function of imp's namespace and name, or None: a host
+    lookup with no trapping fallback, so the VM's own refusals show."""
+    return HOST_PROFILE.get((imp.namespace, imp.name))
+
+
+# (module source, the VM's refusal when the profile is the only host)
 IMPORT_ERRORS = [
     (
         '(module (import "mashin" "mystery" (func $m (result i32)))'
@@ -505,74 +517,73 @@ IMPORT_ERRORS = [
 @pytest.mark.parametrize("source, message", IMPORT_ERRORS)
 def test_import_resolution_errors_are_unchanged(source, message):
     module = wasmvm.parse_module(assemble(source))
-    for version in (1, 2):
-        table = build_host_functions(builtin_whitelist(version))
-        with pytest.raises(InstantiationError) as excinfo:
-            wasmvm.resolve_imports(module, table)
-        assert str(excinfo.value) == message
+    with pytest.raises(InstantiationError) as excinfo:
+        wasmvm.resolve_imports(module, _profile_only)
+    assert str(excinfo.value) == message
+    # the host binds each such import to a trap of the import's own signature
+    [imp] = module.imported_funcs
+    binding = runtime_host._bind(module)
+    [host] = binding.host_table
+    assert host.signature == imp.type_signature and not binding.reads_input
+    with pytest.raises(Trap) as excinfo:
+        host.fn(None)
+    assert str(excinfo.value) == f"host function {imp.name} is not provided by this profile"
 
 
-def _count_built(monkeypatch):
-    built = []
-    real = runtime_host._implementation_for
+def _count_bound(monkeypatch):
+    bound = []
+    host_func = runtime_host._host_func
     monkeypatch.setattr(
-        runtime_host,
-        "_implementation_for",
-        lambda name: built.append(name) or real(name),
+        runtime_host, "_host_func", lambda *key: bound.append(key) or host_func(*key)
     )
-    # uncached: every host table lookup builds, so a binding made again
-    # for any plan shows in the count
-    monkeypatch.setattr(runtime_host, "_host_func", runtime_host._host_func.__wrapped__)
-    return built
+    return bound
 
 
-def test_plans_resolve_imports_once_per_artifact(
-    accepted, wl_v1, wl_v2, monkeypatch
-):
-    built = _count_built(monkeypatch)
-    table = build_host_functions(wl_v2)  # looks nothing up until asked
-    assert len(table) == len(wl_v2.entries)
-    assert ("mashin", "log") in table and ("mashin", "nope") not in table
-    assert built == []
+def test_plans_resolve_imports_once_per_artifact(accepted, wl_v1, monkeypatch):
+    bound = _count_bound(monkeypatch)
     binary, decision = accepted("emit_call")
-    names = [imp.name for imp in decision.compiled.module().imported_funcs]
+    imports = [
+        (imp.namespace, imp.name, imp.type_signature)
+        for imp in decision.compiled.module().imported_funcs
+    ]
     outputs = [instantiate_and_plan(binary, decision, INPUT).to_json() for _ in range(3)]
     outputs.append(
         instantiate_and_plan(binary, decision, INPUT, runtime_whitelist=wl_v1).to_json()
     )
-    # once, on the first plan: a host function for each import the module
-    # names, none for the rest of the whitelist
-    assert built == names
+    # once, on the first plan: a host function for each import
+    assert bound == imports
     assert all(out == outputs[0] for out in outputs)
 
 
-def test_a_raising_bind_keeps_nothing(wl_v1):
-    # the module's imports resolve under no shipped whitelist
+def test_a_raising_bind_keeps_nothing():
+    # the module's one import is not in the profile
     source, message = IMPORT_ERRORS[0]
     binary = assemble(source)
     cell = wasmvm.ModuleCell(binary, parse_imports(binary).header)
     cell.module()  # bound() binds the parsed module
-    hosts = []
+    binds = []
 
-    def bind(module, host):
-        hosts.append(host)
-        return runtime_host._bind(module, host)
+    def strict(module):
+        binds.append("strict")
+        return wasmvm.resolve_imports(module, _profile_only)
 
     messages = set()
     for _ in range(3):
         with pytest.raises(InstantiationError) as excinfo:
-            cell.bound(bind, wl_v1)
+            cell.bound(strict)
         messages.add(str(excinfo.value))
     assert messages == {message}
-    assert hosts == [wl_v1] * 3  # nothing was kept: every call binds again
+    assert binds == ["strict"] * 3  # nothing was kept: every call binds again
 
     # a bind that succeeds is made once, and its binding serves every call
-    mystery = whitelist.WhitelistEntry("mashin", "mystery", whitelist.PURE_DATA, "() -> i32")
-    wl = whitelist.make_whitelist(1, [*wl_v1.entries, mystery])
-    binding = cell.bound(bind, wl)
+    def bind(module):
+        binds.append("host")
+        return runtime_host._bind(module)
+
+    binding = cell.bound(bind)
     assert [host.signature for host in binding.host_table] == ["() -> i32"]
-    assert cell.bound(bind, wl) is binding and cell.bound(bind, wl_v1) is binding
-    assert hosts == [wl_v1] * 3 + [wl]
+    assert cell.bound(bind) is binding and cell.bound(strict) is binding
+    assert binds == ["strict"] * 3 + ["host"]
 
 
 def test_a_plan_under_another_whitelist_is_refused(
@@ -588,7 +599,7 @@ def test_a_plan_under_another_whitelist_is_refused(
     assert instantiate_and_plan(binary, decision, INPUT).result is not None
 
 
-def test_a_plan_binds_under_the_whitelist_that_admitted_it(certifier_key, wl_v2):
+def test_a_constructor_plans_under_the_whitelist_that_admits_it(certifier_key, wl_v2):
     binary = fixture_binary("v2_constructor")
     decision = _gated(binary, wl_v2, certifier_key)
     out = instantiate_and_plan(binary, decision, INPUT)
@@ -656,8 +667,70 @@ def test_unprovided_whitelist_entry_traps_deterministically(
     assert "ctx_get" in messages.pop()
 
 
+def _v1_with(entry):
+    """v1 with entry in place of v1's entry of the same namespace and name."""
+    key = (entry.namespace, entry.name)
+    kept = [e for e in builtin_whitelist(1).entries if (e.namespace, e.name) != key]
+    return whitelist.make_whitelist(1, [*kept, entry])
+
+
+def test_a_mistyped_whitelist_entry_binds_a_trap(certifier_key):
+    entry = whitelist.WhitelistEntry(
+        "mashin", "get_input_len", whitelist.PURE_DATA, "(i32) -> i32"
+    )
+    binary = assemble(
+        '(module (import "mashin" "get_input_len"'
+        " (func $len (param i32) (result i32)))"
+        ' (func (export "plan") (result i32) i32.const 0 call $len))'
+    )
+    decision = _gated(binary, _v1_with(entry), certifier_key)
+    nan = ExecutorInput(step_config={"x": float("nan")}, context={})
+    # it reads no input: a non-canonical one is no error before the trap
+    for executor_input in (INPUT, nan):
+        with pytest.raises(Trap) as excinfo:
+            instantiate_and_plan(binary, decision, executor_input)
+        assert str(excinfo.value) == (
+            "host function get_input_len is not provided by this profile"
+        )
+
+
+def test_set_output_outside_the_host_namespace_traps(certifier_key):
+    entry = whitelist.WhitelistEntry(
+        "env", "set_output", whitelist.PURE_DIRECTIVE, "(i32, i32) -> ()"
+    )
+    binary = assemble(
+        '(module (import "env" "set_output" (func $so (param i32 i32)))'
+        ' (memory 1) (data (i32.const 0) "{\\"result\\":1}")'
+        ' (func (export "plan") (result i32)'
+        " i32.const 0 i32.const 12 call $so i32.const 0))"
+    )
+    decision = _gated(binary, _v1_with(entry), certifier_key)
+    with pytest.raises(Trap) as excinfo:
+        instantiate_and_plan(binary, decision, INPUT)
+    assert str(excinfo.value) == "host function set_output is not provided by this profile"
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_an_admitted_bytearray_edited_in_place_is_not_run(
+    bundles, certifier_key, wl_v1, cached
+):
+    binary, proof, cert = bundles["emit_poc"]
+    mutable = bytearray(binary)
+    trusted = frozenset([certifier_key.public_key])
+    decision = gate_verify(
+        mutable, cert, proof, wl_v1, trusted, cache=GateCache() if cached else None
+    )
+    assert decision.accepted
+    at = mutable.index(b'"ok"')
+    mutable[at + 1 : at + 3] = b"NO"  # the data segment, before any plan
+    with pytest.raises(GateNotPassed):
+        instantiate_and_plan(mutable, decision, INPUT)
+    mutable[at + 1 : at + 3] = b"ok"  # the admitted bytes again
+    assert instantiate_and_plan(mutable, decision, INPUT).result == "ok"
+
+
 def test_constructor_kind_map_covers_directive_kinds(wl_v2):
-    assert CONSTRUCTOR_KINDS is whitelist.CONSTRUCTOR_KINDS
+    assert not hasattr(whitelist, "CONSTRUCTOR_KINDS")  # only the host reads it
     constructors = {e.name for e in wl_v2.entries if e.name.startswith("directive_")}
     assert constructors == set(CONSTRUCTOR_KINDS)
     assert set(CONSTRUCTOR_KINDS.values()) <= set(DIRECTIVE_KINDS)

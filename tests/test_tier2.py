@@ -6,7 +6,6 @@ message, fuel left, memory and the host calls made, at every budget.
 
 import ast
 import contextlib
-import functools
 import importlib.util
 import random
 import re
@@ -29,10 +28,10 @@ from puregate.interpreter import (
 )
 from puregate.provenance import save_run_record
 from puregate.runtime_host import (
+    HOST_PROFILE,
     ExecutorInput,
     ResourceLimits,
     _HostState,
-    build_host_functions,
     determinism_check,
     instantiate_and_plan,
 )
@@ -48,7 +47,6 @@ from puregate.wasmvm import (
     parse_module,
     resolve_imports,
 )
-from puregate.whitelist import builtin_whitelist
 
 INPUT = ExecutorInput(step_config={"target": "child"}, context={"k": 1})
 MIB = 1024 * 1024
@@ -276,7 +274,13 @@ def _hosts(record):
 
 def _outcome(module, tier2, budget):
     record = []
-    instance = instantiate(module, resolve_imports(module, _hosts(record)), 2 * 65536, tier2)
+    hosts = _hosts(record)
+    instance = instantiate(
+        module,
+        resolve_imports(module, lambda imp: hosts.get((imp.namespace, imp.name))),
+        2 * 65536,
+        tier2,
+    )
     try:
         result = instance.invoke("f", [], budget, 60_000)
     except VMError as exc:
@@ -327,7 +331,9 @@ def test_fixtures_agree_in_both_tiers_across_budgets(name):
 
     def outcome(tier2, budget):
         state = _HostState(input_bytes=INPUT.serialize())
-        host = resolve_imports(module, build_host_functions(builtin_whitelist(1)))
+        host = resolve_imports(
+            module, lambda imp: HOST_PROFILE.get((imp.namespace, imp.name))
+        )
         instance = instantiate(module, host, 64 * MIB, tier2, state)
         try:
             result = instance.invoke("plan", [], budget, 60_000)
@@ -1204,28 +1210,31 @@ def test_a_machine_run_is_byte_identical_across_a_session_swap(
 ):
     tiers, _ = _tiers(monkeypatch)
     fuel, host_calls = [], []  # per plan, per call
-    implementation_for = runtime_host._implementation_for
     add_fuel = wasmvm.ModuleCell.add_fuel
+    instantiate = runtime_host.instantiate
 
-    def counted_implementation(name):
-        fn = implementation_for(name)
-
+    def counted(name, fn):
         def call(*args):
             host_calls.append(name)
             return fn(*args)
 
         return call
 
+    def counted_instantiate(module, *args):
+        # count through each instance's own table: the kept binding and
+        # the host functions it shares stay as they are
+        instance = instantiate(module, *args)
+        instance.host_table = [
+            HostFunc(host.signature, counted(imp.name, host.fn))
+            for imp, host in zip(module.imported_funcs, instance.host_table)
+        ]
+        return instance
+
     def seen_fuel(cell, used):
         fuel.append(used)
         add_fuel(cell, used)
 
-    monkeypatch.setattr(runtime_host, "_implementation_for", counted_implementation)
-    # host functions are shared across the process: count through a cache
-    # of this test's own, so none built by an earlier test is served
-    monkeypatch.setattr(
-        runtime_host, "_host_func", functools.lru_cache(runtime_host._host_func.__wrapped__)
-    )
+    monkeypatch.setattr(runtime_host, "instantiate", counted_instantiate)
     monkeypatch.setattr(wasmvm.ModuleCell, "add_fuel", seen_fuel)
 
     names = ("emit_call", "emit_event", "emit_reason")

@@ -12,7 +12,7 @@ from puregate.certificate import ProofBinaryMismatch, sign_certificate, signing_
 from puregate.fixtures import FixtureSpec, assemble_fixture, fixture_binary, list_fixtures
 from puregate.gate import R_MALFORMED_BINARY, gate_verify
 from puregate.proof import build_proof, proof_hash
-from puregate.runtime_host import _HostState, build_host_functions
+from puregate.runtime_host import _bind, _HostState
 from puregate.wasm_inspect import (
     MAX_BINARY_BYTES,
     WASM_MAGIC,
@@ -33,7 +33,6 @@ from puregate.wasmvm import (
     VMError,
     instantiate,
     parse_module,
-    resolve_imports,
 )
 from puregate.whitelist import builtin_whitelist
 from tests.conftest import FIXED_NOW
@@ -248,11 +247,10 @@ def _check_vm_decode(data: bytes) -> None:
         imports = parse_imports(data).imports
     except MalformedBinary:
         imports = None
-    hosts = build_host_functions(V2)
     try:
         module = parse_module(data)
         instance = instantiate(
-            module, resolve_imports(module, hosts), 1024 * 1024, None, _HostState(b"")
+            module, _bind(module).host_table, 1024 * 1024, None, _HostState(b"")
         )
     except VMError:
         return

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from puregate.fixtures import PURE_V1, fixture_binary
 from puregate.runtime_host import (
     DEFAULT_MEMORY_MAX,
+    HOST_PROFILE,
     ExecutorInput,
+    _bind,
     _HostState,
-    build_host_functions,
 )
 from puregate.watasm import AssembleError, assemble, sleb, uleb
 from puregate.wasmvm import (
@@ -27,7 +28,6 @@ from puregate.wasmvm import (
     parse_module,
     resolve_imports,
 )
-from puregate.whitelist import builtin_whitelist
 
 MIB = 1024 * 1024
 # tier 1 interprets basic blocks; tier 2 runs them as generated functions
@@ -35,8 +35,12 @@ TIERS = (1, 2)
 
 
 def _instantiate(module, host_funcs, max_memory_bytes, tier=1, embedder=None):
+    """An instance whose imports resolve in host_funcs, a map from
+    (namespace, name) to HostFunc."""
     tier2 = compile_tier2(module) if tier == 2 else None
-    host_table = resolve_imports(module, host_funcs)
+    host_table = resolve_imports(
+        module, lambda imp: host_funcs.get((imp.namespace, imp.name))
+    )
     return instantiate(module, host_table, max_memory_bytes, tier2, embedder)
 
 
@@ -204,6 +208,15 @@ def test_memory_limits_the_spec_calls_invalid_are_refused(limits, refusal):
     with pytest.raises(InstantiationError) as excinfo:
         parse_module(binary)
     assert str(excinfo.value) == f"malformed module: {refusal}"
+
+
+@pytest.mark.parametrize("init", ['""', '"ab"'], ids=["empty", "two_bytes"])
+def test_a_data_segment_without_a_memory_is_refused(init):
+    # the segment initialises memory 0, which the module does not have
+    binary = assemble(f"(module (data (i32.const 0) {init}))")
+    with pytest.raises(InstantiationError) as excinfo:
+        parse_module(binary)
+    assert str(excinfo.value) == "data segment without a memory"
 
 
 def test_data_segment_out_of_bounds_rejected():
@@ -681,7 +694,7 @@ HOST_CALL_GOLDENS = {
 def _plan_host_calls(name, budget, tier=1):
     """(host calls with the fuel used on entry, outcome, fuel left, state)."""
     state = _HostState(input_bytes=GOLDEN_INPUT.serialize())
-    host = build_host_functions(builtin_whitelist(1))
+    host = HOST_PROFILE
     try:
         module = parse_module(fixture_binary(name))
         instance = _instantiate(module, host, DEFAULT_MEMORY_MAX, tier, state)
@@ -863,9 +876,9 @@ MID_BLOCK_TRAP_GOLDENS = {
 
 def _run_trapping(name, budget, tier=1):
     state = _HostState(input_bytes=b"0123456789")
-    host = build_host_functions(builtin_whitelist(2))
     module = parse_module(assemble(MID_BLOCK_TRAPS[name]))
-    instance = _instantiate(module, host, 64 * MIB, tier, state)
+    tier2 = compile_tier2(module) if tier == 2 else None
+    instance = instantiate(module, _bind(module).host_table, 64 * MIB, tier2, state)
     with pytest.raises(VMError) as info:
         instance.invoke("f", [], budget, 60_000)
     return info.value, budget - instance.fuel, instance
